@@ -23,6 +23,7 @@ from .errors import (
     StepError,
     TruncationError,
     UnsupportedBasePoint,
+    VerificationError,
 )
 from .statespace import (
     BasisTag,

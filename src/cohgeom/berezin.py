@@ -15,8 +15,18 @@ Radial quadrature uses Gauss-Jacobi nodes in u = r^2 with the Bergman weight
 (1-u)^{1/h-2} built into the rule, so polynomial integrands are integrated
 essentially exactly even where the weight exponent is not an integer; the
 angular direction is the uniform (trapezoid) rule, exact for trigonometric
-polynomials below the node count.  Every inner product is gated by one
-refinement doubling.
+polynomials below the node count.  Each Gauss-Jacobi rule is built once per
+(h, node count), on first use, and kept read-only together with its tensor
+grid.  Every quadrature result is gated by one refinement doubling: a single
+inner product, or a whole Gram/Toeplitz matrix at once, whose coarse and
+doubled versions must agree entry by entry to ``quad_tol``.  A matrix is
+assembled in one pass from the angular Fourier modes of its multiplier,
+
+    T[l, m] = (1/h - 1) c_l c_m sum_r w_r r^{l+m} ghat_{m-l}(r),
+    ghat_k(r) = mean_theta g(r e^{i theta}) e^{i k theta},
+
+which regroups the same sums over the same nodes as the L^2 separate
+integrals (psi_l, g psi_m)_D.
 
 With the cutoff L, the reproducing kernel and coherent states are
 
@@ -38,6 +48,7 @@ with {A1, A2}_D = (1-|z|^2)^2 (dzbar A1 dz A2 - dzbar A2 dz A1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -111,10 +122,20 @@ def cayley_inv(z: complex) -> complex:
     return 1j * (1.0 + z) / (1.0 - z)
 
 
+def _coeffs(h: float, ls, power: float = 0.5) -> np.ndarray:
+    """((1/h)_l / l!)^power for each l in ``ls``, through log-gamma.
+
+    power = 1/2 gives the basis normalizations c_l, power = 1 their squares;
+    the log-space form stays finite for large l and small h.
+    """
+    ls = np.asarray(ls, dtype=float)
+    ih = 1.0 / h
+    return np.exp(power * (gammaln(ih + ls) - gammaln(ih) - gammaln(ls + 1.0)))
+
+
 def basis_coeff(l: int, h: float) -> float:
     """Normalization sqrt((1/h)_l / l!) of the monomial basis, in log space."""
-    ih = 1.0 / h
-    return float(np.exp(0.5 * (gammaln(ih + l) - gammaln(ih) - gammaln(l + 1.0))))
+    return float(_coeffs(h, l))
 
 
 def basis_psi(l: int, z, h: float):
@@ -127,23 +148,58 @@ def basis_f(l: int, w: complex, h: float) -> complex:
     return complex(basis_psi(l, cayley(w), h))
 
 
+@functools.lru_cache(maxsize=128)
 def _radial_rule(h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for Integral_0^1 (1-u)^{1/h-2} g(u) du (u = r^2)."""
+    """Nodes/weights for Integral_0^1 (1-u)^{1/h-2} g(u) du (u = r^2).
+
+    Built once per (h, n) and returned read-only, since every caller shares
+    the cached arrays.
+    """
     alpha = 1.0 / h - 2.0
     x, w = roots_jacobi(n, alpha, 0.0)
     u = 0.5 * (x + 1.0)
     w = w * 2.0 ** (-(alpha + 1.0))
+    u.flags.writeable = False
+    w.flags.writeable = False
     return u, w
+
+
+def _angles(n_angular: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(n_angular) / n_angular
+
+
+@functools.lru_cache(maxsize=8)
+def _disc_grid(h: float, n_radial: int, n_angular: int) -> np.ndarray:
+    """Read-only tensor grid z = sqrt(u_r) e^{i theta_a}, n_radial x n_angular."""
+    u, _ = _radial_rule(h, n_radial)
+    z = np.sqrt(u)[:, None] * np.exp(1j * _angles(n_angular))[None, :]
+    z.flags.writeable = False
+    return z
 
 
 def _disc_quadrature(integrand: Callable, space: BerezinSpace,
                      n_radial: int, n_angular: int) -> complex:
-    u, wu = _radial_rule(space.h, n_radial)
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    z = np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]
-    vals = np.asarray(integrand(z), dtype=complex)
+    _, wu = _radial_rule(space.h, n_radial)
+    vals = np.asarray(integrand(_disc_grid(space.h, n_radial, n_angular)),
+                      dtype=complex)
     angular_mean = vals.mean(axis=1)
     return complex((1.0 / space.h - 1.0) * np.sum(wu * angular_mean))
+
+
+def _gated(level: Callable, space: BerezinSpace):
+    """``level(n_radial, n_angular)`` on the base grid and on the doubled one.
+
+    Returns the refined value when it agrees with the base one to
+    ``quad_tol`` in every entry, and raises QuadratureError otherwise.
+    """
+    coarse = level(space.n_radial, space.n_angular)
+    fine = level(2 * space.n_radial, 2 * space.n_angular)
+    delta = float(np.max(np.abs(fine - coarse)))
+    if not delta <= space.quad_tol:
+        raise QuadratureError(
+            f"refinement changed the integral by {delta:.3e} "
+            f"(> {space.quad_tol:.1e})")
+    return fine
 
 
 def disc_inner(phi: Callable, psi: Callable, space: BerezinSpace) -> complex:
@@ -154,13 +210,8 @@ def disc_inner(phi: Callable, psi: Callable, space: BerezinSpace) -> complex:
     raised; the refined value is returned.
     """
     integrand = lambda z: np.conj(phi(z)) * psi(z)
-    coarse = _disc_quadrature(integrand, space, space.n_radial, space.n_angular)
-    fine = _disc_quadrature(integrand, space, 2 * space.n_radial, 2 * space.n_angular)
-    if abs(fine - coarse) > space.quad_tol:
-        raise QuadratureError(
-            f"refinement changed the integral by {abs(fine - coarse):.3e} "
-            f"(> {space.quad_tol:.1e})")
-    return fine
+    return _gated(lambda n_r, n_a: _disc_quadrature(integrand, space, n_r, n_a),
+                  space)
 
 
 def cayley_grid(w):
@@ -182,16 +233,13 @@ def halfplane_inner(f: Callable, g: Callable, space: BerezinSpace) -> complex:
 
 
 def gram_matrix(space: BerezinSpace) -> np.ndarray:
-    """Gram matrix of the first ``cutoff`` basis functions under quadrature."""
-    L = space.cutoff
-    G = np.zeros((L, L), dtype=complex)
-    for l in range(L):
-        for m in range(l, L):
-            val = disc_inner(lambda z, l=l: basis_psi(l, z, space.h),
-                             lambda z, m=m: basis_psi(m, z, space.h), space)
-            G[l, m] = val
-            G[m, l] = np.conj(val)
-    return G
+    """Gram matrix of the first ``cutoff`` basis functions under quadrature.
+
+    This is the Toeplitz matrix of g = 1, kept as a quadrature result (not
+    the exact identity) so that it checks the rule itself.
+    """
+    return _gated(lambda n_r, n_a: _multiplier_matrix(np.ones_like, space,
+                                                      n_r, n_a), space)
 
 
 def _disc_coords(p: complex, q: complex) -> tuple[complex, complex]:
@@ -217,8 +265,7 @@ def _kernel_sum(p: complex, q: complex, space: BerezinSpace) -> complex:
     # the cutoff-model kernel; exact within the truncated space
     zp, zq = _disc_coords(p, q)
     ls = np.arange(space.cutoff)
-    c2 = np.exp(gammaln(1.0 / space.h + ls) - gammaln(1.0 / space.h)
-                - gammaln(ls + 1.0))
+    c2 = _coeffs(space.h, ls, power=1.0)
     return complex(np.sum(c2 * (zp * np.conj(zq)) ** ls))
 
 
@@ -241,21 +288,17 @@ def coherent_coeffs(p: complex, space: BerezinSpace) -> np.ndarray:
     """Coefficients of tau_p in the f_l basis: conj(f_l(p))."""
     zp = cayley(p)
     ls = np.arange(space.cutoff)
-    c = np.array([basis_coeff(l, space.h) for l in ls])
-    return np.conj(c * zp**ls)
+    return np.conj(_coeffs(space.h, ls) * zp**ls)
 
 
 def coherent_state_fn(p: complex, space: BerezinSpace) -> Callable:
     """tau_p as a function on the half plane (vectorized)."""
-    coeffs = coherent_coeffs(p, space)
-    c = np.array([basis_coeff(l, space.h) for l in range(space.cutoff)])
+    # power-series coefficients of tau_p in the disc variable z = cayley(w)
+    series = coherent_coeffs(p, space) * _coeffs(space.h, np.arange(space.cutoff))
 
     def tau(w):
         z = np.asarray(cayley_grid(w), dtype=complex)
-        out = np.zeros_like(z)
-        for l in range(space.cutoff):
-            out = out + coeffs[l] * c[l] * z**l
-        return out
+        return np.polynomial.polynomial.polyval(z, series)
 
     return tau
 
@@ -290,20 +333,37 @@ def star(P1: np.ndarray, P2: np.ndarray, p: complex, space: BerezinSpace) -> Sym
     return symbol(P1 @ P2, p, p, space)
 
 
+def _multiplier_matrix(g: Callable, space: BerezinSpace,
+                       n_radial: int, n_angular: int) -> np.ndarray:
+    """(psi_l, g psi_m)_D for all l, m < cutoff on one quadrature level.
+
+    g is evaluated once on the grid; its angular Fourier modes
+    k = m - l = -(L-1)..L-1 come from one n_angular x (2L-1) product.
+    """
+    L = space.cutoff
+    ls = np.arange(L)
+    u, wu = _radial_rule(space.h, n_radial)
+    z = _disc_grid(space.h, n_radial, n_angular)
+    vals = np.broadcast_to(np.asarray(g(z), dtype=complex), z.shape)
+    ks = np.arange(1 - L, L)
+    modes = vals @ np.exp(1j * np.outer(_angles(n_angular), ks)) / n_angular
+    radial = np.sqrt(u)[:, None] ** ls  # r^l, n_radial x L
+    by_diff = modes[:, ls[None, :] - ls[:, None] + L - 1]  # ghat_{m-l}(r)
+    T = np.einsum("rl,rm,rlm->lm", wu[:, None] * radial, radial, by_diff)
+    c = _coeffs(space.h, ls)
+    return (1.0 / space.h - 1.0) * c[:, None] * c[None, :] * T
+
+
 def toeplitz_operator(g: Callable, space: BerezinSpace) -> np.ndarray:
     """Multiplication-then-project operator with entries (psi_l, g psi_m)_D.
 
     This is the fixed quantization rule used to build operator families that
     are comparable across different h.  ``g`` takes disc points (arrays).
+    The base and doubled quadratures must agree to ``quad_tol`` in every
+    entry or QuadratureError is raised; the refined matrix is returned.
     """
-    L = space.cutoff
-    T = np.zeros((L, L), dtype=complex)
-    for l in range(L):
-        for m in range(L):
-            T[l, m] = disc_inner(
-                lambda z, l=l: basis_psi(l, z, space.h),
-                lambda z, m=m: g(z) * basis_psi(m, z, space.h), space)
-    return T
+    return _gated(lambda n_r, n_a: _multiplier_matrix(g, space, n_r, n_a),
+                  space)
 
 
 def _wirtinger(A: Callable, z: complex, fd_h: float):
@@ -410,12 +470,10 @@ def _symbol_at_disc(P: np.ndarray, z, space: BerezinSpace):
     """Covariant symbol as a function of the disc coordinate (vectorized)."""
     z = np.asarray(z, dtype=complex)
     ls = np.arange(space.cutoff)
-    c = np.exp(0.5 * (gammaln(1.0 / space.h + ls) - gammaln(1.0 / space.h)
-                      - gammaln(ls + 1.0)))
-    scalar = z.ndim == 0
-    zz = z.reshape(-1)
-    out = np.zeros_like(zz)
-    for i, zi in enumerate(zz):
-        f = c * zi**ls  # f_l at this disc point
-        out[i] = (f @ (P @ np.conj(f))) / np.sum(c**2 * abs(zi) ** (2 * ls))
-    return complex(out[0]) if scalar else out.reshape(z.shape)
+    c = _coeffs(space.h, ls)
+    zz = z.reshape(-1, 1)
+    f = c * zz**ls  # f_l at each disc point, one row per point
+    num = np.sum(f * (np.conj(f) @ P.T), axis=1)
+    den = (np.abs(zz) ** (2 * ls)) @ c**2
+    out = num / den
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)

@@ -22,6 +22,7 @@ import numpy as np
 from . import berezin as bz
 from . import prequant as pq
 from . import sut
+from .errors import TruncationError
 from .pullback import (
     DEFAULT_PAIRS,
     StateFamily,
@@ -48,6 +49,9 @@ from .uncertainty import (
 from .pullback import family_state
 
 FMT = "%.12e"
+# floor on the fitted order of the star-product bracket deviation, which the
+# theory puts at 2 (O(h^2)); measured 1.84 at cutoff 8 and 1.91 at cutoff 12
+STAR_ORDER_FLOOR = 1.75
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +430,8 @@ def cmd_berezin_star(args) -> int:
     bracks = [r.dev_bracket for r in rep.rows]
     monotone = all(a > b for a, b in zip(prods, prods[1:]))
     monotone = monotone and all(a > b for a, b in zip(bracks, bracks[1:]))
-    ok = monotone and rep.order_product >= 0.8
+    ok = (monotone and rep.order_product >= 0.8
+          and rep.order_bracket >= STAR_ORDER_FLOOR)
     write_report(args, rows, {"pass": ok, "max_dev": max(prods + bracks),
                               "order_product": rep.order_product,
                               "order_bracket": rep.order_bracket})
@@ -446,7 +451,11 @@ def cmd_report_all(args) -> int:
     dev = 0.0
     for base in _square_grid(2.0, 5):
         fam = StateFamily("wh", eps=1e-12)
-        assert fam.dim(base) >= truncation_dim(base, "fock", eps=1e-12)
+        need = truncation_dim(base, "fock", eps=1e-12)
+        if fam.dim(base) < need:
+            raise TruncationError(
+                f"basis of {fam.dim(base)} states at {base} is below the "
+                f"{need} states the 1e-12 tail budget needs")
         for (u, w) in DEFAULT_PAIRS:
             rep = pullback_form(fam, base, u, w)
             dev = max(dev, rep.abs_deviation)
@@ -551,7 +560,9 @@ def cmd_report_all(args) -> int:
     bracks = [r.dev_bracket for r in rep_b.rows]
     mono = (all(a > b for a, b in zip(prods, prods[1:]))
             and all(a > b for a, b in zip(bracks, bracks[1:])))
-    checks.append(("berezin-star-monotone", mono, max(prods[0], bracks[0])))
+    checks.append(("berezin-star-monotone",
+                   mono and rep_b.order_bracket >= STAR_ORDER_FLOOR,
+                   max(prods[0], bracks[0])))
 
     rows = [{"check": name, "pass": okay, "dev": dev}
             for name, okay, dev in checks]

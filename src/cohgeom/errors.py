@@ -51,3 +51,7 @@ class UnsupportedBasePoint(CohgeomError):
 
 class QuadratureError(CohgeomError):
     """Quadrature failed its refinement convergence gate."""
+
+
+class VerificationError(CohgeomError):
+    """A closed form failed the check it is verified against before use."""

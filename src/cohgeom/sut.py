@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateOrbit, DomainError
+from .errors import DegenerateOrbit, DomainError, VerificationError
 
 E1 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E2 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -144,7 +144,9 @@ def stabilizer_check(X: SutDual) -> list[SutElement]:
     elements = [SutElement(1.0, 0.0), SutElement(-1.0, 0.0)]
     for g in elements:
         fixed = coadjoint_action(g, X)
-        assert fixed == X, "stabilizer candidate failed to fix the point"
+        if fixed != X:
+            raise VerificationError(
+                f"stabilizer candidate {g} moved {X} to {fixed}")
     return elements
 
 
@@ -196,7 +198,10 @@ def moment_and_fields(P: OrbitPoint) -> MomentFields:
     for X, grad in ((xj1, (0.0, 1.0)), (xj2, (2.0, 0.0))):
         for e, comp in ((OrbitTangent(1.0, 0.0), grad[0]),
                         (OrbitTangent(0.0, 1.0), grad[1])):
-            assert abs(kks_form(P, X, e) - comp) < 1e-10 * max(1.0, abs(P.t))
+            dev = abs(kks_form(P, X, e) - comp)
+            if not dev < 1e-10 * max(1.0, abs(P.t)):
+                raise VerificationError(
+                    f"Hamiltonian field {X} misses dJ by {dev:.3e} at {P}")
     return MomentFields(j1, j2, xj1, xj2)
 
 

@@ -233,6 +233,7 @@ def test_criterion_8_berezin_quantization():
     bracks = [r.dev_bracket for r in rep.rows]
     assert prods[0] > prods[1] > prods[2]
     assert bracks[0] > bracks[1] > bracks[2]
+    assert rep.order_bracket >= 1.75  # theory: 2
     report(8, "Gram orthonormality, reproducing property, star-product "
               f"limits (orders {rep.order_product:.2f}/{rep.order_bracket:.2f})",
            max(gram_dev, rep_dev), 1e-6)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import beta as beta_fn
+from scipy.special import beta as beta_fn, roots_jacobi
 
 from cohgeom.errors import DomainError, QuadratureError, TruncationError
 from cohgeom import berezin as bz
@@ -95,6 +95,44 @@ def test_quadrature_gate_raises_on_rough_integrand():
     one = lambda z: np.ones_like(z)
     with pytest.raises(QuadratureError):
         bz.disc_inner(one, rough, space)
+    with pytest.raises(QuadratureError):
+        bz.toeplitz_operator(rough, space)
+
+
+@pytest.mark.parametrize("h", [0.45, 0.1])
+def test_matrix_assembly_matches_entrywise_inner_products(h):
+    # oracle: one gated disc_inner per entry, as (psi_l, g psi_m)_D
+    space = bz.BerezinSpace(h=h, cutoff=6)
+    g = lambda z: np.exp(z) / (2.0 - np.conj(z))
+    psi = lambda l: (lambda z: bz.basis_psi(l, z, h))
+    T_ref = np.array([[bz.disc_inner(psi(l), lambda z, m=m: g(z) * psi(m)(z),
+                                     space) for m in range(6)]
+                      for l in range(6)])
+    G_ref = np.array([[bz.disc_inner(psi(l), psi(m), space) for m in range(6)]
+                      for l in range(6)])
+    assert np.max(np.abs(bz.toeplitz_operator(g, space) - T_ref)) < 1e-14
+    assert np.max(np.abs(bz.gram_matrix(space) - G_ref)) < 1e-14
+
+
+def test_one_rule_per_configuration(monkeypatch):
+    built = []
+
+    def counting(n, alpha, beta):
+        built.append((n, alpha))
+        return roots_jacobi(n, alpha, beta)
+
+    bz._radial_rule.cache_clear()
+    monkeypatch.setattr(bz, "roots_jacobi", counting)
+    hs = (0.2, 0.1, 0.05)
+    bz.correspondence_report(
+        lambda sp: bz.toeplitz_operator(lambda z: np.real(z) + 0j, sp),
+        lambda sp: bz.toeplitz_operator(lambda z: np.imag(z) + 0j, sp),
+        1.5j, hs, cutoff=8)
+    # base and doubled radial node counts, once each per h
+    assert sorted(built) == sorted((n, 1.0 / h - 2.0)
+                                   for h in hs for n in (64, 128))
+    u, w = bz._radial_rule(0.2, 64)
+    assert not (u.flags.writeable or w.flags.writeable)
 
 
 # ---------------------------------------------------------------------------

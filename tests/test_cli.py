@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cohgeom
+from cohgeom import cli
 from cohgeom.cli import main
+from cohgeom.errors import TruncationError
 
 
 def run_cli(args):
@@ -136,3 +140,24 @@ def test_console_entry_point():
          "--grid", "2x2"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("re_alpha")
+
+
+def test_report_all_truncation_check_raises(monkeypatch):
+    # the basis-size check must hold under python -O, so it cannot be an assert
+    monkeypatch.setattr(cli, "truncation_dim", lambda *a, **k: 10**6)
+    with pytest.raises(TruncationError):
+        main(["report-all"])
+
+
+def test_report_all_same_under_optimize(capsys):
+    assert main(["report-all"]) == 0
+    plain = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(cohgeom.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "cohgeom.cli", "report-all"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == plain

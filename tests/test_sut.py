@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cohgeom.errors import DegenerateOrbit, DomainError
+from cohgeom.errors import DegenerateOrbit, DomainError, VerificationError
 from cohgeom import sut
 from cohgeom.sut import (
     Field2D,
@@ -102,6 +102,14 @@ def test_stabilizer_is_plus_minus_identity():
     assert moved != X
     with pytest.raises(DegenerateOrbit):
         stabilizer_check(SutDual(1.0, 0.0))
+
+
+def test_stabilizer_check_raises_when_candidate_moves_point(monkeypatch):
+    # the verification must survive python -O, so it cannot be an assert
+    monkeypatch.setattr(sut, "coadjoint_action",
+                        lambda g, X: SutDual(X.u + 1e-3, X.v))
+    with pytest.raises(VerificationError):
+        stabilizer_check(SutDual(1.0, 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +214,12 @@ def test_fields_satisfy_hamilton_equation():
     assert kks_form(P, mf.xj1, es) == pytest.approx(0.0)
     assert kks_form(P, mf.xj2, es) == pytest.approx(2.0)   # dJ2(ds) = 2
     assert kks_form(P, mf.xj2, et) == pytest.approx(0.0)
+
+
+def test_moment_fields_check_raises_on_wrong_form(monkeypatch):
+    monkeypatch.setattr(sut, "kks_form", lambda P, xi1, xi2: 0.5)
+    with pytest.raises(VerificationError):
+        moment_and_fields(OrbitPoint(1.0, 2.0))
 
 
 def test_hamiltonian_field_solver_matches_closed_form(rng):
