@@ -66,6 +66,7 @@ from .pullback import (
     kahler_verdict,
     numeric_tangent,
     pullback_form,
+    pullback_matrix,
     squeeze_prefactor,
 )
 from .uncertainty import (

@@ -7,7 +7,14 @@ the ray, the Hermitian form
     H(u, w) = <T_u| (1 - |psi><psi|) |T_w>
 
 has the induced metric as its real part and the induced symplectic form as
-its imaginary part.
+its imaginary part.  Tangents are R-linear in u, so H is fixed at each base
+point by the 2x2 matrix H(e_a, e_b) over the directions e = (1, i);
+``pullback_matrix`` computes it once per (family, base) and caches it, and
+``pullback_form`` and ``kahler_verdict`` contract it.  For the squeezed
+oscillator and spin families the state D(base)|0;v> and both tangents come
+from one eigendecomposition of the displacement generator (the Daleckii-Krein
+Frechet derivative, see ``states``); the fiducial kernel state and the
+operators come from the constructor caches in ``states``.
 
 Slot convention (fixed once, used everywhere): the FIRST tangent argument u
 sits in the conjugated slot.  Closed forms below are written in that
@@ -33,26 +40,28 @@ only for reporting.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm_frechet
-from scipy.special import gammaln
+# not called: the benchmark's span recorder resolves pullback.expm_frechet
+# for its layer metrics, which read 0 now that tangents come from _exp_skew
+from scipy.linalg import expm_frechet  # noqa: F401
 
 from .errors import DomainError, StepError, UnsupportedBasePoint
 from .statespace import (
     PullbackReport,
     StateVector,
-    inner,
     project_orthogonal,
 )
 from .states import (
-    ladder_matrices,
+    _exp_skew,
+    _su2_generator,
+    _wh_generator,
     spin_matrices,
-    su2_squeezed_vacuum,
     su2_state,
     su11_coherent,
-    squeezed_vacuum,
     truncation_dim,
     wh_coherent,
     wh_squeezed,
@@ -82,6 +91,8 @@ class StateFamily:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if not np.all(np.isfinite((self.v, self.param, self.eps))):
+            raise DomainError(f"non-finite family parameter in {self}")
         if self.family == "su11" and self.param <= 0.5:
             raise DomainError("su11 family needs k > 1/2")
 
@@ -113,9 +124,16 @@ class TangentSpec:
     direction: complex
 
 
+def _base_point(base) -> complex:
+    base = complex(base)
+    if not cmath.isfinite(base):
+        raise DomainError(f"base point {base} is not finite")
+    return base
+
+
 def family_state(fam: StateFamily, base: complex) -> StateVector:
     """The family member at the given base point."""
-    base = complex(base)
+    base = _base_point(base)
     N = fam.dim(base)
     if fam.family == "wh":
         if fam.v == 0.0:
@@ -126,68 +144,53 @@ def family_state(fam: StateFamily, base: complex) -> StateVector:
     return su11_coherent(base, fam.param, N, fam.eps)
 
 
-def _wh_coherent_tangent(alpha: complex, u: complex, N: int, eps: float) -> StateVector:
-    # term-by-term derivative of the amplitude series; the second piece is
-    # the norm-derivative term along the state, removed later by projection
-    psi = wh_coherent(alpha, N, eps)
-    n = np.arange(N)
-    sqrt_fact = np.exp(0.5 * gammaln(n + 1.0))
-    deriv = np.zeros(N, dtype=complex)
-    if N > 1:
-        deriv[1:] = psi.amps[0] * n[1:] * alpha ** (n[1:] - 1) / sqrt_fact[1:]
-    amps = u * deriv - np.real(np.conj(alpha) * u) * psi.amps
-    return StateVector(amps, psi.basis, psi.tol)
+def _frame(fam: StateFamily, base: complex,
+           directions) -> tuple[StateVector, list[StateVector]]:
+    """The state at ``base`` and its un-projected tangents along ``directions``.
 
-
-def _su11_tangent(alpha: complex, u: complex, k: float, N: int, eps: float) -> StateVector:
-    psi = su11_coherent(alpha, k, N, eps)
-    n = np.arange(N)
-    b = np.exp(0.5 * (gammaln(n + 2 * k) - gammaln(n + 1.0) - gammaln(2 * k)))
-    deriv = np.zeros(N, dtype=complex)
-    if N > 1:
-        deriv[1:] = b[1:] * n[1:] * alpha ** (n[1:] - 1)
-    pref = (1.0 - abs(alpha) ** 2) ** k
-    amps = (u * pref * deriv
-            - 2.0 * k * np.real(np.conj(alpha) * u) / (1.0 - abs(alpha) ** 2) * psi.amps)
-    return StateVector(amps, psi.basis, psi.tol)
-
-
-def _displaced_generator_tangent(X: np.ndarray, Xdot: np.ndarray,
-                                 fiducial: StateVector) -> np.ndarray:
-    # d/ds exp(X + s Xdot)|fid> via the Frechet derivative of expm;
-    # at the origin this is just Xdot acting on the fiducial vector
-    if not np.any(X):
-        return Xdot @ fiducial.amps
-    _, L = expm_frechet(X, Xdot)
-    return L @ fiducial.amps
+    Oscillator coherent and disc families differentiate the amplitude series
+    term by term: d/dalpha of level n is a raising-operator matrix element
+    times level n - 1, and the norm derivative along the state is removed
+    later by projection.  Squeezed oscillator and spin families differentiate
+    D(base)|0;v> = e^X |0;v>; the state and every tangent L(X, Xdot_u)|0;v>
+    come from one eigendecomposition of X.
+    """
+    N = fam.dim(base)
+    if (fam.family == "wh" and fam.v == 0.0) or fam.family == "su11":
+        if fam.family == "wh":
+            psi = wh_coherent(base, N, fam.eps)
+            raise_elems, rate = np.sqrt(np.arange(1, N)), np.conj(base)
+        else:
+            k = fam.param
+            psi = su11_coherent(base, k, N, fam.eps)
+            n = np.arange(1, N)
+            raise_elems = np.sqrt(n * (n - 1 + 2 * k))
+            rate = 2 * k * np.conj(base) / (1 - abs(base) ** 2)
+        deriv = np.zeros(N, dtype=complex)
+        deriv[1:] = raise_elems * psi.amps[:-1]
+        return psi, [StateVector(u * deriv - np.real(rate * u) * psi.amps,
+                                 psi.basis, psi.tol) for u in directions]
+    if fam.family == "wh":
+        vac = wh_squeezed(0j, fam.v, N)
+        X = _wh_generator(base, N, vac.tol)
+        Xdots = [_wh_generator(u, N) for u in directions]
+    else:
+        vac = su2_state(0j, fam.v, fam.param)
+        X = _su2_generator(base, fam.param)
+        Xdots = [_su2_generator(u, fam.param) for u in directions]
+    amps, tangents = _exp_skew(X, vac.amps, *Xdots)
+    return (StateVector(amps, vac.basis, vac.tol),
+            [StateVector(t, vac.basis, vac.tol) for t in tangents])
 
 
 def analytic_tangent(fam: StateFamily, t: TangentSpec) -> StateVector:
     """Pushforward of the tangent ``t.direction`` at ``t.base``, un-projected.
 
     Oscillator coherent and disc families differentiate the amplitude series
-    term by term; squeezed oscillator and spin families differentiate the
-    displacement unitary acting on the fiducial kernel state.
+    term by term; squeezed oscillator and spin families take the Frechet
+    derivative of the displacement acting on the fiducial kernel state.
     """
-    base, u = complex(t.base), complex(t.direction)
-    N = fam.dim(base)
-    if fam.family == "wh" and fam.v == 0.0:
-        return _wh_coherent_tangent(base, u, N, fam.eps)
-    if fam.family == "su11":
-        return _su11_tangent(base, u, fam.param, N, fam.eps)
-    if fam.family == "wh":
-        lad = ladder_matrices(N)
-        vac = squeezed_vacuum(fam.v, N)
-        X = base * lad.adag - np.conj(base) * lad.a
-        Xdot = u * lad.adag - np.conj(u) * lad.a
-        return StateVector(_displaced_generator_tangent(X, Xdot, vac),
-                           vac.basis, vac.tol)
-    spin = spin_matrices(fam.param)
-    vac = su2_squeezed_vacuum(fam.v, fam.param)
-    X = np.conj(base) * spin.lminus - base * spin.lplus
-    Xdot = np.conj(u) * spin.lminus - u * spin.lplus
-    return StateVector(_displaced_generator_tangent(X, Xdot, vac),
-                       vac.basis, vac.tol)
+    return _frame(fam, _base_point(t.base), (complex(t.direction),))[1][0]
 
 
 def numeric_tangent(fam: StateFamily, t: TangentSpec, h: float) -> StateVector:
@@ -199,7 +202,7 @@ def numeric_tangent(fam: StateFamily, t: TangentSpec, h: float) -> StateVector:
     """
     if not (1e-6 <= h <= 1e-3):
         raise StepError(f"step {h:.2e} outside [1e-6, 1e-3]")
-    base, u = complex(t.base), complex(t.direction)
+    base, u = _base_point(t.base), complex(t.direction)
     fam_fixed = replace(fam, trunc=fam.dim(base))
     plus = family_state(fam_fixed, base + h * u)
     minus = family_state(fam_fixed, base - h * u)
@@ -215,7 +218,7 @@ def squeeze_prefactor(fam: StateFamily) -> float:
     """
     if fam.family != "su2":
         return 1.0
-    vac = su2_squeezed_vacuum(fam.v, fam.param)
+    vac = su2_state(0j, fam.v, fam.param)
     lz = spin_matrices(fam.param).lz
     return float(-np.real(np.vdot(vac.amps, lz @ vac.amps)))
 
@@ -271,28 +274,54 @@ def closed_form(fam: StateFamily, base: complex, u: complex, w: complex,
     return 2.0 * k * np.conj(u) * w / (1.0 - abs(base) ** 2) ** 2
 
 
+def pullback_matrix(fam: StateFamily, base: complex, use_numeric: bool = False,
+                    h: float = 1e-4) -> np.ndarray:
+    """The 2x2 matrix G_ab = H(e_a, e_b) at ``base`` for the directions (1, i).
+
+    G is the Gram matrix of the two tangents after projecting them
+    orthogonally to the normalized state, which removes the norm and phase
+    derivative terms.  Tangents are R-linear in the direction, so
+    H(u, w) = [u1, u2] G [w1, w2]^T for u = u1 + i u2 and w = w1 + i w2.
+    ``use_numeric=True`` takes the finite-difference tangents instead (the
+    independent oracle path, four state evaluations).  Cached per
+    (fam, base, use_numeric, h); the returned array is read-only.
+    """
+    return _pullback_matrix(fam, _base_point(base), bool(use_numeric), float(h))
+
+
+@lru_cache(maxsize=1024)
+def _pullback_matrix(fam: StateFamily, base: complex, use_numeric: bool,
+                     h: float) -> np.ndarray:
+    if use_numeric:
+        psi = family_state(fam, base)
+        tangents = [numeric_tangent(fam, TangentSpec(base, e), h) for e in (1, 1j)]
+    else:
+        psi, tangents = _frame(fam, base, (1, 1j))
+    psi = psi.normalized()
+    P = np.array([project_orthogonal(psi, t).amps for t in tangents])
+    G = P.conj() @ P.T
+    G.setflags(write=False)
+    return G
+
+
+def _contract(G: np.ndarray, u: complex, w: complex) -> complex:
+    return complex(np.array([u.real, u.imag]) @ G @ np.array([w.real, w.imag]))
+
+
 def pullback_form(fam: StateFamily, base: complex, u: complex, w: complex,
                   use_numeric: bool = False, h: float = 1e-4) -> PullbackReport:
     """Evaluate H(u, w) at ``base`` and compare with the closed form.
 
-    Tangents are always projected orthogonally against the normalized state
-    before the inner product, which removes the norm/phase derivative terms
-    automatically.  ``use_numeric=True`` swaps in the finite-difference
-    tangents (the independent oracle path).
+    The value contracts ``pullback_matrix`` with the real components of u
+    and w, so every pair at one base point shares one set of tangents.
+    ``use_numeric=True`` swaps in the finite-difference tangents.
     """
-    psi = family_state(fam, base).normalized()
-    if use_numeric:
-        tu = numeric_tangent(fam, TangentSpec(base, u), h)
-        tw = numeric_tangent(fam, TangentSpec(base, w), h)
-    else:
-        tu = analytic_tangent(fam, TangentSpec(base, u))
-        tw = analytic_tangent(fam, TangentSpec(base, w))
-    value = inner(project_orthogonal(psi, tu), project_orthogonal(psi, tw))
+    G = pullback_matrix(fam, base, use_numeric, h)
     try:
         ref = closed_form(fam, base, u, w)
     except UnsupportedBasePoint:
         ref = None
-    return PullbackReport.from_value(value, ref)
+    return PullbackReport.from_value(_contract(G, u, w), ref)
 
 
 @dataclass(frozen=True)
@@ -325,8 +354,9 @@ def kahler_verdict(fam: StateFamily, bases=None, pairs=DEFAULT_PAIRS,
     dev_full = 0.0
     dev_sympl = 0.0
     for base in bases:
+        G = pullback_matrix(fam, base)
         for (u, w) in pairs:
-            val = pullback_form(fam, base, u, w).value / n_v
+            val = _contract(G, u, w) / n_v
             ref0 = closed_form(fam0, base, u, w) / n_0
             dev_full = max(dev_full, abs(val - ref0))
             dev_sympl = max(dev_sympl, abs(val.imag - ref0.imag))

@@ -21,14 +21,27 @@ documents which normalization it uses.
 Squeezed fiducial vectors are computed as smallest-singular-value vectors of
 the truncated annihilator, normalized with their first nonzero amplitude real
 positive so results are deterministic representatives of the ray.
+
+Displacements exponentiate skew-Hermitian generators X through one Hermitian
+eigendecomposition -iX = V diag(lam) V+ (``_exp_skew``).  The same spectral
+data give the Frechet derivative of the exponential by the Daleckii-Krein
+formula L(X, E) = V (Phi o (V+ E V)) V+, with the divided differences
+Phi_jk = e^{i(lam_j + lam_k)/2} sinc((lam_j - lam_k)/2), exact when
+eigenvalues coincide (Higham, Functions of Matrices, SIAM 2008, sec. 3.2).
+
+The operator and fiducial constructors (``ladder_matrices``,
+``spin_matrices``, ``squeezed_vacuum``, ``su2_squeezed_vacuum``) are cached
+by argument values in bounded LRU caches, filled on first use.  Their arrays
+are read-only, so cached results are shared safely.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gammaln
 
 from .errors import (
@@ -111,16 +124,37 @@ class SqueezeParam:
         return float(np.exp(self.v))
 
 
+def _cached(fn):
+    """Bounded LRU cache keyed on the argument values with defaults filled
+    in, so positional and keyword spellings of one call share an entry."""
+    bind = inspect.signature(fn).bind
+    cached = lru_cache(maxsize=128)(fn)
+
+    @wraps(fn)
+    def lookup(*args, **kwargs):
+        bound = bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+    return lookup
+
+
+@lru_cache(maxsize=32)
 def ladder_matrices(N: int) -> LadderPair:
-    """Truncated oscillator ladder matrices of dimension N >= 2."""
+    """Truncated oscillator ladder matrices of dimension N >= 2 (cached)."""
     if N < 2:
         raise DimensionTooSmall(f"need N >= 2 levels, got {N}")
     a = np.zeros((N, N), dtype=complex)
     n = np.arange(1, N)
     a[n - 1, n] = np.sqrt(n)
-    return LadderPair(N, a, a.conj().T)
+    adag = a.conj().T
+    for x in (a, adag):
+        x.setflags(write=False)
+    return LadderPair(N, a, adag)
 
 
+@lru_cache(maxsize=32)
 def spin_matrices(j: float) -> SpinTriple:
     """Standard spin-j representation, dimension 2j+1.
 
@@ -139,6 +173,8 @@ def spin_matrices(j: float) -> SpinTriple:
     jm = jp.conj().T
     lx = (jp + jm) / 2.0
     ly = (jp - jm) / 2.0j
+    for x in (lx, ly, lz):
+        x.setflags(write=False)
     return SpinTriple(float(j), lx, ly, lz)
 
 
@@ -157,7 +193,7 @@ def kernel_vector(M: np.ndarray, rtol: float = 1e-8) -> tuple[np.ndarray, float]
     rtol * sigma_max and the next one is well separated; otherwise the kernel
     is empty or more than one-dimensional and KernelError is raised.
     """
-    s = np.linalg.svd(M, compute_uv=False)
+    _, s, vh = np.linalg.svd(M)
     smax = s[0]
     if smax == 0.0:
         raise KernelError("matrix is identically zero, kernel is everything")
@@ -170,7 +206,6 @@ def kernel_vector(M: np.ndarray, rtol: float = 1e-8) -> tuple[np.ndarray, float]
             f"kernel not one-dimensional: next singular value ratio "
             f"{s[-2] / smax:.3e}"
         )
-    _, _, vh = np.linalg.svd(M)
     x = _fix_phase(vh[-1].conj())
     return x, float(np.linalg.norm(M @ x))
 
@@ -198,29 +233,59 @@ def wh_coherent(alpha: complex, N: int, tol: float = 1e-12) -> StateVector:
     return StateVector(c, fock_tag(), tol)
 
 
-def wh_displacement(alpha: complex, N: int, tol: float = 1e-12) -> np.ndarray:
-    """Displacement unitary exp(alpha a+ - conj(alpha) a) on N levels.
+def _exp_skew(X: np.ndarray, psi: np.ndarray, *directions: np.ndarray):
+    """e^X psi and the Frechet derivatives L(X, E) psi, E in ``directions``.
 
-    Exactly unitary (matrix exponential of a skew-Hermitian matrix); agrees
-    with the true displacement on the well-truncated block.  TruncationError
-    if N is below the coherent tail budget for this alpha.
+    X must be skew-Hermitian and psi a vector or a matrix of columns.  One
+    eigh of -iX serves all outputs (Daleckii-Krein, see the module notes).
     """
+    if not np.any(X):
+        return psi, [E @ psi for E in directions]
+    lam, V = np.linalg.eigh(-1j * X)
+    c = V.conj().T @ psi
+    value = (V * np.exp(1j * lam)) @ c
+    if not directions:
+        return value, []
+    phi = (np.exp(0.5j * np.add.outer(lam, lam))
+           * np.sinc(np.subtract.outer(lam, lam) / (2.0 * np.pi)))
+    return value, [V @ ((phi * (V.conj().T @ E @ V)) @ c) for E in directions]
+
+
+def _wh_generator(alpha: complex, N: int, tol: float = 0.0) -> np.ndarray:
+    """alpha a+ - conj(alpha) a on N levels.  With tol > 0, TruncationError
+    if N is below the coherent tail budget for this alpha."""
     alpha = complex(alpha)
-    if N < truncation_dim(alpha, "fock", eps=tol):
+    if tol and N < truncation_dim(alpha, "fock", eps=tol):
         raise TruncationError(
             f"N = {N} below the tail budget for |alpha| = {abs(alpha):.3f}"
         )
     lad = ladder_matrices(N)
-    return expm(alpha * lad.adag - np.conj(alpha) * lad.a)
+    return alpha * lad.adag - np.conj(alpha) * lad.a
 
 
+def wh_displacement(alpha: complex, N: int, tol: float = 1e-12) -> np.ndarray:
+    """Displacement unitary exp(alpha a+ - conj(alpha) a) on N levels.
+
+    Exactly unitary (exponential of a skew-Hermitian matrix, taken through
+    its eigendecomposition); agrees with the true displacement on the
+    well-truncated block.  TruncationError if N is below the coherent tail
+    budget for this alpha.
+    """
+    return _exp_skew(_wh_generator(alpha, N, tol), np.eye(N))[0]
+
+
+@_cached
 def squeezed_vacuum(v: float, N: int, ktol: float = 1e-8, tol: float = 1e-12) -> StateVector:
     """Kernel state of the truncated a_v = cosh(v) a + sinh(v) a+.
 
     Computed as the smallest-singular-value vector, so it is self-validating:
     ``|a_v psi|`` equals the returned state's kernel residual.  Supported only
-    on even number states (parity is conserved by a_v).
+    on even number states (parity is conserved by a_v).  The condition-number
+    guard |v| <= 2 keeps the kernel resolvable at desk-scale N.  Cached by
+    argument values.
     """
+    if not abs(v) <= 2.0:
+        raise DomainError(f"|v| = {abs(v):.2f} exceeds the guard |v| <= 2")
     lad = ladder_matrices(N)
     av = np.cosh(v) * lad.a + np.sinh(v) * lad.adag
     x, _resid = kernel_vector(av, rtol=ktol)
@@ -231,17 +296,12 @@ def wh_squeezed(alpha: complex, v: float, N: int, ktol: float = 1e-8,
                 tol: float = 1e-12) -> StateVector:
     """Displaced squeezed state D(alpha) |0; v> on N levels.
 
-    |0; v> is the numerical kernel of cosh(v) a + sinh(v) a+.  For v = 0 this
-    reduces to the coherent state.  The condition-number guard |v| <= 2 keeps
-    the kernel resolvable at desk-scale N.
+    |0; v> is the numerical kernel of cosh(v) a + sinh(v) a+ (DomainError
+    for |v| > 2).  For v = 0 this reduces to the coherent state.
     """
-    if abs(v) > 2.0:
-        raise DomainError(f"|v| = {abs(v):.2f} exceeds the guard |v| <= 2")
-    vac = squeezed_vacuum(v, N, ktol=ktol, tol=tol)
-    if alpha == 0:
-        return vac
-    D = wh_displacement(alpha, N, tol=tol)
-    return StateVector(D @ vac.amps, fock_tag(), tol)
+    vac = squeezed_vacuum(v, N, ktol, tol)
+    amps, _ = _exp_skew(_wh_generator(alpha, N, tol), vac.amps)
+    return StateVector(amps, fock_tag(), tol)
 
 
 def su2_tilde_minus(spin: SpinTriple, v: float) -> np.ndarray:
@@ -253,34 +313,41 @@ def su2_tilde_minus(spin: SpinTriple, v: float) -> np.ndarray:
     return np.exp(v) * spin.lx - 1j * np.exp(-v) * spin.ly
 
 
+@_cached
 def su2_squeezed_vacuum(v: float, j: float, ktol: float = 1e-8) -> StateVector:
     """Kernel state of e^v Lx - i e^{-v} Ly in the spin-j representation.
 
     At v = 0 this is the lowest-weight state.  For v != 0 a kernel exists
     only for integer j: the operator maps the even-m sector onto the smaller
-    odd-m sector.  Half-integer j with v != 0 raises KernelError.
+    odd-m sector.  Half-integer j with v != 0 raises KernelError.  Cached by
+    argument values.
     """
     spin = spin_matrices(j)
     x, _resid = kernel_vector(su2_tilde_minus(spin, v), rtol=ktol)
     return StateVector(x, spin_tag(j))
 
 
+def _su2_generator(alpha: complex, j: float) -> np.ndarray:
+    """conj(alpha) L- - alpha L+ in the spin-j representation."""
+    spin = spin_matrices(j)
+    return np.conj(alpha) * spin.lminus - alpha * spin.lplus
+
+
 def su2_displacement(alpha: complex, j: float) -> np.ndarray:
     """Spin displacement exp(conj(alpha) L- - alpha L+), L+- normalized."""
-    spin = spin_matrices(j)
-    return expm(np.conj(alpha) * spin.lminus - alpha * spin.lplus)
+    X = _su2_generator(alpha, j)
+    return _exp_skew(X, np.eye(len(X)))[0]
 
 
 def su2_state(alpha: complex, v: float, j: float, ktol: float = 1e-8) -> StateVector:
-    """Displaced spin kernel state D(alpha) |0; v> (exact finite-dim expm).
+    """Displaced spin kernel state D(alpha) |0; v> (exact finite-dim exponential).
 
     v = 0 yields the standard spin coherent state attached to the lowest
     weight.  Displacement is unitary, so the result is normalized exactly.
     """
-    vac = su2_squeezed_vacuum(v, j, ktol=ktol)
-    if alpha == 0:
-        return vac
-    return StateVector(su2_displacement(alpha, j) @ vac.amps, spin_tag(j))
+    vac = su2_squeezed_vacuum(v, j, ktol)
+    amps, _ = _exp_skew(_su2_generator(alpha, j), vac.amps)
+    return StateVector(amps, spin_tag(j))
 
 
 def _su11_log_coeffs(k: float, N: int) -> np.ndarray:
@@ -336,6 +403,9 @@ def truncation_dim(alpha: complex, family: str, param: float = 0.0,
     if eps <= 0:
         raise ValueError("eps must be positive")
     x = abs(complex(alpha)) ** 2
+    if not np.isfinite(x):
+        # the tail recurrences below would never terminate
+        raise DomainError(f"alpha = {alpha} is not finite")
 
     if family == "fock":
         if x == 0.0:

@@ -161,3 +161,35 @@ def test_report_all_same_under_optimize(capsys):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == plain
+
+
+def test_pullback_nan_squeeze_raises_domain_error():
+    from cohgeom.errors import DomainError
+
+    with pytest.raises(DomainError):
+        run_cli(["pullback", "--squeeze", "nan", "--grid", "2x2"])
+
+
+def test_report_all_one_kernel_svd_per_operator(monkeypatch, capsys):
+    # every kernel SVD of a report-all run is of a distinct operator, and
+    # there is one per cached (v, N) or (v, j) fiducial
+    import numpy as np
+
+    from cohgeom import pullback, states
+
+    for cache in (states.squeezed_vacuum, states.su2_squeezed_vacuum,
+                  pullback._pullback_matrix):
+        cache.cache_clear()
+    seen = []
+    svd = np.linalg.svd
+
+    def counting_svd(M, *args, **kwargs):
+        seen.append((M.shape, M.tobytes()))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert run_cli(["report-all"]) == 0
+    capsys.readouterr()
+    fiducials = (states.squeezed_vacuum.cache_info().currsize
+                 + states.su2_squeezed_vacuum.cache_info().currsize)
+    assert len(seen) == len(set(seen)) == fiducials >= 10

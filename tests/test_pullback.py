@@ -1,23 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohgeom import (
     DomainError,
     StateFamily,
+    StateVector,
     StepError,
     TangentSpec,
     UnsupportedBasePoint,
     analytic_tangent,
     closed_form,
     family_state,
+    inner,
     kahler_verdict,
     numeric_tangent,
     project_orthogonal,
     pullback_form,
+    pullback_hermitian,
+    pullback_matrix,
     spin_matrices,
     squeeze_prefactor,
     su2_squeezed_vacuum,
 )
+from cohgeom import pullback as pullback_module
 
 PAIRS = ((1 + 0j, 1 + 0j), (1 + 0j, 1j), (1j, 1j))
 
@@ -272,3 +279,131 @@ def test_verdict_su2_squeezed():
 def test_verdict_su11():
     verdict = kahler_verdict(SU11_K1, bases=[0j, 0.3, 0.2 + 0.4j])
     assert verdict.is_kahler and verdict.is_symplectic
+
+
+# ---------------------------------------------------------------------------
+# the cached 2x2 form: properties over random families, bases and directions
+
+def _families():
+    wh = st.builds(lambda v: StateFamily("wh", v=v),
+                   st.sampled_from([0.0]) | st.floats(-1.0, 1.0).filter(lambda v: v))
+    su2_coherent = st.builds(lambda j: StateFamily("su2", param=j),
+                             st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+    su2_squeezed = st.builds(lambda j, v: StateFamily("su2", v=v, param=j),
+                             st.sampled_from([1.0, 2.0, 3.0]), st.floats(-1.0, 1.0))
+    su11 = st.builds(lambda k: StateFamily("su11", param=k), st.floats(0.6, 2.0))
+    return wh | su2_coherent | su2_squeezed | su11
+
+
+def _point(radius):
+    return st.builds(lambda r, t: complex(r * np.cos(t), r * np.sin(t)),
+                     st.floats(0.0, radius), st.floats(0.0, 2 * np.pi))
+
+
+_directions = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+_case = st.tuples(_families(), _point(1.0), _directions, _directions)
+_settings = settings(max_examples=40, deadline=None)
+
+
+def _close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(1.0, abs(b))
+
+
+def _base(fam, base):
+    # the disc family lives on |alpha| < 1; keep its samples inside 0.7
+    return 0.7 * base if fam.family == "su11" else base
+
+
+@_settings
+@given(_case)
+def test_form_equals_projected_tangent_product(case):
+    fam, base, u, w = case
+    base = _base(fam, base)
+    psi = family_state(fam, base).normalized()
+    tu = project_orthogonal(psi, analytic_tangent(fam, TangentSpec(base, u)))
+    tw = project_orthogonal(psi, analytic_tangent(fam, TangentSpec(base, w)))
+    assert _close(pullback_form(fam, base, u, w).value, inner(tu, tw))
+
+
+@_settings
+@given(_case)
+def test_form_is_hermitian(case):
+    fam, base, u, w = case
+    base = _base(fam, base)
+    huw = pullback_form(fam, base, u, w).value
+    assert _close(pullback_form(fam, base, w, u).value, np.conj(huw))
+
+
+@_settings
+@given(_case, _directions, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_form_is_real_bilinear(case, z, a, b):
+    fam, base, u, w = case
+    base = _base(fam, base)
+
+    def H(x, y):
+        return pullback_form(fam, base, x, y).value
+
+    assert _close(H(a * u + b * z, w), a * H(u, w) + b * H(z, w), 1e-11)
+    assert _close(H(u, a * w + b * z), a * H(u, w) + b * H(u, z), 1e-11)
+
+
+@_settings
+@given(_case, st.floats(0.0, 2 * np.pi), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_form_is_phase_invariant(case, theta, c1, c2):
+    # a phase e^{i theta(alpha)} on the family, with d theta = c1 dx + c2 dy,
+    # multiplies the state and adds i d theta(u) psi to each tangent
+    fam, base, u, w = case
+    base = _base(fam, base)
+    psi = family_state(fam, base).normalized()
+    phase = np.exp(1j * theta)
+    rotated = StateVector(phase * psi.amps, psi.basis, psi.tol)
+
+    def gauged(x):
+        t = analytic_tangent(fam, TangentSpec(base, x)).amps
+        return StateVector(phase * (t + 1j * (c1 * x.real + c2 * x.imag) * psi.amps),
+                           psi.basis, psi.tol)
+
+    value = pullback_hermitian(rotated, gauged(u), gauged(w))
+    assert _close(value, pullback_form(fam, base, u, w).value, 1e-11)
+
+
+# ---------------------------------------------------------------------------
+# caching and input validation
+
+def test_pullback_matrix_is_cached_and_read_only(monkeypatch):
+    pullback_module._pullback_matrix.cache_clear()
+    fam = StateFamily("wh", v=0.5)
+    calls = []
+    real = pullback_module.family_state
+    monkeypatch.setattr(pullback_module, "family_state",
+                        lambda *a: calls.append(a) or real(*a))
+    base = 0.3 - 0.2j
+    G = pullback_matrix(fam, base, use_numeric=True)
+    # the numeric oracle evaluates the state once and at base +- h, base +- ih
+    assert len(calls) == 5
+    for (u, w) in PAIRS:
+        pullback_form(fam, base, u, w, use_numeric=True)
+    assert len(calls) == 5
+    assert pullback_matrix(fam, base, use_numeric=True) is G
+    assert not G.flags.writeable
+    with pytest.raises(ValueError):
+        G[0, 0] = 0.0
+    assert G[0, 1] == pytest.approx(np.conj(G[1, 0]), abs=1e-14)
+
+
+def test_non_finite_input_rejected_before_caching():
+    nan = float("nan")
+    for kwargs in ({"v": nan}, {"param": float("inf")}, {"eps": nan}):
+        with pytest.raises(DomainError):
+            StateFamily("wh", **kwargs)
+    before = pullback_module._pullback_matrix.cache_info()
+    for bad in (complex(nan, 0.0), complex(0.0, float("inf"))):
+        for fam in (WH, SU2_J1, SU11_K1, StateFamily("wh", v=0.5)):
+            with pytest.raises(DomainError):
+                family_state(fam, bad)
+            with pytest.raises(DomainError):
+                pullback_matrix(fam, bad)
+            with pytest.raises(DomainError):
+                analytic_tangent(fam, TangentSpec(bad, 1))
+    after = pullback_module._pullback_matrix.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)

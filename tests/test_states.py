@@ -22,6 +22,7 @@ from cohgeom import (
     wh_displacement,
     wh_squeezed,
 )
+from cohgeom.states import _exp_skew, _su2_generator, _wh_generator
 
 
 # ---------------------------------------------------------------------------
@@ -343,3 +344,97 @@ def test_truncation_dim_squeezed_supports_kernel():
     lad = ladder_matrices(n)
     at = np.cosh(0.5) * lad.a + np.sinh(0.5) * lad.adag
     assert np.linalg.norm(at @ vac.amps) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# spectral exponential helper, against scipy's expm and expm_frechet
+
+def _skew_cases():
+    rng = np.random.default_rng(7)
+    for N in (53, 144):
+        for r in (0.5, 1.0):
+            alpha, u = (r * np.exp(2j * np.pi * rng.random()) for _ in range(2))
+            yield _wh_generator(alpha, N), _wh_generator(u, N)
+    for j in (2.0, 3.0):
+        alpha, u = (np.exp(2j * np.pi * rng.random()) for _ in range(2))
+        yield _su2_generator(0.8 * alpha, j), _su2_generator(u, j)
+
+
+@pytest.mark.parametrize("X,E", list(_skew_cases()))
+def test_exp_skew_matches_expm_and_frechet(X, E):
+    from scipy.linalg import expm, expm_frechet
+
+    eye = np.eye(len(X))
+    value, (deriv,) = _exp_skew(X, eye, E)
+    ref_value, ref_deriv = expm_frechet(X, E)
+    assert np.max(np.abs(value - expm(X))) < 1e-12
+    assert np.max(np.abs(value - ref_value)) < 1e-12
+    assert np.max(np.abs(deriv - ref_deriv)) < 1e-12
+    # acting on a vector gives the same columns
+    psi = np.arange(1, len(X) + 1) / np.linalg.norm(np.arange(1, len(X) + 1))
+    v_vec, (d_vec,) = _exp_skew(X, psi, E)
+    assert np.max(np.abs(v_vec - value @ psi)) < 1e-12
+    assert np.max(np.abs(d_vec - deriv @ psi)) < 1e-12
+
+
+def test_exp_skew_coincident_eigenvalues():
+    # exactly equal eigenvalues take the sinc limit e^{i lam}; splitting them
+    # by delta moves the derivative by O(delta) only
+    from scipy.linalg import expm_frechet
+
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    E = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    E = E - E.conj().T
+    lam = np.array([0.3, 0.3, -1.2, 2.0, 0.3])
+    X = 1j * np.diag(lam)
+    _, (exact,) = _exp_skew(X, np.eye(5), E)
+    assert np.max(np.abs(exact - expm_frechet(X, E)[1])) < 1e-12
+    for delta in (1e-6, 1e-9):
+        split = 1j * np.diag(lam + np.array([0.0, delta, 0.0, 0.0, -delta]))
+        _, (near,) = _exp_skew(split, np.eye(5), E)
+        assert np.max(np.abs(near - exact)) < 10 * delta
+    # the same in a rotated basis, where eigh sees the degeneracy only to
+    # round-off
+    Xq = Q @ X @ Q.conj().T
+    _, (rot,) = _exp_skew(Xq, np.eye(5), E)
+    assert np.max(np.abs(rot - expm_frechet(Xq, E)[1])) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# constructor caches and the closed-form squeezed vacuum
+
+def test_cached_operator_arrays_are_read_only():
+    lad = ladder_matrices(8)
+    spin = spin_matrices(2.0)
+    vac = squeezed_vacuum(0.5, 60)
+    assert ladder_matrices(8) is lad and spin_matrices(2.0) is spin
+    # one entry however the call is spelled
+    assert squeezed_vacuum(0.5, 60, 1e-8, 1e-12) is vac
+    assert squeezed_vacuum(N=60, v=0.5, tol=1e-12) is vac
+    for arr in (lad.a, lad.adag, spin.lx, spin.ly, spin.lz, vac.amps):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+
+
+@pytest.mark.parametrize("v", [0.5, -0.5])
+def test_squeezed_vacuum_matches_closed_form(v):
+    # c_{2m} = (-tanh v)^m sqrt((2m)!) / (2^m m! sqrt(cosh v)), odd levels 0;
+    # built from log-gamma here, sharing no code with the kernel SVD
+    from math import cosh, lgamma, log, tanh
+
+    N = 60
+    closed = np.zeros(N)
+    for m in range(N // 2):
+        closed[2 * m] = (-tanh(v)) ** m * np.exp(
+            0.5 * lgamma(2 * m + 1) - m * log(2.0) - lgamma(m + 1) - 0.5 * log(cosh(v)))
+    assert np.max(np.abs(squeezed_vacuum(v, N).amps - closed)) < 1e-10
+
+
+def test_non_finite_alpha_rejected():
+    for bad in (float("nan"), complex("inf")):
+        with pytest.raises(DomainError):
+            truncation_dim(bad, "fock")
+    with pytest.raises(DomainError):
+        squeezed_vacuum(float("nan"), 16)
