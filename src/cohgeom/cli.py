@@ -4,31 +4,39 @@ Subcommands: ``pullback``, ``uncertainty``, ``sut {kks|charts|flow|dirac}``,
 ``berezin {gram|kernel|symbol|star}``, ``report-all``.  Reports are written
 as CSV (one header row, %.12e floats) or JSON ({config, rows, summary}); a
 given configuration always produces byte-identical output.  Exit status 0
-when every assertion passed its tolerance, 1 on any failure, 2 on usage
-errors.
+when every check passed its tolerance, 1 on any failure, 2 on a usage error
+or a ``CohgeomError``, either reported as one line on stderr.
 
-A flat key=value config file can seed any subcommand's defaults via
-``--config``; explicit flags win.
+Each report-all criterion is one entry of ``CHECKS``.  Its measurement is a
+helper below that the subcommand calls per point, the registry calls at
+report-all's inputs and the acceptance suite calls on larger inputs; each
+tolerance is one constant.
+
+A flat key=value file given by ``--config`` sets the chosen subcommand's own
+options, ahead of the explicit flags, which win; other keys are ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import berezin as bz
 from . import prequant as pq
 from . import sut
-from .errors import TruncationError
+from .errors import CohgeomError, DomainError, TruncationError
 from .pullback import (
     DEFAULT_PAIRS,
     StateFamily,
     TangentSpec,
     analytic_tangent,
     closed_form,
+    family_state,
     kahler_verdict,
     numeric_tangent,
     pullback_form,
@@ -46,9 +54,21 @@ from .uncertainty import (
     quadrature_pair,
     rs_report,
 )
-from .pullback import family_state
 
 FMT = "%.12e"
+FORM_TOL = 1e-8        # pulled-back forms against their closed forms
+DISC_REL_TOL = 1e-6    # disc family, relative to the closed form
+SATURATION_TOL = 1e-9  # uncertainty slack and matched residual
+MISMATCH_GAP = 0.01    # floor on the residual at a mismatched lambda
+ORBIT_TOL = 1e-12      # coadjoint example, brackets, fields, chart round trip
+CHART_TOL = 1e-6       # chart pullback coefficient, by finite differences
+FLOW_TOL = 1e-6        # flow/generator residuals, by finite differences
+PREQUANT_TOL = 1e-8    # potential, Dirac defect and its grid stability
+GRAM_TOL = 1e-8
+KERNEL_TOL = 1e-6
+SYMBOL_TOL = 1e-10
+ORACLE_TOL = 1e-6      # analytic against finite-difference tangents
+STAR_PRODUCT_ORDER_FLOOR = 0.8
 # floor on the fitted order of the star-product bracket deviation, which the
 # theory puts at 2 (O(h^2)); measured 1.84 at cutoff 8 and 1.91 at cutoff 12
 STAR_ORDER_FLOOR = 1.75
@@ -106,26 +126,82 @@ def write_report(args, rows: list[dict], summary: dict) -> None:
         sys.stdout.write(text)
 
 
+def _report(args, rows: list[dict], ok: bool, max_dev: float, **extra) -> int:
+    write_report(args, rows, {"pass": ok, "max_dev": max_dev, **extra})
+    return 0 if ok else 1
+
+
+# ---------------------------------------------------------------------------
+# argument types: malformed or non-finite input is a usage error
+
+def _finite(kind, tok: str):
+    try:
+        x = kind(tok)
+    except ValueError:
+        x = math.nan
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {tok!r}")
+    return x
+
+
+def _real(tok: str) -> float:
+    return _finite(float, tok)
+
+
+def _numbers(kind, text: str) -> list:
+    vals = [_finite(kind, tok) for tok in text.split(",") if tok]
+    if not vals:
+        raise argparse.ArgumentTypeError(f"no numbers in {text!r}")
+    return vals
+
+
 def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    return _numbers(float, text)
 
 
 def _complexes(text: str) -> list[complex]:
-    return [complex(tok) for tok in text.split(",") if tok]
+    return _numbers(complex, text)
+
+
+def _grid_shape(text: str) -> tuple[int, int]:
+    """Parse 'NxM' into two positive counts."""
+    try:
+        n_re, n_im = (int(c) for c in text.split("x"))
+    except ValueError:
+        n_re = n_im = 0
+    if min(n_re, n_im) < 1:
+        raise argparse.ArgumentTypeError(f"expected NxM counts, got {text!r}")
+    return n_re, n_im
 
 
 def _parse_range(spec: str) -> tuple[str, np.ndarray]:
-    """Parse 'name:lo..hi:count' into a named inclusive linspace."""
+    """Parse 't:lo..hi:count' or 's:lo..hi:count' into a named linspace."""
     try:
         name, body = spec.split(":", 1)
         bounds, count = body.rsplit(":", 1)
-        lo, hi = bounds.split("..")
-        return name, np.linspace(float(lo), float(hi), int(count))
-    except ValueError as exc:
-        raise SystemExit(f"bad range spec {spec!r}: {exc}")
+        lo, hi = (_finite(float, b) for b in bounds.split(".."))
+        n = int(count)
+    except (ValueError, argparse.ArgumentTypeError):
+        name, n = "", 0
+    if name not in ("t", "s") or n < 1:
+        raise argparse.ArgumentTypeError(
+            f"bad range spec {spec!r}: expected t:lo..hi:count or s:lo..hi:count")
+    return name, np.linspace(lo, hi, n)
 
 
-def _square_grid(radius: float, nx: int, ny: int | None = None) -> list[complex]:
+def _checked(parse):
+    """Argparse type that validates with ``parse`` and keeps the text, which
+    the report's config block records."""
+    def check(text: str) -> str:
+        parse(text)
+        return text
+    return check
+
+
+# ---------------------------------------------------------------------------
+# measurements, shared by the subcommands, CHECKS and the acceptance suite
+
+def square_grid(radius: float, nx: int, ny: int | None = None) -> list[complex]:
     # rectangular grid inscribed in |alpha| <= radius
     side = radius / np.sqrt(2.0)
     xs = np.linspace(-side, side, nx)
@@ -133,56 +209,32 @@ def _square_grid(radius: float, nx: int, ny: int | None = None) -> list[complex]
     return [complex(x, y) for x in xs for y in ys]
 
 
-# ---------------------------------------------------------------------------
-# pullback
-
-def cmd_pullback(args) -> int:
-    family = StateFamily(args.family, v=0.0, param=args.param, eps=args.eps)
-    n_re, n_im = (int(c) for c in args.grid.split("x"))
-    rows = []
-    max_dev = 0.0
-    squeezes = _floats(args.squeeze)
-    for v in squeezes:
-        fam = StateFamily(args.family, v=v, param=args.param, eps=args.eps)
-        squeezed = fam.family == "su2" or v != 0.0
-        if squeezed:
-            bases = [0j]  # closed forms are claimed at the origin only
-        else:
-            bases = _square_grid(args.base_max, n_re, n_im)
-        for base in bases:
-            vals = {}
-            dev = 0.0
-            for tag, (u, w) in zip(("11", "1i", "ii"), DEFAULT_PAIRS):
-                rep = pullback_form(fam, base, u, w)
-                vals[tag] = rep.value
-                if rep.abs_deviation is not None:
-                    dev = max(dev, rep.abs_deviation)
-            rows.append({
-                "re_alpha": base.real, "im_alpha": base.imag, "squeeze": v,
-                "g11": vals["11"].real, "g12": vals["1i"].real,
-                "g22": vals["ii"].real, "omega12": vals["1i"].imag,
-                "ref_g11": closed_form(fam, base, 1, 1).real,
-                "dev": dev,
-            })
-            max_dev = max(max_dev, dev)
-    ok = max_dev < args.tol
-    oracle_dev = None
-    if args.oracle:
-        oracle_dev = _oracle_check(args)
-        ok = ok and oracle_dev < 1e-6
-    summary = {"pass": ok, "max_dev": max_dev}
-    if oracle_dev is not None:
-        summary["oracle_dev"] = oracle_dev
-    write_report(args, rows, summary)
-    return 0 if ok else 1
+def orbit_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n default grid of the orbit suites: t in [0.5, 4], s in [-2, 2]."""
+    return np.linspace(0.5, 4.0, n), np.linspace(-2.0, 2.0, n)
 
 
-def _oracle_check(args) -> float:
-    """Numeric vs analytic tangents, plus truncation-doubling stability."""
-    fam = StateFamily(args.family, v=_floats(args.squeeze)[0],
-                      param=args.param, eps=args.eps)
-    squeezed = fam.family == "su2" or fam.v != 0.0
-    bases = [0j, 0.2 + 0.1j] if not squeezed else [0j]
+def pullback_dev(fam: StateFamily, bases, pairs=DEFAULT_PAIRS,
+                 relative: bool = False) -> float:
+    """Worst deviation of the pulled-back form from its closed form."""
+    dev = 0.0
+    for base in bases:
+        for (u, w) in pairs:
+            rep = pullback_form(fam, base, u, w)
+            dev = max(dev, rep.abs_deviation / abs(rep.reference)
+                      if relative else rep.abs_deviation)
+    return dev
+
+
+def spin_verdict(j: float) -> tuple[bool, float]:
+    """Whether the spin-j coherent family embeds Kahler and symplectically."""
+    verdict = kahler_verdict(StateFamily("su2", param=j), tol=FORM_TOL)
+    return verdict.is_kahler and verdict.is_symplectic, verdict.max_dev
+
+
+def tangent_dev(fam: StateFamily, bases) -> float:
+    """Worst norm gap between projected analytic and numeric (step 1e-4)
+    tangents."""
     worst = 0.0
     for base in bases:
         psi = family_state(fam, base).normalized()
@@ -191,15 +243,262 @@ def _oracle_check(args) -> float:
             ta = project_orthogonal(psi, analytic_tangent(fam, spec))
             tn = project_orthogonal(psi, numeric_tangent(fam, spec, 1e-4))
             worst = max(worst, float(np.linalg.norm(ta.amps - tn.amps)))
-        # doubling the truncation must not move reported values
-        if fam.family != "su2":
-            fam2 = StateFamily(fam.family, fam.v, fam.param,
-                               trunc=2 * fam.dim(base), eps=fam.eps)
-            for (u, w) in DEFAULT_PAIRS:
-                v1 = pullback_form(fam, base, u, w).value
-                v2 = pullback_form(fam2, base, u, w).value
-                worst = max(worst, abs(v1 - v2))
     return worst
+
+
+def doubling_dev(fam: StateFamily, base: complex) -> float:
+    """Largest move of the form at ``base`` when the truncation is doubled."""
+    fam2 = replace(fam, trunc=2 * fam.dim(base))
+    return max(abs(pullback_form(fam, base, u, w).value
+                   - pullback_form(fam2, base, u, w).value)
+               for (u, w) in DEFAULT_PAIRS)
+
+
+def saturation_dev(q, p, psi, v: float = 0.0) -> float:
+    """Worst of the Robertson-Schrodinger slack and the residual at the
+    matched lambda = e^v, both zero on coherent and squeezed states."""
+    return max(abs(rs_report(q, p, psi).slack_rs),
+               min_uncertainty_residual(q, p, float(np.exp(v)), psi))
+
+
+def orbit_max(fn, t_vals, s_vals) -> float:
+    """Largest fn(P) over the grid points P = (s, t)."""
+    return max(fn(sut.OrbitPoint(float(s), float(t)))
+               for t in t_vals for s in s_vals)
+
+
+def coadjoint_dev() -> float:
+    """Deviation of the worked example Ad*_(2, 1) (1, 4) = (3, 1)."""
+    img = sut.coadjoint_action(sut.SutElement(2.0, 1.0), sut.SutDual(1.0, 4.0))
+    return max(abs(img.u - 3.0), abs(img.v - 1.0))
+
+
+_J1 = sut.Field2D(lambda s, t: t, lambda s, t: 0.0, lambda s, t: 1.0)
+_J2 = sut.Field2D(lambda s, t: 2 * s, lambda s, t: 2.0, lambda s, t: 0.0)
+
+
+def bracket_dev(P) -> float:
+    """|{J1, J2} + 2 J1| at P, for the moments J1 = t and J2 = 2s."""
+    return abs(sut.poisson(_J1, _J2, P) + 2.0 * P.t)
+
+
+def hamiltonian_dev(P) -> float:
+    """Worst miss of omega(X_J, e) = dJ(e) over both moments and both
+    coordinate directions e at P."""
+    mf = sut.moment_and_fields(P)
+    es, et = sut.OrbitTangent(1, 0), sut.OrbitTangent(0, 1)
+    return max(abs(sut.kks_form(P, X, e) - dj) for X, e, dj in (
+        (mf.xj1, es, 0.0), (mf.xj1, et, 1.0), (mf.xj2, es, 2.0), (mf.xj2, et, 0.0)))
+
+
+def chart_point(orbit: sut.Orbit, P) -> tuple[float, float]:
+    """Round-trip error of the chart phi at P, and the coefficient of its
+    chi pullback, which the half-plane form makes 2."""
+    g = sut.phi_map(orbit, P)
+    back = sut.phi_inv(orbit, g)
+    return (max(abs(back.s - P.s), abs(back.t - P.t)),
+            sut.chi_pullback_coefficient(orbit, g))
+
+
+def chart_dev(t_vals, s_vals) -> float:
+    """Worst |chi pullback coefficient - 2| on the orbit through (0, 1)."""
+    orbit = sut.Orbit(0.0, 1.0)
+    return orbit_max(lambda P: abs(chart_point(orbit, P)[1] - 2.0), t_vals, s_vals)
+
+
+def flow_check(P, hbar: float = 1.0, tol: float = FLOW_TOL):
+    """Flow/generator residuals (first flow, second flow as stated, second
+    flow by its generator) on psi = 1 at P, and whether they pass: the stated
+    second flow misses its generator by |s| (a factor-2 gap on the
+    multiplication term) and the other two vanish."""
+    one = pq.standard_fields()["1"]
+    r1 = pq.flow_generator_residual(1, one, P, hbar)
+    r2 = pq.flow_generator_residual(2, one, P, hbar)
+    r2g = pq.flow_generator_residual(2, one, P, hbar, variant="generator")
+    return r1 < tol and r2g < tol and abs(r2 - abs(P.s)) < tol, (r1, r2, r2g)
+
+
+def dirac_refined(t_vals, s_vals, hbar: float = 1.0):
+    """Bracket-correspondence residuals on the grid and on the grid with
+    twice the points per axis, and the largest change between them."""
+    rep = pq.dirac_residual(t_vals, s_vals, hbar)
+    fine = pq.dirac_residual(np.linspace(t_vals[0], t_vals[-1], 2 * len(t_vals)),
+                             np.linspace(s_vals[0], s_vals[-1], 2 * len(s_vals)),
+                             hbar)
+    return rep, fine, max(abs(r - fine.residuals[key])
+                          for key, r in rep.residuals.items())
+
+
+def gram_dev(space: bz.BerezinSpace) -> float:
+    """Largest entry of |G - 1| for the quadrature Gram matrix of the basis."""
+    G = bz.gram_matrix(space)
+    return float(np.max(np.abs(G - np.eye(space.cutoff))))
+
+
+def reproducing_dev(space: bz.BerezinSpace, p: complex) -> float:
+    """|<tau_p, f_2> - f_2(p)|: the coherent state at p reproduces f_2."""
+    tau = bz.coherent_state_fn(p, space)
+    f2 = lambda w: np.asarray(bz.basis_psi(2, bz.cayley_grid(w), space.h))
+    return abs(bz.halfplane_inner(tau, f2, space) - bz.basis_f(2, p, space.h))
+
+
+def star_report(h_seq, point: complex, cutoff: int):
+    """Star-product limits of Re z and Im z at ``point`` over ``h_seq``, the
+    gate (both deviations fall strictly with h and both fitted orders clear
+    their floors) and the worst deviation."""
+    rep = bz.correspondence_report(
+        lambda sp: bz.toeplitz_operator(lambda z: np.real(z) + 0j, sp),
+        lambda sp: bz.toeplitz_operator(lambda z: np.imag(z) + 0j, sp),
+        point, h_seq, cutoff=cutoff)
+    devs = [(r.dev_product, r.dev_bracket) for r in rep.rows]
+    monotone = all(a[0] > b[0] and a[1] > b[1] for a, b in zip(devs, devs[1:]))
+    ok = (monotone and rep.order_product >= STAR_PRODUCT_ORDER_FLOOR
+          and rep.order_bracket >= STAR_ORDER_FLOOR)
+    return rep, ok, max(max(d) for d in devs)
+
+
+# ---------------------------------------------------------------------------
+# report-all: CHECKS holds (name, tol, run) in report order; run() returns
+# (passed, dev).  tol bounds dev from above, except where noted
+
+def _below(name: str, tol: float, measure):
+    def run():
+        dev = measure()
+        return dev < tol, dev
+    return name, tol, run
+
+
+def _wh_coherent() -> float:
+    # the basis must meet the 1e-12 tail budget at every base point
+    fam, bases = StateFamily("wh", eps=1e-12), square_grid(2.0, 5)
+    for base in bases:
+        need = truncation_dim(base, "fock", eps=1e-12)
+        if fam.dim(base) < need:
+            raise TruncationError(
+                f"basis of {fam.dim(base)} states at {base} is below the "
+                f"{need} states the 1e-12 tail budget needs")
+    return pullback_dev(fam, bases)
+
+
+def _oscillator_64():
+    q, p = quadrature_pair(64)
+    return q, p, family_state(StateFamily("wh", v=0.5, trunc=64), 0j)
+
+
+def _saturation() -> float:
+    q, p, sq = _oscillator_64()
+    return max(saturation_dev(q, p, wh_coherent(1.0, 64)),
+               saturation_dev(q, p, sq, 0.5))
+
+
+def _mismatch_gap():
+    q, p, sq = _oscillator_64()
+    gap = min_uncertainty_residual(q, p, 1.0, sq)
+    return gap > MISMATCH_GAP, gap
+
+
+def _squeezed_symplectic() -> float:
+    return max(abs(pullback_form(StateFamily("wh", v=v), 0j, u, w).symplectic_part
+                   - closed_form(StateFamily("wh"), 0j, u, w).imag)
+               for v in WH_SQUEEZES for (u, w) in DEFAULT_PAIRS)
+
+
+def _flow_defect():
+    P = sut.OrbitPoint(1.5, 2.0)
+    ok, (_, gap, _) = flow_check(P)
+    return ok, gap
+
+
+def _reproducing() -> float:
+    space = bz.BerezinSpace(h=0.25, cutoff=12)
+    return max(reproducing_dev(space, p) for p in (1j, 2j, 1 + 1j))
+
+
+WH_SQUEEZES = (1.0, -1.0, 0.5, -0.5)
+SU2_CASES = ((0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.5), (2.0, 0.5))
+DISC_KS = (0.75, 1.0, 2.0)
+
+CHECKS = (
+    _below("wh-coherent-kahler", FORM_TOL, _wh_coherent),
+    _below("wh-squeezed-form", FORM_TOL,
+           lambda: max(pullback_dev(StateFamily("wh", v=v), [0j])
+                       for v in WH_SQUEEZES)),
+    _below("wh-squeezed-symplectic-invariance", FORM_TOL, _squeezed_symplectic),
+    _below("su2-form", FORM_TOL,
+           lambda: max(pullback_dev(StateFamily("su2", v=v, param=j), [0j])
+                       for (j, v) in SU2_CASES)),
+    ("su2-coherent-kahler-verdict", FORM_TOL, lambda: spin_verdict(1.0)),
+    _below("su11-kahler-relative", DISC_REL_TOL,
+           lambda: max(pullback_dev(StateFamily("su11", param=k),
+                                    square_grid(0.8, 4), ((1, 1j),), True)
+                       for k in DISC_KS)),
+    _below("uncertainty-saturation", SATURATION_TOL, _saturation),
+    # tol is a floor on the gap
+    ("uncertainty-mismatch-gap", MISMATCH_GAP, _mismatch_gap),
+    _below("sut-coadjoint-and-brackets", ORBIT_TOL,
+           lambda: max(coadjoint_dev(), orbit_max(bracket_dev, *orbit_grid(8)))),
+    _below("sut-chart-pullback", CHART_TOL, lambda: chart_dev(*orbit_grid(4))),
+    _below("prequant-potential", PREQUANT_TOL,
+           lambda: pq.potential_residual(orbit_grid(8)[0])),
+    _below("prequant-dirac-defect-identified", PREQUANT_TOL,
+           lambda: pq.dirac_residual(*orbit_grid(8)).defect_dev),
+    # dev is the stated second flow's defect, |s| = 1.5 up to tol; the
+    # first flow and the second flow's generator stay below tol
+    ("prequant-flow2-defect-detected", FLOW_TOL, _flow_defect),
+    _below("berezin-gram", GRAM_TOL,
+           lambda: max(gram_dev(bz.BerezinSpace(h=h, cutoff=8))
+                       for h in (0.45, 0.25))),
+    _below("berezin-reproducing", KERNEL_TOL, _reproducing),
+    # tol is the floor on the fitted bracket order; dev is the worst
+    # deviation, which a passing run has at the largest h
+    ("berezin-star-monotone", STAR_ORDER_FLOOR,
+     lambda: star_report((0.2, 0.1, 0.05), 1.5j, 12)[1:]),
+)
+
+
+def cmd_report_all(args) -> int:
+    rows = []
+    for name, _, run in CHECKS:
+        passed, dev = run()
+        print(f"{'PASS' if passed else 'FAIL'} {name} (dev={dev:.3e})")
+        rows.append({"check": name, "pass": passed, "dev": dev})
+    return _report(args, rows, all(row["pass"] for row in rows),
+                   max(row["dev"] for row in rows))
+
+
+# ---------------------------------------------------------------------------
+# pullback
+
+def cmd_pullback(args) -> int:
+    n_re, n_im = _grid_shape(args.grid)
+    squeezes = _floats(args.squeeze)
+    rows = []
+    for v in squeezes:
+        fam = StateFamily(args.family, v=v, param=args.param, eps=args.eps)
+        squeezed = fam.family == "su2" or v != 0.0
+        # closed forms of squeezed families are claimed at the origin only
+        bases = [0j] if squeezed else square_grid(args.base_max, n_re, n_im)
+        for base in bases:
+            vals = [pullback_form(fam, base, u, w).value for (u, w) in DEFAULT_PAIRS]
+            rows.append({
+                "re_alpha": base.real, "im_alpha": base.imag, "squeeze": v,
+                "g11": vals[0].real, "g12": vals[1].real,
+                "g22": vals[2].real, "omega12": vals[1].imag,
+                "ref_g11": closed_form(fam, base, 1, 1).real,
+                "dev": pullback_dev(fam, [base]),
+            })
+    max_dev = max(row["dev"] for row in rows)
+    extra = {}
+    if args.oracle:
+        # numeric against analytic tangents, and truncation doubling
+        fam = StateFamily(args.family, v=squeezes[0], param=args.param,
+                          eps=args.eps)
+        squeezed = fam.family == "su2" or fam.v != 0.0
+        bases = [0j] if squeezed else [0j, 0.2 + 0.1j]
+        doubling = [doubling_dev(fam, b) for b in bases if fam.family != "su2"]
+        extra["oracle_dev"] = max([tangent_dev(fam, bases)] + doubling)
+    ok = max_dev < args.tol and extra.get("oracle_dev", 0.0) < ORACLE_TOL
+    return _report(args, rows, ok, max_dev, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +536,7 @@ def cmd_uncertainty(args) -> int:
             ok = ok and dev < args.tol
     max_dev = max((row.get("dev", row.get("slack_rs", 0.0)) for row in rows),
                   default=0.0)
-    write_report(args, rows, {"pass": ok, "max_dev": abs(max_dev)})
-    return 0 if ok else 1
+    return _report(args, rows, ok, abs(max_dev))
 
 
 # ---------------------------------------------------------------------------
@@ -246,150 +544,95 @@ def cmd_uncertainty(args) -> int:
 
 def _sut_grid(args) -> tuple[np.ndarray, np.ndarray]:
     named = dict(_parse_range(spec) for spec in args.grid)
-    if "t" not in named or "s" not in named:
-        raise SystemExit("grid must name both t and s ranges")
+    if len(named) < 2:
+        raise DomainError("grid must name both t and s ranges")
     return named["t"], named["s"]
 
 
 def cmd_sut_kks(args) -> int:
     t_vals, s_vals = _sut_grid(args)
     rows = []
-    worst = 0.0
-    fj1 = sut.Field2D(lambda s, t: t, lambda s, t: 0.0, lambda s, t: 1.0)
-    fj2 = sut.Field2D(lambda s, t: 2 * s, lambda s, t: 2.0, lambda s, t: 0.0)
     for t in t_vals:
         for s in s_vals:
             P = sut.OrbitPoint(float(s), float(t))
-            mf = sut.moment_and_fields(P)
-            pb_dev = abs(sut.poisson(fj1, fj2, P) + 2.0 * mf.j1)
-            es, et = sut.OrbitTangent(1, 0), sut.OrbitTangent(0, 1)
-            ham_dev = max(
-                abs(sut.kks_form(P, mf.xj1, es) - 0.0),
-                abs(sut.kks_form(P, mf.xj1, et) - 1.0),
-                abs(sut.kks_form(P, mf.xj2, es) - 2.0),
-                abs(sut.kks_form(P, mf.xj2, et) - 0.0),
-            )
-            rows.append({"s": s, "t": t, "pb_dev": pb_dev, "ham_dev": ham_dev})
-            worst = max(worst, pb_dev, ham_dev)
-    # worked coadjoint example and its fixed points
-    img = sut.coadjoint_action(sut.SutElement(2.0, 1.0), sut.SutDual(1.0, 4.0))
-    example_dev = max(abs(img.u - 3.0), abs(img.v - 1.0))
-    worst = max(worst, example_dev)
-    ok = worst < args.tol
-    write_report(args, rows, {"pass": ok, "max_dev": worst,
-                              "coadjoint_example_dev": example_dev})
-    return 0 if ok else 1
+            rows.append({"s": s, "t": t, "pb_dev": bracket_dev(P),
+                         "ham_dev": hamiltonian_dev(P)})
+    example_dev = coadjoint_dev()
+    worst = max([example_dev] + [max(r["pb_dev"], r["ham_dev"]) for r in rows])
+    return _report(args, rows, worst < args.tol, worst,
+                   coadjoint_example_dev=example_dev)
 
 
 def cmd_sut_charts(args) -> int:
     t_vals, s_vals = _sut_grid(args)
     orbit = sut.Orbit(args.u0, args.v0)
     rows = []
-    worst_rt = 0.0
-    worst_pb = 0.0
     for t in t_vals:
         for s in s_vals:
-            if t * args.v0 <= 0:
-                continue
-            P = orbit.point(float(s), float(t))
-            g = sut.phi_map(orbit, P)
-            back = sut.phi_inv(orbit, g)
-            rt = max(abs(back.s - P.s), abs(back.t - P.t))
-            coeff = sut.chi_pullback_coefficient(orbit, g)
-            rows.append({"s": s, "t": t, "roundtrip_dev": rt,
-                         "pullback_coeff": coeff,
-                         "pullback_dev": abs(coeff - 2.0)})
-            worst_rt = max(worst_rt, rt)
-            worst_pb = max(worst_pb, abs(coeff - 2.0))
-    ok = worst_rt < 1e-12 and worst_pb < args.tol
-    write_report(args, rows, {"pass": ok, "max_dev": max(worst_rt, worst_pb)})
-    return 0 if ok else 1
+            if t * args.v0 > 0:
+                rt, coeff = chart_point(orbit, orbit.point(float(s), float(t)))
+                rows.append({"s": s, "t": t, "roundtrip_dev": rt,
+                             "pullback_coeff": coeff,
+                             "pullback_dev": abs(coeff - 2.0)})
+    worst_rt = max((r["roundtrip_dev"] for r in rows), default=0.0)
+    worst_pb = max((r["pullback_dev"] for r in rows), default=0.0)
+    return _report(args, rows, worst_rt < ORBIT_TOL and worst_pb < args.tol,
+                   max(worst_rt, worst_pb))
 
 
 def cmd_sut_flow(args) -> int:
     t_vals, s_vals = _sut_grid(args)
-    fields = pq.standard_fields()
     rows = []
     ok = True
     for t in t_vals:
         if t <= 0:
             continue
         for s in s_vals:
-            P = sut.OrbitPoint(float(s), float(t))
-            psi = fields["1"]
-            r1 = pq.flow_generator_residual(1, psi, P, args.hbar)
-            r2 = pq.flow_generator_residual(2, psi, P, args.hbar)
-            r2fix = pq.flow_generator_residual(2, psi, P, args.hbar,
-                                               variant="generator")
-            expected = abs(s)  # factor-2 gap on the multiplication term
+            passed, (r1, r2, r2g) = flow_check(sut.OrbitPoint(float(s), float(t)),
+                                              args.hbar, args.tol)
             rows.append({"s": s, "t": t, "resid_flow1": r1,
-                         "resid_flow2_stated": r2,
-                         "expected_defect": expected,
-                         "resid_flow2_generator": r2fix})
-            ok = ok and r1 < args.tol and r2fix < args.tol
-            ok = ok and abs(r2 - expected) < args.tol
-    write_report(args, rows, {"pass": ok, "max_dev": 0.0 if ok else 1.0})
-    return 0 if ok else 1
+                         "resid_flow2_stated": r2, "expected_defect": abs(s),
+                         "resid_flow2_generator": r2g})
+            ok = ok and passed
+    return _report(args, rows, ok, 0.0 if ok else 1.0)
 
 
 def cmd_sut_dirac(args) -> int:
     t_vals, s_vals = _sut_grid(args)
-    rep = pq.dirac_residual(t_vals, s_vals, args.hbar)
-    fine = pq.dirac_residual(np.linspace(t_vals[0], t_vals[-1], 2 * len(t_vals)),
-                             np.linspace(s_vals[0], s_vals[-1], 2 * len(s_vals)),
-                             args.hbar)
+    rep, fine, stability = dirac_refined(t_vals, s_vals, args.hbar)
     rows = [{"eps_field": ef, "eps_dirac": ed, "residual": r,
              "residual_refined": fine.residuals[(ef, ed)]}
             for (ef, ed), r in sorted(rep.residuals.items())]
-    stability = max(abs(row["residual"] - row["residual_refined"])
-                    for row in rows)
     pot_log = pq.potential_residual(t_vals[t_vals > 0])
-    ok = rep.defect_dev < 1e-8 and stability < 1e-8 and pot_log < 1e-8
-    write_report(args, rows, {
-        "pass": ok, "max_dev": rep.defect_dev,
-        "best_eps_field": rep.best_pair[0], "best_eps_dirac": rep.best_pair[1],
-        "best_residual": rep.best_residual, "grid_stability": stability,
-        "potential_residual_log": pot_log,
-    })
-    return 0 if ok else 1
+    return _report(
+        args, rows, max(rep.defect_dev, stability, pot_log) < args.tol,
+        rep.defect_dev, best_eps_field=rep.best_pair[0],
+        best_eps_dirac=rep.best_pair[1], best_residual=rep.best_residual,
+        grid_stability=stability, potential_residual_log=pot_log)
 
 
 # ---------------------------------------------------------------------------
 # berezin
 
 def cmd_berezin_gram(args) -> int:
-    rows = []
-    worst = 0.0
-    for h in _floats(args.h):
-        space = bz.BerezinSpace(h=h, cutoff=args.cutoff)
-        G = bz.gram_matrix(space)
-        dev = float(np.max(np.abs(G - np.eye(args.cutoff))))
-        rows.append({"h": h, "cutoff": args.cutoff, "gram_dev": dev})
-        worst = max(worst, dev)
-    ok = worst < args.tol
-    write_report(args, rows, {"pass": ok, "max_dev": worst})
-    return 0 if ok else 1
+    rows = [{"h": h, "cutoff": args.cutoff,
+             "gram_dev": gram_dev(bz.BerezinSpace(h=h, cutoff=args.cutoff))}
+            for h in _floats(args.h)]
+    worst = max(r["gram_dev"] for r in rows)
+    return _report(args, rows, worst < args.tol, worst)
 
 
 def cmd_berezin_kernel(args) -> int:
     rows = []
-    worst = 0.0
     for h in _floats(args.h):
         space = bz.BerezinSpace(h=h, cutoff=args.cutoff)
         for p in _complexes(args.points):
-            tau = bz.coherent_state_fn(p, space)
-            f2 = lambda w: np.asarray(
-                bz.basis_psi(2, bz.cayley_grid(w), space.h))
-            lhs = bz.halfplane_inner(tau, f2, space)
-            dev = abs(lhs - bz.basis_f(2, p, space.h))
-            k_pi = abs(bz.kernel(p, 1j, space) - 1.0)
             rows.append({"h": h, "re_p": p.real, "im_p": p.imag,
-                         "reproducing_dev": dev, "kernel_p_i_dev": k_pi,
+                         "reproducing_dev": reproducing_dev(space, p),
+                         "kernel_p_i_dev": abs(bz.kernel(p, 1j, space) - 1.0),
                          "tail_bound": bz.kernel_tail_bound(p, p, space)})
-            worst = max(worst, dev, k_pi)
-    ok = worst < args.tol
-    write_report(args, rows, {"pass": ok, "max_dev": worst})
-    return 0 if ok else 1
+    worst = max(max(r["reproducing_dev"], r["kernel_p_i_dev"]) for r in rows)
+    return _report(args, rows, worst < args.tol, worst)
 
 
 def cmd_berezin_symbol(args) -> int:
@@ -411,194 +654,51 @@ def cmd_berezin_symbol(args) -> int:
                          "diag_at_center_dev": d0,
                          "projector_at_center_dev": pr})
             worst = max(worst, dev_norm, d0, pr)
-    ok = worst < args.tol
-    write_report(args, rows, {"pass": ok, "max_dev": worst})
-    return 0 if ok else 1
+    return _report(args, rows, worst < args.tol, worst)
 
 
 def cmd_berezin_star(args) -> int:
-    p = complex(args.point)
-    g1 = lambda z: np.real(z) + 0j
-    g2 = lambda z: np.imag(z) + 0j
-    rep = bz.correspondence_report(
-        lambda space: bz.toeplitz_operator(g1, space),
-        lambda space: bz.toeplitz_operator(g2, space),
-        p, _floats(args.h_seq), cutoff=args.cutoff)
+    rep, ok, worst = star_report(_floats(args.h_seq), complex(args.point),
+                                 args.cutoff)
     rows = [{"h": r.h, "dev_product": r.dev_product,
              "dev_bracket": r.dev_bracket} for r in rep.rows]
-    prods = [r.dev_product for r in rep.rows]
-    bracks = [r.dev_bracket for r in rep.rows]
-    monotone = all(a > b for a, b in zip(prods, prods[1:]))
-    monotone = monotone and all(a > b for a, b in zip(bracks, bracks[1:]))
-    ok = (monotone and rep.order_product >= 0.8
-          and rep.order_bracket >= STAR_ORDER_FLOOR)
-    write_report(args, rows, {"pass": ok, "max_dev": max(prods + bracks),
-                              "order_product": rep.order_product,
-                              "order_bracket": rep.order_bracket})
-    return 0 if ok else 1
-
-
-# ---------------------------------------------------------------------------
-# report-all
-
-def cmd_report_all(args) -> int:
-    checks: list[tuple[str, bool, float]] = []
-
-    def add(name: str, dev: float, tol: float):
-        checks.append((name, dev < tol, dev))
-
-    # coherent family: Kahler embedding on a grid, basis sized per point
-    dev = 0.0
-    for base in _square_grid(2.0, 5):
-        fam = StateFamily("wh", eps=1e-12)
-        need = truncation_dim(base, "fock", eps=1e-12)
-        if fam.dim(base) < need:
-            raise TruncationError(
-                f"basis of {fam.dim(base)} states at {base} is below the "
-                f"{need} states the 1e-12 tail budget needs")
-        for (u, w) in DEFAULT_PAIRS:
-            rep = pullback_form(fam, base, u, w)
-            dev = max(dev, rep.abs_deviation)
-    add("wh-coherent-kahler", dev, 1e-8)
-
-    # squeezed oscillator at the origin, symplectic invariance included
-    dev, sympl = 0.0, 0.0
-    for v in (1.0, -1.0, 0.5, -0.5):
-        fam = StateFamily("wh", v=v)
-        for (u, w) in DEFAULT_PAIRS:
-            rep = pullback_form(fam, 0j, u, w)
-            dev = max(dev, rep.abs_deviation)
-            sympl = max(sympl, abs(rep.symplectic_part
-                                   - closed_form(StateFamily("wh"), 0j, u, w).imag))
-    add("wh-squeezed-form", dev, 1e-8)
-    add("wh-squeezed-symplectic-invariance", sympl, 1e-8)
-
-    # spin families
-    dev = 0.0
-    for (j, v) in ((0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.5), (2.0, 0.5)):
-        fam = StateFamily("su2", v=v, param=j)
-        for (u, w) in DEFAULT_PAIRS:
-            rep = pullback_form(fam, 0j, u, w)
-            dev = max(dev, rep.abs_deviation)
-    add("su2-form", dev, 1e-8)
-    verdict = kahler_verdict(StateFamily("su2", param=1.0))
-    checks.append(("su2-coherent-kahler-verdict",
-                   verdict.is_kahler and verdict.is_symplectic, verdict.max_dev))
-
-    # disc family, relative deviation
-    dev = 0.0
-    for k in (0.75, 1.0, 2.0):
-        for base in _square_grid(0.8, 4):
-            fam = StateFamily("su11", param=k)
-            rep = pullback_form(fam, base, 1, 1j)
-            dev = max(dev, rep.abs_deviation / abs(rep.reference))
-    add("su11-kahler-relative", dev, 1e-6)
-
-    # uncertainty saturation
-    q, p = quadrature_pair(64)
-    psi = wh_coherent(1.0, 64)
-    rep = rs_report(q, p, psi)
-    dev = abs(rep.slack_rs)
-    dev = max(dev, min_uncertainty_residual(q, p, 1.0, psi))
-    sq = family_state(StateFamily("wh", v=0.5, trunc=64), 0j)
-    dev = max(dev, abs(rs_report(q, p, sq).slack_rs))
-    dev = max(dev, min_uncertainty_residual(q, p, float(np.exp(0.5)), sq))
-    add("uncertainty-saturation", dev, 1e-9)
-    gap = min_uncertainty_residual(q, p, 1.0, sq)
-    checks.append(("uncertainty-mismatch-gap", gap > 0.01, gap))
-
-    # sut orbit block
-    img = sut.coadjoint_action(sut.SutElement(2.0, 1.0), sut.SutDual(1.0, 4.0))
-    dev = max(abs(img.u - 3.0), abs(img.v - 1.0))
-    fj1 = sut.Field2D(lambda s, t: t, lambda s, t: 0.0, lambda s, t: 1.0)
-    fj2 = sut.Field2D(lambda s, t: 2 * s, lambda s, t: 2.0, lambda s, t: 0.0)
-    for t in np.linspace(0.5, 4.0, 8):
-        for s in np.linspace(-2.0, 2.0, 8):
-            P = sut.OrbitPoint(float(s), float(t))
-            dev = max(dev, abs(sut.poisson(fj1, fj2, P) + 2.0 * P.t))
-    add("sut-coadjoint-and-brackets", dev, 1e-12)
-    orbit = sut.Orbit(0.0, 1.0)
-    dev = 0.0
-    for t in np.linspace(0.5, 4.0, 4):
-        for s in np.linspace(-2.0, 2.0, 4):
-            g = sut.phi_map(orbit, orbit.point(float(s), float(t)))
-            dev = max(dev, abs(sut.chi_pullback_coefficient(orbit, g) - 2.0))
-    add("sut-chart-pullback", dev, 1e-6)
-
-    # prequantization checks
-    t_vals = np.linspace(0.5, 4.0, 8)
-    s_vals = np.linspace(-2.0, 2.0, 8)
-    add("prequant-potential", pq.potential_residual(t_vals), 1e-8)
-    rep_d = pq.dirac_residual(t_vals, s_vals)
-    add("prequant-dirac-defect-identified", rep_d.defect_dev, 1e-8)
-    psi1 = pq.standard_fields()["1"]
-    P0 = sut.OrbitPoint(1.5, 2.0)
-    flow_gap = pq.flow_generator_residual(2, psi1, P0)
-    checks.append(("prequant-flow2-defect-detected",
-                   abs(flow_gap - 1.5) < 1e-6, flow_gap))
-
-    # berezin block
-    dev = 0.0
-    for h in (0.45, 0.25):
-        space = bz.BerezinSpace(h=h, cutoff=8)
-        G = bz.gram_matrix(space)
-        dev = max(dev, float(np.max(np.abs(G - np.eye(8)))))
-    add("berezin-gram", dev, 1e-8)
-    space = bz.BerezinSpace(h=0.25, cutoff=12)
-    dev = 0.0
-    for p in (1j, 2j, 1 + 1j):
-        tau = bz.coherent_state_fn(p, space)
-        f2 = lambda w: np.asarray(bz.basis_psi(2, bz.cayley_grid(w), space.h))
-        dev = max(dev, abs(bz.halfplane_inner(tau, f2, space)
-                           - bz.basis_f(2, p, space.h)))
-    add("berezin-reproducing", dev, 1e-6)
-    rep_b = bz.correspondence_report(
-        lambda sp: bz.toeplitz_operator(lambda z: np.real(z) + 0j, sp),
-        lambda sp: bz.toeplitz_operator(lambda z: np.imag(z) + 0j, sp),
-        1.5j, (0.2, 0.1, 0.05), cutoff=12)
-    prods = [r.dev_product for r in rep_b.rows]
-    bracks = [r.dev_bracket for r in rep_b.rows]
-    mono = (all(a > b for a, b in zip(prods, prods[1:]))
-            and all(a > b for a, b in zip(bracks, bracks[1:])))
-    checks.append(("berezin-star-monotone",
-                   mono and rep_b.order_bracket >= STAR_ORDER_FLOOR,
-                   max(prods[0], bracks[0])))
-
-    rows = [{"check": name, "pass": okay, "dev": dev}
-            for name, okay, dev in checks]
-    all_ok = all(okay for _, okay, _ in checks)
-    for name, okay, dev in checks:
-        print(f"{'PASS' if okay else 'FAIL'} {name} (dev={dev:.3e})")
-    write_report(args, rows, {"pass": all_ok,
-                              "max_dev": max(dev for _, _, dev in checks)})
-    return 0 if all_ok else 1
+    return _report(args, rows, ok, worst, order_product=rep.order_product,
+                   order_bracket=rep.order_bracket)
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line on stderr, without the usage block
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(sp):
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="report path (default stdout)")
     sp.add_argument("--config", default=None,
-                    help="flat key=value file providing defaults")
+                    help="flat key=value file setting this subcommand's options")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cohgeom",
         description="numerical verification suites for coherent-state "
                     "geometry, orbit quantization and Berezin calculus")
     sub = ap.add_subparsers(dest="command", required=True)
+    floats, complexes = _checked(_floats), _checked(_complexes)
 
     sp = sub.add_parser("pullback", help="projective-form pullback vs closed forms")
     sp.add_argument("--family", choices=("wh", "su2", "su11"), default="wh")
-    sp.add_argument("--squeeze", default="0", help="comma list of v values")
-    sp.add_argument("--param", type=float, default=0.0, help="j or k")
-    sp.add_argument("--grid", default="5x5")
-    sp.add_argument("--base-max", type=float, default=2.0)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--eps", type=float, default=1e-12)
+    sp.add_argument("--squeeze", type=floats, default="0",
+                    help="comma list of v values")
+    sp.add_argument("--param", type=_real, default=0.0, help="j or k")
+    sp.add_argument("--grid", type=_checked(_grid_shape), default="5x5")
+    sp.add_argument("--base-max", type=_real, default=2.0)
+    sp.add_argument("--tol", type=_real, default=FORM_TOL)
+    sp.add_argument("--eps", type=_real, default=1e-12)
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check tangents and truncation doubling")
     _add_common(sp)
@@ -606,46 +706,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("uncertainty", help="moment and saturation checks")
     sp.add_argument("--family", choices=("wh", "su2"), default="wh")
-    sp.add_argument("--alphas", default="1,0.5+0.5j")
-    sp.add_argument("--squeeze", default="0,0.5")
-    sp.add_argument("--j", default="0.5,1,2")
+    sp.add_argument("--alphas", type=complexes, default="1,0.5+0.5j")
+    sp.add_argument("--squeeze", type=floats, default="0,0.5")
+    sp.add_argument("--j", type=floats, default="0.5,1,2")
     sp.add_argument("--N", type=int, default=64)
-    sp.add_argument("--hbar", type=float, default=1.0)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--hbar", type=_real, default=1.0)
+    sp.add_argument("--tol", type=_real, default=SATURATION_TOL)
     _add_common(sp)
     sp.set_defaults(func=cmd_uncertainty)
 
     sp_sut = sub.add_parser("sut", help="coadjoint orbit suite")
     sub_sut = sp_sut.add_subparsers(dest="subcommand", required=True)
-    for name, fn, tol in (("kks", cmd_sut_kks, 1e-12),
-                          ("charts", cmd_sut_charts, 1e-6),
-                          ("flow", cmd_sut_flow, 1e-6),
-                          ("dirac", cmd_sut_dirac, 1e-8)):
+    for name, fn, tol in (("kks", cmd_sut_kks, ORBIT_TOL),
+                          ("charts", cmd_sut_charts, CHART_TOL),
+                          ("flow", cmd_sut_flow, FLOW_TOL),
+                          ("dirac", cmd_sut_dirac, PREQUANT_TOL)):
         sp = sub_sut.add_parser(name)
-        sp.add_argument("--grid", nargs=2, default=["t:0.5..4:8", "s:-2..2:8"])
-        sp.add_argument("--tol", type=float, default=tol)
-        sp.add_argument("--hbar", type=float, default=1.0)
+        sp.add_argument("--grid", nargs=2, type=_checked(_parse_range),
+                        default=["t:0.5..4:8", "s:-2..2:8"])
+        sp.add_argument("--tol", type=_real, default=tol)
+        sp.add_argument("--hbar", type=_real, default=1.0)
         if name == "charts":
-            sp.add_argument("--u0", type=float, default=0.0)
-            sp.add_argument("--v0", type=float, default=1.0)
+            sp.add_argument("--u0", type=_real, default=0.0)
+            sp.add_argument("--v0", type=_real, default=1.0)
         _add_common(sp)
         sp.set_defaults(func=fn)
 
     sp_bz = sub.add_parser("berezin", help="weighted Bergman space suite")
     sub_bz = sp_bz.add_subparsers(dest="subcommand", required=True)
-    for name, fn, tol in (("gram", cmd_berezin_gram, 1e-8),
-                          ("kernel", cmd_berezin_kernel, 1e-6),
-                          ("symbol", cmd_berezin_symbol, 1e-10),
-                          ("star", cmd_berezin_star, 0.0)):
+    for name, fn, tol in (("gram", cmd_berezin_gram, GRAM_TOL),
+                          ("kernel", cmd_berezin_kernel, KERNEL_TOL),
+                          ("symbol", cmd_berezin_symbol, SYMBOL_TOL),
+                          ("star", cmd_berezin_star, None)):
         sp = sub_bz.add_parser(name)
-        sp.add_argument("--h", default="0.25")
+        sp.add_argument("--h", type=floats, default="0.25")
         sp.add_argument("--cutoff", type=int, default=8)
-        sp.add_argument("--points", default="1j,2j,1+1j")
+        sp.add_argument("--points", type=complexes, default="1j,2j,1+1j")
         if name == "star":
-            sp.add_argument("--h-seq", default="0.2,0.1,0.05")
-            sp.add_argument("--point", default="1.5j")
+            sp.add_argument("--h-seq", type=floats, default="0.2,0.1,0.05")
+            sp.add_argument("--point", type=_checked(lambda t: _finite(complex, t)),
+                            default="1.5j")
         if tol:
-            sp.add_argument("--tol", type=float, default=tol)
+            sp.add_argument("--tol", type=_real, default=tol)
         _add_common(sp)
         sp.set_defaults(func=fn)
 
@@ -655,44 +757,52 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    # pre-scan for --config so file values become defaults, flags still win
-    if "--config" not in argv:
-        return argv
-    path = argv[argv.index("--config") + 1]
-    overrides = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            overrides[key.strip().replace("-", "_")] = value.strip()
-    for action in ap._subparsers._group_actions:
-        for sp in action.choices.values():
-            known = {a.dest: a for a in sp._actions}
-            coerced = {}
-            for k, v in overrides.items():
-                if k in known:
-                    typ = known[k].type
-                    coerced[k] = typ(v) if typ else v
-            sp.set_defaults(**coerced)
-            if sp._subparsers is not None:
-                for action2 in sp._subparsers._group_actions:
-                    for sp2 in action2.choices.values():
-                        known2 = {a.dest: a for a in sp2._actions}
-                        coerced2 = {k: (known2[k].type(v) if known2[k].type else v)
-                                    for k, v in overrides.items() if k in known2}
-                        sp2.set_defaults(**coerced2)
-    return argv
+_NOT_OPTIONS = ("command", "subcommand", "func", "config")
+
+
+def _config_flags(ap: argparse.ArgumentParser, args) -> list[str]:
+    """The --config lines that set the chosen subcommand's options, as flags.
+
+    Every option is spelled ``--`` plus its dest with hyphens; the first
+    parse's namespace names the options the subcommand owns.
+    """
+    try:
+        with open(args.config) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        ap.error(f"cannot read --config {args.config}: {exc.strerror}")
+    flags = []
+    for line in lines:
+        key, _, value = line.partition("=")
+        dest, value = key.strip().replace("-", "_"), value.strip()
+        if dest not in vars(args) or dest in _NOT_OPTIONS:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        current = getattr(args, dest)
+        if isinstance(current, bool):  # a switch
+            if value not in ("true", "false"):
+                ap.error(f"{flag} in {args.config}: expected true or false")
+            flags += [flag] if value == "true" else []
+        elif isinstance(current, list):  # one token per word
+            flags += [flag] + value.split()
+        else:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
-    argv = _apply_config(ap, argv)
     args = ap.parse_args(argv)
-    return args.func(args)
+    if args.config:
+        # file settings go ahead of the explicit flags, so those win
+        n = 2 if "subcommand" in vars(args) else 1
+        args = ap.parse_args(argv[:n] + _config_flags(ap, args) + argv[n:])
+    try:
+        return args.func(args)
+    except CohgeomError as exc:
+        sys.stderr.write(f"cohgeom: {type(exc).__name__}: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

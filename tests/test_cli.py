@@ -1,14 +1,15 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import cohgeom
 from cohgeom import cli
 from cohgeom.cli import main
-from cohgeom.errors import TruncationError
 
 
 def run_cli(args):
@@ -93,6 +94,30 @@ def test_config_file_defaults(tmp_path):
     assert json.loads(out.read_text())["config"]["grid"] == "3x3"
 
 
+def test_config_sets_only_the_subcommands_options(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    # cutoff belongs to berezin, not to sut, so it is ignored
+    cfg.write_text("grid=t:0.5..4:4 s:-2..2:4\ncutoff=6\n# tol=1\n")
+    out = tmp_path / "kks.json"
+    code = run_cli(["sut", "kks", "--config", str(cfg), "--format", "json",
+                    "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["grid"] == "['t:0.5..4:4', 's:-2..2:4']"
+    assert "cutoff" not in doc["config"] and doc["config"]["tol"] == 1e-12
+    assert len(doc["rows"]) == 16
+    # a switch is set by true or false
+    cfg.write_text("oracle=true\ngrid=2x2\n")
+    code = run_cli(["pullback", "--config", str(cfg), "--format", "json",
+                    "--out", str(out)])
+    assert code == 0
+    assert "oracle_dev" in json.loads(out.read_text())["summary"]
+    cfg.write_text("oracle=yes\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["pullback", "--config", str(cfg)])
+    assert exc.value.code == 2
+
+
 def test_sut_subcommands(tmp_path):
     for name in ("kks", "charts", "flow", "dirac"):
         out = tmp_path / f"{name}.json"
@@ -142,11 +167,13 @@ def test_console_entry_point():
     assert proc.stdout.startswith("re_alpha")
 
 
-def test_report_all_truncation_check_raises(monkeypatch):
+def test_report_all_truncation_check_raises(monkeypatch, capsys):
     # the basis-size check must hold under python -O, so it cannot be an assert
     monkeypatch.setattr(cli, "truncation_dim", lambda *a, **k: 10**6)
-    with pytest.raises(TruncationError):
-        main(["report-all"])
+    assert main(["report-all"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cohgeom: TruncationError: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_report_all_same_under_optimize(capsys):
@@ -163,11 +190,55 @@ def test_report_all_same_under_optimize(capsys):
     assert proc.stdout == plain
 
 
-def test_pullback_nan_squeeze_raises_domain_error():
-    from cohgeom.errors import DomainError
-
-    with pytest.raises(DomainError):
+def test_pullback_nan_squeeze_raises_domain_error(capsys):
+    # the parser rejects the NaN before StateFamily raises DomainError for it
+    with pytest.raises(SystemExit) as exc:
         run_cli(["pullback", "--squeeze", "nan", "--grid", "2x2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "cohgeom pullback: error: argument --squeeze: "
+        "not a finite number: 'nan'\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sut", "charts", "--v0", "0"], "cohgeom: DegenerateOrbit: "),
+    (["uncertainty", "--family", "su2", "--j", "0.7"], "cohgeom: InvalidSpin: "),
+    (["berezin", "gram", "--h", "2"], "cohgeom: DomainError: "),
+    (["sut", "kks", "--grid", "t:0.5..4:4", "t:1..2:3"],
+     "cohgeom: DomainError: grid must name both t and s"),
+    (["pullback", "--grid", "5"], "error: argument --grid: "),
+    (["pullback", "--grid", "0x3"], "error: argument --grid: "),
+    (["sut", "kks", "--grid", "t:0.5..4", "s:-2..2:4"], "error: argument --grid: "),
+    (["sut", "flow", "--grid", "t:0.5..nan:4", "s:-2..2:4"],
+     "error: argument --grid: "),
+    (["sut", "dirac", "--grid", "u:0.5..4:4", "s:-2..2:4"],
+     "error: argument --grid: "),
+    (["pullback", "--config"], "error: argument --config: "),
+    (["pullback", "--config", "no-such-dir/run.cfg"], "cannot read --config"),
+    (["pullback", "--squeeze", ",", "--oracle"], "error: argument --squeeze: "),
+    (["pullback", "--tol", "nan"], "error: argument --tol: "),
+    (["pullback", "--base-max", "inf"], "error: argument --base-max: "),
+    (["uncertainty", "--alphas", "1,nan+1j"], "error: argument --alphas: "),
+    (["berezin", "star", "--h-seq", "0.2,-inf"], "error: argument --h-seq: "),
+])
+def test_error_exit_two_one_line(argv, message, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def test_error_in_subprocess_has_no_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cohgeom.cli", "sut", "charts", "--v0", "0"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cohgeom: DegenerateOrbit: ")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_report_all_one_kernel_svd_per_operator(monkeypatch, capsys):
@@ -193,3 +264,30 @@ def test_report_all_one_kernel_svd_per_operator(monkeypatch, capsys):
     fiducials = (states.squeezed_vacuum.cache_info().currsize
                  + states.su2_squeezed_vacuum.cache_info().currsize)
     assert len(seen) == len(set(seen)) == fiducials >= 10
+
+
+def _bench_module(name: str):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tooling_matches_the_package(tmp_path, capsys):
+    # the traced benchmark resolves every span name against the package, and
+    # the report-all workload checks rows by the registry's names
+    spans, workloads = _bench_module("spans"), _bench_module("workloads")
+    original = cli.cmd_report_all
+    recorder = spans.Recorder().install()
+    try:
+        assert cli.cmd_report_all is not original
+    finally:
+        recorder.uninstall()
+    assert cli.cmd_report_all is original
+    out = tmp_path / "r.json"
+    assert main(["report-all", "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    names = [row["check"] for row in json.loads(out.read_text())["rows"]]
+    assert names == [check[0] for check in cli.CHECKS]
+    assert sorted(names) == sorted(workloads.REPORT_TOLERANCES)

@@ -266,6 +266,33 @@ def test_su2_integer_spin_squeezed_exists(j):
     assert np.linalg.norm(su2_tilde_minus(spin, 0.5) @ vac.amps) < 1e-12
 
 
+def _perelomov_zeta(alpha: complex) -> complex:
+    # spin 1/2 on (|+>, |->) with L+- = (Lx +- i Ly)/sqrt 2: the generator
+    # X = conj(alpha) L- - alpha L+ = [[0, -alpha], [conj(alpha), 0]] / sqrt 2
+    # squares to -r^2 with r = |alpha|/sqrt 2, so
+    # e^X |-> = cos r |-> - (alpha/|alpha|) sin r |+>
+    r = abs(alpha) / np.sqrt(2.0)
+    return -alpha / abs(alpha) * np.tan(r)
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 2.0, 3.0])
+def test_su2_coherent_state_is_binomial(j):
+    # Perelomov (1986): D(alpha) |j, -j> is, up to a global phase,
+    # sum_m sqrt(C(2j, j+m)) zeta^(j+m) |j, m> / (1 + |zeta|^2)^j
+    from math import comb
+
+    twoj = int(round(2 * j))
+    for alpha in (0.3 + 0.1j, -0.7 + 0.9j, 1.4 - 1.1j):
+        zeta = _perelomov_zeta(alpha)
+        # basis order m = j .. -j, so j + m = 2j - index
+        ref = np.array([np.sqrt(comb(twoj, twoj - i)) * zeta ** (twoj - i)
+                        for i in range(twoj + 1)]) / (1 + abs(zeta) ** 2) ** j
+        psi = su2_state(alpha, 0.0, j).amps
+        overlap = np.vdot(ref, psi)
+        assert abs(abs(overlap) - 1.0) < 1e-12
+        assert np.max(np.abs(psi - overlap / abs(overlap) * ref)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # disc coherent states
 
