@@ -41,7 +41,6 @@ from .statespace import (
 from .states import (
     LadderPair,
     SpinTriple,
-    SqueezeParam,
     kernel_vector,
     ladder_matrices,
     spin_matrices,

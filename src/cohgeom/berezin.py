@@ -11,6 +11,11 @@ under which the monomial basis
     psi_l(z) = [ (1/h)(1/h + 1)...(1/h - 1 + l) / l! ]^{1/2} z^l
 
 is orthonormal; f_l = psi_l o eps is the corresponding half-plane basis.
+This is the basis of the positive discrete series at 2k = 1/h (see
+``states``), whose ``pochhammer_coeffs`` and ``geometric_tail`` give the
+normalizations and the kernel tail bound here.  ``cayley`` and
+``cayley_inv`` map scalars or arrays and check that every point lies in
+their domain.
 Radial quadrature uses Gauss-Jacobi nodes in u = r^2 with the Bergman weight
 (1-u)^{1/h-2} built into the rule, so polynomial integrands are integrated
 essentially exactly even where the weight exponent is not an integer; the
@@ -53,17 +58,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
+from scipy.special import roots_jacobi
 
 from .errors import DomainError, QuadratureError, TruncationError
+from .states import geometric_tail, pochhammer_coeffs
+
+FD_STEP = 1e-5  # central-difference step of the Wirtinger derivatives
 
 __all__ = [
     "BerezinSpace",
     "cayley",
     "cayley_inv",
-    "cayley_grid",
-    "cayley_inv_grid",
-    "basis_coeff",
     "basis_psi",
     "basis_f",
     "disc_inner",
@@ -106,46 +111,39 @@ class BerezinSpace:
             raise DomainError("cutoff must be at least 1")
 
 
-def cayley(w: complex) -> complex:
-    """Half plane to unit disc, (w - i)/(w + i)."""
-    w = complex(w)
-    if w.imag <= 0:
-        raise DomainError(f"point {w} is not in the upper half plane")
+def cayley(w):
+    """Half plane to unit disc, (w - i)/(w + i), for a point or an array.
+
+    DomainError unless every point has Im w > 0.
+    """
+    w = np.asarray(w, dtype=complex)
+    outside = ~(w.imag > 0)
+    if outside.any():
+        raise DomainError(f"point {w[outside].flat[0]} is not in the upper half plane")
     return (w - 1j) / (w + 1j)
 
 
-def cayley_inv(z: complex) -> complex:
-    """Unit disc to half plane, i (1 + z)/(1 - z)."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"point {z} is not in the open unit disc")
-    return 1j * (1.0 + z) / (1.0 - z)
+def cayley_inv(z):
+    """Unit disc to half plane, i (1 + z)/(1 - z), for a point or an array.
 
-
-def _coeffs(h: float, ls, power: float = 0.5) -> np.ndarray:
-    """((1/h)_l / l!)^power for each l in ``ls``, through log-gamma.
-
-    power = 1/2 gives the basis normalizations c_l, power = 1 their squares;
-    the log-space form stays finite for large l and small h.
+    DomainError unless every point has |z| < 1.
     """
-    ls = np.asarray(ls, dtype=float)
-    ih = 1.0 / h
-    return np.exp(power * (gammaln(ih + ls) - gammaln(ih) - gammaln(ls + 1.0)))
-
-
-def basis_coeff(l: int, h: float) -> float:
-    """Normalization sqrt((1/h)_l / l!) of the monomial basis, in log space."""
-    return float(_coeffs(h, l))
+    z = np.asarray(z, dtype=complex)
+    outside = ~(np.abs(z) < 1.0)
+    if outside.any():
+        raise DomainError(f"point {z[outside].flat[0]} is not in the open unit disc")
+    return 1j * (1.0 + z) / (1.0 - z)
 
 
 def basis_psi(l: int, z, h: float):
     """Disc basis function psi_l(z); accepts scalars or arrays."""
-    return basis_coeff(l, h) * np.asarray(z, dtype=complex) ** l
+    return pochhammer_coeffs(1.0 / h, l) * np.asarray(z, dtype=complex) ** l
 
 
-def basis_f(l: int, w: complex, h: float) -> complex:
-    """Half-plane basis function f_l = psi_l o cayley."""
-    return complex(basis_psi(l, cayley(w), h))
+def basis_f(l: int, w, h: float):
+    """Half-plane basis function f_l = psi_l o cayley; accepts scalars or
+    arrays."""
+    return basis_psi(l, cayley(w), h)
 
 
 @functools.lru_cache(maxsize=128)
@@ -214,22 +212,10 @@ def disc_inner(phi: Callable, psi: Callable, space: BerezinSpace) -> complex:
                   space)
 
 
-def cayley_grid(w):
-    """Vectorized half plane -> disc map (no domain check)."""
-    w = np.asarray(w, dtype=complex)
-    return (w - 1j) / (w + 1j)
-
-
-def cayley_inv_grid(z):
-    """Vectorized disc -> half plane map (no domain check)."""
-    z = np.asarray(z, dtype=complex)
-    return 1j * (1.0 + z) / (1.0 - z)
-
-
 def halfplane_inner(f: Callable, g: Callable, space: BerezinSpace) -> complex:
     """(f, g)_H computed as the disc inner product of the pulled-back pair."""
-    return disc_inner(lambda z: f(cayley_inv_grid(z)),
-                      lambda z: g(cayley_inv_grid(z)), space)
+    return disc_inner(lambda z: f(cayley_inv(z)), lambda z: g(cayley_inv(z)),
+                      space)
 
 
 def gram_matrix(space: BerezinSpace) -> np.ndarray:
@@ -242,31 +228,25 @@ def gram_matrix(space: BerezinSpace) -> np.ndarray:
                                                       n_r, n_a), space)
 
 
-def _disc_coords(p: complex, q: complex) -> tuple[complex, complex]:
-    return cayley(p), cayley(q)
-
-
 def kernel_tail_bound(p: complex, q: complex, space: BerezinSpace) -> float:
     """Geometric bound on the kernel series tail beyond the cutoff."""
-    zp, zq = _disc_coords(p, q)
-    r = abs(zp * np.conj(zq))
+    r = abs(cayley(p) * np.conj(cayley(q)))
     if r == 0.0:
         return 0.0
     L = space.cutoff
-    t_L = basis_coeff(L, space.h) ** 2 * r**L
     rho = (1.0 / space.h + L) / (L + 1.0) * r
     if rho >= 1.0:
         raise TruncationError(
             f"kernel series not summable at cutoff {L}: ratio {rho:.3f} >= 1")
-    return float(t_L / (1.0 - rho))
+    t_L = pochhammer_coeffs(1.0 / space.h, L, 1.0) * r**L
+    return float(geometric_tail(t_L, rho))
 
 
 def _kernel_sum(p: complex, q: complex, space: BerezinSpace) -> complex:
     # the cutoff-model kernel; exact within the truncated space
-    zp, zq = _disc_coords(p, q)
     ls = np.arange(space.cutoff)
-    c2 = _coeffs(space.h, ls, power=1.0)
-    return complex(np.sum(c2 * (zp * np.conj(zq)) ** ls))
+    c2 = pochhammer_coeffs(1.0 / space.h, ls, 1.0)
+    return complex(np.sum(c2 * (cayley(p) * np.conj(cayley(q))) ** ls))
 
 
 def kernel(p: complex, q: complex, space: BerezinSpace) -> complex:
@@ -286,19 +266,18 @@ def kernel(p: complex, q: complex, space: BerezinSpace) -> complex:
 
 def coherent_coeffs(p: complex, space: BerezinSpace) -> np.ndarray:
     """Coefficients of tau_p in the f_l basis: conj(f_l(p))."""
-    zp = cayley(p)
     ls = np.arange(space.cutoff)
-    return np.conj(_coeffs(space.h, ls) * zp**ls)
+    return np.conj(pochhammer_coeffs(1.0 / space.h, ls) * cayley(p) ** ls)
 
 
 def coherent_state_fn(p: complex, space: BerezinSpace) -> Callable:
     """tau_p as a function on the half plane (vectorized)."""
     # power-series coefficients of tau_p in the disc variable z = cayley(w)
-    series = coherent_coeffs(p, space) * _coeffs(space.h, np.arange(space.cutoff))
+    series = coherent_coeffs(p, space) * pochhammer_coeffs(
+        1.0 / space.h, np.arange(space.cutoff))
 
     def tau(w):
-        z = np.asarray(cayley_grid(w), dtype=complex)
-        return np.polynomial.polynomial.polyval(z, series)
+        return np.polynomial.polynomial.polyval(cayley(w), series)
 
     return tau
 
@@ -350,7 +329,7 @@ def _multiplier_matrix(g: Callable, space: BerezinSpace,
     radial = np.sqrt(u)[:, None] ** ls  # r^l, n_radial x L
     by_diff = modes[:, ls[None, :] - ls[:, None] + L - 1]  # ghat_{m-l}(r)
     T = np.einsum("rl,rm,rlm->lm", wu[:, None] * radial, radial, by_diff)
-    c = _coeffs(space.h, ls)
+    c = pochhammer_coeffs(1.0 / space.h, ls)
     return (1.0 / space.h - 1.0) * c[:, None] * c[None, :] * T
 
 
@@ -366,25 +345,24 @@ def toeplitz_operator(g: Callable, space: BerezinSpace) -> np.ndarray:
                   space)
 
 
-def _wirtinger(A: Callable, z: complex, fd_h: float):
+def _wirtinger(A: Callable, z: complex):
     # dz = (dx - i dy)/2, dzbar = (dx + i dy)/2 by central differences
-    ax = (A(z + fd_h) - A(z - fd_h)) / (2.0 * fd_h)
-    ay = (A(z + 1j * fd_h) - A(z - 1j * fd_h)) / (2.0 * fd_h)
+    ax = (A(z + FD_STEP) - A(z - FD_STEP)) / (2.0 * FD_STEP)
+    ay = (A(z + 1j * FD_STEP) - A(z - 1j * FD_STEP)) / (2.0 * FD_STEP)
     return 0.5 * (ax - 1j * ay), 0.5 * (ax + 1j * ay)
 
 
-def poisson_disc(A1: Callable, A2: Callable, z: complex, fd_h: float = 1e-5) -> complex:
+def poisson_disc(A1: Callable, A2: Callable, z: complex) -> complex:
     """Disc Poisson bracket (1-|z|^2)^2 (dzbar A1 dz A2 - dzbar A2 dz A1)."""
-    d1, d1b = _wirtinger(A1, z, fd_h)
-    d2, d2b = _wirtinger(A2, z, fd_h)
+    d1, d1b = _wirtinger(A1, z)
+    d2, d2b = _wirtinger(A2, z)
     return complex((1.0 - abs(z) ** 2) ** 2 * (d1b * d2 - d2b * d1))
 
 
-def poisson_halfplane(P1: Callable, P2: Callable, w: complex,
-                      fd_h: float = 1e-5) -> complex:
+def poisson_halfplane(P1: Callable, P2: Callable, w: complex) -> complex:
     """Half-plane bracket 4 (Im w)^2 (dwbar P1 dw P2 - dwbar P2 dw P1)."""
-    d1, d1b = _wirtinger(P1, w, fd_h)
-    d2, d2b = _wirtinger(P2, w, fd_h)
+    d1, d1b = _wirtinger(P1, w)
+    d2, d2b = _wirtinger(P2, w)
     return complex(4.0 * w.imag**2 * (d1b * d2 - d2b * d1))
 
 
@@ -417,18 +395,18 @@ class CorrespondenceReport:
 
 
 def _fit_order(hs, devs) -> float:
+    # NaN, which fails every floor, unless two deviations are positive
     hs = np.asarray(hs, float)
     devs = np.asarray(devs, float)
     mask = devs > 0
     if mask.sum() < 2:
-        return float("inf")
+        return float("nan")
     slope, _ = np.polyfit(np.log(hs[mask]), np.log(devs[mask]), 1)
     return float(slope)
 
 
 def correspondence_report(factory1: Callable, factory2: Callable, p: complex,
-                          h_values, cutoff: int = 16,
-                          fd_h: float = 1e-5) -> CorrespondenceReport:
+                          h_values, cutoff: int = 16) -> CorrespondenceReport:
     """Evaluate both limits of the star product over decreasing h.
 
     ``factory1/2`` map a BerezinSpace to an operator matrix (the same
@@ -449,7 +427,7 @@ def correspondence_report(factory1: Callable, factory2: Callable, p: complex,
         sym2 = lambda z, P2=P2, space=space: _symbol_at_disc(P2, z, space)
         a1 = sym1(zeta)
         a2 = sym2(zeta)
-        pb = poisson_disc(sym1, sym2, zeta, fd_h)
+        pb = poisson_disc(sym1, sym2, zeta)
         dev_prod = abs(s12 - a1 * a2)
         dev_br = abs((s12 - s21) - h * pb)
         rows.append(CorrespondenceRow(h, s12, s21, complex(a1 * a2), pb,
@@ -470,7 +448,7 @@ def _symbol_at_disc(P: np.ndarray, z, space: BerezinSpace):
     """Covariant symbol as a function of the disc coordinate (vectorized)."""
     z = np.asarray(z, dtype=complex)
     ls = np.arange(space.cutoff)
-    c = _coeffs(space.h, ls)
+    c = pochhammer_coeffs(1.0 / space.h, ls)
     zz = z.reshape(-1, 1)
     f = c * zz**ls  # f_l at each disc point, one row per point
     num = np.sum(f * (np.conj(f) @ P.T), axis=1)

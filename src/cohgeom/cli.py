@@ -337,15 +337,18 @@ def gram_dev(space: bz.BerezinSpace) -> float:
 
 def reproducing_dev(space: bz.BerezinSpace, p: complex) -> float:
     """|<tau_p, f_2> - f_2(p)|: the coherent state at p reproduces f_2."""
-    tau = bz.coherent_state_fn(p, space)
-    f2 = lambda w: np.asarray(bz.basis_psi(2, bz.cayley_grid(w), space.h))
-    return abs(bz.halfplane_inner(tau, f2, space) - bz.basis_f(2, p, space.h))
+    f2 = lambda w: bz.basis_f(2, w, space.h)
+    return abs(bz.halfplane_inner(bz.coherent_state_fn(p, space), f2, space)
+               - f2(p))
 
 
 def star_report(h_seq, point: complex, cutoff: int):
     """Star-product limits of Re z and Im z at ``point`` over ``h_seq``, the
     gate (both deviations fall strictly with h and both fitted orders clear
-    their floors) and the worst deviation."""
+    their floors) and the worst deviation.  DomainError for fewer than two
+    distinct h, from which no order can be fitted."""
+    if len(set(h_seq)) < 2:
+        raise DomainError(f"the star gate needs two distinct h, got {list(h_seq)}")
     rep = bz.correspondence_report(
         lambda sp: bz.toeplitz_operator(lambda z: np.real(z) + 0j, sp),
         lambda sp: bz.toeplitz_operator(lambda z: np.imag(z) + 0j, sp),
@@ -475,9 +478,8 @@ def cmd_pullback(args) -> int:
     rows = []
     for v in squeezes:
         fam = StateFamily(args.family, v=v, param=args.param, eps=args.eps)
-        squeezed = fam.family == "su2" or v != 0.0
         # closed forms of squeezed families are claimed at the origin only
-        bases = [0j] if squeezed else square_grid(args.base_max, n_re, n_im)
+        bases = [0j] if fam.squeezed else square_grid(args.base_max, n_re, n_im)
         for base in bases:
             vals = [pullback_form(fam, base, u, w).value for (u, w) in DEFAULT_PAIRS]
             rows.append({
@@ -493,8 +495,7 @@ def cmd_pullback(args) -> int:
         # numeric against analytic tangents, and truncation doubling
         fam = StateFamily(args.family, v=squeezes[0], param=args.param,
                           eps=args.eps)
-        squeezed = fam.family == "su2" or fam.v != 0.0
-        bases = [0j] if squeezed else [0j, 0.2 + 0.1j]
+        bases = [0j] if fam.squeezed else [0j, 0.2 + 0.1j]
         doubling = [doubling_dev(fam, b) for b in bases if fam.family != "su2"]
         extra["oracle_dev"] = max([tangent_dev(fam, bases)] + doubling)
     ok = max_dev < args.tol and extra.get("oracle_dev", 0.0) < ORACLE_TOL
@@ -574,8 +575,10 @@ def cmd_sut_charts(args) -> int:
                 rows.append({"s": s, "t": t, "roundtrip_dev": rt,
                              "pullback_coeff": coeff,
                              "pullback_dev": abs(coeff - 2.0)})
-    worst_rt = max((r["roundtrip_dev"] for r in rows), default=0.0)
-    worst_pb = max((r["pullback_dev"] for r in rows), default=0.0)
+    if not rows:
+        raise DomainError(f"no grid point lies on the orbit through v0 = {args.v0}")
+    worst_rt = max(r["roundtrip_dev"] for r in rows)
+    worst_pb = max(r["pullback_dev"] for r in rows)
     return _report(args, rows, worst_rt < ORBIT_TOL and worst_pb < args.tol,
                    max(worst_rt, worst_pb))
 
@@ -594,6 +597,8 @@ def cmd_sut_flow(args) -> int:
                          "resid_flow2_stated": r2, "expected_defect": abs(s),
                          "resid_flow2_generator": r2g})
             ok = ok and passed
+    if not rows:
+        raise DomainError("no grid point has t > 0")
     return _report(args, rows, ok, 0.0 if ok else 1.0)
 
 

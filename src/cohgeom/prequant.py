@@ -193,43 +193,35 @@ class DiracReport:
     defect_dev: float
 
 
-def dirac_residual(t_values, s_values, hbar: float = 1.0,
-                   fields: dict | None = None,
-                   derivative_terms: bool = True) -> DiracReport:
+def dirac_residual(t_values, s_values, hbar: float = 1.0) -> DiracReport:
     """Brute-force the four sign conventions of the bracket correspondence.
 
-    For each convention pair the residual is the max over the grid and test
-    fields of |([Q1, Q2] - eps_dirac i hbar Q_h) psi| with
+    For each convention pair the residual is the max over the grid and the
+    ``standard_fields`` of |([Q1, Q2] - eps_dirac i hbar Q_h) psi| with
     h = {J1, J2} = -2 eps_field t, so Q_h = -2 eps_field Q1 by linearity.
-    ``derivative_terms=False`` replaces both Q_i by bare multiplication by
-    J_i, for which the residual is |i hbar {J1, J2}| at the worst grid point.
+    A grid point with t <= 0 lies outside the chart and raises a
+    ``CohgeomError`` before any logarithm is taken.
     """
-    if fields is None:
-        fields = standard_fields()
+    fields = standard_fields()
     residuals = {pair: 0.0 for pair in SIGN_PAIRS}
     defect_dev = 0.0
     for t in t_values:
         for s in s_values:
             P = OrbitPoint(float(s), float(t))
-            a = float(np.log(t))
+            a, _ = _coords(P)
             for psi in fields.values():
-                if derivative_terms:
-                    comm = commutator_apply(psi, P, hbar)
-                    q1 = prequantum_apply(1, psi, P, hbar)
-                else:
-                    comm = 0.0
-                    q1 = t * psi.value(a, float(s))  # bare multiplication
+                comm = commutator_apply(psi, P, hbar)
+                q1 = prequantum_apply(1, psi, P, hbar)
                 for (ef, ed) in SIGN_PAIRS:
                     target = ed * 1j * hbar * (-2.0 * ef) * q1
                     residuals[(ef, ed)] = max(residuals[(ef, ed)],
                                               abs(comm - target))
-                if derivative_terms:
-                    # identified defect of the eps_f * eps_d = +1 conventions
-                    defect = comm - (-2j * hbar * q1)
-                    bracket = -2.0 * t  # {J1, J2} at this point
-                    defect_dev = max(defect_dev,
-                                     abs(defect - 2j * hbar * bracket
-                                         * psi.value(a, float(s))))
+                # identified defect of the eps_f * eps_d = +1 conventions
+                defect = comm - (-2j * hbar * q1)
+                bracket = -2.0 * t  # {J1, J2} at this point
+                defect_dev = max(defect_dev,
+                                 abs(defect - 2j * hbar * bracket
+                                     * psi.value(a, float(s))))
     best_pair = min(residuals, key=residuals.get)
     return DiracReport(residuals, best_pair, residuals[best_pair], defect_dev)
 

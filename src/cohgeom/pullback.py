@@ -93,8 +93,16 @@ class StateFamily:
             raise ValueError(f"unknown family {self.family!r}")
         if not np.all(np.isfinite((self.v, self.param, self.eps))):
             raise DomainError(f"non-finite family parameter in {self}")
+        if not self.eps > 0:
+            raise DomainError(f"tail budget eps must be positive, got {self.eps}")
         if self.family == "su11" and self.param <= 0.5:
             raise DomainError("su11 family needs k > 1/2")
+
+    @property
+    def squeezed(self) -> bool:
+        """Spin and squeezed oscillator families, whose closed forms are
+        claimed at the origin only."""
+        return self.family == "su2" or self.v != 0.0
 
     def dim(self, base: complex) -> int:
         if self.family == "su2":
@@ -274,29 +282,21 @@ def closed_form(fam: StateFamily, base: complex, u: complex, w: complex,
     return 2.0 * k * np.conj(u) * w / (1.0 - abs(base) ** 2) ** 2
 
 
-def pullback_matrix(fam: StateFamily, base: complex, use_numeric: bool = False,
-                    h: float = 1e-4) -> np.ndarray:
+def pullback_matrix(fam: StateFamily, base: complex) -> np.ndarray:
     """The 2x2 matrix G_ab = H(e_a, e_b) at ``base`` for the directions (1, i).
 
     G is the Gram matrix of the two tangents after projecting them
     orthogonally to the normalized state, which removes the norm and phase
     derivative terms.  Tangents are R-linear in the direction, so
     H(u, w) = [u1, u2] G [w1, w2]^T for u = u1 + i u2 and w = w1 + i w2.
-    ``use_numeric=True`` takes the finite-difference tangents instead (the
-    independent oracle path, four state evaluations).  Cached per
-    (fam, base, use_numeric, h); the returned array is read-only.
+    Cached per (fam, base); the returned array is read-only.
     """
-    return _pullback_matrix(fam, _base_point(base), bool(use_numeric), float(h))
+    return _pullback_matrix(fam, _base_point(base))
 
 
 @lru_cache(maxsize=1024)
-def _pullback_matrix(fam: StateFamily, base: complex, use_numeric: bool,
-                     h: float) -> np.ndarray:
-    if use_numeric:
-        psi = family_state(fam, base)
-        tangents = [numeric_tangent(fam, TangentSpec(base, e), h) for e in (1, 1j)]
-    else:
-        psi, tangents = _frame(fam, base, (1, 1j))
+def _pullback_matrix(fam: StateFamily, base: complex) -> np.ndarray:
+    psi, tangents = _frame(fam, base, (1, 1j))
     psi = psi.normalized()
     P = np.array([project_orthogonal(psi, t).amps for t in tangents])
     G = P.conj() @ P.T
@@ -308,15 +308,14 @@ def _contract(G: np.ndarray, u: complex, w: complex) -> complex:
     return complex(np.array([u.real, u.imag]) @ G @ np.array([w.real, w.imag]))
 
 
-def pullback_form(fam: StateFamily, base: complex, u: complex, w: complex,
-                  use_numeric: bool = False, h: float = 1e-4) -> PullbackReport:
+def pullback_form(fam: StateFamily, base: complex, u: complex,
+                  w: complex) -> PullbackReport:
     """Evaluate H(u, w) at ``base`` and compare with the closed form.
 
     The value contracts ``pullback_matrix`` with the real components of u
     and w, so every pair at one base point shares one set of tangents.
-    ``use_numeric=True`` swaps in the finite-difference tangents.
     """
-    G = pullback_matrix(fam, base, use_numeric, h)
+    G = pullback_matrix(fam, base)
     try:
         ref = closed_form(fam, base, u, w)
     except UnsupportedBasePoint:
@@ -333,7 +332,7 @@ class KahlerVerdict:
     max_dev: float
 
 
-def kahler_verdict(fam: StateFamily, bases=None, pairs=DEFAULT_PAIRS,
+def kahler_verdict(fam: StateFamily, bases=None,
                    tol: float = 1e-8) -> KahlerVerdict:
     """Decide whether the family embeds symplectically and/or Kahler-ly.
 
@@ -343,11 +342,10 @@ def kahler_verdict(fam: StateFamily, bases=None, pairs=DEFAULT_PAIRS,
     value matches the v = 0 closed form, i.e. metric and symplectic parts are
     mutually compatible.  ``max_dev`` is the worst full-value deviation.
     """
-    squeezed = fam.family == "su2" or fam.v != 0.0
-    if bases is None:
-        bases = [0j] if squeezed else [0j, 0.3 + 0.1j, -0.2 + 0.4j]
-    elif squeezed:
+    if fam.squeezed:
         bases = [0j]
+    elif bases is None:
+        bases = [0j, 0.3 + 0.1j, -0.2 + 0.4j]
     fam0 = replace(fam, v=0.0)
     n_v = squeeze_prefactor(fam)
     n_0 = squeeze_prefactor(fam0)
@@ -355,7 +353,7 @@ def kahler_verdict(fam: StateFamily, bases=None, pairs=DEFAULT_PAIRS,
     dev_sympl = 0.0
     for base in bases:
         G = pullback_matrix(fam, base)
-        for (u, w) in pairs:
+        for (u, w) in DEFAULT_PAIRS:
             val = _contract(G, u, w) / n_v
             ref0 = closed_form(fam0, base, u, w) / n_0
             dev_full = max(dev_full, abs(val - ref0))

@@ -22,6 +22,13 @@ Squeezed fiducial vectors are computed as smallest-singular-value vectors of
 the truncated annihilator, normalized with their first nonzero amplitude real
 positive so results are deterministic representatives of the ray.
 
+The discrete series at label k and the weighted Bergman space of ``berezin``
+at weight h share one basis when 2k = 1/h (Perelomov, Generalized Coherent
+States, 1986): its normalizations are the square roots of the coefficients
+(a)_n / n! of (1 - x)^{-a}, with a = 2k = 1/h, computed once here
+(``pochhammer_coeffs``), and both tail estimates use the one geometric bound
+``geometric_tail``.
+
 Displacements exponentiate skew-Hermitian generators X through one Hermitian
 eigendecomposition -iX = V diag(lam) V+ (``_exp_skew``).  The same spectral
 data give the Frechet derivative of the exponential by the Daleckii-Krein
@@ -38,6 +45,7 @@ are read-only, so cached results are shared safely.
 from __future__ import annotations
 
 import inspect
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
@@ -56,7 +64,6 @@ from .statespace import StateVector, disc_tag, fock_tag, spin_tag
 __all__ = [
     "LadderPair",
     "SpinTriple",
-    "SqueezeParam",
     "ladder_matrices",
     "spin_matrices",
     "kernel_vector",
@@ -70,7 +77,12 @@ __all__ = [
     "su2_state",
     "su11_coherent",
     "truncation_dim",
+    "pochhammer_coeffs",
+    "geometric_tail",
 ]
+
+KERNEL_RTOL = 1e-8  # smallest singular value relative to the largest
+STATE_TOL = 1e-12   # declared tail budget of the squeezed oscillator states
 
 
 @dataclass(frozen=True)
@@ -111,17 +123,6 @@ class SpinTriple:
     @property
     def lminus(self) -> np.ndarray:
         return (self.lx - 1j * self.ly) / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class SqueezeParam:
-    """Squeezing parameter v with lam = e^v (lam real positive)."""
-
-    v: float
-
-    @property
-    def lam(self) -> float:
-        return float(np.exp(self.v))
 
 
 def _cached(fn):
@@ -186,22 +187,22 @@ def _fix_phase(x: np.ndarray) -> np.ndarray:
     return x * np.exp(-1j * np.angle(x[idx[0]]))
 
 
-def kernel_vector(M: np.ndarray, rtol: float = 1e-8) -> tuple[np.ndarray, float]:
+def kernel_vector(M: np.ndarray) -> tuple[np.ndarray, float]:
     """Unit vector spanning the numerical kernel of M, plus its residual.
 
     The kernel is accepted when the smallest singular value is below
-    rtol * sigma_max and the next one is well separated; otherwise the kernel
-    is empty or more than one-dimensional and KernelError is raised.
+    KERNEL_RTOL * sigma_max and the next one is well separated; otherwise the
+    kernel is empty or more than one-dimensional and KernelError is raised.
     """
     _, s, vh = np.linalg.svd(M)
     smax = s[0]
     if smax == 0.0:
         raise KernelError("matrix is identically zero, kernel is everything")
-    if s[-1] > rtol * smax:
+    if s[-1] > KERNEL_RTOL * smax:
         raise KernelError(
             f"no kernel within tolerance: sigma_min/sigma_max = {s[-1] / smax:.3e}"
         )
-    if len(s) > 1 and s[-2] <= 10.0 * rtol * smax:
+    if len(s) > 1 and s[-2] <= 10.0 * KERNEL_RTOL * smax:
         raise KernelError(
             f"kernel not one-dimensional: next singular value ratio "
             f"{s[-2] / smax:.3e}"
@@ -224,13 +225,19 @@ def wh_coherent(alpha: complex, N: int, tol: float = 1e-12) -> StateVector:
     c[0] = np.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, N):
         c[n] = c[n - 1] * alpha / np.sqrt(n)
+    return _tail_checked(c, tol, fock_tag(), alpha, "fock", 0.0)
+
+
+def _tail_checked(c: np.ndarray, tol: float, basis, alpha: complex,
+                  family: str, param: float) -> StateVector:
+    """The state of amplitudes c, whose norm deficit is the dropped tail mass
+    of the ``truncation_dim`` family; TruncationError if it exceeds tol."""
     tail = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
     if tail > tol:
         raise TruncationError(
-            f"tail mass {tail:.3e} exceeds budget {tol:.1e} at N = {N}; "
-            f"need N >= {truncation_dim(alpha, 'fock', eps=tol)}"
-        )
-    return StateVector(c, fock_tag(), tol)
+            f"tail mass {tail:.3e} exceeds budget {tol:.1e} at N = {len(c)}; "
+            f"need N >= {truncation_dim(alpha, family, param, eps=tol)}")
+    return StateVector(c, basis, tol)
 
 
 def _exp_skew(X: np.ndarray, psi: np.ndarray, *directions: np.ndarray):
@@ -275,7 +282,7 @@ def wh_displacement(alpha: complex, N: int, tol: float = 1e-12) -> np.ndarray:
 
 
 @_cached
-def squeezed_vacuum(v: float, N: int, ktol: float = 1e-8, tol: float = 1e-12) -> StateVector:
+def squeezed_vacuum(v: float, N: int) -> StateVector:
     """Kernel state of the truncated a_v = cosh(v) a + sinh(v) a+.
 
     Computed as the smallest-singular-value vector, so it is self-validating:
@@ -288,20 +295,19 @@ def squeezed_vacuum(v: float, N: int, ktol: float = 1e-8, tol: float = 1e-12) ->
         raise DomainError(f"|v| = {abs(v):.2f} exceeds the guard |v| <= 2")
     lad = ladder_matrices(N)
     av = np.cosh(v) * lad.a + np.sinh(v) * lad.adag
-    x, _resid = kernel_vector(av, rtol=ktol)
-    return StateVector(x, fock_tag(), tol)
+    x, _resid = kernel_vector(av)
+    return StateVector(x, fock_tag(), STATE_TOL)
 
 
-def wh_squeezed(alpha: complex, v: float, N: int, ktol: float = 1e-8,
-                tol: float = 1e-12) -> StateVector:
+def wh_squeezed(alpha: complex, v: float, N: int) -> StateVector:
     """Displaced squeezed state D(alpha) |0; v> on N levels.
 
     |0; v> is the numerical kernel of cosh(v) a + sinh(v) a+ (DomainError
     for |v| > 2).  For v = 0 this reduces to the coherent state.
     """
-    vac = squeezed_vacuum(v, N, ktol, tol)
-    amps, _ = _exp_skew(_wh_generator(alpha, N, tol), vac.amps)
-    return StateVector(amps, fock_tag(), tol)
+    vac = squeezed_vacuum(v, N)
+    amps, _ = _exp_skew(_wh_generator(alpha, N, STATE_TOL), vac.amps)
+    return StateVector(amps, fock_tag(), STATE_TOL)
 
 
 def su2_tilde_minus(spin: SpinTriple, v: float) -> np.ndarray:
@@ -314,7 +320,7 @@ def su2_tilde_minus(spin: SpinTriple, v: float) -> np.ndarray:
 
 
 @_cached
-def su2_squeezed_vacuum(v: float, j: float, ktol: float = 1e-8) -> StateVector:
+def su2_squeezed_vacuum(v: float, j: float) -> StateVector:
     """Kernel state of e^v Lx - i e^{-v} Ly in the spin-j representation.
 
     At v = 0 this is the lowest-weight state.  For v != 0 a kernel exists
@@ -323,7 +329,7 @@ def su2_squeezed_vacuum(v: float, j: float, ktol: float = 1e-8) -> StateVector:
     argument values.
     """
     spin = spin_matrices(j)
-    x, _resid = kernel_vector(su2_tilde_minus(spin, v), rtol=ktol)
+    x, _resid = kernel_vector(su2_tilde_minus(spin, v))
     return StateVector(x, spin_tag(j))
 
 
@@ -339,21 +345,33 @@ def su2_displacement(alpha: complex, j: float) -> np.ndarray:
     return _exp_skew(X, np.eye(len(X)))[0]
 
 
-def su2_state(alpha: complex, v: float, j: float, ktol: float = 1e-8) -> StateVector:
+def su2_state(alpha: complex, v: float, j: float) -> StateVector:
     """Displaced spin kernel state D(alpha) |0; v> (exact finite-dim exponential).
 
     v = 0 yields the standard spin coherent state attached to the lowest
     weight.  Displacement is unitary, so the result is normalized exactly.
     """
-    vac = su2_squeezed_vacuum(v, j, ktol)
+    vac = su2_squeezed_vacuum(v, j)
     amps, _ = _exp_skew(_su2_generator(alpha, j), vac.amps)
     return StateVector(amps, spin_tag(j))
 
 
-def _su11_log_coeffs(k: float, N: int) -> np.ndarray:
-    # sqrt(Gamma(n+2k) / (n! Gamma(2k))) in log space
-    n = np.arange(N)
-    return 0.5 * (gammaln(n + 2.0 * k) - gammaln(n + 1.0) - gammaln(2.0 * k))
+def pochhammer_coeffs(a: float, n, power: float = 0.5) -> np.ndarray:
+    """((a)_n / n!)^power for each n in ``n``, through log-gamma.
+
+    (a)_n / n! = Gamma(n + a) / (n! Gamma(a)) is the coefficient of x^n in
+    (1 - x)^{-a}.  power = 1/2 gives the discrete-series (a = 2k) and
+    Bergman (a = 1/h) normalizations; the log-space form stays finite for
+    large n and large a.
+    """
+    n = np.asarray(n, dtype=float)
+    return np.exp(power * (gammaln(n + a) - gammaln(a) - gammaln(n + 1.0)))
+
+
+def geometric_tail(t: float, r: float) -> float:
+    """Bound t / (1 - r) on a positive series tail whose first term is t and
+    whose term ratios from there on stay at or below r; inf when r >= 1."""
+    return t / (1.0 - r) if r < 1.0 else np.inf
 
 
 def su11_coherent(alpha: complex, k: float, N: int, tol: float = 1e-12) -> StateVector:
@@ -371,16 +389,9 @@ def su11_coherent(alpha: complex, k: float, N: int, tol: float = 1e-12) -> State
         raise DomainError(f"discrete-series label must satisfy k > 1/2, got {k}")
     if N < 1:
         raise DimensionTooSmall("need at least one level")
-    b = np.exp(_su11_log_coeffs(k, N))
     n = np.arange(N)
-    c = (1.0 - abs(alpha) ** 2) ** k * b * alpha**n
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
-    if tail > tol:
-        raise TruncationError(
-            f"tail mass {tail:.3e} exceeds budget {tol:.1e} at N = {N}; "
-            f"need N >= {truncation_dim(alpha, 'discrete_series', k, eps=tol)}"
-        )
-    return StateVector(c, disc_tag(k), tol)
+    c = (1.0 - abs(alpha) ** 2) ** k * pochhammer_coeffs(2.0 * k, n) * alpha**n
+    return _tail_checked(c, tol, disc_tag(k), alpha, "discrete_series", k)
 
 
 def truncation_dim(alpha: complex, family: str, param: float = 0.0,
@@ -390,8 +401,8 @@ def truncation_dim(alpha: complex, family: str, param: float = 0.0,
     Families:
 
     * ``"fock"``: coherent amplitudes; the bound is on tail *mass* (norm
-      deficit), via the geometric bound t_N / (1 - r_N) once the term ratio
-      r = |alpha|^2/(n+1) drops below 1.
+      deficit), via ``geometric_tail`` t_N / (1 - r_N) once the term ratio
+      r_n = t_{n+1} / t_n = |alpha|^2/(n+1) drops below 1.
     * ``"discrete_series"`` (param = k): same mass bound with ratio
       |alpha|^2 (n+2k)/(n+1), decreasing for k > 1/2.
     * ``"squeezed_fock"`` (param = v): bound on the *amplitude* scale of the
@@ -400,43 +411,12 @@ def truncation_dim(alpha: complex, family: str, param: float = 0.0,
       displacement.  Residuals, not norm deficits, are what truncation harms
       for kernel states (their SVD vector is normalized exactly).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise DomainError(f"tail budget eps must be positive, got {eps}")
     x = abs(complex(alpha)) ** 2
     if not np.isfinite(x):
         # the tail recurrences below would never terminate
         raise DomainError(f"alpha = {alpha} is not finite")
-
-    if family == "fock":
-        if x == 0.0:
-            return 1
-        t = np.exp(-x)
-        n = 0
-        while True:
-            t_next = t * x / (n + 1)
-            r = x / (n + 2)
-            if t_next == 0.0 or (r < 1.0 and t_next / (1.0 - r) < eps):
-                return n + 1
-            t = t_next
-            n += 1
-
-    if family == "discrete_series":
-        k = param
-        if k <= 0.5:
-            raise DomainError(f"need k > 1/2, got {k}")
-        if x >= 1.0:
-            raise DomainError("discrete-series states require |alpha| < 1")
-        if x == 0.0:
-            return 1
-        t = (1.0 - x) ** (2.0 * k)
-        n = 0
-        while True:
-            t_next = t * x * (n + 2.0 * k) / (n + 1)
-            r = x * (n + 1 + 2.0 * k) / (n + 2)
-            if t_next == 0.0 or (r < 1.0 and t_next / (1.0 - r) < eps):
-                return n + 1
-            t = t_next
-            n += 1
 
     if family == "squeezed_fock":
         v = abs(param)
@@ -447,7 +427,22 @@ def truncation_dim(alpha: complex, family: str, param: float = 0.0,
             while np.sinh(v) * np.sqrt(2.0 * m + 2.0) * tau**m >= eps:
                 m += 1
             n_sq = 2 * m + 2
-        n_coh = truncation_dim(alpha, "fock", eps=eps) if x > 0 else 1
-        return n_sq + n_coh + 8  # margin for displacement spreading
-
-    raise ValueError(f"unknown family {family!r}")
+        # plus the coherent budget and a margin for displacement spreading
+        return n_sq + truncation_dim(alpha, "fock", eps=eps) + 8
+    if family == "fock":
+        t, ratio = np.exp(-x), lambda n: x / (n + 1)
+    elif family == "discrete_series":
+        k = param
+        if k <= 0.5:
+            raise DomainError(f"need k > 1/2, got {k}")
+        if x >= 1.0:
+            raise DomainError("discrete-series states require |alpha| < 1")
+        t, ratio = (1.0 - x) ** (2.0 * k), lambda n: x * (n + 2.0 * k) / (n + 1)
+    else:
+        raise DomainError(f"unknown family {family!r}")
+    if x == 0.0:
+        return 1
+    for n in itertools.count(1):
+        t *= ratio(n - 1)  # the term of level n
+        if t == 0.0 or geometric_tail(t, ratio(n)) < eps:
+            return n

@@ -44,8 +44,7 @@ from .errors import DegenerateOrbit, DomainError, VerificationError
 
 E1 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E2 = np.array([[1.0, 0.0], [0.0, -1.0]])
-E1_STAR = np.array([[0.0, 0.0], [1.0, 0.0]])
-E2_STAR = np.array([[0.5, 0.0], [0.0, -0.5]])  # Tr(E2 E2*) = 1
+CHART_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -213,23 +212,6 @@ class Field2D:
     d_s: Callable[[float, float], float]
     d_t: Callable[[float, float], float]
 
-    @classmethod
-    def from_callable(cls, f: Callable[[float, float], float],
-                      h: float = 1e-5) -> "Field2D":
-        """Wrap a bare function with central-difference partials."""
-        return cls(
-            value=f,
-            d_s=lambda s, t: (f(s + h, t) - f(s - h, t)) / (2 * h),
-            d_t=lambda s, t: (f(s, t + h) - f(s, t - h)) / (2 * h),
-        )
-
-
-def check_partials(f: Field2D, P: OrbitPoint, h: float = 1e-5) -> float:
-    """Cross-check supplied partials against central differences at P."""
-    fd = Field2D.from_callable(f.value, h)
-    return max(abs(f.d_s(P.s, P.t) - fd.d_s(P.s, P.t)),
-               abs(f.d_t(P.s, P.t) - fd.d_t(P.s, P.t)))
-
 
 def hamiltonian_field(f: Field2D, P: OrbitPoint) -> OrbitTangent:
     """Solve omega(X_f, .) = df at P as a 2x2 linear system."""
@@ -285,18 +267,13 @@ def chi_map(orbit: Orbit, g: SutElement) -> tuple[float, float]:
     return g.g2 / g.g1, 1.0 / g.g1**2
 
 
-def f1_map(b: float, a_tilde: float) -> SutElement:
-    """Half plane (b + i a_tilde, a_tilde > 0) -> group, a = 1/a_tilde."""
-    if a_tilde <= 0:
-        raise DomainError("requires a point of the upper half plane")
-    return SutElement(1.0 / a_tilde, b)
-
-
-def chi_pullback_coefficient(orbit: Orbit, g: SutElement, h: float = 1e-6) -> float:
-    """Coefficient of da ^ db in chi*(dlam ^ dmu / mu^2), by FD Jacobians.
+def chi_pullback_coefficient(orbit: Orbit, g: SutElement) -> float:
+    """Coefficient of da ^ db in chi*(dlam ^ dmu / mu^2), by FD Jacobians
+    with step CHART_FD_STEP.
 
     Analytically equal to 2 everywhere on the positive subgroup.
     """
+    h = CHART_FD_STEP
     def chi_vec(a, b):
         return np.array(chi_map(orbit, SutElement(a, b)))
 

@@ -35,6 +35,7 @@ from .statespace import StateVector
 from .states import ladder_matrices
 
 HERMITICITY_TOL = 1e-12
+SLACK_TOL = 1e-10  # numerical slack allowed below each uncertainty bound
 
 
 def quadrature_pair(N: int, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -116,11 +117,11 @@ def moments(A: np.ndarray, B: np.ndarray, psi: StateVector,
 
 
 def rs_report(A: np.ndarray, B: np.ndarray, psi: StateVector,
-              hbar: float = 1.0, slack_tol: float = 1e-10) -> RsReport:
+              hbar: float = 1.0) -> RsReport:
     """Check the three uncertainty inequalities and return the tight slack.
 
     ``slack_rs`` is dA dB - sqrt(C+^2 + C-^2)/2; the strongest inequality
-    requires it to be >= 0 up to numerical slack, and it vanishes exactly on
+    requires it to be >= 0 up to SLACK_TOL, and it vanishes exactly on
     coherent and squeezed states.
     """
     m = moments(A, B, psi, hbar)
@@ -129,9 +130,9 @@ def rs_report(A: np.ndarray, B: np.ndarray, psi: StateVector,
     bound_a = abs(m.c_plus) / 2.0
     bound_rs = float(np.hypot(m.c_plus, m.c_minus) / 2.0)
     return RsReport(
-        heisenberg_ok=prod >= bound_c - slack_tol,
-        anticomm_ok=prod >= bound_a - slack_tol,
-        rs_ok=prod >= bound_rs - slack_tol,
+        heisenberg_ok=prod >= bound_c - SLACK_TOL,
+        anticomm_ok=prod >= bound_a - SLACK_TOL,
+        rs_ok=prod >= bound_rs - SLACK_TOL,
         slack_rs=prod - bound_rs,
         delta_a=m.delta_a,
         delta_b=m.delta_b,
@@ -139,12 +140,12 @@ def rs_report(A: np.ndarray, B: np.ndarray, psi: StateVector,
 
 
 def min_uncertainty_residual(A: np.ndarray, B: np.ndarray, lam: float,
-                             psi: StateVector, drop_edge: bool = True) -> float:
+                             psi: StateVector) -> float:
     """Norm of (lam A + i B/lam) psi - (lam a + i b/lam) psi, lam > 0.
 
     Zero exactly on the minimum-uncertainty family matched to lam; bounded
-    away from zero when the state's own squeezing does not match.  With
-    ``drop_edge`` the top truncation row is excluded (it violates the ladder
+    away from zero when the state's own squeezing does not match.  On a
+    number basis the top truncation row is excluded (it violates the ladder
     commutator by construction).
     """
     if lam <= 0:
@@ -156,6 +157,6 @@ def min_uncertainty_residual(A: np.ndarray, B: np.ndarray, lam: float,
     a = np.real(np.vdot(x, A @ x))
     b = np.real(np.vdot(x, B @ x))
     r = (lam * A + 1j * B / lam) @ x - (lam * a + 1j * b / lam) * x
-    if drop_edge and psi.basis.kind == "fock" and r.size > 1:
+    if psi.basis.kind == "fock" and r.size > 1:
         r = r[:-1]
     return float(np.linalg.norm(r))

@@ -33,6 +33,19 @@ def test_cayley_domain_checks():
         bz.cayley(1.0 - 0.5j)
     with pytest.raises(DomainError):
         bz.cayley_inv(1.2)
+    # arrays are checked point by point, NaN included
+    with pytest.raises(DomainError):
+        bz.cayley(np.array([1j, 2j, 0.5 + 0j]))
+    with pytest.raises(DomainError):
+        bz.cayley_inv(np.array([0.0, complex("nan")]))
+
+
+def test_cayley_maps_arrays_pointwise(rng):
+    w = rng.normal(size=(3, 4)) + 1j * rng.uniform(0.05, 4.0, size=(3, 4))
+    z = bz.cayley(w)
+    assert z.shape == w.shape
+    assert z[1, 2] == bz.cayley(w[1, 2])
+    assert np.max(np.abs(bz.cayley_inv(z) - w)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -47,12 +60,15 @@ def test_basis_psi_lowest_levels():
 def test_basis_f_vanishes_at_center():
     for l in range(1, 6):
         assert bz.basis_f(l, 1j, 0.25) == 0
+    w = np.array([1j, 2j, 1 + 1j])
+    assert np.allclose(bz.basis_f(3, w, 0.25),
+                       bz.basis_psi(3, bz.cayley(w), 0.25), rtol=0, atol=1e-15)
 
 
 def test_basis_coeff_log_space_stability():
     # large l and small h stay finite through the log-space product
-    val = bz.basis_coeff(40, 0.05)
-    assert np.isfinite(val) and val > 0
+    val = bz.basis_psi(40, 1.0, 0.05)
+    assert np.isfinite(val) and val.real > 0
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +90,7 @@ def test_psi3_normalized_quadrature_vs_beta_identity():
     # independent oracle: (psi_3, psi_3) = c_3^2 (1/h - 1) B(4, 1/h - 1)
     val = bz.disc_inner(lambda z: bz.basis_psi(3, z, SPACE.h),
                         lambda z: bz.basis_psi(3, z, SPACE.h), SPACE)
-    c3 = bz.basis_coeff(3, SPACE.h)
+    c3 = bz.basis_psi(3, 1.0, SPACE.h).real
     analytic = c3**2 * (1 / SPACE.h - 1) * beta_fn(4.0, 1 / SPACE.h - 1)
     assert val == pytest.approx(analytic, abs=1e-12)
     assert val == pytest.approx(1.0, abs=1e-10)
@@ -164,8 +180,7 @@ def test_reproducing_property():
     for p in (1j, 2j, 1 + 1j):
         tau = bz.coherent_state_fn(p, space)
         for l in (0, 2):
-            fl = lambda w, l=l: np.asarray(
-                bz.basis_psi(l, bz.cayley_grid(w), space.h))
+            fl = lambda w, l=l: bz.basis_f(l, w, space.h)
             lhs = bz.halfplane_inner(tau, fl, space)
             assert lhs == pytest.approx(bz.basis_f(l, p, space.h), abs=1e-10)
 
@@ -264,17 +279,24 @@ def test_star_correspondence_limits():
         assert bracks[-1] < devs[-1]
 
 
+def test_one_h_fits_no_order():
+    rep = bz.correspondence_report(
+        lambda sp: bz.toeplitz_operator(lambda z: np.real(z) + 0j, sp),
+        lambda sp: bz.toeplitz_operator(lambda z: np.imag(z) + 0j, sp),
+        1.5j, (0.2,), cutoff=8)
+    assert np.isnan(rep.order_product) and np.isnan(rep.order_bracket)
+
+
 def test_poisson_bracket_across_charts():
     # {A1, A2}_disc at eps(w) equals the half-plane bracket at w
-    h_fd = 1e-5
     A1 = lambda z: np.real(z) ** 2 + np.imag(z)
     A2 = lambda z: np.real(z) * np.imag(z)
     P1 = lambda w: A1(bz.cayley(w))
     P2 = lambda w: A2(bz.cayley(w))
     for w in (1.5j, 1 + 1j, -0.5 + 2j):
         z = bz.cayley(w)
-        lhs = bz.poisson_disc(A1, A2, z, h_fd)
-        rhs = bz.poisson_halfplane(P1, P2, w, h_fd)
+        lhs = bz.poisson_disc(A1, A2, z)
+        rhs = bz.poisson_halfplane(P1, P2, w)
         assert lhs == pytest.approx(rhs, abs=1e-6)
 
 

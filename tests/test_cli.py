@@ -220,7 +220,19 @@ def test_pullback_nan_squeeze_raises_domain_error(capsys):
     (["pullback", "--base-max", "inf"], "error: argument --base-max: "),
     (["uncertainty", "--alphas", "1,nan+1j"], "error: argument --alphas: "),
     (["berezin", "star", "--h-seq", "0.2,-inf"], "error: argument --h-seq: "),
+    (["pullback", "--eps", "0"], "cohgeom: DomainError: tail budget eps"),
+    (["pullback", "--eps", "-1"], "cohgeom: DomainError: tail budget eps"),
+    (["berezin", "star", "--h-seq", "0.2"],
+     "cohgeom: DomainError: the star gate needs two distinct h"),
+    (["berezin", "star", "--h-seq", "0.1,0.1"],
+     "cohgeom: DomainError: the star gate needs two distinct h"),
+    (["sut", "charts", "--v0", "-1"], "cohgeom: DomainError: no grid point"),
+    (["sut", "flow", "--grid", "t:-2..-1:3", "s:-1..1:3"],
+     "cohgeom: DomainError: no grid point"),
+    (["sut", "dirac", "--grid", "t:-2..-1:3", "s:-1..1:3"],
+     "cohgeom: DomainError: prequantization chart requires t > 0"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_error_exit_two_one_line(argv, message, capsys):
     try:
         code = main(argv)
@@ -229,6 +241,15 @@ def test_error_exit_two_one_line(argv, message, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and message in err
+
+
+def test_sut_points_off_the_orbit_skipped(tmp_path):
+    # t = -1 and t = 0 are off the orbit through v0 = 1; t = 1 remains
+    for name in ("charts", "flow"):
+        out = tmp_path / f"{name}.json"
+        assert run_cli(["sut", name, "--grid", "t:-1..1:3", "s:-1..1:3",
+                        "--format", "json", "--out", str(out)]) == 0
+        assert {row["t"] for row in json.loads(out.read_text())["rows"]} == {1.0}
 
 
 def test_error_in_subprocess_has_no_traceback():

@@ -133,15 +133,10 @@ def test_dirac_residual_grid_stable():
         assert abs(coarse.residuals[pair] - fine.residuals[pair]) < 1e-10
 
 
-def test_dirac_residual_multiplication_only():
-    # without derivative parts the commutator vanishes and the residual is
-    # |i hbar {J1, J2}| = 2 hbar t at the worst grid point (unit field)
-    t_vals = np.linspace(0.5, 4.0, 8)
-    s_vals = np.linspace(-2.0, 2.0, 8)
-    rep = dirac_residual(t_vals, s_vals, fields={"1": ONE},
-                         derivative_terms=False)
-    for pair in SIGN_PAIRS:
-        assert rep.residuals[pair] == pytest.approx(2.0 * t_vals[-1])
+@pytest.mark.filterwarnings("error")
+def test_dirac_residual_rejects_points_off_the_chart():
+    with pytest.raises(DomainError):
+        dirac_residual(np.array([-1.0, 1.0]), np.array([0.0, 1.0]))
 
 
 def test_dirac_residual_scales_with_hbar():

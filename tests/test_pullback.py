@@ -24,6 +24,7 @@ from cohgeom import (
     squeeze_prefactor,
     su2_squeezed_vacuum,
 )
+from cohgeom import cli
 from cohgeom import pullback as pullback_module
 
 PAIRS = ((1 + 0j, 1 + 0j), (1 + 0j, 1j), (1j, 1j))
@@ -85,6 +86,15 @@ def test_numeric_vs_analytic_tangent(fam, base, direction):
     assert np.linalg.norm(ta.amps - tn.amps) < 1e-7
 
 
+def numeric_pullback(fam, base, u, w, h=1e-4):
+    """H(u, w) from central-difference tangents, projected: the oracle that
+    shares no tangent code with ``pullback_matrix``."""
+    psi = family_state(fam, base).normalized()
+    tu, tw = (project_orthogonal(psi, numeric_tangent(fam, TangentSpec(base, d), h))
+              for d in (u, w))
+    return complex(np.vdot(tu.amps, tw.amps))
+
+
 def test_oracle_grid_all_families():
     # 5x5 grids per family; numeric and analytic pullbacks agree to 1e-6
     grids = {
@@ -95,7 +105,7 @@ def test_oracle_grid_all_families():
         for x in np.linspace(-side, side, 5):
             for y in np.linspace(-side, side, 5):
                 base = complex(x, y)
-                v_num = pullback_form(fam, base, 1, 1j, use_numeric=True).value
+                v_num = numeric_pullback(fam, base, 1, 1j)
                 v_ana = pullback_form(fam, base, 1, 1j).value
                 assert abs(v_num - v_ana) < 1e-6
 
@@ -146,14 +156,6 @@ def test_su2_symplectic_invariance_of_normalized_bracket():
         val = (pullback_form(fam, 0j, 1, 1j).value
                / squeeze_prefactor(fam)).imag
         assert val == pytest.approx(ref, abs=1e-8)
-
-
-def test_squeeze_param_exponential():
-    from cohgeom import SqueezeParam
-
-    assert SqueezeParam(0.0).lam == 1.0
-    assert SqueezeParam(0.5).lam == pytest.approx(np.exp(0.5))
-    assert SqueezeParam(-2.0).lam > 0
 
 
 def test_wh_squeezed_value_translation_invariant():
@@ -315,6 +317,18 @@ def _base(fam, base):
 
 
 @_settings
+@given(_point(1.5))
+def test_doubling_oscillator_truncation_is_inert(base):
+    assert cli.doubling_dev(WH, base) < 1e-7
+
+
+@_settings
+@given(_point(0.6), st.floats(0.75, 3.0))
+def test_doubling_disc_truncation_is_inert(base, k):
+    assert cli.doubling_dev(StateFamily("su11", param=k), base) < 1e-7
+
+
+@_settings
 @given(_case)
 def test_form_equals_projected_tangent_product(case):
     fam, base, u, w = case
@@ -374,21 +388,32 @@ def test_pullback_matrix_is_cached_and_read_only(monkeypatch):
     pullback_module._pullback_matrix.cache_clear()
     fam = StateFamily("wh", v=0.5)
     calls = []
-    real = pullback_module.family_state
-    monkeypatch.setattr(pullback_module, "family_state",
+    real = pullback_module._frame
+    monkeypatch.setattr(pullback_module, "_frame",
                         lambda *a: calls.append(a) or real(*a))
     base = 0.3 - 0.2j
-    G = pullback_matrix(fam, base, use_numeric=True)
-    # the numeric oracle evaluates the state once and at base +- h, base +- ih
-    assert len(calls) == 5
+    G = pullback_matrix(fam, base)
+    # one frame (state and both tangents) per family and base point
+    assert len(calls) == 1
     for (u, w) in PAIRS:
-        pullback_form(fam, base, u, w, use_numeric=True)
-    assert len(calls) == 5
-    assert pullback_matrix(fam, base, use_numeric=True) is G
+        pullback_form(fam, base, u, w)
+    assert len(calls) == 1
+    assert pullback_matrix(fam, base) is G
     assert not G.flags.writeable
     with pytest.raises(ValueError):
         G[0, 0] = 0.0
     assert G[0, 1] == pytest.approx(np.conj(G[1, 0]), abs=1e-14)
+
+
+def test_non_positive_budget_rejected():
+    for eps in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            StateFamily("su2", param=1.0, eps=eps)
+
+
+def test_squeezed_families():
+    assert not WH.squeezed and not SU11_K1.squeezed
+    assert StateFamily("wh", v=-0.5).squeezed and SU2_J1.squeezed
 
 
 def test_non_finite_input_rejected_before_caching():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohgeom import (
     DimensionTooSmall,
@@ -22,7 +24,13 @@ from cohgeom import (
     wh_displacement,
     wh_squeezed,
 )
-from cohgeom.states import _exp_skew, _su2_generator, _wh_generator
+from cohgeom.states import (
+    _exp_skew,
+    _su2_generator,
+    _wh_generator,
+    geometric_tail,
+    pochhammer_coeffs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +368,40 @@ def test_truncation_dim_disc_tail():
     assert tail < 1e-12
 
 
+def test_truncation_dim_rejects_bad_budget_and_family():
+    for eps in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            truncation_dim(0.5, "fock", eps=eps)
+    with pytest.raises(DomainError):
+        truncation_dim(0.5, "nosuch")
+
+
+def test_geometric_tail():
+    # sum_{n >= 0} 2^-n from the first term 1 with ratio 1/2
+    assert geometric_tail(1.0, 0.5) == 2.0
+    assert geometric_tail(1.0, 1.0) == np.inf
+
+
+# a = 2k for the discrete series (k > 1/2) and a = 1/h for the Bergman space
+_labels = st.floats(1.0, 12.0, exclude_min=True) | st.floats(0.02, 0.98).map(
+    lambda h: 1.0 / h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_labels, st.integers(0, 60))
+def test_pochhammer_coeffs_match_scipy_poch(a, n):
+    # the oracle shares no code with the log-gamma helper
+    from math import factorial
+
+    from scipy.special import poch
+
+    expected = poch(a, n) / factorial(n)
+    assert pochhammer_coeffs(a, n, 1.0) == pytest.approx(expected, rel=1e-11)
+    assert pochhammer_coeffs(a, n) ** 2 == pytest.approx(expected, rel=1e-11)
+    assert pochhammer_coeffs(a, np.arange(n + 1), 1.0)[-1] == \
+        pochhammer_coeffs(a, n, 1.0)
+
+
 def test_truncation_dim_monotone_in_eps():
     assert (truncation_dim(1.0, "fock", eps=1e-16)
             >= truncation_dim(1.0, "fock", eps=1e-8))
@@ -437,8 +479,8 @@ def test_cached_operator_arrays_are_read_only():
     vac = squeezed_vacuum(0.5, 60)
     assert ladder_matrices(8) is lad and spin_matrices(2.0) is spin
     # one entry however the call is spelled
-    assert squeezed_vacuum(0.5, 60, 1e-8, 1e-12) is vac
-    assert squeezed_vacuum(N=60, v=0.5, tol=1e-12) is vac
+    assert squeezed_vacuum(N=60, v=0.5) is vac
+    assert squeezed_vacuum(0.5, N=60) is vac
     for arr in (lad.a, lad.adag, spin.lx, spin.ly, spin.lz, vac.amps):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import pytest
 from cohgeom.errors import DegenerateOrbit, DomainError, VerificationError
 from cohgeom import sut
 from cohgeom.sut import (
-    Field2D,
     Orbit,
     OrbitPoint,
     OrbitTangent,
@@ -14,8 +13,6 @@ from cohgeom.sut import (
     chi_pullback_coefficient,
     coadjoint_action,
     coadjoint_differential,
-    f1_map,
-    check_partials,
     hamiltonian_field,
     kks_form,
     moment_and_fields,
@@ -269,14 +266,6 @@ def test_poisson_jacobi_identity(rng):
             pytest.approx(pb(f, g)(P.s, P.t), abs=1e-10)
 
 
-def test_field_partial_crosscheck():
-    good = Poly2({(2, 1): 1.0}).as_field()
-    P = OrbitPoint(0.5, 1.5)
-    assert check_partials(good, P) < 1e-9
-    bad = Field2D(value=good.value, d_s=lambda s, t: 0.0, d_t=good.d_t)
-    assert check_partials(bad, P) > 0.1
-
-
 # ---------------------------------------------------------------------------
 # chart maps
 
@@ -307,15 +296,6 @@ def test_chart_sign_guard():
         orbit.point(0.0, -1.0)
     with pytest.raises(DomainError):
         phi_inv(orbit, SutElement(-1.0, 0.0))
-
-
-def test_f1_map_recovers_group_element():
-    g = SutElement(1.4, -0.3)
-    back = f1_map(g.g2, 1.0 / g.g1)
-    assert back.g1 == pytest.approx(g.g1)
-    assert back.g2 == pytest.approx(g.g2)
-    with pytest.raises(DomainError):
-        f1_map(0.0, -1.0)
 
 
 def test_chi_pullback_is_twice_area_form(rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohgeom import (
     NonHermitian,
@@ -156,3 +158,15 @@ def test_su2_coherent_saturation():
         assert m.c_plus == pytest.approx(0.0, abs=1e-12)
         lz_mean = np.real(np.vdot(vac.amps, spin.lz @ vac.amps))
         assert m.delta_a * m.delta_b == pytest.approx(abs(lz_mean) / 2, abs=1e-10)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+def test_uncertainty_inequalities_hold_on_random_states(dim, seed):
+    rng = np.random.default_rng(seed)
+    A, B = (M + M.conj().T for M in (
+        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for _ in range(2)))
+    rep = rs_report(A, B, random_state(rng, dim, FOCK))
+    assert rep.heisenberg_ok and rep.anticomm_ok and rep.rs_ok
+    assert rep.slack_rs >= -1e-10
