@@ -13,8 +13,8 @@ point by the 2x2 matrix H(e_a, e_b) over the directions e = (1, i);
 ``pullback_form`` and ``kahler_verdict`` contract it.  For the squeezed
 oscillator and spin families the state D(base)|0;v> and both tangents come
 from one eigendecomposition of the displacement generator (the Daleckii-Krein
-Frechet derivative, see ``states``); the fiducial kernel state and the
-operators come from the constructor caches in ``states``.
+Frechet derivative, see ``states``); the fiducial state is the closed-form
+squeezed vacuum or the spin kernel state of ``states``.
 
 Slot convention (fixed once, used everywhere): the FIRST tangent argument u
 sits in the conjugated slot.  Closed forms below are written in that
@@ -56,6 +56,7 @@ from .statespace import (
     project_orthogonal,
 )
 from .states import (
+    STATE_TOL,
     _exp_skew,
     _su2_generator,
     _wh_generator,
@@ -77,7 +78,7 @@ class StateFamily:
     """A coherent/squeezed embedding family.
 
     family: "wh" (oscillator), "su2" (spin), "su11" (discrete series).
-    v: squeeze parameter (lambda = e^v); ignored for su11.
+    v: squeeze parameter (lambda = e^v); must be 0 for su11.
     param: j for su2, k for su11; unused for wh.
     trunc: number-basis truncation; 0 selects it from the tail budget eps.
     """
@@ -90,13 +91,15 @@ class StateFamily:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise DomainError(f"unknown family {self.family!r}")
         if not np.all(np.isfinite((self.v, self.param, self.eps))):
             raise DomainError(f"non-finite family parameter in {self}")
         if not self.eps > 0:
             raise DomainError(f"tail budget eps must be positive, got {self.eps}")
         if self.family == "su11" and self.param <= 0.5:
             raise DomainError("su11 family needs k > 1/2")
+        if self.family == "su11" and self.v != 0.0:
+            raise DomainError(f"the su11 family has no squeezing, got v = {self.v}")
 
     @property
     def squeezed(self) -> bool:
@@ -117,9 +120,9 @@ class StateFamily:
         elif self.v == 0.0:
             n = truncation_dim(base, "fock", eps=tight)
         else:
-            # amplitude-level budget keeps kernel residuals at ~sqrt(eps)
+            # the squeezed vacuum declares STATE_TOL whatever eps is
             n = truncation_dim(base, "squeezed_fock", self.v,
-                               eps=np.sqrt(self.eps))
+                               min(tight, 1e-3 * STATE_TOL))
         # headroom for the one-level shift of the derivative itself
         return max(n + 2, 8)
 
@@ -196,7 +199,7 @@ def analytic_tangent(fam: StateFamily, t: TangentSpec) -> StateVector:
 
     Oscillator coherent and disc families differentiate the amplitude series
     term by term; squeezed oscillator and spin families take the Frechet
-    derivative of the displacement acting on the fiducial kernel state.
+    derivative of the displacement acting on the fiducial state.
     """
     return _frame(fam, _base_point(t.base), (complex(t.direction),))[1][0]
 

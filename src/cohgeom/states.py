@@ -4,8 +4,8 @@ Three families are covered:
 
 * the oscillator algebra on a truncated number basis (annihilation a with
   a|n> = sqrt(n)|n-1>), with coherent states, the displacement unitary
-  D(alpha) = exp(alpha a+ - conj(alpha) a), and squeezed states built as the
-  numerical kernel of the Bogoliubov-rotated annihilator
+  D(alpha) = exp(alpha a+ - conj(alpha) a), and displaced squeezed states
+  D(alpha)|0; v>, where |0; v> is annihilated by the Bogoliubov-rotated
   a_v = cosh(v) a + sinh(v) a+;
 * the spin-j algebra, with displaced kernel states of
   L-(v) = e^v Lx - i e^{-v} Ly (the spin analogue of squeezing);
@@ -18,16 +18,23 @@ e^v Lx +- i e^{-v} Ly carry no 1/sqrt(2); kernels and ray-level results do
 not depend on that overall scale, but matrix elements do, and each function
 documents which normalization it uses.
 
-Squeezed fiducial vectors are computed as smallest-singular-value vectors of
-the truncated annihilator, normalized with their first nonzero amplitude real
-positive so results are deterministic representatives of the ray.
+The squeezed vacuum is an orbit state of SU(1,1) too: on the even number
+states a^2/2, a+^2/2 and (a+ a + 1/2)/2 span the discrete series at k = 1/4
+(the metaplectic representation), and |0; v> is its disc coherent state at
+alpha = -tanh v, c_2m = (-tanh v)^m ((1/2)_m / m!)^{1/2} / sqrt(cosh v)
+(Perelomov, Generalized Coherent States, 1986).  So ``squeezed_vacuum`` and
+``su11_coherent`` evaluate one amplitude formula (``_disc_amplitudes``), and
+``truncation_dim`` sizes both with one tail loop.  The kernel SVD
+``kernel_vector`` builds the spin fiducial, whose finite space makes the
+kernel exact, and is the test oracle for the oscillator one.  Fiducial
+vectors are normalized with their first nonzero amplitude real positive, so
+results are deterministic representatives of the ray.
 
 The discrete series at label k and the weighted Bergman space of ``berezin``
-at weight h share one basis when 2k = 1/h (Perelomov, Generalized Coherent
-States, 1986): its normalizations are the square roots of the coefficients
-(a)_n / n! of (1 - x)^{-a}, with a = 2k = 1/h, computed once here
-(``pochhammer_coeffs``), and both tail estimates use the one geometric bound
-``geometric_tail``.
+at weight h share one basis when 2k = 1/h: its normalizations are the square
+roots of the coefficients (a)_n / n! of (1 - x)^{-a}, with a = 2k = 1/h,
+computed once here (``pochhammer_coeffs``), and both tail estimates use the
+one geometric bound ``geometric_tail``.
 
 Displacements exponentiate skew-Hermitian generators X through one Hermitian
 eigendecomposition -iX = V diag(lam) V+ (``_exp_skew``).  The same spectral
@@ -36,18 +43,17 @@ formula L(X, E) = V (Phi o (V+ E V)) V+, with the divided differences
 Phi_jk = e^{i(lam_j + lam_k)/2} sinc((lam_j - lam_k)/2), exact when
 eigenvalues coincide (Higham, Functions of Matrices, SIAM 2008, sec. 3.2).
 
-The operator and fiducial constructors (``ladder_matrices``,
-``spin_matrices``, ``squeezed_vacuum``, ``su2_squeezed_vacuum``) are cached
-by argument values in bounded LRU caches, filled on first use.  Their arrays
-are read-only, so cached results are shared safely.
+The operator constructors (``ladder_matrices``, ``spin_matrices``) and the
+spin fiducial ``su2_squeezed_vacuum`` are cached in bounded LRU caches,
+filled on first use.  Their arrays are read-only, so cached results are
+shared safely.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -123,22 +129,6 @@ class SpinTriple:
     @property
     def lminus(self) -> np.ndarray:
         return (self.lx - 1j * self.ly) / np.sqrt(2.0)
-
-
-def _cached(fn):
-    """Bounded LRU cache keyed on the argument values with defaults filled
-    in, so positional and keyword spellings of one call share an entry."""
-    bind = inspect.signature(fn).bind
-    cached = lru_cache(maxsize=128)(fn)
-
-    @wraps(fn)
-    def lookup(*args, **kwargs):
-        bound = bind(*args, **kwargs)
-        bound.apply_defaults()
-        return cached(*bound.args)
-
-    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
-    return lookup
 
 
 @lru_cache(maxsize=32)
@@ -281,29 +271,29 @@ def wh_displacement(alpha: complex, N: int, tol: float = 1e-12) -> np.ndarray:
     return _exp_skew(_wh_generator(alpha, N, tol), np.eye(N))[0]
 
 
-@_cached
 def squeezed_vacuum(v: float, N: int) -> StateVector:
-    """Kernel state of the truncated a_v = cosh(v) a + sinh(v) a+.
+    """The squeezed vacuum |0; v>, annihilated by cosh(v) a + sinh(v) a+.
 
-    Computed as the smallest-singular-value vector, so it is self-validating:
-    ``|a_v psi|`` equals the returned state's kernel residual.  Supported only
-    on even number states (parity is conserved by a_v).  The condition-number
-    guard |v| <= 2 keeps the kernel resolvable at desk-scale N.  Cached by
-    argument values.
+    It is the discrete-series coherent state at k = 1/4 and alpha = -tanh v
+    placed on the even number states (see the module notes), so its odd
+    amplitudes vanish and c_0 = 1/sqrt(cosh v) is real positive.  The dropped
+    tail mass is checked against STATE_TOL (TruncationError).  The guard
+    |v| <= 2 is a DomainError.
     """
     if not abs(v) <= 2.0:
         raise DomainError(f"|v| = {abs(v):.2f} exceeds the guard |v| <= 2")
-    lad = ladder_matrices(N)
-    av = np.cosh(v) * lad.a + np.sinh(v) * lad.adag
-    x, _resid = kernel_vector(av)
-    return StateVector(x, fock_tag(), STATE_TOL)
+    if N < 1:
+        raise DimensionTooSmall("need at least one level")
+    c = np.zeros(N, dtype=complex)
+    c[::2] = _disc_amplitudes(-np.tanh(v), 0.25, np.arange((N + 1) // 2))
+    return _tail_checked(c, STATE_TOL, fock_tag(), 0j, "squeezed_fock", v)
 
 
 def wh_squeezed(alpha: complex, v: float, N: int) -> StateVector:
     """Displaced squeezed state D(alpha) |0; v> on N levels.
 
-    |0; v> is the numerical kernel of cosh(v) a + sinh(v) a+ (DomainError
-    for |v| > 2).  For v = 0 this reduces to the coherent state.
+    |0; v> is ``squeezed_vacuum(v, N)`` (DomainError for |v| > 2).  For v = 0
+    this reduces to the coherent state.
     """
     vac = squeezed_vacuum(v, N)
     amps, _ = _exp_skew(_wh_generator(alpha, N, STATE_TOL), vac.amps)
@@ -319,14 +309,13 @@ def su2_tilde_minus(spin: SpinTriple, v: float) -> np.ndarray:
     return np.exp(v) * spin.lx - 1j * np.exp(-v) * spin.ly
 
 
-@_cached
+@lru_cache(maxsize=128)
 def su2_squeezed_vacuum(v: float, j: float) -> StateVector:
     """Kernel state of e^v Lx - i e^{-v} Ly in the spin-j representation.
 
     At v = 0 this is the lowest-weight state.  For v != 0 a kernel exists
     only for integer j: the operator maps the even-m sector onto the smaller
-    odd-m sector.  Half-integer j with v != 0 raises KernelError.  Cached by
-    argument values.
+    odd-m sector.  Half-integer j with v != 0 raises KernelError.  Cached.
     """
     spin = spin_matrices(j)
     x, _resid = kernel_vector(su2_tilde_minus(spin, v))
@@ -374,6 +363,12 @@ def geometric_tail(t: float, r: float) -> float:
     return t / (1.0 - r) if r < 1.0 else np.inf
 
 
+def _disc_amplitudes(alpha: complex, k: float, n) -> np.ndarray:
+    """(1 - |alpha|^2)^k ((2k)_n / n!)^{1/2} alpha^n: the disc coherent state
+    of label k on the levels ``n``."""
+    return (1.0 - abs(alpha) ** 2) ** k * pochhammer_coeffs(2.0 * k, n) * alpha**n
+
+
 def su11_coherent(alpha: complex, k: float, N: int, tol: float = 1e-12) -> StateVector:
     """Disc coherent state of the positive discrete series, k > 1/2.
 
@@ -389,27 +384,26 @@ def su11_coherent(alpha: complex, k: float, N: int, tol: float = 1e-12) -> State
         raise DomainError(f"discrete-series label must satisfy k > 1/2, got {k}")
     if N < 1:
         raise DimensionTooSmall("need at least one level")
-    n = np.arange(N)
-    c = (1.0 - abs(alpha) ** 2) ** k * pochhammer_coeffs(2.0 * k, n) * alpha**n
+    c = _disc_amplitudes(alpha, k, np.arange(N))
     return _tail_checked(c, tol, disc_tag(k), alpha, "discrete_series", k)
 
 
 def truncation_dim(alpha: complex, family: str, param: float = 0.0,
                    eps: float = 1e-12) -> int:
-    """Smallest N whose analytically bounded tail beyond N is below eps.
+    """Smallest N whose tail mass (norm deficit) beyond N is below eps.
 
-    Families:
+    The mass is bounded by ``geometric_tail`` from the term t_n = |c_n|^2 and
+    the term ratios r_n = t_{n+1} / t_n, which tend to a limit r:
 
-    * ``"fock"``: coherent amplitudes; the bound is on tail *mass* (norm
-      deficit), via ``geometric_tail`` t_N / (1 - r_N) once the term ratio
-      r_n = t_{n+1} / t_n = |alpha|^2/(n+1) drops below 1.
-    * ``"discrete_series"`` (param = k): same mass bound with ratio
-      |alpha|^2 (n+2k)/(n+1), decreasing for k > 1/2.
-    * ``"squeezed_fock"`` (param = v): bound on the *amplitude* scale of the
-      kernel-vector tail (|c_{2m}| <= tanh|v|^m), sized so the eigenvalue
-      residual of the kernel state is ~eps, plus the coherent budget for the
-      displacement.  Residuals, not norm deficits, are what truncation harms
-      for kernel states (their SVD vector is normalized exactly).
+    * ``"fock"``: coherent amplitudes, r_n = |alpha|^2 / (n+1), r = 0.
+    * ``"discrete_series"`` (param = k > 0, |alpha| < 1): disc amplitudes,
+      r_n = |alpha|^2 (n+2k)/(n+1), r = |alpha|^2.  For 2k > 1 the ratios
+      fall toward r, so r_n bounds the rest; for 2k < 1 they rise toward r,
+      which bounds them instead.
+    * ``"squeezed_fock"`` (param = v): the squeezed vacuum is the k = 1/4
+      disc state at |alpha| = tanh|v| on the even levels, which need
+      N = 2M for the M disc levels; the coherent budget of the displacement
+      by ``alpha`` is added to that.
     """
     if not eps > 0:
         raise DomainError(f"tail budget eps must be positive, got {eps}")
@@ -419,30 +413,23 @@ def truncation_dim(alpha: complex, family: str, param: float = 0.0,
         raise DomainError(f"alpha = {alpha} is not finite")
 
     if family == "squeezed_fock":
-        v = abs(param)
-        tau = np.tanh(v)
-        n_sq = 2
-        if tau > 0.0:
-            m = 1
-            while np.sinh(v) * np.sqrt(2.0 * m + 2.0) * tau**m >= eps:
-                m += 1
-            n_sq = 2 * m + 2
-        # plus the coherent budget and a margin for displacement spreading
-        return n_sq + truncation_dim(alpha, "fock", eps=eps) + 8
+        return (2 * truncation_dim(np.tanh(abs(param)), "discrete_series", 0.25, eps)
+                + truncation_dim(alpha, "fock", eps=eps))
     if family == "fock":
-        t, ratio = np.exp(-x), lambda n: x / (n + 1)
+        t, ratio, limit = np.exp(-x), lambda n: x / (n + 1), 0.0
     elif family == "discrete_series":
         k = param
-        if k <= 0.5:
-            raise DomainError(f"need k > 1/2, got {k}")
+        if not k > 0:
+            raise DomainError(f"need k > 0, got {k}")
         if x >= 1.0:
             raise DomainError("discrete-series states require |alpha| < 1")
-        t, ratio = (1.0 - x) ** (2.0 * k), lambda n: x * (n + 2.0 * k) / (n + 1)
+        t, ratio, limit = ((1.0 - x) ** (2.0 * k),
+                           lambda n: x * (n + 2.0 * k) / (n + 1), x)
     else:
         raise DomainError(f"unknown family {family!r}")
     if x == 0.0:
         return 1
     for n in itertools.count(1):
         t *= ratio(n - 1)  # the term of level n
-        if t == 0.0 or geometric_tail(t, ratio(n)) < eps:
+        if t == 0.0 or geometric_tail(t, max(ratio(n), limit)) < eps:
             return n

@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cohgeom
-from cohgeom import cli
+from cohgeom import cli, spin_matrices, su2_tilde_minus
 from cohgeom.cli import main
 
 
@@ -159,6 +160,22 @@ def test_uncertainty_subcommand(tmp_path):
     assert code == 0
 
 
+def test_uncertainty_defaults_hold_displaced_squeezed_states():
+    assert run_cli(["uncertainty", "--alphas", "1,1j,0.5+0.5j"]) == 0
+
+
+def test_uncertainty_summary_shows_the_failing_residual(tmp_path):
+    # at N = 64 the displaced squeezed state at alpha = i is truncated: its
+    # matched residual misses the 1e-9 gate and is the summary's max_dev
+    out = tmp_path / "u.json"
+    assert run_cli(["uncertainty", "--alphas", "1j", "--N", "64",
+                    "--format", "json", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    worst = max(row["resid_matched"] for row in doc["rows"])
+    assert worst > 1e-9
+    assert doc["summary"]["max_dev"] == worst
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cohgeom.cli", "pullback", "--family", "wh",
@@ -231,6 +248,9 @@ def test_pullback_nan_squeeze_raises_domain_error(capsys):
      "cohgeom: DomainError: no grid point"),
     (["sut", "dirac", "--grid", "t:-2..-1:3", "s:-1..1:3"],
      "cohgeom: DomainError: prequantization chart requires t > 0"),
+    (["pullback", "--family", "su11", "--param", "1", "--squeeze", "0,0.5",
+      "--grid", "2x2", "--base-max", "0.5"],
+     "cohgeom: DomainError: the su11 family has no squeezing"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_error_exit_two_one_line(argv, message, capsys):
@@ -262,29 +282,54 @@ def test_error_in_subprocess_has_no_traceback():
     assert len(proc.stderr.splitlines()) == 1
 
 
-def test_report_all_one_kernel_svd_per_operator(monkeypatch, capsys):
-    # every kernel SVD of a report-all run is of a distinct operator, and
-    # there is one per cached (v, N) or (v, j) fiducial
-    import numpy as np
-
+def _recorded_svds(monkeypatch) -> list:
+    """Empty every constructor cache and the form cache, then record every
+    matrix handed to np.linalg.svd."""
     from cohgeom import pullback, states
 
-    for cache in (states.squeezed_vacuum, states.su2_squeezed_vacuum,
-                  pullback._pullback_matrix):
-        cache.cache_clear()
+    for fn in vars(states).values():
+        getattr(fn, "cache_clear", lambda: None)()
+    pullback._pullback_matrix.cache_clear()
     seen = []
     svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda M, *a, **k: seen.append(M) or svd(M, *a, **k))
+    return seen
 
-    def counting_svd(M, *args, **kwargs):
-        seen.append((M.shape, M.tobytes()))
-        return svd(M, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+def _spin_cases(seen, cases) -> list:
+    """The (v, j) of the spin operator e^v Lx - i e^{-v} Ly that each recorded
+    matrix is; fails on any other matrix, an oscillator operator included."""
+    ops = {(v, j): su2_tilde_minus(spin_matrices(j), v) for (v, j) in cases}
+    found = []
+    for M in seen:
+        match = [key for key, op in ops.items()
+                 if op.shape == M.shape and np.array_equal(op, M)]
+        assert match, f"SVD of a {M.shape} matrix that is no spin operator"
+        found.append(match[0])
+    return found
+
+
+def test_report_all_svds_only_spin_fiducials(monkeypatch, capsys):
+    # the squeezed vacuum is built in closed form: the only kernel SVDs are
+    # of spin operators, one per distinct (v, j)
+    seen = _recorded_svds(monkeypatch)
     assert run_cli(["report-all"]) == 0
     capsys.readouterr()
-    fiducials = (states.squeezed_vacuum.cache_info().currsize
-                 + states.su2_squeezed_vacuum.cache_info().currsize)
-    assert len(seen) == len(set(seen)) == fiducials >= 10
+    cases = {(v, j) for (j, v) in cli.SU2_CASES}
+    assert sorted(_spin_cases(seen, cases)) == sorted(cases)
+
+
+def test_pullback_sweep_svds_no_oscillator_operator(monkeypatch):
+    sweep = _bench_module("workloads").WORKLOADS["pullback-sweep"]
+    ops = sweep.plan(1)
+    spins = [op[1] for op in ops if op[1].family == "su2"]
+    cases = {(f.v, f.param) for f in spins} | {(0.0, f.param) for f in spins}
+    seen = _recorded_svds(monkeypatch)
+    results = sweep.run(ops)
+    assert not [r for r in results if isinstance(r, cohgeom.CohgeomError)]
+    found = _spin_cases(seen, cases)
+    assert seen and len(found) == len(set(found))
 
 
 def _bench_module(name: str):

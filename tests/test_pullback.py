@@ -411,6 +411,13 @@ def test_non_positive_budget_rejected():
             StateFamily("su2", param=1.0, eps=eps)
 
 
+def test_unknown_family_and_disc_squeezing_rejected():
+    with pytest.raises(DomainError):
+        StateFamily("nosuch")
+    with pytest.raises(DomainError):
+        StateFamily("su11", v=0.5, param=1.0)
+
+
 def test_squeezed_families():
     assert not WH.squeezed and not SU11_K1.squeezed
     assert StateFamily("wh", v=-0.5).squeezed and SU2_J1.squeezed

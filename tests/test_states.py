@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohgeom import (
@@ -226,8 +226,12 @@ def test_squeezed_guard_rejects_huge_v():
 
 
 def test_kernel_error_when_no_kernel():
-    # v = 2 at small N: smallest singular value is O(1)
+    # v = 2 at N = 32: the truncated operator's smallest singular value is
+    # O(1), and the closed-form squeezed vacuum drops a tail mass of 0.13
+    lad = ladder_matrices(32)
     with pytest.raises(KernelError):
+        kernel_vector(np.cosh(2.0) * lad.a + np.sinh(2.0) * lad.adag)
+    with pytest.raises(TruncationError):
         squeezed_vacuum(2.0, 32)
 
 
@@ -374,6 +378,9 @@ def test_truncation_dim_rejects_bad_budget_and_family():
             truncation_dim(0.5, "fock", eps=eps)
     with pytest.raises(DomainError):
         truncation_dim(0.5, "nosuch")
+    for k in (0.0, -0.25):
+        with pytest.raises(DomainError):
+            truncation_dim(0.5, "discrete_series", k)
 
 
 def test_geometric_tail():
@@ -402,13 +409,38 @@ def test_pochhammer_coeffs_match_scipy_poch(a, n):
         pochhammer_coeffs(a, n, 1.0)
 
 
+def _disc_tail(r: float, k: float, n: int) -> float:
+    """Mass of the label-k disc state at |alpha| = r beyond level n, summed
+    term by term from log-gamma (the terms past n + 4000 are negligible for
+    r <= 0.95 and 2k <= 6)."""
+    from math import lgamma, log, log1p
+
+    x = r * r
+    head = 2 * k * log1p(-x) - lgamma(2 * k)
+    return sum(np.exp(head + lgamma(m + 2 * k) - lgamma(m + 1) + m * log(x))
+               for m in range(n, n + 4000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 3.0, exclude_min=True), st.floats(0.01, 0.95),
+       st.sampled_from([1e-8, 1e-12, 1e-15]))
+@example(0.01, 0.89, 1e-8)
+@example(0.1, 0.905, 1e-8)
+def test_truncation_dim_disc_tail_below_eps(k, r, eps):
+    # for 2k < 1 the term ratios rise toward r^2, for 2k > 1 they fall to it;
+    # at the two examples a bound from the current ratio alone undershoots
+    n = truncation_dim(r, "discrete_series", k, eps)
+    assert _disc_tail(r, k, n) <= eps
+
+
 def test_truncation_dim_monotone_in_eps():
     assert (truncation_dim(1.0, "fock", eps=1e-16)
             >= truncation_dim(1.0, "fock", eps=1e-8))
 
 
 def test_truncation_dim_squeezed_supports_kernel():
-    n = truncation_dim(0.0, "squeezed_fock", 0.5, eps=1e-10)
+    # eps bounds the tail mass, so 1e-20 is the amplitude scale 1e-10
+    n = truncation_dim(0.0, "squeezed_fock", 0.5, eps=1e-20)
     vac = squeezed_vacuum(0.5, n)
     lad = ladder_matrices(n)
     at = np.cosh(0.5) * lad.a + np.sinh(0.5) * lad.adag
@@ -471,16 +503,13 @@ def test_exp_skew_coincident_eigenvalues():
 
 
 # ---------------------------------------------------------------------------
-# constructor caches and the closed-form squeezed vacuum
+# constructor caches, and the squeezed vacuum against two oracles
 
 def test_cached_operator_arrays_are_read_only():
     lad = ladder_matrices(8)
     spin = spin_matrices(2.0)
     vac = squeezed_vacuum(0.5, 60)
     assert ladder_matrices(8) is lad and spin_matrices(2.0) is spin
-    # one entry however the call is spelled
-    assert squeezed_vacuum(N=60, v=0.5) is vac
-    assert squeezed_vacuum(0.5, N=60) is vac
     for arr in (lad.a, lad.adag, spin.lx, spin.ly, spin.lz, vac.amps):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -499,6 +528,15 @@ def test_squeezed_vacuum_matches_closed_form(v):
         closed[2 * m] = (-tanh(v)) ** m * np.exp(
             0.5 * lgamma(2 * m + 1) - m * log(2.0) - lgamma(m + 1) - 0.5 * log(cosh(v)))
     assert np.max(np.abs(squeezed_vacuum(v, N).amps - closed)) < 1e-10
+
+
+@pytest.mark.parametrize("v", [0.5, -0.5, 1.0, -1.0])
+def test_squeezed_vacuum_matches_kernel_oracle(v):
+    # the SVD kernel of the truncated a_v shares no code with the disc formula
+    N = truncation_dim(0, "squeezed_fock", v, 1e-15)
+    lad = ladder_matrices(N)
+    x, _ = kernel_vector(np.cosh(v) * lad.a + np.sinh(v) * lad.adag)
+    assert np.max(np.abs(x - squeezed_vacuum(v, N).amps)) < 1e-12
 
 
 def test_non_finite_alpha_rejected():
