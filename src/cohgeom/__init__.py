@@ -66,6 +66,7 @@ from .pullback import (
     numeric_tangent,
     pullback_form,
     pullback_matrix,
+    reference_matrix,
     squeeze_prefactor,
 )
 from .uncertainty import (

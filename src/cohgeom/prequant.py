@@ -41,6 +41,8 @@ from .errors import DomainError
 from .sut import OrbitPoint
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+KAPPA, SIGMA = 1.0, 0.7  # the test fields e^{i kappa s} and e^{sigma a}
+FD_STEP = 1e-5  # central-difference step of flows (in tau) and potentials (in t)
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,8 @@ def _const(c):
     return lambda a, s: c
 
 
-def standard_fields(kappa: float = 1.0, sigma: float = 0.7) -> dict[str, PrequantField]:
-    """The test basis {1, s, t, e^{i kappa s}, e^{sigma a}} with exact jets."""
+def standard_fields() -> dict[str, PrequantField]:
+    """The test basis {1, s, t, e^{i KAPPA s}, e^{SIGMA a}} with exact jets."""
     one = PrequantField(_const(1.0), _const(0.0), _const(0.0),
                         _const(0.0), _const(0.0), _const(0.0))
     coord_s = PrequantField(lambda a, s: s, _const(0.0), _const(1.0),
@@ -76,23 +78,23 @@ def standard_fields(kappa: float = 1.0, sigma: float = 0.7) -> dict[str, Prequan
                             _const(0.0), lambda a, s: np.exp(a),
                             _const(0.0), _const(0.0))
     osc = PrequantField(
-        lambda a, s: np.exp(1j * kappa * s),
+        lambda a, s: np.exp(1j * KAPPA * s),
         _const(0.0),
-        lambda a, s: 1j * kappa * np.exp(1j * kappa * s),
+        lambda a, s: 1j * KAPPA * np.exp(1j * KAPPA * s),
         _const(0.0),
         _const(0.0),
-        lambda a, s: -(kappa**2) * np.exp(1j * kappa * s),
+        lambda a, s: -(KAPPA**2) * np.exp(1j * KAPPA * s),
     )
     grow = PrequantField(
-        lambda a, s: np.exp(sigma * a),
-        lambda a, s: sigma * np.exp(sigma * a),
+        lambda a, s: np.exp(SIGMA * a),
+        lambda a, s: SIGMA * np.exp(SIGMA * a),
         _const(0.0),
-        lambda a, s: sigma**2 * np.exp(sigma * a),
+        lambda a, s: SIGMA**2 * np.exp(SIGMA * a),
         _const(0.0),
         _const(0.0),
     )
     return {"1": one, "s": coord_s, "t": coord_t,
-            f"e^(i{kappa}s)": osc, f"e^({sigma}a)": grow}
+            f"e^(i{KAPPA}s)": osc, f"e^({SIGMA}a)": grow}
 
 
 def _coords(P: OrbitPoint) -> tuple[float, float]:
@@ -133,15 +135,15 @@ def flow_apply(i: int, tau: float, psi: PrequantField, P: OrbitPoint,
 
 
 def flow_generator_residual(i: int, psi: PrequantField, P: OrbitPoint,
-                            hbar: float = 1.0, dtau: float = 1e-5,
-                            variant: str = "stated") -> float:
-    """|d/dtau flow(tau)|_0 - Q_i psi| by central difference in tau.
+                            hbar: float = 1.0, variant: str = "stated") -> float:
+    """|d/dtau flow(tau)|_0 - Q_i psi| by central difference in tau, with
+    step FD_STEP.
 
-    Vanishes to O(dtau^2) for i = 1; for i = 2 with the stated flow it
+    Vanishes to O(FD_STEP^2) for i = 1; for i = 2 with the stated flow it
     equals |s psi(P)|, exposing the factor-2 gap on the multiplication term.
     """
-    num = (flow_apply(i, dtau, psi, P, hbar, variant)
-           - flow_apply(i, -dtau, psi, P, hbar, variant)) / (2.0 * dtau)
+    num = (flow_apply(i, FD_STEP, psi, P, hbar, variant)
+           - flow_apply(i, -FD_STEP, psi, P, hbar, variant)) / (2.0 * FD_STEP)
     return abs(num - prequantum_apply(i, psi, P, hbar))
 
 
@@ -226,8 +228,9 @@ def dirac_residual(t_values, s_values, hbar: float = 1.0) -> DiracReport:
     return DiracReport(residuals, best_pair, residuals[best_pair], defect_dev)
 
 
-def potential_residual(t_values, variant: str = "log", h: float = 1e-5) -> float:
-    """Max |d theta - omega| coefficient over t, by finite differences.
+def potential_residual(t_values, variant: str = "log") -> float:
+    """Max |d theta - omega| coefficient over t, by central differences
+    with step FD_STEP.
 
     theta = -log(t) ds gives d theta = (1/t) ds ^ dt = omega for all t > 0.
     The ``variant="abs_log"`` potential -|log t| ds fails for t < 1 (residual
@@ -244,6 +247,6 @@ def potential_residual(t_values, variant: str = "log", h: float = 1e-5) -> float
         else:
             raise ValueError(f"unknown variant {variant!r}")
         # d theta = -(d theta_s / dt) ds ^ dt; omega coefficient is 1/t
-        coeff = -(theta_s(t + h) - theta_s(t - h)) / (2.0 * h)
+        coeff = -(theta_s(t + FD_STEP) - theta_s(t - FD_STEP)) / (2.0 * FD_STEP)
         worst = max(worst, abs(coeff - 1.0 / t))
     return worst

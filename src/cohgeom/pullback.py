@@ -10,32 +10,32 @@ has the induced metric as its real part and the induced symplectic form as
 its imaginary part.  Tangents are R-linear in u, so H is fixed at each base
 point by the 2x2 matrix H(e_a, e_b) over the directions e = (1, i);
 ``pullback_matrix`` computes it once per (family, base) and caches it, and
-``pullback_form`` and ``kahler_verdict`` contract it.  For the squeezed
+``pullback_form`` and ``kahler_verdict`` read it.  For the squeezed
 oscillator and spin families the state D(base)|0;v> and both tangents come
 from one eigendecomposition of the displacement generator (the Daleckii-Krein
 Frechet derivative, see ``states``); the fiducial state is the closed-form
 squeezed vacuum or the spin kernel state of ``states``.
 
 Slot convention (fixed once, used everywhere): the FIRST tangent argument u
-sits in the conjugated slot.  Closed forms below are written in that
-convention; where the source material orders the slots the other way the
-value is the complex conjugate, and ``closed_form(..., variant="printed")``
-exposes that reading so the discrepancy is observable rather than silent.
+sits in the conjugated slot.  The closed form is one matrix in the basis of
+``pullback_matrix``, ``reference_matrix``:
 
-Closed forms at squeeze parameter v (u = u1 + i u2, w = w1 + i w2):
+    s [[e^{2v}, i], [-i, e^{-2v}]],
 
-* oscillator, v = 0, any base:     conj(u) w
-* oscillator, v != 0, base 0:      (u1 w1 e^{2v} + u2 w2 e^{-2v})
-                                     + i (u1 w2 - u2 w1)
-* spin-j, base 0:                  prefactor * [same bracket as above],
-                                   prefactor = -<0;v| Lz |0;v>
-* discrete series k, |base| < 1:   2k conj(u) w / (1 - |base|^2)^2
+with s = 1 for the oscillator, s = -<0;v| Lz |0;v> for spin (j at v = 0)
+and s = 2k / (1 - |base|^2)^2 for the discrete series (v = 0).  At v = 0 it
+is s conj(u) w, a Kahler form; for v != 0 the symplectic part is unchanged
+and the metric turns anisotropic.  Squeezed families (oscillator v != 0, and
+spin) are claimed at the origin only.  The finite-difference oracle
+(``numeric_tangent``) confirms the exponent orientation for both squeezed
+families.
 
-The spin bracket shares the oscillator's exponent orientation: both families
-are derived from the same Bogoliubov identity, and the finite-difference
-oracle (``numeric_tangent``) confirms it.  The "printed" spin variant with
-e^{-2v} on the (1,1) component corresponds to relabelling v -> -v and is kept
-only for reporting.
+Where the source material orders the slots the other way the value is the
+complex conjugate; ``closed_form(..., variant="printed")`` exposes that
+reading for the squeezed families so the discrepancy is observable rather
+than silent.  It is the conjugate of the reference for the oscillator, and
+of the v -> -v reference for spin, whose printed bracket carries e^{-2v} on
+the (1, 1) entry.
 """
 
 from __future__ import annotations
@@ -61,16 +61,18 @@ from .states import (
     _su2_generator,
     _wh_generator,
     spin_matrices,
-    su2_state,
+    squeezed_vacuum,
+    su2_squeezed_vacuum,
     su11_coherent,
     truncation_dim,
     wh_coherent,
-    wh_squeezed,
 )
 
 FAMILIES = ("wh", "su2", "su11")
 
 DEFAULT_PAIRS = ((1 + 0j, 1 + 0j), (1 + 0j, 1j), (1j, 1j))
+# the entries (0, 0), (0, 1), (1, 1) of a 2x2 form: its values on DEFAULT_PAIRS
+PAIR_ENTRIES = ([0, 0, 1], [0, 1, 1])
 
 
 @dataclass(frozen=True)
@@ -144,15 +146,7 @@ def _base_point(base) -> complex:
 
 def family_state(fam: StateFamily, base: complex) -> StateVector:
     """The family member at the given base point."""
-    base = _base_point(base)
-    N = fam.dim(base)
-    if fam.family == "wh":
-        if fam.v == 0.0:
-            return wh_coherent(base, N, fam.eps)
-        return wh_squeezed(base, fam.v, N)
-    if fam.family == "su2":
-        return su2_state(base, fam.v, fam.param)
-    return su11_coherent(base, fam.param, N, fam.eps)
+    return _frame(fam, _base_point(base), ())[0]
 
 
 def _frame(fam: StateFamily, base: complex,
@@ -182,11 +176,11 @@ def _frame(fam: StateFamily, base: complex,
         return psi, [StateVector(u * deriv - np.real(rate * u) * psi.amps,
                                  psi.basis, psi.tol) for u in directions]
     if fam.family == "wh":
-        vac = wh_squeezed(0j, fam.v, N)
+        vac = squeezed_vacuum(fam.v, N)
         X = _wh_generator(base, N, vac.tol)
         Xdots = [_wh_generator(u, N) for u in directions]
     else:
-        vac = su2_state(0j, fam.v, fam.param)
+        vac = su2_squeezed_vacuum(fam.v, fam.param)
         X = _su2_generator(base, fam.param)
         Xdots = [_su2_generator(u, fam.param) for u in directions]
     amps, tangents = _exp_skew(X, vac.amps, *Xdots)
@@ -222,67 +216,58 @@ def numeric_tangent(fam: StateFamily, t: TangentSpec, h: float) -> StateVector:
 
 
 def squeeze_prefactor(fam: StateFamily) -> float:
-    """Overall constant of the family's closed form.
+    """The v-dependent scale of the family's closed form.
 
-    1 for the oscillator and disc families; -<0;v| Lz |0;v> for spin (equal
-    to j at v = 0).
+    -<0;v| Lz |0;v> for spin (equal to j at v = 0); 1 for the oscillator and
+    disc families, whose ``reference_matrix`` scale does not depend on v.
     """
     if fam.family != "su2":
         return 1.0
-    vac = su2_state(0j, fam.v, fam.param)
+    vac = su2_squeezed_vacuum(fam.v, fam.param)
     lz = spin_matrices(fam.param).lz
     return float(-np.real(np.vdot(vac.amps, lz @ vac.amps)))
 
 
-def _squeeze_bracket(v: float, u: complex, w: complex, variant: str) -> complex:
-    u1, u2, w1, w2 = u.real, u.imag, w.real, w.imag
-    if variant == "consistent":
-        return ((u1 * w1 * np.exp(2 * v) + u2 * w2 * np.exp(-2 * v))
-                + 1j * (u1 * w2 - u2 * w1))
-    if variant == "printed_wh":
-        # slot reading (u = prime, w = dot) of the printed oscillator formula
-        return ((u1 * w1 * np.exp(2 * v) + u2 * w2 * np.exp(-2 * v))
-                + 1j * (w1 * u2 - w2 * u1))
-    if variant == "printed_su2":
-        # printed spin bracket: exponents mirrored, imaginary part as above
-        return ((u1 * w1 * np.exp(-2 * v) + u2 * w2 * np.exp(2 * v))
-                + 1j * (u2 * w1 - u1 * w2))
-    raise ValueError(f"unknown variant {variant!r}")
+def reference_matrix(fam: StateFamily, base: complex) -> np.ndarray:
+    """The closed form as a 2x2 matrix in ``pullback_matrix``'s basis.
+
+    s [[e^{2v}, i], [-i, e^{-2v}]] with s = 1 (oscillator),
+    ``squeeze_prefactor`` (spin) or 2k / (1 - |base|^2)^2 (discrete series).
+    Squeezed families are referenced at the origin only: elsewhere
+    UnsupportedBasePoint is raised and callers report the computed value
+    with no claim.  DomainError for a disc base point with |base| >= 1.
+    """
+    base = _base_point(base)
+    B = np.array([[np.exp(2 * fam.v), 1j], [-1j, np.exp(-2 * fam.v)]])
+    if fam.family == "su11":
+        if abs(base) >= 1.0:
+            raise DomainError("disc base point must satisfy |alpha| < 1")
+        return 2.0 * fam.param * B / (1.0 - abs(base) ** 2) ** 2
+    if fam.squeezed and base != 0:
+        raise UnsupportedBasePoint("squeezed reference available at 0 only")
+    return squeeze_prefactor(fam) * B
 
 
 def closed_form(fam: StateFamily, base: complex, u: complex, w: complex,
                 variant: str = "consistent") -> complex:
-    """Closed-form reference for the pullback at ``base``.
+    """Closed-form reference H(u, w) at ``base``: ``reference_matrix``
+    contracted with the real components of u and w.
 
     ``variant="consistent"`` (default) is the oracle-validated form in this
-    module's slot convention.  ``variant="printed"`` evaluates the bracket
-    exactly as printed in the source derivations under the identification
-    (u = prime slot, w = dot slot); for the squeezed families it differs by a
-    conjugation (oscillator) or a v sign flip plus conjugation (spin), and is
-    provided so reports can quantify the difference.
-
-    Squeezed families (oscillator v != 0, and spin) are referenced at the
-    origin only; elsewhere UnsupportedBasePoint is raised and callers report
-    the computed value with no claim.
+    module's slot convention.  ``variant="printed"`` evaluates the squeezed
+    bracket as printed in the source derivations under the identification
+    (u = prime slot, w = dot slot): the conjugate for the squeezed
+    oscillator, and the conjugate of the v -> -v reference for spin; it
+    equals the consistent value for the other families.  Any other variant
+    is a DomainError.
     """
-    base, u, w = complex(base), complex(u), complex(w)
-    if fam.family == "wh":
-        if fam.v == 0.0:
-            return np.conj(u) * w
-        if base != 0:
-            raise UnsupportedBasePoint("squeezed reference available at 0 only")
-        key = "consistent" if variant == "consistent" else "printed_wh"
-        return _squeeze_bracket(fam.v, u, w, key)
+    if variant not in ("consistent", "printed"):
+        raise DomainError(f"unknown closed-form variant {variant!r}")
+    if variant == "consistent" or not fam.squeezed:
+        return _contract(reference_matrix(fam, base), u, w)
     if fam.family == "su2":
-        if base != 0:
-            raise UnsupportedBasePoint("spin reference available at 0 only")
-        key = "consistent" if variant == "consistent" else "printed_su2"
-        return squeeze_prefactor(fam) * _squeeze_bracket(fam.v, u, w, key)
-    # discrete series
-    if abs(base) >= 1.0:
-        raise DomainError("disc base point must satisfy |alpha| < 1")
-    k = fam.param
-    return 2.0 * k * np.conj(u) * w / (1.0 - abs(base) ** 2) ** 2
+        fam = replace(fam, v=-fam.v)
+    return np.conj(_contract(reference_matrix(fam, base), u, w))
 
 
 def pullback_matrix(fam: StateFamily, base: complex) -> np.ndarray:
@@ -305,6 +290,12 @@ def _pullback_matrix(fam: StateFamily, base: complex) -> np.ndarray:
     G = P.conj() @ P.T
     G.setflags(write=False)
     return G
+
+
+def form_dev(A: np.ndarray, B: np.ndarray) -> float:
+    """Largest |A - B| over ``PAIR_ENTRIES``: how far two 2x2 forms differ
+    on DEFAULT_PAIRS."""
+    return float(np.max(np.abs((A - B)[PAIR_ENTRIES])))
 
 
 def _contract(G: np.ndarray, u: complex, w: complex) -> complex:
@@ -333,17 +324,20 @@ class KahlerVerdict:
     is_kahler: bool
     is_symplectic: bool
     max_dev: float
+    symplectic_dev: float
 
 
 def kahler_verdict(fam: StateFamily, bases=None,
                    tol: float = 1e-8) -> KahlerVerdict:
     """Decide whether the family embeds symplectically and/or Kahler-ly.
 
-    ``is_symplectic``: the imaginary part matches the v = 0 symplectic
-    reference on every sample (after dividing out the family's overall
-    constant, which for spin depends on v).  ``is_kahler``: the full complex
-    value matches the v = 0 closed form, i.e. metric and symplectic parts are
-    mutually compatible.  ``max_dev`` is the worst full-value deviation.
+    Each sample compares ``pullback_matrix`` with the v = 0
+    ``reference_matrix`` by ``form_dev``, after dividing out
+    the family's overall constant, which for spin depends on v.
+    ``symplectic_dev`` is the worst imaginary-part deviation, which
+    ``is_symplectic`` gates; ``max_dev`` is the worst full-value deviation,
+    which ``is_kahler`` gates: metric and symplectic parts are then mutually
+    compatible.
     """
     if fam.squeezed:
         bases = [0j]
@@ -355,12 +349,10 @@ def kahler_verdict(fam: StateFamily, bases=None,
     dev_full = 0.0
     dev_sympl = 0.0
     for base in bases:
-        G = pullback_matrix(fam, base)
-        for (u, w) in DEFAULT_PAIRS:
-            val = _contract(G, u, w) / n_v
-            ref0 = closed_form(fam0, base, u, w) / n_0
-            dev_full = max(dev_full, abs(val - ref0))
-            dev_sympl = max(dev_sympl, abs(val.imag - ref0.imag))
+        G = pullback_matrix(fam, base) / n_v
+        R = reference_matrix(fam0, base) / n_0
+        dev_full = max(dev_full, form_dev(G, R))
+        dev_sympl = max(dev_sympl, form_dev(G.imag, R.imag))
     return KahlerVerdict(is_kahler=dev_full < tol,
                          is_symplectic=dev_sympl < tol,
-                         max_dev=dev_full)
+                         max_dev=dev_full, symplectic_dev=dev_sympl)

@@ -88,7 +88,7 @@ __all__ = [
 ]
 
 KERNEL_RTOL = 1e-8  # smallest singular value relative to the largest
-STATE_TOL = 1e-12   # declared tail budget of the squeezed oscillator states
+STATE_TOL = 1e-12   # declared tail budget of the squeezed states and displacements
 
 
 @dataclass(frozen=True)
@@ -260,15 +260,15 @@ def _wh_generator(alpha: complex, N: int, tol: float = 0.0) -> np.ndarray:
     return alpha * lad.adag - np.conj(alpha) * lad.a
 
 
-def wh_displacement(alpha: complex, N: int, tol: float = 1e-12) -> np.ndarray:
+def wh_displacement(alpha: complex, N: int) -> np.ndarray:
     """Displacement unitary exp(alpha a+ - conj(alpha) a) on N levels.
 
     Exactly unitary (exponential of a skew-Hermitian matrix, taken through
     its eigendecomposition); agrees with the true displacement on the
     well-truncated block.  TruncationError if N is below the coherent tail
-    budget for this alpha.
+    budget STATE_TOL for this alpha.
     """
-    return _exp_skew(_wh_generator(alpha, N, tol), np.eye(N))[0]
+    return _exp_skew(_wh_generator(alpha, N, STATE_TOL), np.eye(N))[0]
 
 
 def squeezed_vacuum(v: float, N: int) -> StateVector:

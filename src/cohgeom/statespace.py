@@ -103,11 +103,11 @@ def _require_normalized(psi: StateVector, who: str):
         )
 
 
-def basis_state(dim: int, index: int, basis: BasisTag, tol: float = 1e-12) -> StateVector:
+def basis_state(dim: int, index: int, basis: BasisTag) -> StateVector:
     """Return the basis vector e_index of the given space."""
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
-    return StateVector(amps, basis, tol)
+    return StateVector(amps, basis)
 
 
 def inner(u: StateVector, v: StateVector) -> complex:
@@ -151,16 +151,15 @@ def pullback_hermitian(psi: StateVector, a: StateVector, b: StateVector) -> comp
 
 @dataclass(frozen=True)
 class PullbackReport:
-    """Value of the projected Hermitian form split into metric (real) and
-    symplectic (imaginary) parts, with an optional closed-form reference.
+    """Value of the projected Hermitian form, whose real part is the metric
+    and whose imaginary part the symplectic form, with an optional
+    closed-form reference.
 
     ``reference`` is None when no closed-form value is claimed at the base
     point; ``abs_deviation`` is then None as well.
     """
 
     value: complex
-    metric_part: float
-    symplectic_part: float
     reference: complex | None
     abs_deviation: float | None
 
@@ -168,4 +167,4 @@ class PullbackReport:
     def from_value(cls, value: complex, reference: complex | None = None) -> "PullbackReport":
         value = complex(value)
         dev = None if reference is None else abs(value - complex(reference))
-        return cls(value, value.real, value.imag, reference, dev)
+        return cls(value, reference, dev)

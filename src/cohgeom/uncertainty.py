@@ -57,7 +57,6 @@ class MomentReport:
     beta: float
     c_plus: float
     c_minus: float
-    hbar: float
 
     @property
     def delta_a(self) -> float:
@@ -93,8 +92,7 @@ def _check_state(psi: StateVector, dim: int):
             f"state norm deficit {abs(psi.norm**2 - 1):.3e} exceeds budget")
 
 
-def moments(A: np.ndarray, B: np.ndarray, psi: StateVector,
-            hbar: float = 1.0) -> MomentReport:
+def moments(A: np.ndarray, B: np.ndarray, psi: StateVector) -> MomentReport:
     """Means, centred variances and the two correlators C+, C-.
 
     C- = i <[At, Bt]> = i <[A, B]> is real for Hermitian inputs; for the
@@ -113,18 +111,17 @@ def moments(A: np.ndarray, B: np.ndarray, psi: StateVector,
     beta = float(np.real(np.vdot(Bx, Bx)))
     c_plus = float(2.0 * np.real(np.vdot(Ax, Bx)))
     c_minus = float(np.real(1j * (np.vdot(Ax, Bx) - np.vdot(Bx, Ax))))
-    return MomentReport(a, b, alpha, beta, c_plus, c_minus, hbar)
+    return MomentReport(a, b, alpha, beta, c_plus, c_minus)
 
 
-def rs_report(A: np.ndarray, B: np.ndarray, psi: StateVector,
-              hbar: float = 1.0) -> RsReport:
+def rs_report(A: np.ndarray, B: np.ndarray, psi: StateVector) -> RsReport:
     """Check the three uncertainty inequalities and return the tight slack.
 
     ``slack_rs`` is dA dB - sqrt(C+^2 + C-^2)/2; the strongest inequality
     requires it to be >= 0 up to SLACK_TOL, and it vanishes exactly on
     coherent and squeezed states.
     """
-    m = moments(A, B, psi, hbar)
+    m = moments(A, B, psi)
     prod = m.delta_a * m.delta_b
     bound_c = abs(m.c_minus) / 2.0
     bound_a = abs(m.c_plus) / 2.0

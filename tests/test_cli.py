@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +127,45 @@ def test_sut_subcommands(tmp_path):
                         "--format", "json", "--out", str(out)])
         assert code == 0, name
         assert json.loads(out.read_text())["summary"]["pass"] is True
+
+
+def test_sut_flow_summary_is_the_worst_gated_residual(tmp_path):
+    out = tmp_path / "f.json"
+    for tol, code in ((1e-6, 0), (1e-12, 1)):
+        assert run_cli(["sut", "flow", "--tol", str(tol), "--format", "json",
+                        "--out", str(out)]) == code
+        doc = json.loads(out.read_text())
+        worst = max(max(r["resid_flow1"], r["resid_flow2_generator"],
+                        abs(r["resid_flow2_stated"] - r["expected_defect"]))
+                    for r in doc["rows"])
+        assert doc["summary"]["max_dev"] == pytest.approx(worst, rel=1e-11)
+        assert 0 < worst < 1e-6
+
+
+def test_sut_dirac_summary_is_the_worst_gated_residual(tmp_path):
+    out = tmp_path / "d.json"
+    assert run_cli(["sut", "dirac", "--grid", "t:0.5..4:3", "s:-2..2:3",
+                    "--format", "json", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["max_dev"] == max(summary["defect_dev"],
+                                     summary["grid_stability"],
+                                     summary["potential_residual_log"])
+    assert summary["max_dev"] > summary["defect_dev"]
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``cohgeom ...`` line of the README's fenced blocks, as argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [shlex.split(line)[1:] for block in text.split("```")[1::2]
+            for line in block.splitlines() if line.startswith("cohgeom ")]
+
+
+def test_readme_commands_exit_zero(capsys):
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_berezin_subcommands(tmp_path):

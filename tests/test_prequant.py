@@ -76,7 +76,7 @@ def test_flow_one_generates_operator_one():
     # d/dtau at 0 of the first flow reproduces Q1 on every test field
     P = OrbitPoint(0.8, 1.6)
     for psi in FIELDS.values():
-        assert flow_generator_residual(1, psi, P, dtau=1e-5) < 1e-6
+        assert flow_generator_residual(1, psi, P) < 1e-6
 
 
 def test_flow_two_defect_detected_not_masked():

@@ -20,12 +20,16 @@ from cohgeom import (
     pullback_form,
     pullback_hermitian,
     pullback_matrix,
+    reference_matrix,
     spin_matrices,
     squeeze_prefactor,
     su2_squeezed_vacuum,
+    su2_state,
+    wh_squeezed,
 )
 from cohgeom import cli
 from cohgeom import pullback as pullback_module
+from cohgeom.pullback import PAIR_ENTRIES
 
 PAIRS = ((1 + 0j, 1 + 0j), (1 + 0j, 1j), (1j, 1j))
 
@@ -60,6 +64,16 @@ def test_zero_direction_gives_zero_tangent():
         assert np.max(np.abs(t.amps)) == 0
         n = numeric_tangent(fam, TangentSpec(0.1, 0), 1e-4)
         assert np.max(np.abs(n.amps)) == 0
+
+
+def test_family_state_matches_the_public_constructors():
+    # family_state builds D(base)|0;v> through the tangent frame
+    for base in (0j, 0.4 - 0.3j):
+        fam = StateFamily("wh", v=0.5)
+        assert np.array_equal(family_state(fam, base).amps,
+                              wh_squeezed(base, 0.5, fam.dim(base)).amps)
+        assert np.array_equal(family_state(StateFamily("su2", v=0.5, param=2.0), base).amps,
+                              su2_state(base, 0.5, 2.0).amps)
 
 
 def test_numeric_tangent_step_guard():
@@ -120,8 +134,8 @@ def test_wh_coherent_pullback_grid():
             rep = pullback_form(WH, complex(x, y), 1, 1j)
             assert rep.reference == 1j
             assert rep.abs_deviation < 1e-8
-            assert rep.metric_part == pytest.approx(0.0, abs=1e-8)
-            assert rep.symplectic_part == pytest.approx(1.0, abs=1e-8)
+            assert rep.value.real == pytest.approx(0.0, abs=1e-8)
+            assert rep.value.imag == pytest.approx(1.0, abs=1e-8)
 
 
 def test_wh_squeezed_closed_form_all_pairs():
@@ -239,6 +253,25 @@ def test_closed_form_errors():
         closed_form(SU11_K1, 1.2, 1, 1)
 
 
+def test_unknown_closed_form_variant_rejected():
+    for fam in (WH, StateFamily("wh", v=0.5), SU2_J1, SU11_K1):
+        with pytest.raises(DomainError):
+            closed_form(fam, 0j, 1, 1j, variant="bogus")
+
+
+def test_reference_matrix_is_the_closed_form_on_the_pairs():
+    for fam, base in ((WH, 0.4 - 1.1j), (StateFamily("wh", v=-0.7), 0j),
+                      (StateFamily("su2", v=0.5, param=2.0), 0j),
+                      (StateFamily("su11", param=1.5), 0.3 + 0.5j)):
+        R = reference_matrix(fam, base)
+        assert R[PAIR_ENTRIES].tolist() == [closed_form(fam, base, u, w)
+                                            for (u, w) in PAIRS]
+    with pytest.raises(UnsupportedBasePoint):
+        reference_matrix(StateFamily("wh", v=0.5), 0.3)
+    with pytest.raises(DomainError):
+        reference_matrix(SU11_K1, 1.0)
+
+
 def test_truncation_doubling_stability():
     # doubling the basis moves values by less than 10 x the declared budget
     for fam, base in ((WH, 0.8 + 0.3j), (SU11_K1, 0.4 - 0.2j),
@@ -265,6 +298,7 @@ def test_verdict_wh_squeezed():
     verdict = kahler_verdict(StateFamily("wh", v=0.7))
     assert not verdict.is_kahler
     assert verdict.is_symplectic
+    assert verdict.symplectic_dev < 1e-8 < verdict.max_dev
 
 
 def test_verdict_su2_coherent():
@@ -314,6 +348,47 @@ def _close(a, b, rel=1e-12):
 def _base(fam, base):
     # the disc family lives on |alpha| < 1; keep its samples inside 0.7
     return 0.7 * base if fam.family == "su11" else base
+
+
+def _bracket(v, u, w):
+    """The squeezed bracket, written out apart from ``reference_matrix``."""
+    u1, u2, w1, w2 = u.real, u.imag, w.real, w.imag
+    return ((u1 * w1 * np.exp(2 * v) + u2 * w2 * np.exp(-2 * v))
+            + 1j * (u1 * w2 - u2 * w1))
+
+
+_bracket_families = (
+    st.builds(lambda v: StateFamily("wh", v=v), st.floats(-2.0, 2.0))
+    | st.builds(lambda j, v: StateFamily("su2", v=v, param=j),
+                st.sampled_from([1.0, 2.0, 3.0]), st.floats(-1.0, 1.0))
+    | st.builds(lambda k: StateFamily("su11", param=k),
+                st.floats(0.5, 3.0, exclude_min=True)))
+
+
+@_settings
+@given(_bracket_families, _point(0.89), _directions, _directions)
+def test_closed_form_is_the_bracket(fam, base, u, w):
+    # the spin scale -<Lz> has its own test; the bracket is checked here
+    if fam.family == "su11":
+        expected = 2 * fam.param * np.conj(u) * w / (1 - abs(base) ** 2) ** 2
+    else:
+        base, expected = 0j, squeeze_prefactor(fam) * _bracket(fam.v, u, w)
+    assert _close(closed_form(fam, base, u, w), expected)
+
+
+@_settings
+@given(st.floats(-2.0, 2.0), st.floats(0.5, 3.0, exclude_min=True), _point(0.89),
+       _directions, _directions)
+def test_printed_variant_of_oscillator_and_disc(v, k, base, u, w):
+    # the printed oscillator bracket is the conjugate of the consistent one
+    # for v != 0; the coherent oscillator and the disc family have no printed
+    # reading of their own
+    printed = closed_form(StateFamily("wh", v=v), 0j, u, w, variant="printed")
+    expected = np.conj(_bracket(v, u, w)) if v else np.conj(u) * w
+    assert _close(printed, expected)
+    assert closed_form(WH, 0j, u, w, "printed") == closed_form(WH, 0j, u, w)
+    disc = StateFamily("su11", param=k)
+    assert closed_form(disc, base, u, w, "printed") == closed_form(disc, base, u, w)
 
 
 @_settings

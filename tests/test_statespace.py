@@ -149,8 +149,8 @@ def test_statevector_amps_read_only():
 
 def test_pullback_report_fields():
     rep = PullbackReport.from_value(1 + 2j, reference=1 + 1j)
-    assert rep.metric_part == 1.0
-    assert rep.symplectic_part == 2.0
+    assert rep.value.real == 1.0
+    assert rep.value.imag == 2.0
     assert rep.abs_deviation == pytest.approx(1.0)
     free = PullbackReport.from_value(0.5j)
     assert free.reference is None and free.abs_deviation is None

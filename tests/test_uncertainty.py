@@ -44,7 +44,7 @@ def test_vacuum_moments():
 def test_moments_with_explicit_hbar():
     q, p = quadrature_pair(32, hbar=2.0)
     vac = wh_coherent(0, 32)
-    m = moments(q, p, vac, hbar=2.0)
+    m = moments(q, p, vac)
     assert m.c_minus == pytest.approx(-2.0, abs=1e-12)
     assert m.alpha * m.beta == pytest.approx(1.0, abs=1e-12)
 
