@@ -20,11 +20,12 @@ Radial quadrature uses Gauss-Jacobi nodes in u = r^2 with the Bergman weight
 (1-u)^{1/h-2} built into the rule, so polynomial integrands are integrated
 essentially exactly even where the weight exponent is not an integer; the
 angular direction is the uniform (trapezoid) rule, exact for trigonometric
-polynomials below the node count.  Each Gauss-Jacobi rule is built once per
-(h, node count), on first use, and kept read-only together with its tensor
-grid.  Every quadrature result is gated by one refinement doubling: a single
-inner product, or a whole Gram/Toeplitz matrix at once, whose coarse and
-doubled versions must agree entry by entry to ``quad_tol``.  A matrix is
+polynomials below the node count.  Each Gauss-Jacobi rule (``roots_jacobi``,
+numpy only) is built once per (h, node count), on first use, and kept
+read-only together with its tensor grid.  Every quadrature result is gated
+by one refinement doubling: a single inner product, or a whole
+Gram/Toeplitz matrix at once, whose coarse and doubled versions must agree
+entry by entry to ``quad_tol``.  A matrix is
 assembled in one pass from the angular Fourier modes of its multiplier,
 
     T[l, m] = (1/h - 1) c_l c_m sum_r w_r r^{l+m} ghat_{m-l}(r),
@@ -58,7 +59,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DomainError, QuadratureError, TruncationError
 from .states import geometric_tail, pochhammer_coeffs
@@ -146,6 +146,50 @@ def basis_f(l: int, w, h: float):
     return basis_psi(l, cayley(w), h)
 
 
+def roots_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule of n nodes for Integral_{-1}^1 (1-x)^alpha g(x) dx.
+
+    The nodes are the eigenvalues of the Jacobi matrix of P_k = P_k^(alpha, 0)
+    (Golub & Welsch 1969).  In u = (1 + x)/2 that matrix is B^T B for an
+    upper bidiagonal B with the explicit entries below (the chain-sequence
+    factorization of a weight on [0, 1]), so the nodes are 2 sigma^2 - 1 over
+    the singular values sigma of B.  That SVD is O(n^2) on one thread, where
+    a dense eigvalsh of 128 nodes reduces the matrix with threaded O(n^3)
+    BLAS.  One pass of the three-term recurrence over all nodes gives P_n
+    and P_{n-1}, hence
+
+        (2n + alpha) (1 - x^2) P_n' = n (alpha - (2n + alpha) x) P_n
+                                      + 2n (n + alpha) P_{n-1},
+
+    one Newton step on the nodes and the weights
+    2^{alpha+1} / ((1 - x^2) P_n'^2) (Hale & Townsend 2013), which keep
+    their relative accuracy where they are tiny; weights from the first
+    eigenvector components do not.  DomainError unless n >= 1 and
+    -1 < alpha < 1023, where 2^{alpha+1} is finite.
+    """
+    if n < 1 or not -1.0 < alpha < 1023.0:
+        raise DomainError(f"Gauss-Jacobi rule needs n >= 1 and -1 < alpha < 1023, "
+                          f"got n = {n}, alpha = {alpha}")
+    k = np.arange(float(n))
+    s = 2.0 * k + alpha
+    B = np.diag(np.sqrt((k + 1.0) * (k + alpha + 1.0) / ((s + 1.0) * (s + 2.0))))
+    B += np.diag(np.sqrt(k[1:] * (k[1:] + alpha) / (s[1:] * (s[1:] + 1.0))), 1)
+    x = 2.0 * np.linalg.svd(B, compute_uv=False)[::-1] ** 2 - 1.0
+    # P_m = (a_m x + b_m) P_{m-1} - c_m P_{m-2} for m = 2..n, from P_0 = 1
+    m = np.arange(2.0, n + 1.0)
+    s = 2.0 * m + alpha
+    d = 2.0 * m * (m + alpha) * (s - 2.0)
+    a_m, b_m = (s - 1.0) * s * (s - 2.0) / d, (s - 1.0) * alpha**2 / d
+    c_m = 2.0 * (m + alpha - 1.0) * (m - 1.0) * s / d
+    p_prev, p = np.ones(n), 0.5 * ((alpha + 2.0) * x + alpha)
+    for row, c in zip(a_m[:, None] * x + b_m[:, None], c_m.tolist()):
+        p_prev, p = p, row * p - c * p_prev
+    s = 2.0 * n + alpha
+    dp = n * ((alpha - s * x) * p + 2.0 * (n + alpha) * p_prev) / s  # (1 - x^2) P_n'
+    x = x - p * (1.0 - x * x) / dp
+    return x, 2.0 ** (alpha + 1.0) * (1.0 - x * x) / dp**2
+
+
 @functools.lru_cache(maxsize=128)
 def _radial_rule(h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for Integral_0^1 (1-u)^{1/h-2} g(u) du (u = r^2).
@@ -154,7 +198,7 @@ def _radial_rule(h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     the cached arrays.
     """
     alpha = 1.0 / h - 2.0
-    x, w = roots_jacobi(n, alpha, 0.0)
+    x, w = roots_jacobi(n, alpha)
     u = 0.5 * (x + 1.0)
     w = w * 2.0 ** (-(alpha + 1.0))
     u.flags.writeable = False
@@ -277,7 +321,7 @@ def coherent_state_fn(p: complex, space: BerezinSpace) -> Callable:
         1.0 / space.h, np.arange(space.cutoff))
 
     def tau(w):
-        return np.polynomial.polynomial.polyval(cayley(w), series)
+        return np.polyval(series[::-1], cayley(w))
 
     return tau
 

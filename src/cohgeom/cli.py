@@ -519,6 +519,8 @@ def cmd_uncertainty(args) -> int:
                     "dev": saturation_dev(q, p, psi, v),
                 })
     else:
+        if args.hbar != 1.0:
+            raise DomainError("--hbar applies to --family wh only")
         for j in _floats(args.j):
             spin = spin_matrices(j)
             vac = su2_squeezed_vacuum(0.0, j)
@@ -723,7 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid", nargs=2, type=_checked(_parse_range),
                         default=["t:0.5..4:8", "s:-2..2:8"])
         sp.add_argument("--tol", type=_real, default=tol)
-        sp.add_argument("--hbar", type=_real, default=1.0)
+        if name in ("flow", "dirac"):
+            sp.add_argument("--hbar", type=_real, default=1.0)
         if name == "charts":
             sp.add_argument("--u0", type=_real, default=0.0)
             sp.add_argument("--v0", type=_real, default=1.0)

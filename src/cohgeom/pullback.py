@@ -45,9 +45,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-# not called: the benchmark's span recorder resolves pullback.expm_frechet
-# for its layer metrics, which read 0 now that tangents come from _exp_skew
-from scipy.linalg import expm_frechet  # noqa: F401
 
 from .errors import DomainError, StepError, UnsupportedBasePoint
 from .statespace import (
@@ -337,12 +334,13 @@ def kahler_verdict(fam: StateFamily, bases=None,
     ``symplectic_dev`` is the worst imaginary-part deviation, which
     ``is_symplectic`` gates; ``max_dev`` is the worst full-value deviation,
     which ``is_kahler`` gates: metric and symplectic parts are then mutually
-    compatible.
+    compatible.  Squeezed families are judged at the origin, their default
+    and only base point (UnsupportedBasePoint for any other).
     """
-    if fam.squeezed:
-        bases = [0j]
-    elif bases is None:
-        bases = [0j, 0.3 + 0.1j, -0.2 + 0.4j]
+    if bases is None:
+        bases = [0j] if fam.squeezed else [0j, 0.3 + 0.1j, -0.2 + 0.4j]
+    elif fam.squeezed and any(base != 0 for base in bases):
+        raise UnsupportedBasePoint("squeezed families are judged at 0 only")
     fam0 = replace(fam, v=0.0)
     n_v = squeeze_prefactor(fam)
     n_0 = squeeze_prefactor(fam0)
@@ -356,3 +354,13 @@ def kahler_verdict(fam: StateFamily, bases=None,
     return KahlerVerdict(is_kahler=dev_full < tol,
                          is_symplectic=dev_sympl < tol,
                          max_dev=dev_full, symplectic_dev=dev_sympl)
+
+
+def __getattr__(name):
+    # expm_frechet is no longer called here (tangents come from _exp_skew),
+    # but the benchmark's span recorder still resolves pullback.expm_frechet
+    # for a layer metric; import it from scipy only when that name is read
+    if name == "expm_frechet":
+        from scipy.linalg import expm_frechet
+        return expm_frechet
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     DimensionTooSmall,
@@ -346,15 +345,28 @@ def su2_state(alpha: complex, v: float, j: float) -> StateVector:
 
 
 def pochhammer_coeffs(a: float, n, power: float = 0.5) -> np.ndarray:
-    """((a)_n / n!)^power for each n in ``n``, through log-gamma.
+    """((a)_n / n!)^power for each integer n >= 0 in ``n``.
 
-    (a)_n / n! = Gamma(n + a) / (n! Gamma(a)) is the coefficient of x^n in
+    (a)_n / n! = prod_{m=1}^{n} (a + m - 1) / m is the coefficient of x^n in
     (1 - x)^{-a}.  power = 1/2 gives the discrete-series (a = 2k) and
-    Bergman (a = 1/h) normalizations; the log-space form stays finite for
-    large n and large a.
+    Bergman (a = 1/h) normalizations.  One cumulative product of the term
+    ratios ((a + m - 1) / m)^power up to max(n) is indexed at n; it stays
+    within a few ulps of the exact rational value, where log-gamma
+    differences lose up to 1e-13, and its partial products are monotone, so
+    it overflows only where the value does.  DomainError for a negative or
+    non-integer n and for a non-finite result.
     """
-    n = np.asarray(n, dtype=float)
-    return np.exp(power * (gammaln(n + a) - gammaln(a) - gammaln(n + 1.0)))
+    n = np.asarray(n)
+    if n.dtype.kind not in "iu" or n.min(initial=0) < 0:
+        raise DomainError(f"levels must be non-negative integers, got {n}")
+    k = np.arange(float(n.max(initial=0)))
+    table = np.ones(k.size + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(((a + k) / (k + 1.0)) ** power, out=table[1:])
+    # a non-finite partial product stays non-finite to the end of the table
+    if not np.isfinite(table[-1]):
+        raise DomainError(f"((a)_n / n!)^{power} is not finite at a = {a}")
+    return table[n]
 
 
 def geometric_tail(t: float, r: float) -> float:

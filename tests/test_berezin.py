@@ -133,9 +133,9 @@ def test_matrix_assembly_matches_entrywise_inner_products(h):
 def test_one_rule_per_configuration(monkeypatch):
     built = []
 
-    def counting(n, alpha, beta):
+    def counting(n, alpha):
         built.append((n, alpha))
-        return roots_jacobi(n, alpha, beta)
+        return roots_jacobi(n, alpha, 0.0)
 
     bz._radial_rule.cache_clear()
     monkeypatch.setattr(bz, "roots_jacobi", counting)
@@ -149,6 +149,28 @@ def test_one_rule_per_configuration(monkeypatch):
                                    for h in hs for n in (64, 128))
     u, w = bz._radial_rule(0.2, 64)
     assert not (u.flags.writeable or w.flags.writeable)
+
+
+# the Bergman exponents 1/h - 2 at h = 0.45, 0.25, 0.1, 0.05, 0.02
+@pytest.mark.parametrize("alpha", [1 / h - 2 for h in (0.45, 0.25, 0.1, 0.05, 0.02)])
+@pytest.mark.parametrize("n", [8, 64, 128])
+def test_roots_jacobi_matches_scipy_and_beta_moments(n, alpha):
+    from scipy.special import betaln
+
+    x, w = bz.roots_jacobi(n, alpha)
+    assert np.max(np.abs(x - roots_jacobi(n, alpha, 0.0)[0])) <= 1e-14
+    # Integral_0^1 u^m (1-u)^alpha du = B(m + 1, alpha + 1), u = (1 + x)/2,
+    # exact for the rule at every degree m < 2n
+    u, w_u = 0.5 * (x + 1.0), w * 2.0 ** (-(alpha + 1.0))
+    m = np.arange(2 * n)
+    moments = (w_u * u ** m[:, None]).sum(axis=1)
+    assert np.max(np.abs(moments / np.exp(betaln(m + 1.0, alpha + 1.0)) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, alpha", [(0, 1.0), (4, -1.0), (4, 1023.0), (4, np.nan)])
+def test_roots_jacobi_domain(n, alpha):
+    with pytest.raises(DomainError):
+        bz.roots_jacobi(n, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,11 @@ def test_pullback_nan_squeeze_raises_domain_error(capsys):
     (["pullback", "--family", "su11", "--param", "1", "--squeeze", "0,0.5",
       "--grid", "2x2", "--base-max", "0.5"],
      "cohgeom: DomainError: the su11 family has no squeezing"),
+    # --hbar is read by no spin row, orbit check or chart
+    (["uncertainty", "--family", "su2", "--hbar", "2"],
+     "cohgeom: DomainError: --hbar applies to --family wh only"),
+    (["sut", "kks", "--hbar", "3"], "error: unrecognized arguments: --hbar 3"),
+    (["sut", "charts", "--hbar", "3"], "error: unrecognized arguments: --hbar 3"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_error_exit_two_one_line(argv, message, capsys):
@@ -301,6 +306,28 @@ def test_error_exit_two_one_line(argv, message, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and message in err
+
+
+def test_hbar_kept_where_it_is_read(tmp_path):
+    assert run_cli(["uncertainty", "--family", "su2", "--hbar", "1",
+                    "--out", str(tmp_path / "u.csv")]) == 0
+    for name in ("flow", "dirac"):
+        assert run_cli(["sut", name, "--hbar", "1", "--grid", "t:0.5..2:3",
+                        "s:-1..1:3", "--out", str(tmp_path / f"{name}.csv")]) == 0
+
+
+def test_report_all_imports_no_scipy():
+    # scipy is a test oracle only: the package and report-all run on numpy
+    src = os.path.dirname(os.path.dirname(cohgeom.__file__))
+    code = ("import sys, contextlib, io\n"
+            "import cohgeom.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cohgeom.cli.main(['report-all']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_sut_points_off_the_orbit_skipped(tmp_path):

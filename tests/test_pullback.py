@@ -312,6 +312,15 @@ def test_verdict_su2_squeezed():
     assert verdict.is_symplectic
 
 
+def test_verdict_squeezed_only_at_the_origin():
+    for fam in (StateFamily("wh", v=0.5), StateFamily("su2", v=0.5, param=2.0)):
+        assert kahler_verdict(fam, bases=[0j]) == kahler_verdict(fam)
+        with pytest.raises(UnsupportedBasePoint):
+            kahler_verdict(fam, bases=[0j, 0.3])
+    with pytest.raises(UnsupportedBasePoint):
+        kahler_verdict(StateFamily("wh", v=0.5), bases=[5 + 5j])
+
+
 def test_verdict_su11():
     verdict = kahler_verdict(SU11_K1, bases=[0j, 0.3, 0.2 + 0.4j])
     assert verdict.is_kahler and verdict.is_symplectic

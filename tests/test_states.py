@@ -409,6 +409,40 @@ def test_pochhammer_coeffs_match_scipy_poch(a, n):
         pochhammer_coeffs(a, n, 1.0)
 
 
+@pytest.mark.parametrize("power", [0.5, 1.0])
+def test_pochhammer_coeffs_match_exact_rationals(power):
+    # (a)_n / n! from exact rationals of the float a that is passed in
+    from fractions import Fraction
+    from math import sqrt
+
+    n = np.arange(200)
+    for a in (Fraction(1, 2), Fraction(3, 7), 2, Fraction(20, 9), 4, 5, 10, 20, 50):
+        exact = Fraction(float(a))
+        got = pochhammer_coeffs(float(a), n, power)
+        value = Fraction(1)
+        for m in n:
+            if m:
+                value *= (exact + m - 1) / m
+            expected = float(value) if power == 1.0 else sqrt(float(value))
+            assert abs(got[m] / expected - 1.0) <= 1e-14, (a, m)
+            assert pochhammer_coeffs(float(a), int(m), power) == got[m]
+    assert pochhammer_coeffs(2.5, 0, power) == 1.0
+
+
+@pytest.mark.parametrize("n", [-1, 2.0, np.array([0, 3, -2]), np.array([0.5])])
+def test_pochhammer_coeffs_reject_bad_levels(n):
+    with pytest.raises(DomainError):
+        pochhammer_coeffs(2.0, n)
+
+
+def test_pochhammer_coeffs_non_finite_is_domain_error():
+    with pytest.raises(DomainError):
+        pochhammer_coeffs(-0.5, 3)  # (-1/2)_1 < 0 has no real square root
+    with pytest.raises(DomainError):
+        pochhammer_coeffs(1e3, 400, 1.0)  # C(1399, 400) overflows
+    assert np.isfinite(pochhammer_coeffs(1e3, 100, 1.0))
+
+
 def _disc_tail(r: float, k: float, n: int) -> float:
     """Mass of the label-k disc state at |alpha| = r beyond level n, summed
     term by term from log-gamma (the terms past n + 4000 are negligible for
