@@ -164,8 +164,11 @@ def roots_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     one Newton step on the nodes and the weights
     2^{alpha+1} / ((1 - x^2) P_n'^2) (Hale & Townsend 2013), which keep
     their relative accuracy where they are tiny; weights from the first
-    eigenvector components do not.  DomainError unless n >= 1 and
-    -1 < alpha < 1023, where 2^{alpha+1} is finite.
+    eigenvector components do not.  As alpha -> -1, 1 - x^2 at the node
+    nearest 1 carries that node's absolute error, so the weights are scaled
+    to the exact total mass 2^{alpha+1} / (alpha + 1), as scipy does.
+    DomainError unless n >= 1 and -1 < alpha < 1023, where 2^{alpha+1} is
+    finite.
     """
     if n < 1 or not -1.0 < alpha < 1023.0:
         raise DomainError(f"Gauss-Jacobi rule needs n >= 1 and -1 < alpha < 1023, "
@@ -187,7 +190,8 @@ def roots_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     s = 2.0 * n + alpha
     dp = n * ((alpha - s * x) * p + 2.0 * (n + alpha) * p_prev) / s  # (1 - x^2) P_n'
     x = x - p * (1.0 - x * x) / dp
-    return x, 2.0 ** (alpha + 1.0) * (1.0 - x * x) / dp**2
+    w = (1.0 - x * x) / dp**2
+    return x, w * (2.0 ** (alpha + 1.0) / (alpha + 1.0) / w.sum())
 
 
 @functools.lru_cache(maxsize=128)

@@ -32,8 +32,11 @@ carries analytic partials through second order for the commutator check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cache
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -68,8 +71,13 @@ def _const(c):
     return lambda a, s: c
 
 
-def standard_fields() -> dict[str, PrequantField]:
-    """The test basis {1, s, t, e^{i KAPPA s}, e^{SIGMA a}} with exact jets."""
+@cache
+def standard_fields() -> Mapping[str, PrequantField]:
+    """The test basis {1, s, t, e^{i KAPPA s}, e^{SIGMA a}} with exact jets.
+
+    Built on first use and shared read-only; every callable also accepts
+    arrays, which ``dirac_residual`` passes.
+    """
     one = PrequantField(_const(1.0), _const(0.0), _const(0.0),
                         _const(0.0), _const(0.0), _const(0.0))
     coord_s = PrequantField(lambda a, s: s, _const(0.0), _const(1.0),
@@ -93,23 +101,27 @@ def standard_fields() -> dict[str, PrequantField]:
         _const(0.0),
         _const(0.0),
     )
-    return {"1": one, "s": coord_s, "t": coord_t,
-            f"e^(i{KAPPA}s)": osc, f"e^({SIGMA}a)": grow}
+    return MappingProxyType({"1": one, "s": coord_s, "t": coord_t,
+                             f"e^(i{KAPPA}s)": osc, f"e^({SIGMA}a)": grow})
 
 
 def _coords(P: OrbitPoint) -> tuple[float, float]:
     if P.t <= 0:
         raise DomainError("prequantization chart requires t > 0")
-    return float(np.log(P.t)), P.s
+    return math.log(P.t), P.s
+
+
+def _q1(psi: PrequantField, a, s, t, hbar):
+    # Q1 psi at points or over a mesh of (a, s) with t = e^a
+    return -1j * hbar * t * psi.d_s(a, s) + t * (a + 1.0) * psi.value(a, s)
 
 
 def prequantum_apply(i: int, psi: PrequantField, P: OrbitPoint,
                      hbar: float = 1.0) -> complex:
     """Evaluate Q_i psi at P (t > 0)."""
     a, s = _coords(P)
-    t = P.t
     if i == 1:
-        return complex(-1j * hbar * t * psi.d_s(a, s) + t * (a + 1.0) * psi.value(a, s))
+        return complex(_q1(psi, a, s, P.t, hbar))
     if i == 2:
         return complex(2j * hbar * psi.d_a(a, s) + 2.0 * s * psi.value(a, s))
     raise ValueError("operator index must be 1 or 2")
@@ -126,12 +138,17 @@ def flow_apply(i: int, tau: float, psi: PrequantField, P: OrbitPoint,
     a, s = _coords(P)
     t = P.t
     if i == 1:
-        return complex(np.exp(tau * t * (np.log(abs(t)) + 1.0))
-                       * psi.value(a, s - 1j * hbar * t * tau))
-    if i == 2:
-        rate = 2.0 * s if variant == "generator" else s
-        return complex(np.exp(rate * tau) * psi.value(a + 2j * hbar * tau, s))
-    raise ValueError("operator index must be 1 or 2")
+        exponent, point = tau * t * (a + 1.0), (a, s - 1j * hbar * t * tau)
+    elif i == 2:
+        exponent = (2.0 * s if variant == "generator" else s) * tau
+        point = (a + 2j * hbar * tau, s)
+    else:
+        raise ValueError("operator index must be 1 or 2")
+    try:
+        growth = math.exp(exponent)
+    except OverflowError:  # a multiplier past the double range reads inf
+        growth = math.inf
+    return complex(growth * psi.value(*point))
 
 
 def flow_generator_residual(i: int, psi: PrequantField, P: OrbitPoint,
@@ -164,17 +181,21 @@ def _j2_jet(psi: PrequantField, a, s, hbar):
     return val, da, ds
 
 
+def _commutator(psi: PrequantField, a, s, t, hbar):
+    # [Q1, Q2] psi at points or over a mesh, from the field's jet
+    v2, da2, ds2 = _j2_jet(psi, a, s, hbar)
+    v1, da1, ds1 = _j1_jet(psi, a, s, hbar)
+    q1q2 = -1j * hbar * t * ds2 + t * (a + 1.0) * v2
+    q2q1 = 2j * hbar * da1 + 2.0 * s * v1
+    return q1q2 - q2q1
+
+
 def commutator_apply(psi: PrequantField, P: OrbitPoint, hbar: float = 1.0) -> complex:
     """[Q1, Q2] psi at P, assembled mechanically from the field's jet."""
     if not psi.has_second_partials():
         raise ValueError("commutator needs a field with second partials")
     a, s = _coords(P)
-    t = P.t
-    v2, da2, ds2 = _j2_jet(psi, a, s, hbar)
-    v1, da1, ds1 = _j1_jet(psi, a, s, hbar)
-    q1q2 = -1j * hbar * t * ds2 + t * (a + 1.0) * v2
-    q2q1 = 2j * hbar * da1 + 2.0 * s * v1
-    return complex(q1q2 - q2q1)
+    return complex(_commutator(psi, a, s, P.t, hbar))
 
 
 @dataclass(frozen=True)
@@ -201,29 +222,29 @@ def dirac_residual(t_values, s_values, hbar: float = 1.0) -> DiracReport:
     For each convention pair the residual is the max over the grid and the
     ``standard_fields`` of |([Q1, Q2] - eps_dirac i hbar Q_h) psi| with
     h = {J1, J2} = -2 eps_field t, so Q_h = -2 eps_field Q1 by linearity.
-    A grid point with t <= 0 lies outside the chart and raises a
-    ``CohgeomError`` before any logarithm is taken.
+    Each field's jets are evaluated over the whole (t, s) mesh at once.  A
+    grid point that is not finite or has t <= 0 (outside the chart) raises
+    DomainError before any logarithm is taken.
     """
-    fields = standard_fields()
+    t, s = (np.asarray(x, dtype=float) for x in (t_values, s_values))
+    if not (np.isfinite(s).all() and (np.isfinite(t) & (t > 0)).all()):
+        raise DomainError("prequantization chart requires t > 0 at finite points")
+    t, s = np.meshgrid(t, s, indexing="ij")
+    a = np.log(t)
     residuals = {pair: 0.0 for pair in SIGN_PAIRS}
     defect_dev = 0.0
-    for t in t_values:
-        for s in s_values:
-            P = OrbitPoint(float(s), float(t))
-            a, _ = _coords(P)
-            for psi in fields.values():
-                comm = commutator_apply(psi, P, hbar)
-                q1 = prequantum_apply(1, psi, P, hbar)
-                for (ef, ed) in SIGN_PAIRS:
-                    target = ed * 1j * hbar * (-2.0 * ef) * q1
-                    residuals[(ef, ed)] = max(residuals[(ef, ed)],
-                                              abs(comm - target))
-                # identified defect of the eps_f * eps_d = +1 conventions
-                defect = comm - (-2j * hbar * q1)
-                bracket = -2.0 * t  # {J1, J2} at this point
-                defect_dev = max(defect_dev,
-                                 abs(defect - 2j * hbar * bracket
-                                     * psi.value(a, float(s))))
+    for psi in standard_fields().values():
+        comm = _commutator(psi, a, s, t, hbar)
+        q1 = _q1(psi, a, s, t, hbar)
+        for (ef, ed) in SIGN_PAIRS:
+            target = ed * 1j * hbar * (-2.0 * ef) * q1
+            residuals[(ef, ed)] = max(residuals[(ef, ed)],
+                                      float(np.max(np.abs(comm - target), initial=0.0)))
+        # identified defect of the eps_f * eps_d = +1 conventions, against
+        # 2 i hbar {J1, J2} psi with {J1, J2} = -2t
+        defect = comm - (-2j * hbar * q1)
+        defect_dev = max(defect_dev, float(np.max(
+            np.abs(defect - 2j * hbar * (-2.0 * t) * psi.value(a, s)), initial=0.0)))
     best_pair = min(residuals, key=residuals.get)
     return DiracReport(residuals, best_pair, residuals[best_pair], defect_dev)
 
@@ -235,11 +256,12 @@ def potential_residual(t_values, variant: str = "log") -> float:
     theta = -log(t) ds gives d theta = (1/t) ds ^ dt = omega for all t > 0.
     The ``variant="abs_log"`` potential -|log t| ds fails for t < 1 (residual
     2/t there), which is why the plain logarithm is the implemented choice.
+    DomainError for a non-finite t or t <= 0.
     """
     worst = 0.0
     for t in t_values:
-        if t <= 0:
-            raise DomainError("potential defined for t > 0")
+        if not (math.isfinite(t) and t > 0):
+            raise DomainError(f"potential defined for finite t > 0, got {t}")
         if variant == "log":
             theta_s = lambda tt: -np.log(tt)
         elif variant == "abs_log":

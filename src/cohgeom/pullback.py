@@ -12,7 +12,7 @@ point by the 2x2 matrix H(e_a, e_b) over the directions e = (1, i);
 ``pullback_matrix`` computes it once per (family, base) and caches it, and
 ``pullback_form`` and ``kahler_verdict`` read it.  For the squeezed
 oscillator and spin families the state D(base)|0;v> and both tangents come
-from one eigendecomposition of the displacement generator (the Daleckii-Krein
+from the cached spectrum of the displacement generator (the Daleckii-Krein
 Frechet derivative, see ``states``); the fiducial state is the closed-form
 squeezed vacuum or the spin kernel state of ``states``.
 
@@ -54,9 +54,7 @@ from .statespace import (
 )
 from .states import (
     STATE_TOL,
-    _exp_skew,
-    _su2_generator,
-    _wh_generator,
+    _displace,
     spin_matrices,
     squeezed_vacuum,
     su2_squeezed_vacuum,
@@ -155,7 +153,7 @@ def _frame(fam: StateFamily, base: complex,
     times level n - 1, and the norm derivative along the state is removed
     later by projection.  Squeezed oscillator and spin families differentiate
     D(base)|0;v> = e^X |0;v>; the state and every tangent L(X, Xdot_u)|0;v>
-    come from one eigendecomposition of X.
+    come from the cached spectrum of the generator (``states._displace``).
     """
     N = fam.dim(base)
     if (fam.family == "wh" and fam.v == 0.0) or fam.family == "su11":
@@ -173,14 +171,10 @@ def _frame(fam: StateFamily, base: complex,
         return psi, [StateVector(u * deriv - np.real(rate * u) * psi.amps,
                                  psi.basis, psi.tol) for u in directions]
     if fam.family == "wh":
-        vac = squeezed_vacuum(fam.v, N)
-        X = _wh_generator(base, N, vac.tol)
-        Xdots = [_wh_generator(u, N) for u in directions]
+        vac, size = squeezed_vacuum(fam.v, N), N
     else:
-        vac = su2_squeezed_vacuum(fam.v, fam.param)
-        X = _su2_generator(base, fam.param)
-        Xdots = [_su2_generator(u, fam.param) for u in directions]
-    amps, tangents = _exp_skew(X, vac.amps, *Xdots)
+        vac, size = su2_squeezed_vacuum(fam.v, fam.param), fam.param
+    amps, tangents = _displace(fam.family, size, base, vac.amps, directions)
     return (StateVector(amps, vac.basis, vac.tol),
             [StateVector(t, vac.basis, vac.tol) for t in tangents])
 
@@ -357,7 +351,7 @@ def kahler_verdict(fam: StateFamily, bases=None,
 
 
 def __getattr__(name):
-    # expm_frechet is no longer called here (tangents come from _exp_skew),
+    # expm_frechet is no longer called here (tangents come from _displace),
     # but the benchmark's span recorder still resolves pullback.expm_frechet
     # for a layer metric; import it from scipy only when that name is read
     if name == "expm_frechet":

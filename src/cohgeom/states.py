@@ -36,21 +36,29 @@ roots of the coefficients (a)_n / n! of (1 - x)^{-a}, with a = 2k = 1/h,
 computed once here (``pochhammer_coeffs``), and both tail estimates use the
 one geometric bound ``geometric_tail``.
 
-Displacements exponentiate skew-Hermitian generators X through one Hermitian
-eigendecomposition -iX = V diag(lam) V+ (``_exp_skew``).  The same spectral
-data give the Frechet derivative of the exponential by the Daleckii-Krein
-formula L(X, E) = V (Phi o (V+ E V)) V+, with the divided differences
-Phi_jk = e^{i(lam_j + lam_k)/2} sinc((lam_j - lam_k)/2), exact when
-eigenvalues coincide (Higham, Functions of Matrices, SIAM 2008, sec. 3.2).
+Displacements are phase covariant.  The vacuum's stabilizer U(1) rotates
+the orbit, D(r e^{i theta}) = R D(r) R+ with R = e^{i theta w} for the
+grading w = n (oscillator) or w = m (spin) (Perelomov 1986), so every
+generator X(alpha) is r R X_1 R+ for the phase-free X_1 = a+ - a on N levels
+or L- - L+ at spin j.  One Hermitian eigendecomposition -i X_1 =
+V_1 diag(lam_1) V_1+ per size, kept in a bounded LRU cache filled on first
+use (``_unit_spectrum``), therefore serves every displacement of that size:
+-i X(alpha) has eigenvalues r lam_1 and eigenvectors e^{i theta w} V_1.  The
+same spectral data give e^X and the Frechet derivative of the exponential
+by the Daleckii-Krein formula L(X, E) = V (Phi o (V+ E V)) V+, with the
+divided differences Phi_jk = e^{i(lam_j + lam_k)/2} sinc((lam_j - lam_k)/2),
+exact when eigenvalues coincide (Higham, Functions of Matrices, SIAM 2008,
+sec. 3.2), in the one kernel ``_exp_spectral``.
 
-The operator constructors (``ladder_matrices``, ``spin_matrices``) and the
-spin fiducial ``su2_squeezed_vacuum`` are cached in bounded LRU caches,
-filled on first use.  Their arrays are read-only, so cached results are
-shared safely.
+The operator constructors (``ladder_matrices``, ``spin_matrices``), the
+generator spectra and the spin fiducial ``su2_squeezed_vacuum`` are cached
+in bounded LRU caches, filled on first use.  Their arrays are read-only, so
+cached results are shared safely.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -229,15 +237,14 @@ def _tail_checked(c: np.ndarray, tol: float, basis, alpha: complex,
     return StateVector(c, basis, tol)
 
 
-def _exp_skew(X: np.ndarray, psi: np.ndarray, *directions: np.ndarray):
-    """e^X psi and the Frechet derivatives L(X, E) psi, E in ``directions``.
+def _exp_spectral(lam: np.ndarray, V: np.ndarray, psi: np.ndarray,
+                  *directions: np.ndarray):
+    """e^X psi and the Frechet derivatives L(X, E) psi, E in ``directions``,
+    for the skew-Hermitian X = i V diag(lam) V+.
 
-    X must be skew-Hermitian and psi a vector or a matrix of columns.  One
-    eigh of -iX serves all outputs (Daleckii-Krein, see the module notes).
+    psi is a vector or a matrix of columns.  The one set of spectral data
+    serves all outputs (Daleckii-Krein, see the module notes).
     """
-    if not np.any(X):
-        return psi, [E @ psi for E in directions]
-    lam, V = np.linalg.eigh(-1j * X)
     c = V.conj().T @ psi
     value = (V * np.exp(1j * lam)) @ c
     if not directions:
@@ -247,16 +254,52 @@ def _exp_skew(X: np.ndarray, psi: np.ndarray, *directions: np.ndarray):
     return value, [V @ ((phi * (V.conj().T @ E @ V)) @ c) for E in directions]
 
 
-def _wh_generator(alpha: complex, N: int, tol: float = 0.0) -> np.ndarray:
-    """alpha a+ - conj(alpha) a on N levels.  With tol > 0, TruncationError
-    if N is below the coherent tail budget for this alpha."""
+def _generator(family: str, size, alpha: complex) -> np.ndarray:
+    """The displacement generator X(alpha): alpha a+ - conj(alpha) a on
+    ``size`` levels (family "wh"), or conj(alpha) L- - alpha L+ at spin
+    j = ``size`` (family "su2")."""
+    if family == "wh":
+        lad = ladder_matrices(size)
+        return alpha * lad.adag - np.conj(alpha) * lad.a
+    spin = spin_matrices(size)
+    return np.conj(alpha) * spin.lminus - alpha * spin.lplus
+
+
+@lru_cache(maxsize=32)
+def _unit_spectrum(family: str, size) -> tuple[np.ndarray, ...]:
+    """Eigenvalues lam_1 and eigenvectors V_1 of -i X(1), and the grading w
+    (n or m) with X(e^{i theta}) = e^{i theta w} X(1) e^{-i theta w}.
+
+    One eigh per (family, size), cached; the arrays are read-only.
+    """
+    lam, V = np.linalg.eigh(-1j * _generator(family, size, 1.0))
+    w = np.arange(size) if family == "wh" else spin_matrices(size).lz.diagonal().real
+    for x in (lam, V, w):
+        x.setflags(write=False)
+    return lam, V, w
+
+
+def _displace(family: str, size, alpha: complex, psi: np.ndarray, directions=()):
+    """e^{X(alpha)} psi and its tangents L(X(alpha), X(u)) psi, u in
+    ``directions``, for the generators of ``_generator``.
+
+    The spectrum of X(alpha) = |alpha| R X(1) R+ comes from the cached
+    ``_unit_spectrum`` (see the module notes).  DomainError for a non-finite
+    alpha; for the oscillator, TruncationError if N = ``size`` is below the
+    coherent tail budget STATE_TOL for this alpha.
+    """
     alpha = complex(alpha)
-    if tol and N < truncation_dim(alpha, "fock", eps=tol):
+    if not cmath.isfinite(alpha):
+        raise DomainError(f"alpha = {alpha} is not finite")
+    if family == "wh" and size < truncation_dim(alpha, "fock", eps=STATE_TOL):
         raise TruncationError(
-            f"N = {N} below the tail budget for |alpha| = {abs(alpha):.3f}"
-        )
-    lad = ladder_matrices(N)
-    return alpha * lad.adag - np.conj(alpha) * lad.a
+            f"N = {size} below the tail budget for |alpha| = {abs(alpha):.3f}")
+    Es = [_generator(family, size, complex(u)) for u in directions]
+    if alpha == 0:
+        return psi, [E @ psi for E in Es]
+    lam, V, w = _unit_spectrum(family, size)
+    rotation = np.exp(1j * cmath.phase(alpha) * w)
+    return _exp_spectral(abs(alpha) * lam, rotation[:, None] * V, psi, *Es)
 
 
 def wh_displacement(alpha: complex, N: int) -> np.ndarray:
@@ -267,7 +310,7 @@ def wh_displacement(alpha: complex, N: int) -> np.ndarray:
     well-truncated block.  TruncationError if N is below the coherent tail
     budget STATE_TOL for this alpha.
     """
-    return _exp_skew(_wh_generator(alpha, N, STATE_TOL), np.eye(N))[0]
+    return _displace("wh", N, alpha, np.eye(N))[0]
 
 
 def squeezed_vacuum(v: float, N: int) -> StateVector:
@@ -295,8 +338,7 @@ def wh_squeezed(alpha: complex, v: float, N: int) -> StateVector:
     this reduces to the coherent state.
     """
     vac = squeezed_vacuum(v, N)
-    amps, _ = _exp_skew(_wh_generator(alpha, N, STATE_TOL), vac.amps)
-    return StateVector(amps, fock_tag(), STATE_TOL)
+    return StateVector(_displace("wh", N, alpha, vac.amps)[0], fock_tag(), STATE_TOL)
 
 
 def su2_tilde_minus(spin: SpinTriple, v: float) -> np.ndarray:
@@ -321,16 +363,9 @@ def su2_squeezed_vacuum(v: float, j: float) -> StateVector:
     return StateVector(x, spin_tag(j))
 
 
-def _su2_generator(alpha: complex, j: float) -> np.ndarray:
-    """conj(alpha) L- - alpha L+ in the spin-j representation."""
-    spin = spin_matrices(j)
-    return np.conj(alpha) * spin.lminus - alpha * spin.lplus
-
-
 def su2_displacement(alpha: complex, j: float) -> np.ndarray:
     """Spin displacement exp(conj(alpha) L- - alpha L+), L+- normalized."""
-    X = _su2_generator(alpha, j)
-    return _exp_skew(X, np.eye(len(X)))[0]
+    return _displace("su2", j, alpha, np.eye(spin_matrices(j).dim))[0]
 
 
 def su2_state(alpha: complex, v: float, j: float) -> StateVector:
@@ -340,8 +375,7 @@ def su2_state(alpha: complex, v: float, j: float) -> StateVector:
     weight.  Displacement is unitary, so the result is normalized exactly.
     """
     vac = su2_squeezed_vacuum(v, j)
-    amps, _ = _exp_skew(_su2_generator(alpha, j), vac.amps)
-    return StateVector(amps, spin_tag(j))
+    return StateVector(_displace("su2", j, alpha, vac.amps)[0], spin_tag(j))
 
 
 def pochhammer_coeffs(a: float, n, power: float = 0.5) -> np.ndarray:

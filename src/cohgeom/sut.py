@@ -35,6 +35,7 @@ with chi pulling dlam ^ dmu / mu^2 back to 2 da ^ db.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,12 +86,17 @@ class SutDual:
 
 @dataclass(frozen=True)
 class OrbitPoint:
-    """Point (s, t) on a nondegenerate orbit; t = 0 is the point orbit."""
+    """Point (s, t) on a nondegenerate orbit; t = 0 is the point orbit.
+
+    DomainError for a non-finite s or t.
+    """
 
     s: float
     t: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.s) and math.isfinite(self.t)):
+            raise DomainError(f"orbit point ({self.s}, {self.t}) is not finite")
         if self.t == 0.0:
             raise DegenerateOrbit("t = 0 is a single-point orbit")
 
@@ -103,6 +109,9 @@ class OrbitPoint:
 class OrbitTangent:
     ds: float
     dt: float
+
+
+_ES, _ET = OrbitTangent(1.0, 0.0), OrbitTangent(0.0, 1.0)  # d/ds and d/dt
 
 
 @dataclass(frozen=True)
@@ -155,25 +164,32 @@ def coadjoint_differential(V: np.ndarray, P: OrbitPoint) -> OrbitTangent:
     return OrbitTangent(P.t * v2, -2.0 * P.t * v1)
 
 
-def tangent_to_algebra(P: OrbitPoint, xi: OrbitTangent) -> np.ndarray:
-    """Algebra element V with ad*_V P = xi: v2 = ds/t, v1 = -dt/(2t)."""
+def _algebra_components(P: OrbitPoint, xi: OrbitTangent) -> tuple[float, float]:
+    """The entries (v1, v2) of ``tangent_to_algebra``: v1 = -dt/(2t), v2 = ds/t."""
     if P.t == 0.0:
         raise DegenerateOrbit("tangent identification needs t != 0")
-    v1 = -xi.dt / (2.0 * P.t)
-    v2 = xi.ds / P.t
+    return -xi.dt / (2.0 * P.t), xi.ds / P.t
+
+
+def tangent_to_algebra(P: OrbitPoint, xi: OrbitTangent) -> np.ndarray:
+    """Algebra element V with ad*_V P = xi: v2 = ds/t, v1 = -dt/(2t)."""
+    v1, v2 = _algebra_components(P, xi)
     return np.array([[v1, v2], [0.0, -v1]])
 
 
 def kks_form(P: OrbitPoint, xi1: OrbitTangent, xi2: OrbitTangent) -> float:
     """Orbit symplectic form <P, [V1, V2]> via the algebra representatives.
 
+    For V = [[v1, v2], [0, -v1]] and W = [[w1, w2], [0, -w1]] the bracket
+    [V, W] has the single entry 2 (v1 w2 - w1 v2) above the diagonal, so the
+    trace pairing with P = [[s, 0], [t, -s]] is t 2 (v1 w2 - w1 v2), taken
+    in scalar arithmetic from the components of ``tangent_to_algebra``.
     Antisymmetric and nondegenerate for t != 0; equals
     (xi1_s xi2_t - xi1_t xi2_s)/t, i.e. the two-form (1/t) ds ^ dt.
     """
-    V1 = tangent_to_algebra(P, xi1)
-    V2 = tangent_to_algebra(P, xi2)
-    comm = V1 @ V2 - V2 @ V1
-    return float(np.trace(P.matrix @ comm))
+    v1, v2 = _algebra_components(P, xi1)
+    w1, w2 = _algebra_components(P, xi2)
+    return float(P.t * 2.0 * (v1 * w2 - w1 * v2))
 
 
 @dataclass(frozen=True)
@@ -190,13 +206,12 @@ def moment_and_fields(P: OrbitPoint) -> MomentFields:
     J1 = t with X_{J1} = t d/ds and J2 = 2s with X_{J2} = -2t d/dt; both are
     verified pointwise against omega(X, .) = dJ before returning.
     """
-    j1 = float(np.trace(P.matrix @ E1))
-    j2 = float(np.trace(P.matrix @ E2))
+    # Tr(P E1) = t and Tr(P E2) = 2s for P = [[s, 0], [t, -s]]
+    j1, j2 = float(P.t), 2.0 * float(P.s)
     xj1 = OrbitTangent(P.t, 0.0)
     xj2 = OrbitTangent(0.0, -2.0 * P.t)
     for X, grad in ((xj1, (0.0, 1.0)), (xj2, (2.0, 0.0))):
-        for e, comp in ((OrbitTangent(1.0, 0.0), grad[0]),
-                        (OrbitTangent(0.0, 1.0), grad[1])):
+        for e, comp in ((_ES, grad[0]), (_ET, grad[1])):
             dev = abs(kks_form(P, X, e) - comp)
             if not dev < 1e-10 * max(1.0, abs(P.t)):
                 raise VerificationError(
@@ -214,17 +229,17 @@ class Field2D:
 
 
 def hamiltonian_field(f: Field2D, P: OrbitPoint) -> OrbitTangent:
-    """Solve omega(X_f, .) = df at P as a 2x2 linear system."""
-    es = OrbitTangent(1.0, 0.0)
-    et = OrbitTangent(0.0, 1.0)
+    """Solve omega(X_f, .) = df at P as a 2x2 linear system, by Cramer's
+    rule; DegenerateOrbit if its determinant vanishes."""
     # rows: omega(e_i, e_j) acting on the unknown components of X_f
-    W = np.array([
-        [kks_form(P, es, es), kks_form(P, et, es)],
-        [kks_form(P, es, et), kks_form(P, et, et)],
-    ])
-    df = np.array([f.d_s(P.s, P.t), f.d_t(P.s, P.t)])
-    xs, xt = np.linalg.solve(W, df)
-    return OrbitTangent(float(xs), float(xt))
+    w11, w12 = kks_form(P, _ES, _ES), kks_form(P, _ET, _ES)
+    w21, w22 = kks_form(P, _ES, _ET), kks_form(P, _ET, _ET)
+    det = w11 * w22 - w12 * w21
+    if det == 0.0:
+        raise DegenerateOrbit(f"omega is degenerate at {P}")
+    fs, ft = f.d_s(P.s, P.t), f.d_t(P.s, P.t)
+    return OrbitTangent(float((fs * w22 - w12 * ft) / det),
+                        float((w11 * ft - w21 * fs) / det))
 
 
 def poisson(f: Field2D, g: Field2D, P: OrbitPoint) -> float:
@@ -274,12 +289,14 @@ def chi_pullback_coefficient(orbit: Orbit, g: SutElement) -> float:
     Analytically equal to 2 everywhere on the positive subgroup.
     """
     h = CHART_FD_STEP
-    def chi_vec(a, b):
-        return np.array(chi_map(orbit, SutElement(a, b)))
+
+    def central(plus, minus):
+        (lam_p, mu_p), (lam_m, mu_m) = (chi_map(orbit, SutElement(*x))
+                                        for x in (plus, minus))
+        return (lam_p - lam_m) / (2 * h), (mu_p - mu_m) / (2 * h)
 
     a, b = g.g1, g.g2
-    d_da = (chi_vec(a + h, b) - chi_vec(a - h, b)) / (2 * h)
-    d_db = (chi_vec(a, b + h) - chi_vec(a, b - h)) / (2 * h)
+    lam_a, mu_a = central((a + h, b), (a - h, b))
+    lam_b, mu_b = central((a, b + h), (a, b - h))
     _, mu = chi_map(orbit, g)
-    jac = d_da[0] * d_db[1] - d_da[1] * d_db[0]
-    return float(jac / mu**2)
+    return float((lam_a * mu_b - mu_a * lam_b) / mu**2)

@@ -167,6 +167,16 @@ def test_roots_jacobi_matches_scipy_and_beta_moments(n, alpha):
     assert np.max(np.abs(moments / np.exp(betaln(m + 1.0, alpha + 1.0)) - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [64, 128])
+def test_roots_jacobi_total_mass_near_the_singular_weight(n):
+    # at h = 0.9 the weight (1 - x)^alpha, alpha = 1/h - 2, is close to
+    # non-integrable at x = 1; the weights still sum to 2^{alpha+1}/(alpha+1)
+    alpha = 1 / 0.9 - 2.0
+    _, w = bz.roots_jacobi(n, alpha)
+    mass = 2.0 ** (alpha + 1.0) / (alpha + 1.0)
+    assert abs(w.sum() / mass - 1.0) <= 1e-14
+
+
 @pytest.mark.parametrize("n, alpha", [(0, 1.0), (4, -1.0), (4, 1023.0), (4, np.nan)])
 def test_roots_jacobi_domain(n, alpha):
     with pytest.raises(DomainError):

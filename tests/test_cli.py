@@ -247,6 +247,35 @@ def test_report_all_same_under_optimize(capsys):
     assert proc.stdout == plain
 
 
+def test_report_all_same_with_cold_and_warm_spectra(capsys):
+    # the displacement spectra are built on first use and reused after; the
+    # pullback cache is cleared so that the second pass displaces again.
+    # report-all displaces at the origin only, the uncertainty sweep off it
+    from cohgeom import pullback, states
+
+    commands = (["report-all"], ["uncertainty", "--alphas", "1,1j,-0.5+0.5j"])
+    outputs = []
+    for clear_spectra in (True, False):
+        if clear_spectra:
+            states._unit_spectrum.cache_clear()
+        pullback._pullback_matrix.cache_clear()
+        for argv in commands:
+            assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert states._unit_spectrum.cache_info().hits > 0
+    assert outputs[0] == outputs[1]
+
+
+def test_no_spectrum_built_at_import():
+    src = os.path.dirname(os.path.dirname(cohgeom.__file__))
+    code = ("import cohgeom, cohgeom.cli\n"
+            "print(cohgeom.states._unit_spectrum.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
 def test_pullback_nan_squeeze_raises_domain_error(capsys):
     # the parser rejects the NaN before StateFamily raises DomainError for it
     with pytest.raises(SystemExit) as exc:

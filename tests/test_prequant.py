@@ -12,6 +12,7 @@ from cohgeom.prequant import (
     prequantum_apply,
     standard_fields,
 )
+from cohgeom import sut
 from cohgeom.sut import OrbitPoint
 
 FIELDS = standard_fields()
@@ -70,6 +71,12 @@ def test_flow_one_on_constant():
     tau = 0.3
     expected = np.exp(tau * P.t * (np.log(P.t) + 1.0))
     assert flow_apply(1, tau, ONE, P) == pytest.approx(expected)
+
+
+def test_flow_multiplier_past_the_double_range_is_inf():
+    # e^{tau t (log t + 1)} overflows at t = 1e8 with the FD step tau = 1e-5
+    assert flow_apply(1, 1e-5, ONE, OrbitPoint(0.0, 1e8)).real == np.inf
+    assert flow_generator_residual(1, ONE, OrbitPoint(0.0, 1e8)) == np.inf
 
 
 def test_flow_one_generates_operator_one():
@@ -137,6 +144,81 @@ def test_dirac_residual_grid_stable():
 def test_dirac_residual_rejects_points_off_the_chart():
     with pytest.raises(DomainError):
         dirac_residual(np.array([-1.0, 1.0]), np.array([0.0, 1.0]))
+    # t <= 0 is rejected before np.log could warn
+    with pytest.raises(DomainError):
+        dirac_residual(np.array([1.0, 0.0]), np.array([0.0]))
+    with pytest.raises(DomainError):
+        potential_residual(np.array([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("t_vals, s_vals", [([np.nan], [0.0]), ([1.0], [np.nan]),
+                                            ([np.inf], [0.0]), ([1.0, 2.0], [0.0, -np.inf])])
+def test_dirac_residual_rejects_non_finite_points(t_vals, s_vals):
+    with pytest.raises(DomainError):
+        dirac_residual(t_vals, s_vals)
+
+
+@pytest.mark.parametrize("t_vals", [[np.nan], [1.0, np.inf]])
+def test_potential_residual_rejects_non_finite_t(t_vals):
+    with pytest.raises(DomainError):
+        potential_residual(t_vals)
+
+
+def _dirac_loop_oracle(t_vals, s_vals, hbar):
+    """The bracket-correspondence residuals point by point, with the jets of
+    Q1 psi and Q2 psi written out here from the field's partials."""
+    residuals = {pair: 0.0 for pair in SIGN_PAIRS}
+    defect_dev = 0.0
+    for t in t_vals:
+        for s in s_vals:
+            a = np.log(t)
+            for psi in FIELDS.values():
+                u, u_a, u_s = psi.value(a, s), psi.d_a(a, s), psi.d_s(a, s)
+                u_aa, u_as, u_ss = psi.d_aa(a, s), psi.d_as(a, s), psi.d_ss(a, s)
+                et = np.exp(a)
+                q1 = -1j * hbar * t * u_s + t * (a + 1.0) * u
+                q1_a = (-1j * hbar * et * (u_s + u_as) + et * (a + 2.0) * u
+                        + et * (a + 1.0) * u_a)
+                q2 = 2j * hbar * u_a + 2.0 * s * u
+                q2_s = 2j * hbar * u_as + 2.0 * u + 2.0 * s * u_s
+                comm = ((-1j * hbar * t * q2_s + t * (a + 1.0) * q2)
+                        - (2j * hbar * q1_a + 2.0 * s * (-1j * hbar * et * u_s
+                                                         + et * (a + 1.0) * u)))
+                for (ef, ed) in SIGN_PAIRS:
+                    target = ed * 1j * hbar * (-2.0 * ef) * q1
+                    residuals[(ef, ed)] = max(residuals[(ef, ed)], abs(comm - target))
+                defect_dev = max(defect_dev, abs(comm + 2j * hbar * q1
+                                                 - 2j * hbar * (-2.0 * t) * u))
+    return residuals, defect_dev
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.3])
+def test_dirac_residual_matches_point_loop(hbar):
+    rng = np.random.default_rng(11)
+    t_vals = np.sort(rng.uniform(0.2, 4.0, 7))
+    s_vals = np.sort(rng.uniform(-2.0, 2.0, 5))
+    rep = dirac_residual(t_vals, s_vals, hbar)
+    residuals, defect_dev = _dirac_loop_oracle(t_vals, s_vals, hbar)
+    assert set(rep.residuals) == set(residuals) == set(SIGN_PAIRS)
+    for pair, r in residuals.items():
+        assert rep.residuals[pair] == pytest.approx(r, rel=1e-12)
+    assert rep.defect_dev == pytest.approx(defect_dev, rel=1e-12, abs=1e-13)
+
+
+def test_orbit_kernels_make_no_linalg_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):  # keeps LinAlgError
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    P = OrbitPoint(0.4, 1.7)
+    xi = sut.OrbitTangent(0.3, -1.1)
+    j1 = sut.Field2D(lambda s, t: t, lambda s, t: 0.0, lambda s, t: 1.0)
+    j2 = sut.Field2D(lambda s, t: 2 * s, lambda s, t: 2.0, lambda s, t: 0.0)
+    assert sut.kks_form(P, xi, sut.OrbitTangent(1.0, 0.0)) == pytest.approx(1.1 / 1.7)
+    assert sut.poisson(j1, j2, P) == pytest.approx(-2 * P.t)
+    assert dirac_residual(np.linspace(0.5, 2.0, 3), np.linspace(-1.0, 1.0, 3)).defect_dev < 1e-9
 
 
 def test_dirac_residual_scales_with_hbar():

@@ -24,10 +24,11 @@ from cohgeom import (
     wh_displacement,
     wh_squeezed,
 )
+from cohgeom import states
 from cohgeom.states import (
-    _exp_skew,
-    _su2_generator,
-    _wh_generator,
+    STATE_TOL,
+    _displace,
+    _exp_spectral,
     geometric_tail,
     pochhammer_coeffs,
 )
@@ -482,17 +483,36 @@ def test_truncation_dim_squeezed_supports_kernel():
 
 
 # ---------------------------------------------------------------------------
-# spectral exponential helper, against scipy's expm and expm_frechet
+# spectral exponential and the cached displacement spectra, against scipy's
+# expm and expm_frechet
+
+def _full_generator(family, size, alpha):
+    """X(alpha) built here from the ladder entries, sharing no code with
+    ``states``: alpha a+ - conj(alpha) a on ``size`` levels, or
+    conj(alpha) L- - alpha L+ at spin j = ``size`` with L+- normalized."""
+    if family == "wh":
+        a = np.diag(np.sqrt(np.arange(1.0, size)), 1)
+        return alpha * a.T - np.conj(alpha) * a
+    m = size - np.arange(int(round(2 * size)) + 1)
+    lp = np.diag(np.sqrt(size * (size + 1) - m[1:] * (m[1:] + 1)), 1) / np.sqrt(2.0)
+    return np.conj(alpha) * lp.T - alpha * lp
+
 
 def _skew_cases():
     rng = np.random.default_rng(7)
     for N in (53, 144):
         for r in (0.5, 1.0):
             alpha, u = (r * np.exp(2j * np.pi * rng.random()) for _ in range(2))
-            yield _wh_generator(alpha, N), _wh_generator(u, N)
+            yield _full_generator("wh", N, alpha), _full_generator("wh", N, u)
     for j in (2.0, 3.0):
         alpha, u = (np.exp(2j * np.pi * rng.random()) for _ in range(2))
-        yield _su2_generator(0.8 * alpha, j), _su2_generator(u, j)
+        yield _full_generator("su2", j, 0.8 * alpha), _full_generator("su2", j, u)
+
+
+def _exp_eigh(X, psi, *directions):
+    """The spectral kernel fed by an eigh of -iX taken here."""
+    lam, V = np.linalg.eigh(-1j * X)
+    return _exp_spectral(lam, V, psi, *directions)
 
 
 @pytest.mark.parametrize("X,E", list(_skew_cases()))
@@ -500,14 +520,14 @@ def test_exp_skew_matches_expm_and_frechet(X, E):
     from scipy.linalg import expm, expm_frechet
 
     eye = np.eye(len(X))
-    value, (deriv,) = _exp_skew(X, eye, E)
+    value, (deriv,) = _exp_eigh(X, eye, E)
     ref_value, ref_deriv = expm_frechet(X, E)
     assert np.max(np.abs(value - expm(X))) < 1e-12
     assert np.max(np.abs(value - ref_value)) < 1e-12
     assert np.max(np.abs(deriv - ref_deriv)) < 1e-12
     # acting on a vector gives the same columns
     psi = np.arange(1, len(X) + 1) / np.linalg.norm(np.arange(1, len(X) + 1))
-    v_vec, (d_vec,) = _exp_skew(X, psi, E)
+    v_vec, (d_vec,) = _exp_eigh(X, psi, E)
     assert np.max(np.abs(v_vec - value @ psi)) < 1e-12
     assert np.max(np.abs(d_vec - deriv @ psi)) < 1e-12
 
@@ -523,17 +543,72 @@ def test_exp_skew_coincident_eigenvalues():
     E = E - E.conj().T
     lam = np.array([0.3, 0.3, -1.2, 2.0, 0.3])
     X = 1j * np.diag(lam)
-    _, (exact,) = _exp_skew(X, np.eye(5), E)
+    _, (exact,) = _exp_eigh(X, np.eye(5), E)
     assert np.max(np.abs(exact - expm_frechet(X, E)[1])) < 1e-12
     for delta in (1e-6, 1e-9):
         split = 1j * np.diag(lam + np.array([0.0, delta, 0.0, 0.0, -delta]))
-        _, (near,) = _exp_skew(split, np.eye(5), E)
+        _, (near,) = _exp_eigh(split, np.eye(5), E)
         assert np.max(np.abs(near - exact)) < 10 * delta
     # the same in a rotated basis, where eigh sees the degeneracy only to
     # round-off
     Xq = Q @ X @ Q.conj().T
-    _, (rot,) = _exp_skew(Xq, np.eye(5), E)
+    _, (rot,) = _exp_eigh(Xq, np.eye(5), E)
     assert np.max(np.abs(rot - expm_frechet(Xq, E)[1])) < 1e-12
+
+
+_DISPLACED_SIZES = [("wh", 8), ("wh", 48), ("wh", 96),
+                    ("su2", 0.5), ("su2", 1.0), ("su2", 2.5), ("su2", 3.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_DISPLACED_SIZES),
+       st.sampled_from([1e-12, 0.3, 0.5, 1.0]),
+       st.floats(-np.pi, np.pi, exclude_min=True),
+       st.floats(-np.pi, np.pi, exclude_min=True))
+@example(("wh", 48), 1.0, np.pi, 0.5)       # negative real alpha
+@example(("su2", 2.5), 1.0, np.pi, -2.0)
+@example(("wh", 96), 1e-12, 2.0, 1.0)
+@example(("su2", 3.0), 1e-12, -1.0, 0.0)
+@example(("wh", 8), 0.3, 3.0, -0.5)
+def test_displacement_matches_expm_and_frechet(size, r, theta, phase_u):
+    # the cached spectrum of X(1), rotated to the phase of alpha and scaled
+    # by |alpha|, against the exponential of the full generator X(alpha)
+    from scipy.linalg import expm_frechet
+
+    family, n = size
+    alpha, u = r * np.exp(1j * theta), np.exp(1j * phase_u)
+    X, E = _full_generator(family, n, alpha), _full_generator(family, n, u)
+    eye = np.eye(len(X))
+    if family == "wh" and n < truncation_dim(alpha, "fock", eps=STATE_TOL):
+        with pytest.raises(TruncationError):
+            _displace(family, n, alpha, eye, (u,))
+        return
+    value, (deriv,) = _displace(family, n, alpha, eye, (u,))
+    ref_value, ref_deriv = expm_frechet(X, E)
+    assert np.max(np.abs(value - ref_value)) < 1e-12
+    assert np.max(np.abs(deriv - ref_deriv)) < 1e-12
+    psi = np.arange(1, len(X) + 1) / np.linalg.norm(np.arange(1, len(X) + 1))
+    v_vec, (d_vec,) = _displace(family, n, alpha, psi, (u,))
+    assert np.max(np.abs(v_vec - ref_value @ psi)) < 1e-12
+    assert np.max(np.abs(d_vec - ref_deriv @ psi)) < 1e-12
+
+
+def test_one_eigh_per_displacement_size(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(M):
+        calls.append(len(M))
+        return eigh(M)
+
+    states._unit_spectrum.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for N in (48, 64):
+        for k in range(8):
+            wh_squeezed(np.exp(2j * np.pi * k / 8), 0.5, N)
+    assert calls == [48, 64]
+    lam, V, w = states._unit_spectrum("wh", 48)
+    assert not (lam.flags.writeable or V.flags.writeable or w.flags.writeable)
 
 
 # ---------------------------------------------------------------------------

@@ -320,3 +320,61 @@ def test_psi_chart_pullback_coefficient(rng):
         coeff = (d_ds[0] * d_dt[1] - d_ds[1] * d_dt[0]) / mu**2
         # ds ^ dt coefficient is -1/t^2, i.e. + (1/t^2) dt ^ ds
         assert coeff == pytest.approx(-1.0 / t**2, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the scalar orbit kernels against a 2x2 matrix oracle written here
+
+def _form_oracle(s, t, xi1, xi2):
+    """<P, [V1, V2]> by 2x2 matrix products and a trace, each V built from
+    the tangent (ds, dt) as [[-dt/(2t), ds/t], [0, dt/(2t)]]."""
+    P = np.array([[s, 0.0], [t, -s]])
+    V1, V2 = (np.array([[-dt / (2 * t), ds / t], [0.0, dt / (2 * t)]])
+              for ds, dt in (xi1, xi2))
+    return float(np.trace(P @ (V1 @ V2 - V2 @ V1)))
+
+
+def _field_oracle(s, t, f_s, f_t):
+    """X_f solving omega(X_f, e_j) = df(e_j) by a dense solve."""
+    basis = ((1.0, 0.0), (0.0, 1.0))
+    W = np.array([[_form_oracle(s, t, e, ej) for e in basis] for ej in basis])
+    return np.linalg.solve(W, np.array([f_s, f_t]))
+
+
+def _orbit_samples(rng, count=40):
+    for _ in range(count):
+        s = float(rng.uniform(-3.0, 3.0))
+        t = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 5.0))
+        yield OrbitPoint(s, t), OrbitTangent(*rng.normal(size=2)), OrbitTangent(*rng.normal(size=2))
+
+
+def test_kks_form_matches_matrix_oracle(rng):
+    for P, xi1, xi2 in _orbit_samples(rng):
+        ref = _form_oracle(P.s, P.t, (xi1.ds, xi1.dt), (xi2.ds, xi2.dt))
+        assert kks_form(P, xi1, xi2) == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+
+def test_hamiltonian_field_and_poisson_match_matrix_oracle(rng):
+    f = Poly2({(1, 1): 1.0, (2, 0): -0.5, (0, 2): 0.25})
+    g = Poly2({(1, 0): 2.0, (0, 3): 1.0})
+    for P, _, _ in _orbit_samples(rng):
+        xf, xg = (_field_oracle(P.s, P.t, h.d_s()(P.s, P.t), h.d_t()(P.s, P.t))
+                  for h in (f, g))
+        X = hamiltonian_field(f.as_field(), P)
+        assert (X.ds, X.dt) == pytest.approx(tuple(xf), rel=1e-12, abs=1e-14)
+        assert poisson(f.as_field(), g.as_field(), P) == pytest.approx(
+            _form_oracle(P.s, P.t, xf, xg), rel=1e-12, abs=1e-14)
+
+
+def test_hamiltonian_field_degenerate_form_raises():
+    # at |t| = 1e200 the form's entries 1/t square to an underflowing det
+    f = Poly2({(1, 0): 1.0}).as_field()
+    with pytest.raises(DegenerateOrbit):
+        hamiltonian_field(f, OrbitPoint(0.0, 1e200))
+
+
+@pytest.mark.parametrize("s, t", [(0.0, float("nan")), (float("nan"), 1.0),
+                                  (float("inf"), 1.0), (0.0, float("-inf"))])
+def test_orbit_point_rejects_non_finite(s, t):
+    with pytest.raises(DomainError):
+        OrbitPoint(s, t)
