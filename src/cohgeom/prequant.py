@@ -116,15 +116,19 @@ def _q1(psi: PrequantField, a, s, t, hbar):
     return -1j * hbar * t * psi.d_s(a, s) + t * (a + 1.0) * psi.value(a, s)
 
 
+def _check_index(i: int):
+    if i not in (1, 2):
+        raise DomainError(f"operator index must be 1 or 2, got {i!r}")
+
+
 def prequantum_apply(i: int, psi: PrequantField, P: OrbitPoint,
                      hbar: float = 1.0) -> complex:
     """Evaluate Q_i psi at P (t > 0)."""
+    _check_index(i)
     a, s = _coords(P)
     if i == 1:
         return complex(_q1(psi, a, s, P.t, hbar))
-    if i == 2:
-        return complex(2j * hbar * psi.d_a(a, s) + 2.0 * s * psi.value(a, s))
-    raise ValueError("operator index must be 1 or 2")
+    return complex(2j * hbar * psi.d_a(a, s) + 2.0 * s * psi.value(a, s))
 
 
 def flow_apply(i: int, tau: float, psi: PrequantField, P: OrbitPoint,
@@ -133,17 +137,19 @@ def flow_apply(i: int, tau: float, psi: PrequantField, P: OrbitPoint,
 
     ``variant="stated"`` uses the closed forms as given.  For i = 2,
     ``variant="generator"`` replaces exp(s tau) by exp(2 s tau), the unique
-    multiplier whose tau-derivative at 0 reproduces Q2.
+    multiplier whose tau-derivative at 0 reproduces Q2.  An operator index
+    other than 1 or 2, or another variant, is a DomainError.
     """
+    _check_index(i)
+    if variant not in ("stated", "generator"):
+        raise DomainError(f"unknown flow variant {variant!r}")
     a, s = _coords(P)
     t = P.t
     if i == 1:
         exponent, point = tau * t * (a + 1.0), (a, s - 1j * hbar * t * tau)
-    elif i == 2:
+    else:
         exponent = (2.0 * s if variant == "generator" else s) * tau
         point = (a + 2j * hbar * tau, s)
-    else:
-        raise ValueError("operator index must be 1 or 2")
     try:
         growth = math.exp(exponent)
     except OverflowError:  # a multiplier past the double range reads inf
@@ -223,10 +229,12 @@ def dirac_residual(t_values, s_values, hbar: float = 1.0) -> DiracReport:
     ``standard_fields`` of |([Q1, Q2] - eps_dirac i hbar Q_h) psi| with
     h = {J1, J2} = -2 eps_field t, so Q_h = -2 eps_field Q1 by linearity.
     Each field's jets are evaluated over the whole (t, s) mesh at once.  A
-    grid point that is not finite or has t <= 0 (outside the chart) raises
-    DomainError before any logarithm is taken.
+    grid point that is not finite or has t <= 0 (outside the chart), or an
+    empty grid, raises DomainError before any logarithm is taken.
     """
     t, s = (np.asarray(x, dtype=float) for x in (t_values, s_values))
+    if t.size == 0 or s.size == 0:
+        raise DomainError("dirac_residual needs a nonempty (t, s) grid")
     if not (np.isfinite(s).all() and (np.isfinite(t) & (t > 0)).all()):
         raise DomainError("prequantization chart requires t > 0 at finite points")
     t, s = np.meshgrid(t, s, indexing="ij")
@@ -256,18 +264,20 @@ def potential_residual(t_values, variant: str = "log") -> float:
     theta = -log(t) ds gives d theta = (1/t) ds ^ dt = omega for all t > 0.
     The ``variant="abs_log"`` potential -|log t| ds fails for t < 1 (residual
     2/t there), which is why the plain logarithm is the implemented choice.
-    DomainError for a non-finite t or t <= 0.
+    DomainError for a non-finite t or t <= 0, no t at all, or another variant.
     """
+    if variant == "log":
+        theta_s = lambda tt: -np.log(tt)
+    elif variant == "abs_log":
+        theta_s = lambda tt: -abs(np.log(tt))
+    else:
+        raise DomainError(f"unknown potential variant {variant!r}")
+    if len(t_values) == 0:
+        raise DomainError("potential_residual needs at least one t")
     worst = 0.0
     for t in t_values:
         if not (math.isfinite(t) and t > 0):
             raise DomainError(f"potential defined for finite t > 0, got {t}")
-        if variant == "log":
-            theta_s = lambda tt: -np.log(tt)
-        elif variant == "abs_log":
-            theta_s = lambda tt: -abs(np.log(tt))
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
         # d theta = -(d theta_s / dt) ds ^ dt; omega coefficient is 1/t
         coeff = -(theta_s(t + FD_STEP) - theta_s(t - FD_STEP)) / (2.0 * FD_STEP)
         worst = max(worst, abs(coeff - 1.0 / t))

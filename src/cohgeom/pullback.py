@@ -329,10 +329,13 @@ def kahler_verdict(fam: StateFamily, bases=None,
     ``is_symplectic`` gates; ``max_dev`` is the worst full-value deviation,
     which ``is_kahler`` gates: metric and symplectic parts are then mutually
     compatible.  Squeezed families are judged at the origin, their default
-    and only base point (UnsupportedBasePoint for any other).
+    and only base point (UnsupportedBasePoint for any other).  An empty
+    ``bases`` is a DomainError: a verdict needs at least one sample.
     """
     if bases is None:
         bases = [0j] if fam.squeezed else [0j, 0.3 + 0.1j, -0.2 + 0.4j]
+    elif len(bases) == 0:
+        raise DomainError("kahler_verdict needs at least one base point")
     elif fam.squeezed and any(base != 0 for base in bases):
         raise UnsupportedBasePoint("squeezed families are judged at 0 only")
     fam0 = replace(fam, v=0.0)

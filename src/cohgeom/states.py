@@ -212,17 +212,17 @@ def wh_coherent(alpha: complex, N: int, tol: float = 1e-12) -> StateVector:
     """Oscillator coherent state on an N-level number basis.
 
     Amplitudes are exp(-|alpha|^2/2) alpha^n / sqrt(n!), built by the stable
-    recurrence c_n = c_{n-1} alpha / sqrt(n).  The dropped tail mass equals
-    the norm deficit; TruncationError if it exceeds ``tol``.
+    recurrence c_n = c_{n-1} alpha / sqrt(n), taken as one cumulative
+    product.  The dropped tail mass equals the norm deficit; TruncationError
+    if it exceeds ``tol``.
     """
     alpha = complex(alpha)
     if N < 1:
         raise DimensionTooSmall("need at least one level")
-    c = np.zeros(N, dtype=complex)
+    c = np.empty(N, dtype=complex)
     c[0] = np.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, N):
-        c[n] = c[n - 1] * alpha / np.sqrt(n)
-    return _tail_checked(c, tol, fock_tag(), alpha, "fock", 0.0)
+    c[1:] = alpha / np.sqrt(np.arange(1, N))
+    return _tail_checked(np.cumprod(c), tol, fock_tag(), alpha, "fock", 0.0)
 
 
 def _tail_checked(c: np.ndarray, tol: float, basis, alpha: complex,

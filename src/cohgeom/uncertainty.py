@@ -18,6 +18,11 @@ psi for some lam > 0, which is the defining condition of the minimum
 uncertainty (coherent / squeezed) states;
 ``min_uncertainty_residual`` measures how far a state is from satisfying it.
 
+Every moment is read from the two vectors A psi and B psi: each operator is
+applied to the state once per call, and the centring At psi = A psi - <A> psi
+is vector algebra, so no N x N operator is formed besides the Hermiticity
+check.
+
 Conventions: hbar enters only through the operators handed in;
 ``quadrature_pair`` builds q = sqrt(hbar/2)(a + a+), p = i sqrt(hbar/2)(a+ - a)
 so that [q, p] = i hbar away from the truncation edge.  The top number level
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitian, NormalizationError
+from .errors import DomainError, NonHermitian, NormalizationError
 from .statespace import StateVector
 from .states import ladder_matrices
 
@@ -77,19 +82,35 @@ class RsReport:
     delta_b: float
 
 
-def _check_hermitian(M: np.ndarray, name: str):
-    dev = np.max(np.abs(M - M.conj().T))
-    if dev > HERMITICITY_TOL:
-        raise NonHermitian(f"{name} deviates from Hermitian by {dev:.3e}")
+def _centred(A: np.ndarray, B: np.ndarray, psi: StateVector):
+    """Means a, b and the centred vectors (A - a) psi, (B - b) psi.
 
-
-def _check_state(psi: StateVector, dim: int):
-    if psi.dim != dim:
-        raise NormalizationError(
-            f"state dimension {psi.dim} does not match operators ({dim})")
+    Each operator is applied to psi once; the centring is vector algebra.
+    Both operators must be Hermitian (within HERMITICITY_TOL, a non-finite
+    entry fails) and act on psi's dimension; psi must be normalized.
+    """
+    shape = (psi.dim, psi.dim)
+    with np.errstate(invalid="ignore"):  # inf - inf reads nan and fails
+        for M, name in ((A, "A"), (B, "B")):
+            if np.shape(M) != shape:
+                raise NormalizationError(
+                    f"{name} of shape {np.shape(M)} does not act on a state "
+                    f"of dimension {psi.dim}")
+            D = M - M.conj().T
+            # the Frobenius norm bounds every entry, so the entrywise
+            # maximum is taken only when the norm alone cannot pass
+            if not np.vdot(D, D).real <= HERMITICITY_TOL ** 2:
+                dev = np.abs(D).max()
+                if not dev <= HERMITICITY_TOL:
+                    raise NonHermitian(
+                        f"{name} deviates from Hermitian by {dev:.3e}")
     if not psi.is_normalized():
         raise NormalizationError(
             f"state norm deficit {abs(psi.norm**2 - 1):.3e} exceeds budget")
+    x = psi.amps
+    Ax, Bx = A @ x, B @ x
+    a, b = float(np.vdot(x, Ax).real), float(np.vdot(x, Bx).real)
+    return a, b, Ax - a * x, Bx - b * x
 
 
 def moments(A: np.ndarray, B: np.ndarray, psi: StateVector) -> MomentReport:
@@ -98,20 +119,12 @@ def moments(A: np.ndarray, B: np.ndarray, psi: StateVector) -> MomentReport:
     C- = i <[At, Bt]> = i <[A, B]> is real for Hermitian inputs; for the
     quadrature pair it equals -hbar.
     """
-    _check_hermitian(A, "A")
-    _check_hermitian(B, "B")
-    _check_state(psi, A.shape[0])
-    x = psi.amps
-    a = float(np.real(np.vdot(x, A @ x)))
-    b = float(np.real(np.vdot(x, B @ x)))
-    At = A - a * np.eye(A.shape[0])
-    Bt = B - b * np.eye(B.shape[0])
-    Ax, Bx = At @ x, Bt @ x
-    alpha = float(np.real(np.vdot(Ax, Ax)))
-    beta = float(np.real(np.vdot(Bx, Bx)))
-    c_plus = float(2.0 * np.real(np.vdot(Ax, Bx)))
-    c_minus = float(np.real(1j * (np.vdot(Ax, Bx) - np.vdot(Bx, Ax))))
-    return MomentReport(a, b, alpha, beta, c_plus, c_minus)
+    a, b, dA, dB = _centred(A, B, psi)
+    cross = np.vdot(dA, dB)  # C+ = 2 Re cross, C- = i (cross - cross*)
+    return MomentReport(a, b, alpha=float(np.vdot(dA, dA).real),
+                        beta=float(np.vdot(dB, dB).real),
+                        c_plus=float(2.0 * cross.real),
+                        c_minus=float(-2.0 * cross.imag))
 
 
 def rs_report(A: np.ndarray, B: np.ndarray, psi: StateVector) -> RsReport:
@@ -145,15 +158,10 @@ def min_uncertainty_residual(A: np.ndarray, B: np.ndarray, lam: float,
     number basis the top truncation row is excluded (it violates the ladder
     commutator by construction).
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    _check_hermitian(A, "A")
-    _check_hermitian(B, "B")
-    _check_state(psi, A.shape[0])
-    x = psi.amps
-    a = np.real(np.vdot(x, A @ x))
-    b = np.real(np.vdot(x, B @ x))
-    r = (lam * A + 1j * B / lam) @ x - (lam * a + 1j * b / lam) * x
+    if not 0 < lam < np.inf:
+        raise DomainError(f"lam must be finite and positive, got {lam}")
+    _, _, dA, dB = _centred(A, B, psi)
+    r = lam * dA + (1j / lam) * dB
     if psi.basis.kind == "fock" and r.size > 1:
         r = r[:-1]
     return float(np.linalg.norm(r))

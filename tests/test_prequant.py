@@ -164,6 +164,25 @@ def test_potential_residual_rejects_non_finite_t(t_vals):
         potential_residual(t_vals)
 
 
+def test_empty_or_unknown_input_measures_nothing_and_raises():
+    P = OrbitPoint(0.3, 1.2)
+    for call in (lambda: dirac_residual([], []),
+                 lambda: dirac_residual([1.0], []),
+                 lambda: dirac_residual([], [0.0]),
+                 lambda: potential_residual([]),
+                 lambda: potential_residual([], variant="bogus"),
+                 lambda: potential_residual([1.0], variant="bogus"),
+                 lambda: flow_apply(2, 0.1, ONE, P, variant="bogus"),
+                 lambda: flow_apply(1, 0.1, ONE, P, variant="Stated"),
+                 lambda: flow_generator_residual(2, ONE, P, variant="bogus"),
+                 lambda: prequantum_apply(3, ONE, P),
+                 lambda: prequantum_apply(0, ONE, P),
+                 lambda: flow_apply(3, 0.1, ONE, P),
+                 lambda: flow_generator_residual(-1, ONE, P)):
+        with pytest.raises(DomainError):
+            call()
+
+
 def _dirac_loop_oracle(t_vals, s_vals, hbar):
     """The bracket-correspondence residuals point by point, with the jets of
     Q1 psi and Q2 psi written out here from the field's partials."""

@@ -321,6 +321,13 @@ def test_verdict_squeezed_only_at_the_origin():
         kahler_verdict(StateFamily("wh", v=0.5), bases=[5 + 5j])
 
 
+def test_verdict_without_base_points_rejected():
+    for fam in (WH, StateFamily("wh", v=0.5), SU2_J1):
+        for bases in ((), [], np.array([], dtype=complex)):
+            with pytest.raises(DomainError):
+                kahler_verdict(fam, bases=bases)
+
+
 def test_verdict_su11():
     verdict = kahler_verdict(SU11_K1, bases=[0j, 0.3, 0.2 + 0.4j])
     assert verdict.is_kahler and verdict.is_symplectic

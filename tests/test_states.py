@@ -135,6 +135,32 @@ def test_coherent_tail_budget_enforced():
         wh_coherent(2.0, 6)
 
 
+def _coherent_loop(alpha, N):
+    # c_n = c_{n-1} alpha / sqrt(n), one level at a time
+    c = np.zeros(N, dtype=complex)
+    c[0] = np.exp(-0.5 * abs(alpha) ** 2)
+    for n in range(1, N):
+        c[n] = c[n - 1] * alpha / np.sqrt(n)
+    return c
+
+
+@pytest.mark.parametrize("alpha, N", [(0j, 1), (0j, 8), (0.5, 16), (1 + 1j, 40),
+                                      (-1.3 + 0.7j, 64), (5j, 200),
+                                      (20 * np.exp(0.3j), 600)])
+def test_coherent_cumulative_product_matches_loop(alpha, N):
+    loop = _coherent_loop(complex(alpha), N)
+    amps = wh_coherent(alpha, N).amps
+    assert np.all(np.abs(amps - loop) <= 1e-13 * np.abs(loop))
+
+
+def test_coherent_underflow_still_truncation_error():
+    # exp(-|alpha|^2 / 2) underflows to 0, so every level is 0 as in the loop
+    assert not np.any(_coherent_loop(40.0 + 0j, 600))
+    for alpha in (40.0, 40j):
+        with pytest.raises(TruncationError):
+            wh_coherent(alpha, 600)
+
+
 # ---------------------------------------------------------------------------
 # displacement
 

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohgeom import (
+    DomainError,
     NonHermitian,
     NormalizationError,
     StateVector,
@@ -19,6 +22,7 @@ from cohgeom import (
     wh_coherent,
     wh_squeezed,
 )
+from cohgeom.uncertainty import SLACK_TOL
 from conftest import random_state
 
 FOCK = fock_tag()
@@ -145,8 +149,9 @@ def test_min_uncertainty_mismatched_gap():
 def test_min_uncertainty_rejects_bad_lambda():
     q, p = quadrature_pair(16)
     psi = wh_coherent(0, 16)
-    with pytest.raises(ValueError):
-        min_uncertainty_residual(q, p, -1.0, psi)
+    for lam in (-1.0, 0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            min_uncertainty_residual(q, p, lam, psi)
 
 
 def test_su2_coherent_saturation():
@@ -170,3 +175,135 @@ def test_uncertainty_inequalities_hold_on_random_states(dim, seed):
     rep = rs_report(A, B, random_state(rng, dim, FOCK))
     assert rep.heisenberg_ok and rep.anticomm_ok and rep.rs_ok
     assert rep.slack_rs >= -1e-10
+
+
+def _random_hermitian(rng, dim):
+    M = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return M + M.conj().T
+
+
+def _dense_oracle(A, B, lam, psi):
+    """Moments and residual through the N x N operators A - a, B - b and
+    lam A + i B / lam, as the uncertainty layer once computed them."""
+    x, N = psi.amps, psi.dim
+    a = np.real(np.vdot(x, A @ x))
+    b = np.real(np.vdot(x, B @ x))
+    Ax, Bx = (A - a * np.eye(N)) @ x, (B - b * np.eye(N)) @ x
+    alpha, beta = np.real(np.vdot(Ax, Ax)), np.real(np.vdot(Bx, Bx))
+    c_plus = 2.0 * np.real(np.vdot(Ax, Bx))
+    c_minus = np.real(1j * (np.vdot(Ax, Bx) - np.vdot(Bx, Ax)))
+    r = (lam * A + 1j * B / lam) @ x - (lam * a + 1j * b / lam) * x
+    if psi.basis.kind == "fock":
+        r = r[:-1]
+    return dict(a=a, b=b, alpha=alpha, beta=beta, c_plus=c_plus,
+                c_minus=c_minus, residual=np.linalg.norm(r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 96), st.integers(0, 2**32 - 1), st.floats(-1.0, 1.0),
+       st.booleans())
+def test_moments_match_dense_oracle(dim, seed, log_lam, quadratures):
+    rng = np.random.default_rng(seed)
+    if quadratures:
+        A, B = quadrature_pair(dim)
+    else:
+        A, B = _random_hermitian(rng, dim), _random_hermitian(rng, dim)
+    psi = random_state(rng, dim, FOCK)
+    lam = 10.0 ** log_lam
+    ref = _dense_oracle(A, B, lam, psi)
+    # relative to the scale of each field: |A|, |A||B| and the residual's
+    na, nb = np.linalg.norm(A, 2), np.linalg.norm(B, 2)
+    scale = dict(a=na, b=nb, alpha=na * na, beta=nb * nb, c_plus=na * nb,
+                 c_minus=na * nb, residual=lam * na + nb / lam)
+    m = moments(A, B, psi)
+    got = dict(vars(m), residual=min_uncertainty_residual(A, B, lam, psi))
+    for key, want in ref.items():
+        assert abs(got[key] - want) <= 1e-12 * scale[key], key
+    rep = rs_report(A, B, psi)
+    prod = np.sqrt(ref["alpha"]) * np.sqrt(ref["beta"])
+    bounds = (abs(ref["c_minus"]), abs(ref["c_plus"]),
+              np.hypot(ref["c_plus"], ref["c_minus"]))
+    assert (rep.heisenberg_ok, rep.anticomm_ok, rep.rs_ok) == tuple(
+        prod >= bound / 2 - SLACK_TOL for bound in bounds)
+    assert abs(rep.slack_rs - (prod - bounds[2] / 2)) <= 1e-12 * na * nb
+    assert abs(rep.delta_a - np.sqrt(ref["alpha"])) <= 1e-12 * na
+    assert abs(rep.delta_b - np.sqrt(ref["beta"])) <= 1e-12 * nb
+
+
+class _CountedOperator(np.ndarray):
+    """An operator that counts, per source name, every product with a vector
+    taken by it or by a matrix derived from it (A - a I, lam A + i B / lam)."""
+
+    def __array_finalize__(self, obj):
+        self.names = getattr(obj, "names", frozenset())
+        self.products = getattr(obj, "products", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        tagged = [arr for arr in inputs if isinstance(arr, _CountedOperator)]
+        names = frozenset().union(*(arr.names for arr in tagged))
+        out = getattr(ufunc, method)(*(np.asarray(arr) for arr in inputs), **kwargs)
+        if ufunc is np.matmul:
+            tagged[0].products.update(names)
+        elif isinstance(out, np.ndarray) and out.ndim == 2:
+            out = out.view(_CountedOperator)
+            out.names, out.products = names, tagged[0].products
+        return out
+
+
+@pytest.mark.parametrize("call", [
+    lambda A, B, psi: moments(A, B, psi),
+    lambda A, B, psi: rs_report(A, B, psi),
+    lambda A, B, psi: min_uncertainty_residual(A, B, 0.7, psi),
+], ids=["moments", "rs_report", "min_uncertainty_residual"])
+def test_each_operator_applied_once(call):
+    q, p = quadrature_pair(24)
+    psi = wh_squeezed(0.4 - 0.2j, 0.3, 24)
+    products = Counter()
+    A, B = q.view(_CountedOperator), p.view(_CountedOperator)
+    A.names, B.names = frozenset("A"), frozenset("B")
+    A.products = B.products = products
+    assert call(A, B, psi) == call(q, p, psi)
+    assert products == {"A": 1, "B": 1}
+
+
+def test_hermiticity_gate_is_entrywise():
+    # many entries just inside the gate: the Frobenius norm of A - A+ is far
+    # above HERMITICITY_TOL, yet every entry passes, so A is accepted
+    from cohgeom.uncertainty import HERMITICITY_TOL
+
+    q, p = quadrature_pair(32)
+    psi = wh_coherent(0.3, 32)
+    skew = np.triu(np.full((32, 32), 0.45 * HERMITICITY_TOL), 1)
+    inside = q + 1j * (skew + skew.T)  # |A - A+| = 0.9 tol off the diagonal
+    assert np.linalg.norm(inside - inside.conj().T) > 10 * HERMITICITY_TOL
+    assert moments(inside, p, psi).c_minus == pytest.approx(-1.0, abs=1e-9)
+    outside = q.copy()
+    outside[3, 7] += 0.6j * HERMITICITY_TOL  # |A - A+| = 1.2 tol at one pair
+    outside[7, 3] += 0.6j * HERMITICITY_TOL
+    with pytest.raises(NonHermitian, match="1.200e-12"):
+        moments(q, outside, psi)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+def test_non_finite_operator_is_not_hermitian(bad, where):
+    q, p = quadrature_pair(8)
+    psi = wh_coherent(0.2, 8)
+    A = q.astype(complex)
+    A[where] = bad
+    for call in (lambda: moments(A, p, psi), lambda: moments(p, A, psi),
+                 lambda: rs_report(A, p, psi),
+                 lambda: min_uncertainty_residual(A, p, 1.0, psi)):
+        with pytest.raises(NonHermitian):
+            call()
+
+
+def test_operator_shape_mismatch_is_typed():
+    q, p = quadrature_pair(8)
+    psi = wh_coherent(0.2, 8)
+    q9, _ = quadrature_pair(9)
+    for A, B in ((q, q9), (q9, p), (q[:, :7], p), (q, p[0]), (q[0], p)):
+        for call in (moments, rs_report,
+                     lambda A, B, psi: min_uncertainty_residual(A, B, 1.0, psi)):
+            with pytest.raises(NormalizationError):
+                call(A, B, psi)
