@@ -60,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, TruncationError
+from .errors import BasisMismatch, DomainError, QuadratureError, TruncationError
 from .states import geometric_tail, pochhammer_coeffs
 
 FD_STEP = 1e-5  # central-difference step of the Wirtinger derivatives
@@ -347,7 +347,7 @@ def symbol(P: np.ndarray, p: complex, q: complex, space: BerezinSpace) -> Symbol
     """
     L = space.cutoff
     if P.shape != (L, L):
-        raise ValueError(f"operator must be {L}x{L} for this space")
+        raise BasisMismatch(f"operator must be {L}x{L} for this space")
     vq = coherent_coeffs(q, space)
     vp = coherent_coeffs(p, space)
     raw = complex(np.conj(vp) @ (P @ vq))

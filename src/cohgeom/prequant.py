@@ -199,7 +199,7 @@ def _commutator(psi: PrequantField, a, s, t, hbar):
 def commutator_apply(psi: PrequantField, P: OrbitPoint, hbar: float = 1.0) -> complex:
     """[Q1, Q2] psi at P, assembled mechanically from the field's jet."""
     if not psi.has_second_partials():
-        raise ValueError("commutator needs a field with second partials")
+        raise DomainError("commutator needs a field with second partials")
     a, s = _coords(P)
     return complex(_commutator(psi, a, s, P.t, hbar))
 

@@ -10,11 +10,13 @@ has the induced metric as its real part and the induced symplectic form as
 its imaginary part.  Tangents are R-linear in u, so H is fixed at each base
 point by the 2x2 matrix H(e_a, e_b) over the directions e = (1, i);
 ``pullback_matrix`` computes it once per (family, base) and caches it, and
-``pullback_form`` and ``kahler_verdict`` read it.  For the squeezed
-oscillator and spin families the state D(base)|0;v> and both tangents come
-from the cached spectrum of the displacement generator (the Daleckii-Krein
-Frechet derivative, see ``states``); the fiducial state is the closed-form
-squeezed vacuum or the spin kernel state of ``states``.
+``pullback_form`` and ``kahler_verdict`` read it.  Every oscillator
+family, coherent or squeezed, takes its state D(base)|0;v> from the
+recurrence of ``states`` and its tangents from those amplitudes shifted by
+one level and the state itself, with no matrix exponential; the disc family
+differentiates its amplitude series.  Only the spin family displaces its kernel state through
+the cached spectrum of the generator (the Daleckii-Krein Frechet derivative,
+see ``states``).
 
 Slot convention (fixed once, used everywhere): the FIRST tangent argument u
 sits in the conjugated slot.  The closed form is one matrix in the basis of
@@ -53,14 +55,12 @@ from .statespace import (
     project_orthogonal,
 )
 from .states import (
-    STATE_TOL,
     _displace,
     spin_matrices,
-    squeezed_vacuum,
     su2_squeezed_vacuum,
     su11_coherent,
     truncation_dim,
-    wh_coherent,
+    wh_squeezed,
 )
 
 FAMILIES = ("wh", "su2", "su11")
@@ -114,12 +114,8 @@ class StateFamily:
         tight = 1e-3 * self.eps
         if self.family == "su11":
             n = truncation_dim(base, "discrete_series", self.param, tight)
-        elif self.v == 0.0:
-            n = truncation_dim(base, "fock", eps=tight)
         else:
-            # the squeezed vacuum declares STATE_TOL whatever eps is
-            n = truncation_dim(base, "squeezed_fock", self.v,
-                               min(tight, 1e-3 * STATE_TOL))
+            n = truncation_dim(base, "squeezed_fock", self.v, tight)
         # headroom for the one-level shift of the derivative itself
         return max(n + 2, 8)
 
@@ -148,43 +144,47 @@ def _frame(fam: StateFamily, base: complex,
            directions) -> tuple[StateVector, list[StateVector]]:
     """The state at ``base`` and its un-projected tangents along ``directions``.
 
-    Oscillator coherent and disc families differentiate the amplitude series
-    term by term: d/dalpha of level n is a raising-operator matrix element
-    times level n - 1, and the norm derivative along the state is removed
-    later by projection.  Squeezed oscillator and spin families differentiate
-    D(base)|0;v> = e^X |0;v>; the state and every tangent L(X, Xdot_u)|0;v>
-    come from the cached spectrum of the generator (``states._displace``).
+    Oscillator and disc tangents are banded: each is A_u R psi - b_u psi for
+    the raising operator R (a+, or K+ on the disc) and scalars A_u, b_u.
+    The disc family differentiates its amplitude series term by term.  The
+    oscillator tangent along u is (u a+ - conj(u) a) psi - i Im(u conj(base))
+    psi, the derivative of D(base + s u) = e^{-i s Im(u conj(base))} D(s u)
+    D(base) at s = 0; a psi = (beta psi - sinh v a+ psi) / cosh v, since psi
+    is the eigenvector of a_v with eigenvalue beta (see ``states``).  Spin
+    families differentiate D(base)|0;v> = e^X |0;v>; the state and every
+    tangent L(X, Xdot_u)|0;v> come from the cached spectrum of the generator
+    (``states._displace``).
     """
+    if fam.family == "su2":
+        vac = su2_squeezed_vacuum(fam.v, fam.param)
+        amps, tangents = _displace(fam.param, base, vac.amps, directions)
+        return (StateVector(amps, vac.basis, vac.tol),
+                [StateVector(t, vac.basis, vac.tol) for t in tangents])
     N = fam.dim(base)
-    if (fam.family == "wh" and fam.v == 0.0) or fam.family == "su11":
-        if fam.family == "wh":
-            psi = wh_coherent(base, N, fam.eps)
-            raise_elems, rate = np.sqrt(np.arange(1, N)), np.conj(base)
-        else:
-            k = fam.param
-            psi = su11_coherent(base, k, N, fam.eps)
-            n = np.arange(1, N)
-            raise_elems = np.sqrt(n * (n - 1 + 2 * k))
-            rate = 2 * k * np.conj(base) / (1 - abs(base) ** 2)
-        deriv = np.zeros(N, dtype=complex)
-        deriv[1:] = raise_elems * psi.amps[:-1]
-        return psi, [StateVector(u * deriv - np.real(rate * u) * psi.amps,
-                                 psi.basis, psi.tol) for u in directions]
+    n = np.arange(1, N)
     if fam.family == "wh":
-        vac, size = squeezed_vacuum(fam.v, N), N
+        psi = wh_squeezed(base, fam.v, N, fam.eps)
+        raise_elems = np.sqrt(n)
+        beta_ch = base + np.conj(base) * np.tanh(fam.v)  # beta / cosh v
+        coeffs = [(u + np.conj(u) * np.tanh(fam.v),
+                   np.conj(u) * beta_ch + 1j * (u * np.conj(base)).imag)
+                  for u in directions]
     else:
-        vac, size = su2_squeezed_vacuum(fam.v, fam.param), fam.param
-    amps, tangents = _displace(fam.family, size, base, vac.amps, directions)
-    return (StateVector(amps, vac.basis, vac.tol),
-            [StateVector(t, vac.basis, vac.tol) for t in tangents])
+        psi = su11_coherent(base, fam.param, N, fam.eps)
+        raise_elems = np.sqrt(n * (n - 1 + 2 * fam.param))
+        rate = 2 * fam.param * np.conj(base) / (1 - abs(base) ** 2)
+        coeffs = [(u, np.real(rate * u)) for u in directions]
+    deriv = np.concatenate(([0j], raise_elems * psi.amps[:-1]))  # R psi
+    return psi, [StateVector(a * deriv - b * psi.amps, psi.basis, psi.tol)
+                 for a, b in coeffs]
 
 
 def analytic_tangent(fam: StateFamily, t: TangentSpec) -> StateVector:
     """Pushforward of the tangent ``t.direction`` at ``t.base``, un-projected.
 
-    Oscillator coherent and disc families differentiate the amplitude series
-    term by term; squeezed oscillator and spin families take the Frechet
-    derivative of the displacement acting on the fiducial state.
+    Oscillator and disc tangents are banded in the amplitudes; spin tangents
+    are the Frechet derivative of the displacement acting on the fiducial
+    state (see ``_frame``).
     """
     return _frame(fam, _base_point(t.base), (complex(t.direction),))[1][0]
 
@@ -339,10 +339,8 @@ def kahler_verdict(fam: StateFamily, bases=None,
     elif fam.squeezed and any(base != 0 for base in bases):
         raise UnsupportedBasePoint("squeezed families are judged at 0 only")
     fam0 = replace(fam, v=0.0)
-    n_v = squeeze_prefactor(fam)
-    n_0 = squeeze_prefactor(fam0)
-    dev_full = 0.0
-    dev_sympl = 0.0
+    n_v, n_0 = squeeze_prefactor(fam), squeeze_prefactor(fam0)
+    dev_full = dev_sympl = 0.0
     for base in bases:
         G = pullback_matrix(fam, base) / n_v
         R = reference_matrix(fam0, base) / n_0
@@ -354,9 +352,9 @@ def kahler_verdict(fam: StateFamily, bases=None,
 
 
 def __getattr__(name):
-    # expm_frechet is no longer called here (tangents come from _displace),
-    # but the benchmark's span recorder still resolves pullback.expm_frechet
-    # for a layer metric; import it from scipy only when that name is read
+    # expm_frechet is called nowhere in the package, but the benchmark's
+    # span recorder still resolves pullback.expm_frechet for a layer metric;
+    # import it from scipy only when that name is read
     if name == "expm_frechet":
         from scipy.linalg import expm_frechet
         return expm_frechet

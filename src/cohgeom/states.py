@@ -18,17 +18,25 @@ e^v Lx +- i e^{-v} Ly carry no 1/sqrt(2); kernels and ray-level results do
 not depend on that overall scale, but matrix elements do, and each function
 documents which normalization it uses.
 
-The squeezed vacuum is an orbit state of SU(1,1) too: on the even number
-states a^2/2, a+^2/2 and (a+ a + 1/2)/2 span the discrete series at k = 1/4
-(the metaplectic representation), and |0; v> is its disc coherent state at
-alpha = -tanh v, c_2m = (-tanh v)^m ((1/2)_m / m!)^{1/2} / sqrt(cosh v)
-(Perelomov, Generalized Coherent States, 1986).  So ``squeezed_vacuum`` and
-``su11_coherent`` evaluate one amplitude formula (``_disc_amplitudes``), and
-``truncation_dim`` sizes both with one tail loop.  The kernel SVD
-``kernel_vector`` builds the spin fiducial, whose finite space makes the
-kernel exact, and is the test oracle for the oscillator one.  Fiducial
-vectors are normalized with their first nonzero amplitude real positive, so
-results are deterministic representatives of the ray.
+Every oscillator state comes from one three-term recurrence.  D(alpha)|0; v>
+is the eigenvector of a_v with eigenvalue beta = alpha cosh v +
+conj(alpha) sinh v (Yuen's two-photon coherent state, Phys. Rev. A 13, 2226,
+1976; Perelomov, Generalized Coherent States, 1986), so its amplitudes obey
+
+    c_{n+1} = (beta c_n - sinh v sqrt(n) c_{n-1}) / (cosh v sqrt(n+1)),
+    c_0 = exp(-|alpha|^2/2 - tanh v conj(alpha)^2/2) / sqrt(cosh v),
+
+which at v = 0 is the coherent recurrence c_{n+1} = alpha c_n / sqrt(n+1)
+and at alpha = 0 the squeezed vacuum on the even levels (``_fock_amplitudes``).
+It costs O(N) per state and gives the true amplitudes, so the norm deficit
+is the dropped tail mass and ``truncation_dim`` sizes the squeezed family
+from the recurrence's own tail.  No oscillator state needs a matrix
+exponential; ``wh_displacement`` is kept as the explicit unitary.
+
+The spin fiducial is the SVD kernel ``kernel_vector`` of the finite spin
+operator, which the finite space makes exact.  Fiducial vectors are
+normalized with their first nonzero amplitude real positive, so results are
+deterministic representatives of the ray.
 
 The discrete series at label k and the weighted Bergman space of ``berezin``
 at weight h share one basis when 2k = 1/h: its normalizations are the square
@@ -36,14 +44,13 @@ roots of the coefficients (a)_n / n! of (1 - x)^{-a}, with a = 2k = 1/h,
 computed once here (``pochhammer_coeffs``), and both tail estimates use the
 one geometric bound ``geometric_tail``.
 
-Displacements are phase covariant.  The vacuum's stabilizer U(1) rotates
-the orbit, D(r e^{i theta}) = R D(r) R+ with R = e^{i theta w} for the
-grading w = n (oscillator) or w = m (spin) (Perelomov 1986), so every
-generator X(alpha) is r R X_1 R+ for the phase-free X_1 = a+ - a on N levels
-or L- - L+ at spin j.  One Hermitian eigendecomposition -i X_1 =
-V_1 diag(lam_1) V_1+ per size, kept in a bounded LRU cache filled on first
-use (``_unit_spectrum``), therefore serves every displacement of that size:
--i X(alpha) has eigenvalues r lam_1 and eigenvectors e^{i theta w} V_1.  The
+Spin displacements are phase covariant.  The lowest weight's stabilizer U(1)
+rotates the orbit, D(r e^{i theta}) = R D(r) R+ with R = e^{i theta m}
+(Perelomov 1986), so every generator X(alpha) is r R X_1 R+ for the
+phase-free X_1 = L- - L+ at spin j.  One Hermitian eigendecomposition
+-i X_1 = V_1 diag(lam_1) V_1+ per spin, kept in a bounded LRU cache filled
+on first use (``_unit_spectrum``), therefore serves every displacement:
+-i X(alpha) has eigenvalues r lam_1 and eigenvectors e^{i theta m} V_1.  The
 same spectral data give e^X and the Frechet derivative of the exponential
 by the Daleckii-Krein formula L(X, E) = V (Phi o (V+ E V)) V+, with the
 divided differences Phi_jk = e^{i(lam_j + lam_k)/2} sinc((lam_j - lam_k)/2),
@@ -51,8 +58,8 @@ exact when eigenvalues coincide (Higham, Functions of Matrices, SIAM 2008,
 sec. 3.2), in the one kernel ``_exp_spectral``.
 
 The operator constructors (``ladder_matrices``, ``spin_matrices``), the
-generator spectra and the spin fiducial ``su2_squeezed_vacuum`` are cached
-in bounded LRU caches, filled on first use.  Their arrays are read-only, so
+spin spectra and the spin fiducial ``su2_squeezed_vacuum`` are cached in
+bounded LRU caches, filled on first use.  Their arrays are read-only, so
 cached results are shared safely.
 """
 
@@ -60,6 +67,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -143,9 +151,7 @@ def ladder_matrices(N: int) -> LadderPair:
     """Truncated oscillator ladder matrices of dimension N >= 2 (cached)."""
     if N < 2:
         raise DimensionTooSmall(f"need N >= 2 levels, got {N}")
-    a = np.zeros((N, N), dtype=complex)
-    n = np.arange(1, N)
-    a[n - 1, n] = np.sqrt(n)
+    a = np.diag(np.sqrt(np.arange(1.0, N)), 1).astype(complex)
     adag = a.conj().T
     for x in (a, adag):
         x.setflags(write=False)
@@ -164,24 +170,14 @@ def spin_matrices(j: float) -> SpinTriple:
     d = int(round(twoj)) + 1
     m = j - np.arange(d)  # m = j .. -j
     lz = np.diag(m).astype(complex)
-    jp = np.zeros((d, d), dtype=complex)  # unnormalized raising operator
-    for i in range(1, d):
-        mm = m[i]
-        jp[i - 1, i] = np.sqrt(j * (j + 1) - mm * (mm + 1))
+    # unnormalized raising operator
+    jp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
     jm = jp.conj().T
     lx = (jp + jm) / 2.0
     ly = (jp - jm) / 2.0j
     for x in (lx, ly, lz):
         x.setflags(write=False)
     return SpinTriple(float(j), lx, ly, lz)
-
-
-def _fix_phase(x: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its first nonzero amplitude is real positive."""
-    idx = np.flatnonzero(np.abs(x) > 1e-10 * np.max(np.abs(x)))
-    if idx.size == 0:
-        return x
-    return x * np.exp(-1j * np.angle(x[idx[0]]))
 
 
 def kernel_vector(M: np.ndarray) -> tuple[np.ndarray, float]:
@@ -204,33 +200,81 @@ def kernel_vector(M: np.ndarray) -> tuple[np.ndarray, float]:
             f"kernel not one-dimensional: next singular value ratio "
             f"{s[-2] / smax:.3e}"
         )
-    x = _fix_phase(vh[-1].conj())
+    x = vh[-1].conj()
+    # rotate the unit vector so its first nonzero amplitude is real positive
+    first = x[np.flatnonzero(np.abs(x) > 1e-10 * np.max(np.abs(x)))[0]]
+    x = x * np.exp(-1j * np.angle(first))
     return x, float(np.linalg.norm(M @ x))
+
+
+def _fock_amplitudes(alpha: complex, v: float, n: int) -> np.ndarray:
+    """Amplitudes c_0 .. c_{n-1} of D(alpha)|0; v> from the three-term
+    recurrence of the module notes, n >= 1, as a loop over complex scalars.
+
+    c_0 is exp(Re) e^{i Im} of its exponent, so at v = 0 every amplitude
+    has the bits of the cumulative product of the coherent recurrence.  The
+    guard |v| <= 2 is a DomainError.
+    """
+    if not abs(v) <= 2.0:
+        raise DomainError(f"|v| = {abs(v):.2f} exceeds the guard |v| <= 2")
+    ch, th = np.cosh(v), np.tanh(v)
+    root = np.sqrt(np.arange(n))
+    gain = ((alpha * ch + np.conj(alpha) * np.sinh(v)) / ch / root[1:]).tolist()
+    back = (th * root[:-1] / root[1:]).tolist()
+    a2 = np.conj(alpha) ** 2
+    cur = complex(np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * th * a2.real)
+                  * np.exp(-0.5j * th * a2.imag) / np.sqrt(ch))
+    prev, out = 0j, [cur]
+    for g, b in zip(gain, back):
+        prev, cur = cur, g * cur - b * prev
+        out.append(cur)
+    return np.array(out)
 
 
 def wh_coherent(alpha: complex, N: int, tol: float = 1e-12) -> StateVector:
     """Oscillator coherent state on an N-level number basis.
 
-    Amplitudes are exp(-|alpha|^2/2) alpha^n / sqrt(n!), built by the stable
-    recurrence c_n = c_{n-1} alpha / sqrt(n), taken as one cumulative
-    product.  The dropped tail mass equals the norm deficit; TruncationError
-    if it exceeds ``tol``.
+    Amplitudes are exp(-|alpha|^2/2) alpha^n / sqrt(n!), the v = 0 member of
+    ``wh_squeezed``.  The dropped tail mass equals the norm deficit;
+    TruncationError if it exceeds ``tol``.
     """
-    alpha = complex(alpha)
+    return wh_squeezed(alpha, 0.0, N, tol)
+
+
+def wh_squeezed(alpha: complex, v: float, N: int, tol: float = STATE_TOL) -> StateVector:
+    """Displaced squeezed state D(alpha) |0; v> on N levels.
+
+    The amplitudes come from the recurrence of the module notes and are
+    exact up to round-off, so the norm deficit is the dropped tail mass:
+    TruncationError if it exceeds ``tol``.  The guard |v| <= 2 and a
+    non-finite alpha are DomainErrors.  For v = 0 this is the coherent state.
+    """
     if N < 1:
         raise DimensionTooSmall("need at least one level")
-    c = np.empty(N, dtype=complex)
-    c[0] = np.exp(-0.5 * abs(alpha) ** 2)
-    c[1:] = alpha / np.sqrt(np.arange(1, N))
-    return _tail_checked(np.cumprod(c), tol, fock_tag(), alpha, "fock", 0.0)
+    return _tail_checked(_fock_amplitudes(complex(alpha), v, N), tol, fock_tag(),
+                         alpha, "squeezed_fock", v)
+
+
+def squeezed_vacuum(v: float, N: int) -> StateVector:
+    """The squeezed vacuum |0; v>, annihilated by cosh(v) a + sinh(v) a+.
+
+    ``wh_squeezed`` at alpha = 0: the odd amplitudes vanish and
+    c_2m = (-tanh v)^m ((1/2)_m / m!)^{1/2} / sqrt(cosh v), the k = 1/4 disc
+    coherent state at -tanh v on the even levels (Perelomov 1986), with
+    c_0 real positive.  The dropped tail mass is checked against STATE_TOL
+    (TruncationError).  The guard |v| <= 2 is a DomainError.
+    """
+    return wh_squeezed(0j, v, N)
 
 
 def _tail_checked(c: np.ndarray, tol: float, basis, alpha: complex,
                   family: str, param: float) -> StateVector:
     """The state of amplitudes c, whose norm deficit is the dropped tail mass
-    of the ``truncation_dim`` family; TruncationError if it exceeds tol."""
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
-    if tail > tol:
+    of the ``truncation_dim`` family; TruncationError if it exceeds tol, and
+    DomainError (from ``truncation_dim``) if it is not finite for a
+    non-finite alpha."""
+    tail = 1.0 - float(np.sum(np.abs(c) ** 2))
+    if not tail <= tol:
         raise TruncationError(
             f"tail mass {tail:.3e} exceeds budget {tol:.1e} at N = {len(c)}; "
             f"need N >= {truncation_dim(alpha, family, param, eps=tol)}")
@@ -247,98 +291,66 @@ def _exp_spectral(lam: np.ndarray, V: np.ndarray, psi: np.ndarray,
     """
     c = V.conj().T @ psi
     value = (V * np.exp(1j * lam)) @ c
-    if not directions:
-        return value, []
     phi = (np.exp(0.5j * np.add.outer(lam, lam))
            * np.sinc(np.subtract.outer(lam, lam) / (2.0 * np.pi)))
     return value, [V @ ((phi * (V.conj().T @ E @ V)) @ c) for E in directions]
-
-
-def _generator(family: str, size, alpha: complex) -> np.ndarray:
-    """The displacement generator X(alpha): alpha a+ - conj(alpha) a on
-    ``size`` levels (family "wh"), or conj(alpha) L- - alpha L+ at spin
-    j = ``size`` (family "su2")."""
-    if family == "wh":
-        lad = ladder_matrices(size)
-        return alpha * lad.adag - np.conj(alpha) * lad.a
-    spin = spin_matrices(size)
-    return np.conj(alpha) * spin.lminus - alpha * spin.lplus
-
-
-@lru_cache(maxsize=32)
-def _unit_spectrum(family: str, size) -> tuple[np.ndarray, ...]:
-    """Eigenvalues lam_1 and eigenvectors V_1 of -i X(1), and the grading w
-    (n or m) with X(e^{i theta}) = e^{i theta w} X(1) e^{-i theta w}.
-
-    One eigh per (family, size), cached; the arrays are read-only.
-    """
-    lam, V = np.linalg.eigh(-1j * _generator(family, size, 1.0))
-    w = np.arange(size) if family == "wh" else spin_matrices(size).lz.diagonal().real
-    for x in (lam, V, w):
-        x.setflags(write=False)
-    return lam, V, w
-
-
-def _displace(family: str, size, alpha: complex, psi: np.ndarray, directions=()):
-    """e^{X(alpha)} psi and its tangents L(X(alpha), X(u)) psi, u in
-    ``directions``, for the generators of ``_generator``.
-
-    The spectrum of X(alpha) = |alpha| R X(1) R+ comes from the cached
-    ``_unit_spectrum`` (see the module notes).  DomainError for a non-finite
-    alpha; for the oscillator, TruncationError if N = ``size`` is below the
-    coherent tail budget STATE_TOL for this alpha.
-    """
-    alpha = complex(alpha)
-    if not cmath.isfinite(alpha):
-        raise DomainError(f"alpha = {alpha} is not finite")
-    if family == "wh" and size < truncation_dim(alpha, "fock", eps=STATE_TOL):
-        raise TruncationError(
-            f"N = {size} below the tail budget for |alpha| = {abs(alpha):.3f}")
-    Es = [_generator(family, size, complex(u)) for u in directions]
-    if alpha == 0:
-        return psi, [E @ psi for E in Es]
-    lam, V, w = _unit_spectrum(family, size)
-    rotation = np.exp(1j * cmath.phase(alpha) * w)
-    return _exp_spectral(abs(alpha) * lam, rotation[:, None] * V, psi, *Es)
 
 
 def wh_displacement(alpha: complex, N: int) -> np.ndarray:
     """Displacement unitary exp(alpha a+ - conj(alpha) a) on N levels.
 
     Exactly unitary (exponential of a skew-Hermitian matrix, taken through
-    its eigendecomposition); agrees with the true displacement on the
-    well-truncated block.  TruncationError if N is below the coherent tail
-    budget STATE_TOL for this alpha.
+    one eigendecomposition of its generator); agrees with the true
+    displacement on the well-truncated block.  No state constructor uses it.
+    DomainError for a non-finite alpha (from ``truncation_dim``);
+    TruncationError if N is below the coherent tail budget STATE_TOL for
+    this alpha.
     """
-    return _displace("wh", N, alpha, np.eye(N))[0]
+    if N < truncation_dim(alpha, "fock", eps=STATE_TOL):
+        raise TruncationError(
+            f"N = {N} below the tail budget for |alpha| = {abs(alpha):.3f}")
+    lad, alpha = ladder_matrices(N), complex(alpha)
+    lam, V = np.linalg.eigh(-1j * (alpha * lad.adag - np.conj(alpha) * lad.a))
+    return _exp_spectral(lam, V, np.eye(N))[0]
 
 
-def squeezed_vacuum(v: float, N: int) -> StateVector:
-    """The squeezed vacuum |0; v>, annihilated by cosh(v) a + sinh(v) a+.
+def _generator(j: float, alpha: complex) -> np.ndarray:
+    """The spin displacement generator X(alpha) = conj(alpha) L- - alpha L+."""
+    spin = spin_matrices(j)
+    return np.conj(alpha) * spin.lminus - alpha * spin.lplus
 
-    It is the discrete-series coherent state at k = 1/4 and alpha = -tanh v
-    placed on the even number states (see the module notes), so its odd
-    amplitudes vanish and c_0 = 1/sqrt(cosh v) is real positive.  The dropped
-    tail mass is checked against STATE_TOL (TruncationError).  The guard
-    |v| <= 2 is a DomainError.
+
+@lru_cache(maxsize=32)
+def _unit_spectrum(j: float) -> tuple[np.ndarray, ...]:
+    """Eigenvalues lam_1 and eigenvectors V_1 of -i X(1) at spin j, and the
+    grading m with X(e^{i theta}) = e^{i theta m} X(1) e^{-i theta m}.
+
+    One eigh per spin, cached; the arrays are read-only.
     """
-    if not abs(v) <= 2.0:
-        raise DomainError(f"|v| = {abs(v):.2f} exceeds the guard |v| <= 2")
-    if N < 1:
-        raise DimensionTooSmall("need at least one level")
-    c = np.zeros(N, dtype=complex)
-    c[::2] = _disc_amplitudes(-np.tanh(v), 0.25, np.arange((N + 1) // 2))
-    return _tail_checked(c, STATE_TOL, fock_tag(), 0j, "squeezed_fock", v)
+    lam, V = np.linalg.eigh(-1j * _generator(j, 1.0))
+    m = spin_matrices(j).lz.diagonal().real
+    for x in (lam, V, m):
+        x.setflags(write=False)
+    return lam, V, m
 
 
-def wh_squeezed(alpha: complex, v: float, N: int) -> StateVector:
-    """Displaced squeezed state D(alpha) |0; v> on N levels.
+def _displace(j: float, alpha: complex, psi: np.ndarray, directions=()):
+    """e^{X(alpha)} psi and its tangents L(X(alpha), X(u)) psi, u in
+    ``directions``, for the spin generators of ``_generator``.
 
-    |0; v> is ``squeezed_vacuum(v, N)`` (DomainError for |v| > 2).  For v = 0
-    this reduces to the coherent state.
+    The spectrum of X(alpha) = |alpha| R X(1) R+ comes from the cached
+    ``_unit_spectrum`` (see the module notes).  DomainError for a non-finite
+    alpha.
     """
-    vac = squeezed_vacuum(v, N)
-    return StateVector(_displace("wh", N, alpha, vac.amps)[0], fock_tag(), STATE_TOL)
+    alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise DomainError(f"alpha = {alpha} is not finite")
+    Es = [_generator(j, complex(u)) for u in directions]
+    if alpha == 0:
+        return psi, [E @ psi for E in Es]
+    lam, V, m = _unit_spectrum(j)
+    rotation = np.exp(1j * cmath.phase(alpha) * m)
+    return _exp_spectral(abs(alpha) * lam, rotation[:, None] * V, psi, *Es)
 
 
 def su2_tilde_minus(spin: SpinTriple, v: float) -> np.ndarray:
@@ -365,7 +377,7 @@ def su2_squeezed_vacuum(v: float, j: float) -> StateVector:
 
 def su2_displacement(alpha: complex, j: float) -> np.ndarray:
     """Spin displacement exp(conj(alpha) L- - alpha L+), L+- normalized."""
-    return _displace("su2", j, alpha, np.eye(spin_matrices(j).dim))[0]
+    return _displace(j, alpha, np.eye(spin_matrices(j).dim))[0]
 
 
 def su2_state(alpha: complex, v: float, j: float) -> StateVector:
@@ -375,7 +387,7 @@ def su2_state(alpha: complex, v: float, j: float) -> StateVector:
     weight.  Displacement is unitary, so the result is normalized exactly.
     """
     vac = su2_squeezed_vacuum(v, j)
-    return StateVector(_displace("su2", j, alpha, vac.amps)[0], spin_tag(j))
+    return StateVector(_displace(j, alpha, vac.amps)[0], spin_tag(j))
 
 
 def pochhammer_coeffs(a: float, n, power: float = 0.5) -> np.ndarray:
@@ -409,12 +421,6 @@ def geometric_tail(t: float, r: float) -> float:
     return t / (1.0 - r) if r < 1.0 else np.inf
 
 
-def _disc_amplitudes(alpha: complex, k: float, n) -> np.ndarray:
-    """(1 - |alpha|^2)^k ((2k)_n / n!)^{1/2} alpha^n: the disc coherent state
-    of label k on the levels ``n``."""
-    return (1.0 - abs(alpha) ** 2) ** k * pochhammer_coeffs(2.0 * k, n) * alpha**n
-
-
 def su11_coherent(alpha: complex, k: float, N: int, tol: float = 1e-12) -> StateVector:
     """Disc coherent state of the positive discrete series, k > 1/2.
 
@@ -430,7 +436,8 @@ def su11_coherent(alpha: complex, k: float, N: int, tol: float = 1e-12) -> State
         raise DomainError(f"discrete-series label must satisfy k > 1/2, got {k}")
     if N < 1:
         raise DimensionTooSmall("need at least one level")
-    c = _disc_amplitudes(alpha, k, np.arange(N))
+    n = np.arange(N)
+    c = (1.0 - abs(alpha) ** 2) ** k * pochhammer_coeffs(2.0 * k, n) * alpha**n
     return _tail_checked(c, tol, disc_tag(k), alpha, "discrete_series", k)
 
 
@@ -446,10 +453,12 @@ def truncation_dim(alpha: complex, family: str, param: float = 0.0,
       r_n = |alpha|^2 (n+2k)/(n+1), r = |alpha|^2.  For 2k > 1 the ratios
       fall toward r, so r_n bounds the rest; for 2k < 1 they rise toward r,
       which bounds them instead.
-    * ``"squeezed_fock"`` (param = v): the squeezed vacuum is the k = 1/4
-      disc state at |alpha| = tanh|v| on the even levels, which need
-      N = 2M for the M disc levels; the coherent budget of the displacement
-      by ``alpha`` is added to that.
+    * ``"squeezed_fock"`` (param = v): the displaced squeezed amplitudes
+      themselves, from ``_fock_amplitudes`` (see ``_recurrence_dim``); at
+      v = 0 these are the coherent ones, sized as ``"fock"``.
+
+    The terms are carried in log space, so a first term exp(-|alpha|^2)
+    below the smallest double does not end the loop.
     """
     if not eps > 0:
         raise DomainError(f"tail budget eps must be positive, got {eps}")
@@ -458,24 +467,49 @@ def truncation_dim(alpha: complex, family: str, param: float = 0.0,
         # the tail recurrences below would never terminate
         raise DomainError(f"alpha = {alpha} is not finite")
 
-    if family == "squeezed_fock":
-        return (2 * truncation_dim(np.tanh(abs(param)), "discrete_series", 0.25, eps)
-                + truncation_dim(alpha, "fock", eps=eps))
-    if family == "fock":
-        t, ratio, limit = np.exp(-x), lambda n: x / (n + 1), 0.0
+    if family == "squeezed_fock" and param != 0:
+        return _recurrence_dim(complex(alpha), param, eps)
+    if family in ("fock", "squeezed_fock"):
+        log_t, ratio, limit = -x, lambda n: x / (n + 1), 0.0
     elif family == "discrete_series":
         k = param
         if not k > 0:
             raise DomainError(f"need k > 0, got {k}")
         if x >= 1.0:
             raise DomainError("discrete-series states require |alpha| < 1")
-        t, ratio, limit = ((1.0 - x) ** (2.0 * k),
-                           lambda n: x * (n + 2.0 * k) / (n + 1), x)
+        log_t, ratio, limit = (2.0 * k * math.log1p(-x),
+                               lambda n: x * (n + 2.0 * k) / (n + 1), x)
     else:
         raise DomainError(f"unknown family {family!r}")
-    if x == 0.0:
-        return 1
     for n in itertools.count(1):
-        t *= ratio(n - 1)  # the term of level n
-        if t == 0.0 or geometric_tail(t, max(ratio(n), limit)) < eps:
+        r = ratio(n - 1)  # from the term of level n - 1 to that of level n
+        log_t = log_t + math.log(r) if r > 0 else -math.inf
+        if geometric_tail(math.exp(log_t), max(ratio(n), limit)) < eps:
             return n
+
+
+def _recurrence_dim(alpha: complex, v: float, eps: float) -> int:
+    """``truncation_dim`` of D(alpha)|0; v>, from its own amplitudes.
+
+    The amplitudes are run to n levels, n doubling from 32, until the last
+    pair of terms bounds the rest geometrically below 1e-3 eps and at least
+    half the unit mass has been seen.  Pair sums t_n + t_{n+1} smooth out
+    the even-odd alternation; their ratios tend to tanh^2 v, from above
+    when the displacement has an anti-squeezed part and from below
+    otherwise, so the larger of the last ratio and tanh^2 v bounds the rest.
+    The tail beyond each N is then a suffix sum of exact terms, free of the
+    cancellation in 1 - sum |c_n|^2.  DomainError if |c_0| is below the
+    smallest normal double, where the amplitudes lose their precision, or
+    if |v| > 2 (from ``_fock_amplitudes``).
+    """
+    for n in (32 << k for k in itertools.count()):
+        c = np.abs(_fock_amplitudes(alpha, v, n))
+        if c[0] < np.finfo(float).tiny:
+            raise DomainError(f"c_0 underflows at alpha = {alpha}, v = {v}")
+        t = c**2
+        last, before = t[-2:].sum(), t[-4:-2].sum()
+        ratio = last / before if last < before else np.inf
+        rest = geometric_tail(last, max(ratio, np.tanh(v) ** 2)) if last else 0.0
+        if rest < 1e-3 * eps and t.sum() > 0.5:
+            tail = np.cumsum(t[::-1])[::-1] + rest  # mass at levels >= N
+            return max(1, int(np.argmax(np.append(tail, rest) < eps)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch, NormalizationError
+from .errors import BasisMismatch, DomainError, NormalizationError
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,9 @@ class StateVector:
     def __post_init__(self):
         amps = np.array(self.amps, dtype=complex)
         if amps.ndim != 1 or amps.size == 0:
-            raise ValueError("amplitudes must form a nonempty 1-d sequence")
+            raise DomainError("amplitudes must form a nonempty 1-d sequence")
         if not self.tol > 0:
-            raise ValueError("truncation tolerance must be positive")
+            raise DomainError("truncation tolerance must be positive")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -120,13 +120,18 @@ def fs_distance(psi: StateVector, phi: StateVector) -> float:
     """Geodesic distance between the rays of two normalized states.
 
     Returns delta in [0, pi] with |<psi|phi>| = cos(delta/2).  Orthogonal
-    rays are at distance pi; equal rays at distance 0.
+    rays are at distance pi; equal rays at distance 0.  It is taken as
+    4 arcsin(|u - w| / 2) for the unit vectors u, w of the two rays with
+    <u|w> >= 0, which resolves small distances that 2 arccos |<psi|phi>|
+    loses below about 3e-8.
     """
     _require_same_basis(psi, phi)
     _require_normalized(psi, "fs_distance")
     _require_normalized(phi, "fs_distance")
-    overlap = min(1.0, abs(inner(psi, phi)))
-    return 2.0 * float(np.arccos(overlap))
+    overlap = inner(psi, phi)
+    phase = np.conj(overlap) / abs(overlap) if overlap else 1.0
+    chord = psi.amps / psi.norm - phase * phi.amps / phi.norm
+    return 4.0 * float(np.arcsin(0.5 * np.linalg.norm(chord)))
 
 
 def project_orthogonal(psi: StateVector, b: StateVector) -> StateVector:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn, roots_jacobi
 
-from cohgeom.errors import DomainError, QuadratureError, TruncationError
+from cohgeom.errors import BasisMismatch, DomainError, QuadratureError, TruncationError
 from cohgeom import berezin as bz
 from cohgeom import su11_coherent, inner
 
@@ -260,6 +260,12 @@ def test_symbol_of_projector_and_diagonal_at_center():
     assert bz.symbol(proj, 1j, 1j, space).raw == pytest.approx(1.0)
     diag = np.diag(np.arange(8, dtype=complex) + 5.0)
     assert bz.symbol(diag, 1j, 1j, space).raw == pytest.approx(5.0)
+
+
+def test_symbol_rejects_a_mis_shaped_operator():
+    space = bz.BerezinSpace(h=0.25, cutoff=8)
+    with pytest.raises(BasisMismatch):
+        bz.symbol(np.eye(7, dtype=complex), 1j, 1j, space)
 
 
 def test_star_with_identity_is_symbol():

@@ -204,16 +204,26 @@ def test_uncertainty_defaults_hold_displaced_squeezed_states():
     assert run_cli(["uncertainty", "--alphas", "1,1j,0.5+0.5j"]) == 0
 
 
-def test_uncertainty_summary_shows_the_failing_residual(tmp_path):
-    # at N = 64 the displaced squeezed state at alpha = i is truncated: its
-    # matched residual misses the 1e-9 gate and is the summary's max_dev
+def test_uncertainty_summary_max_dev_is_the_worst_row(tmp_path):
+    # each row's dev is the worse of the RS slack and the matched residual,
+    # and the summary's max_dev is the worst row; exact displaced squeezed
+    # states pass at N = 64
     out = tmp_path / "u.json"
-    assert run_cli(["uncertainty", "--alphas", "1j", "--N", "64",
-                    "--format", "json", "--out", str(out)]) == 1
+    assert run_cli(["uncertainty", "--alphas", "1j,0.5", "--N", "64",
+                    "--format", "json", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    worst = max(row["resid_matched"] for row in doc["rows"])
-    assert worst > 1e-9
-    assert doc["summary"]["max_dev"] == worst
+    for row in doc["rows"]:
+        assert row["dev"] == max(abs(row["slack_rs"]), row["resid_matched"])
+    assert doc["summary"]["max_dev"] == max(row["dev"] for row in doc["rows"])
+    assert doc["summary"]["pass"] is True
+
+
+def test_uncertainty_below_the_tail_budget_exits_2(capsys):
+    assert run_cli(["uncertainty", "--alphas", "1j", "--squeeze", "0.5",
+                    "--N", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cohgeom: TruncationError: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_console_entry_point():
@@ -248,12 +258,13 @@ def test_report_all_same_under_optimize(capsys):
 
 
 def test_report_all_same_with_cold_and_warm_spectra(capsys):
-    # the displacement spectra are built on first use and reused after; the
-    # pullback cache is cleared so that the second pass displaces again.
-    # report-all displaces at the origin only, the uncertainty sweep off it
+    # the spin displacement spectra are built on first use and reused after;
+    # the pullback cache is cleared so that the second pass displaces again.
+    # report-all displaces at the origin only, the spin tangent oracle off it
     from cohgeom import pullback, states
 
-    commands = (["report-all"], ["uncertainty", "--alphas", "1,1j,-0.5+0.5j"])
+    commands = (["report-all"], ["pullback", "--family", "su2", "--param", "2",
+                                 "--squeeze", "0.5", "--oracle"])
     outputs = []
     for clear_spectra in (True, False):
         if clear_spectra:

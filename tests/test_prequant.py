@@ -4,6 +4,7 @@ import pytest
 from cohgeom.errors import DomainError
 from cohgeom.prequant import (
     SIGN_PAIRS,
+    PrequantField,
     commutator_apply,
     dirac_residual,
     flow_apply,
@@ -114,6 +115,12 @@ def test_commutator_closed_form():
         expected = (-2.0 * P.t * psi.d_s(a, P.s)
                     - 2j * P.t * (np.log(P.t) + 3.0) * psi.value(a, P.s))
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_commutator_needs_second_partials():
+    first_only = PrequantField(ONE.value, ONE.d_a, ONE.d_s)
+    with pytest.raises(DomainError):
+        commutator_apply(first_only, OrbitPoint(0.9, 1.4))
 
 
 def test_dirac_residual_reports_four_pairs():

@@ -181,6 +181,37 @@ def test_wh_squeezed_value_translation_invariant():
     assert abs(rep.value - at0) < 1e-9
 
 
+def test_squeezed_oscillator_pullback_takes_no_eigh(monkeypatch):
+    # states and tangents of every oscillator family come from the
+    # recurrence: a squeezed sweep, off the origin too, takes no eigh and
+    # builds no N x N ladder matrix, while a displaced spin state still
+    # takes its one eigh per spin
+    from cohgeom import states
+
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(M):
+        calls.append(len(M))
+        return eigh(M)
+
+    def refuse(N):
+        raise AssertionError(f"an {N} x {N} ladder matrix on the oscillator path")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(states, "ladder_matrices", refuse)
+    pullback_module._pullback_matrix.cache_clear()
+    for v in (0.0, 0.5, -1.0, 2.0):
+        fam = StateFamily("wh", v=v)
+        for base in (0j, 0.5, 1j, -1 + 2j):
+            pullback_matrix(fam, base)
+            numeric_tangent(fam, TangentSpec(base, 1j), 1e-4)
+    assert calls == []
+    states._unit_spectrum.cache_clear()
+    pullback_matrix(StateFamily("su2", v=0.5, param=2.0), 0.3)
+    assert calls == [5]
+
+
 def test_su2_closed_form_j_half_v0():
     # prefactor -<Lz> = j = 1/2; bracket at u = w = 1 is 1
     rep = pullback_form(StateFamily("su2", param=0.5), 0j, 1, 1)

@@ -8,7 +8,11 @@ from cohgeom import (
     DomainError,
     InvalidSpin,
     KernelError,
+    StateFamily,
+    TangentSpec,
     TruncationError,
+    analytic_tangent,
+    family_state,
     fs_distance,
     inner,
     kernel_vector,
@@ -582,44 +586,36 @@ def test_exp_skew_coincident_eigenvalues():
     assert np.max(np.abs(rot - expm_frechet(Xq, E)[1])) < 1e-12
 
 
-_DISPLACED_SIZES = [("wh", 8), ("wh", 48), ("wh", 96),
-                    ("su2", 0.5), ("su2", 1.0), ("su2", 2.5), ("su2", 3.0)]
+_SPINS = [0.5, 1.0, 2.5, 3.0]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(_DISPLACED_SIZES),
+@given(st.sampled_from(_SPINS),
        st.sampled_from([1e-12, 0.3, 0.5, 1.0]),
        st.floats(-np.pi, np.pi, exclude_min=True),
        st.floats(-np.pi, np.pi, exclude_min=True))
-@example(("wh", 48), 1.0, np.pi, 0.5)       # negative real alpha
-@example(("su2", 2.5), 1.0, np.pi, -2.0)
-@example(("wh", 96), 1e-12, 2.0, 1.0)
-@example(("su2", 3.0), 1e-12, -1.0, 0.0)
-@example(("wh", 8), 0.3, 3.0, -0.5)
-def test_displacement_matches_expm_and_frechet(size, r, theta, phase_u):
+@example(2.5, 1.0, np.pi, -2.0)      # negative real alpha
+@example(3.0, 1e-12, -1.0, 0.0)
+def test_displacement_matches_expm_and_frechet(j, r, theta, phase_u):
     # the cached spectrum of X(1), rotated to the phase of alpha and scaled
     # by |alpha|, against the exponential of the full generator X(alpha)
     from scipy.linalg import expm_frechet
 
-    family, n = size
     alpha, u = r * np.exp(1j * theta), np.exp(1j * phase_u)
-    X, E = _full_generator(family, n, alpha), _full_generator(family, n, u)
+    X, E = _full_generator("su2", j, alpha), _full_generator("su2", j, u)
     eye = np.eye(len(X))
-    if family == "wh" and n < truncation_dim(alpha, "fock", eps=STATE_TOL):
-        with pytest.raises(TruncationError):
-            _displace(family, n, alpha, eye, (u,))
-        return
-    value, (deriv,) = _displace(family, n, alpha, eye, (u,))
+    value, (deriv,) = _displace(j, alpha, eye, (u,))
     ref_value, ref_deriv = expm_frechet(X, E)
     assert np.max(np.abs(value - ref_value)) < 1e-12
     assert np.max(np.abs(deriv - ref_deriv)) < 1e-12
     psi = np.arange(1, len(X) + 1) / np.linalg.norm(np.arange(1, len(X) + 1))
-    v_vec, (d_vec,) = _displace(family, n, alpha, psi, (u,))
+    v_vec, (d_vec,) = _displace(j, alpha, psi, (u,))
     assert np.max(np.abs(v_vec - ref_value @ psi)) < 1e-12
     assert np.max(np.abs(d_vec - ref_deriv @ psi)) < 1e-12
 
 
 def test_one_eigh_per_displacement_size(monkeypatch):
+    # one spectrum per spin serves every displaced spin state
     calls = []
     eigh = np.linalg.eigh
 
@@ -629,12 +625,12 @@ def test_one_eigh_per_displacement_size(monkeypatch):
 
     states._unit_spectrum.cache_clear()
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    for N in (48, 64):
+    for j in (2.0, 3.0):
         for k in range(8):
-            wh_squeezed(np.exp(2j * np.pi * k / 8), 0.5, N)
-    assert calls == [48, 64]
-    lam, V, w = states._unit_spectrum("wh", 48)
-    assert not (lam.flags.writeable or V.flags.writeable or w.flags.writeable)
+            su2_state(np.exp(2j * np.pi * k / 8), 0.5, j)
+    assert calls == [5, 7]
+    lam, V, m = states._unit_spectrum(2.0)
+    assert not (lam.flags.writeable or V.flags.writeable or m.flags.writeable)
 
 
 # ---------------------------------------------------------------------------
@@ -680,3 +676,159 @@ def test_non_finite_alpha_rejected():
             truncation_dim(bad, "fock")
     with pytest.raises(DomainError):
         squeezed_vacuum(float("nan"), 16)
+
+
+# ---------------------------------------------------------------------------
+# the displaced squeezed recurrence against the Hermite closed form
+
+EPS = np.finfo(float).eps
+
+
+def _hermite_amplitude(alpha, v, n, shift=0.0, u=0j):
+    """<n|D(alpha + shift u)|0; v> at 40 digits from the Hermite closed form
+
+        c_n = c_0 (tanh v / 2)^{n/2} H_n(beta / sqrt(sinh 2v)) / sqrt(n!),
+
+    beta = alpha cosh v + conj(alpha) sinh v, c_0 = exp(-|alpha|^2/2 -
+    tanh v conj(alpha)^2/2) / sqrt(cosh v) (Yuen 1976), evaluated by mpmath;
+    it shares no code with the recurrence.  ``shift`` is real, so mpmath can
+    differentiate along the direction u."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a = mp.mpc(alpha) + shift * mp.mpc(u)
+        v = mp.mpf(v)
+        c0 = mp.exp(-abs(a) ** 2 / 2 - mp.tanh(v) * mp.conj(a) ** 2 / 2) / mp.sqrt(mp.cosh(v))
+        if v == 0:
+            return c0 * a**n / mp.sqrt(mp.factorial(n))
+        beta = a * mp.cosh(v) + mp.conj(a) * mp.sinh(v)
+        return (c0 * mp.sqrt(mp.tanh(v) / 2) ** n
+                * mp.hermite(n, beta / mp.sqrt(mp.sinh(2 * v))) / mp.sqrt(mp.factorial(n)))
+
+
+def _hermite_log_c0(alpha, v):
+    return -0.5 * abs(alpha) ** 2 - 0.5 * np.tanh(v) * (np.conj(alpha) ** 2).real
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(-2.0, 2.0), st.floats(0.0, 36.0),
+       st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
+@example(2.0, abs(3 + 1j), np.angle(3 + 1j), 0.3)
+@example(-2.0, abs(3 - 2j), np.angle(3 - 2j), -1.0)
+@example(1.0, 6.0, np.pi / 2, 0.0)
+@example(2.0, 27.0, np.pi / 2, 1.0)    # anti-squeezed axis, N in the thousands
+@example(2.0, 27.0, 0.0, 1.0)          # squeezed axis: c_0 underflows
+@example(-2.0, 60.0, 0.0, 0.5)         # anti-squeezed axis, N = 7982
+def test_squeezed_recurrence_matches_hermite_closed_form(v, r, theta, phase_u):
+    # over |v| <= 2 and |alpha| <= 36, where c_0 = exp(-|alpha|^2/2) of the
+    # coherent state is still a normal double; squeezing moves the underflow
+    # to smaller |alpha| on the squeezed axis (truncation_dim raises) and to
+    # larger |alpha| on the other, where the example at 60 stands for it.
+    # The exponent of c_0 is of size |alpha|^2, so any double evaluation
+    # carries a relative error eps (1 + |alpha|^2); amplitudes must stay
+    # within 4 times that, tangents within 16 times (measured worst: 0.7
+    # and 2.6)
+    import mpmath as mp
+
+    alpha, u = r * np.exp(1j * theta), np.exp(1j * phase_u)
+    try:
+        N = truncation_dim(alpha, "squeezed_fock", v, 1e-15)
+    except DomainError:
+        assert _hermite_log_c0(alpha, v) < np.log(np.finfo(float).tiny)
+        return
+    amps = wh_squeezed(alpha, v, N).amps
+    levels = sorted({*np.linspace(0, N - 1, 10).astype(int), int(np.argmax(np.abs(amps)))})
+    closed = [complex(_hermite_amplitude(alpha, v, n)) for n in levels]
+    assert np.max(np.abs(amps[levels] - closed)) <= 4 * EPS * (1 + r * r)
+    # the family's own basis, tangent included, is built without raising
+    fam = StateFamily("wh", v=v)
+    tangent = analytic_tangent(fam, TangentSpec(alpha, u)).amps
+    levels = np.linspace(0, len(tangent) - 1, 5).astype(int)
+    closed = [complex(mp.diff(lambda s: _hermite_amplitude(alpha, v, n, s, u), 0))
+              for n in levels]
+    assert np.max(np.abs(tangent[levels] - closed)) <= 16 * EPS * (1 + r * r)
+
+
+def _closed_vacuum(v, N):
+    """|0; v> on N levels from log-gamma: c_2m = (-tanh v)^m sqrt((2m)!) /
+    (2^m m! sqrt(cosh v)), odd levels 0."""
+    from math import cosh, lgamma, log, tanh
+
+    c = np.zeros(N)
+    for m in range((N + 1) // 2):
+        c[2 * m] = (-tanh(v)) ** m * np.exp(
+            0.5 * lgamma(2 * m + 1) - m * log(2.0) - lgamma(m + 1) - 0.5 * log(cosh(v)))
+    return c
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(-1.0, 1.0), st.floats(0.0, 2.0),
+       st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
+@example(-1.0, 2.0, 0.7, 2.0)
+def test_squeezed_tangent_matches_expm_frechet(v, r, theta, phase_u):
+    # L(X(alpha), X(u)) |0; v> on twice the family's basis, where the
+    # truncation edge cannot reach the compared levels; dense M^3 work
+    # bounds the range to |v| <= 1, |alpha| <= 2
+    from scipy.linalg import expm_frechet
+
+    alpha, u = r * np.exp(1j * theta), np.exp(1j * phase_u)
+    tangent = analytic_tangent(StateFamily("wh", v=v), TangentSpec(alpha, u)).amps
+    N = len(tangent)
+    X, E = _full_generator("wh", 2 * N, alpha), _full_generator("wh", 2 * N, u)
+    ref = expm_frechet(X, E, compute_expm=False) @ _closed_vacuum(v, 2 * N)
+    assert np.max(np.abs(tangent - ref[:N])) < 1e-14
+
+
+@pytest.mark.parametrize("alpha, v, N", [(3 + 1j, 2.0, 863), (3 - 2j, -2.0, 870)])
+def test_truncated_exponential_loses_the_top_levels(alpha, v, N):
+    # the former path, e^{X_N} on the truncated vacuum, against the
+    # recurrence: both match the Hermite form to round-off on the low
+    # levels; from about level 700 the truncated exponential reflects off
+    # the top level and is 1e-9 .. 1e-7 off there, the recurrence is not
+    lam, V = np.linalg.eigh(-1j * _full_generator("wh", N, alpha))
+    exp_path = V @ (np.exp(1j * lam) * (V.conj().T @ _closed_vacuum(v, N)))
+    recurrence = states._fock_amplitudes(alpha, v, N)
+    low, top = [0, 160, 320, 480, 600], list(range(N - 5, N))
+    closed = np.array([complex(_hermite_amplitude(alpha, v, n)) for n in low + top])
+    bound = 4 * EPS * (1 + abs(alpha) ** 2)
+    assert np.max(np.abs(recurrence[low + top] - closed)) <= bound
+    assert np.max(np.abs(exp_path[low] - closed[:5])) <= 1e-14
+    assert np.min(np.abs(exp_path[top] - closed[5:])) > 1e-9
+
+
+def test_squeezed_family_sized_from_its_own_tail():
+    # the former budget (vacuum levels plus coherent levels of |alpha|) gave
+    # 216 levels here, beyond which 7.3e-11 of the mass lies
+    import mpmath as mp
+
+    fam = StateFamily("wh", v=1.0)
+    N = fam.dim(6j)
+    with mp.workdps(40):
+        kept = mp.fsum(abs(_hermite_amplitude(6j, 1.0, n)) ** 2 for n in range(N - 2))
+        assert 1 - kept <= 1e-3 * fam.eps  # the tangent budget, N - 2 levels
+    assert family_state(fam, 6j).dim == N  # its tail check passes
+
+
+def test_wh_squeezed_below_budget_raises():
+    alpha, v = 1j, 0.5
+    N = truncation_dim(alpha, "squeezed_fock", v, STATE_TOL)
+    assert wh_squeezed(alpha, v, N).is_normalized()
+    with pytest.raises(TruncationError, match=f"need N >= {N}$"):
+        wh_squeezed(alpha, v, N // 2)
+
+
+def test_truncation_dim_fock_past_the_underflow_of_its_first_term():
+    # exp(-|alpha|^2) underflows from |alpha| ~ 27.3; the terms are summed
+    # here in log space from log-gamma, sharing no code with the loop
+    from math import exp, lgamma, log
+
+    def tail(x, n):
+        return sum(exp(-x + m * log(x) - lgamma(m + 1)) for m in range(n, n + 2000))
+
+    for alpha in (30.0, 30j, 35 * np.exp(0.4j)):
+        x = abs(alpha) ** 2
+        n = truncation_dim(alpha, "fock", eps=1e-12)
+        assert tail(x, n) < 1e-12 <= tail(x, n - 1)
+    psi = family_state(StateFamily("wh"), 30.0)
+    assert psi.dim == truncation_dim(30.0, "fock", eps=1e-15) + 2
+    assert abs(psi.norm - 1.0) < 1e-12

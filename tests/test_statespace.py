@@ -3,6 +3,7 @@ import pytest
 
 from cohgeom import (
     BasisMismatch,
+    DomainError,
     NormalizationError,
     PullbackReport,
     StateVector,
@@ -82,6 +83,23 @@ def test_fs_distance_is_ray_metric(rng):
         assert dab <= fs_distance(a, c) + fs_distance(c, b) + 1e-10
         phase = np.exp(1j * 0.7)
         assert fs_distance(a, StateVector(phase * a.amps, FOCK)) < 1e-6
+
+
+def test_fs_distance_resolves_small_angles():
+    # 2 arccos |<a|b>| cannot see angles below about 3e-8: the overlap
+    # cos(delta/2) rounds to 1 there; the chord formula returns delta itself
+    for delta in (1e-12, 1e-9, 3e-8, 1e-4):
+        a = StateVector([1.0, 0.0], FOCK)
+        b = StateVector(np.exp(0.3j) * np.array([np.cos(delta / 2), np.sin(delta / 2)]),
+                        FOCK)
+        assert fs_distance(a, b) == pytest.approx(delta, rel=1e-6)
+
+
+@pytest.mark.parametrize("amps, tol", [([], 1e-12), ([[1.0]], 1e-12),
+                                       ([1.0], 0.0), ([1.0], -1e-12)])
+def test_statevector_rejects_bad_input_with_a_typed_error(amps, tol):
+    with pytest.raises(DomainError):
+        StateVector(amps, FOCK, tol)
 
 
 def test_project_orthogonal_annihilates_own_ray():
