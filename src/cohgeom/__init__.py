@@ -41,14 +41,12 @@ from .statespace import (
 from .states import (
     LadderPair,
     SpinTriple,
-    kernel_vector,
     ladder_matrices,
     spin_matrices,
     squeezed_vacuum,
     su2_displacement,
     su2_squeezed_vacuum,
     su2_state,
-    su2_tilde_minus,
     su11_coherent,
     truncation_dim,
     wh_coherent,

@@ -670,6 +670,10 @@ def cmd_berezin_star(args) -> int:
 # parser
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # an option is spelled in full, never matched by a prefix
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         # one line on stderr, without the usage block
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -740,15 +744,16 @@ def build_parser() -> argparse.ArgumentParser:
                           ("symbol", cmd_berezin_symbol, SYMBOL_TOL),
                           ("star", cmd_berezin_star, None)):
         sp = sub_bz.add_parser(name)
-        sp.add_argument("--h", type=floats, default="0.25")
         sp.add_argument("--cutoff", type=int, default=8)
-        sp.add_argument("--points", type=complexes, default="1j,2j,1+1j")
         if name == "star":
             sp.add_argument("--h-seq", type=floats, default="0.2,0.1,0.05")
             sp.add_argument("--point", type=_checked(lambda t: _finite(complex, t)),
                             default="1.5j")
-        if tol:
+        else:
+            sp.add_argument("--h", type=floats, default="0.25")
             sp.add_argument("--tol", type=_real, default=tol)
+        if name in ("kernel", "symbol"):
+            sp.add_argument("--points", type=complexes, default="1j,2j,1+1j")
         _add_common(sp)
         sp.set_defaults(func=fn)
 

@@ -26,7 +26,7 @@ class TruncationError(CohgeomError):
 
 
 class KernelError(CohgeomError):
-    """Numerical kernel is empty or not one-dimensional within tolerance."""
+    """An operator has no kernel, or no one-dimensional one."""
 
 
 class DomainError(CohgeomError):

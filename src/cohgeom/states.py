@@ -33,10 +33,13 @@ is the dropped tail mass and ``truncation_dim`` sizes the squeezed family
 from the recurrence's own tail.  No oscillator state needs a matrix
 exponential; ``wh_displacement`` is kept as the explicit unitary.
 
-The spin fiducial is the SVD kernel ``kernel_vector`` of the finite spin
-operator, which the finite space makes exact.  Fiducial vectors are
-normalized with their first nonzero amplitude real positive, so results are
-deterministic representatives of the ray.
+The spin fiducial, the kernel of e^v Lx - i e^{-v} Ly = sqrt(2) (sinh v L+ +
+cosh v L-), comes from that operator's two-term recurrence up from m = -j,
+one cumulative product (``su2_squeezed_vacuum``); a half-integer spin has no
+kernel when squeezed, by parity.  No state constructor takes an SVD:
+``kernel_vector`` and its tolerance ``KERNEL_RTOL`` remain as the tests'
+oracle.  Fiducial vectors are normalized with their first nonzero amplitude
+real positive, so results are deterministic representatives of the ray.
 
 The discrete series at label k and the weighted Bergman space of ``berezin``
 at weight h share one basis when 2k = 1/h: its normalizations are the square
@@ -87,12 +90,10 @@ __all__ = [
     "SpinTriple",
     "ladder_matrices",
     "spin_matrices",
-    "kernel_vector",
     "wh_coherent",
     "wh_displacement",
     "squeezed_vacuum",
     "wh_squeezed",
-    "su2_tilde_minus",
     "su2_squeezed_vacuum",
     "su2_displacement",
     "su2_state",
@@ -165,7 +166,7 @@ def spin_matrices(j: float) -> SpinTriple:
     Raises InvalidSpin unless 2j is a positive integer.
     """
     twoj = 2.0 * j
-    if j <= 0 or abs(twoj - round(twoj)) > 1e-12:
+    if not 0 < j < math.inf or abs(twoj - round(twoj)) > 1e-12:
         raise InvalidSpin(f"j must be a positive half-integer, got {j}")
     d = int(round(twoj)) + 1
     m = j - np.arange(d)  # m = j .. -j
@@ -180,31 +181,24 @@ def spin_matrices(j: float) -> SpinTriple:
     return SpinTriple(float(j), lx, ly, lz)
 
 
-def kernel_vector(M: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit vector spanning the numerical kernel of M, plus its residual.
+def kernel_vector(M: np.ndarray) -> np.ndarray:
+    """Unit vector spanning the numerical kernel of M, by SVD: the tests'
+    oracle for the closed-form fiducials, which no state constructor calls.
 
-    The kernel is accepted when the smallest singular value is below
-    KERNEL_RTOL * sigma_max and the next one is well separated; otherwise the
-    kernel is empty or more than one-dimensional and KernelError is raised.
+    The kernel is accepted when the smallest singular value is at most
+    KERNEL_RTOL * sigma_max and the next one exceeds ten times that;
+    otherwise it is empty or more than one-dimensional (a zero M included)
+    and KernelError is raised.  The first amplitude above 1e-10 of the
+    largest is made real positive.
     """
     _, s, vh = np.linalg.svd(M)
-    smax = s[0]
-    if smax == 0.0:
-        raise KernelError("matrix is identically zero, kernel is everything")
-    if s[-1] > KERNEL_RTOL * smax:
-        raise KernelError(
-            f"no kernel within tolerance: sigma_min/sigma_max = {s[-1] / smax:.3e}"
-        )
-    if len(s) > 1 and s[-2] <= 10.0 * KERNEL_RTOL * smax:
-        raise KernelError(
-            f"kernel not one-dimensional: next singular value ratio "
-            f"{s[-2] / smax:.3e}"
-        )
+    # s[-2:][0] is the next singular value, or sigma_max itself for a 1 x 1 M
+    if not s[-1] <= KERNEL_RTOL * s[0] < 0.1 * s[-2:][0]:
+        raise KernelError(f"no one-dimensional kernel: smallest singular values "
+                          f"{s[-2:]} against sigma_max = {s[0]:.3e}")
     x = vh[-1].conj()
-    # rotate the unit vector so its first nonzero amplitude is real positive
     first = x[np.flatnonzero(np.abs(x) > 1e-10 * np.max(np.abs(x)))[0]]
-    x = x * np.exp(-1j * np.angle(first))
-    return x, float(np.linalg.norm(M @ x))
+    return x * np.exp(-1j * np.angle(first))
 
 
 def _fock_amplitudes(alpha: complex, v: float, n: int) -> np.ndarray:
@@ -272,12 +266,15 @@ def _tail_checked(c: np.ndarray, tol: float, basis, alpha: complex,
     """The state of amplitudes c, whose norm deficit is the dropped tail mass
     of the ``truncation_dim`` family; TruncationError if it exceeds tol, and
     DomainError (from ``truncation_dim``) if it is not finite for a
-    non-finite alpha."""
+    non-finite alpha.  Where N already meets ``truncation_dim`` the excess
+    is the amplitudes' own round-off, and the message says so."""
     tail = 1.0 - float(np.sum(np.abs(c) ** 2))
     if not tail <= tol:
-        raise TruncationError(
-            f"tail mass {tail:.3e} exceeds budget {tol:.1e} at N = {len(c)}; "
-            f"need N >= {truncation_dim(alpha, family, param, eps=tol)}")
+        need = truncation_dim(alpha, family, param, eps=tol)
+        fix = (f"need N >= {need}" if len(c) < need
+               else f"N meets truncation_dim = {need}: the excess is round-off")
+        raise TruncationError(f"tail mass {tail:.3e} exceeds budget {tol:.1e} "
+                              f"at N = {len(c)}; {fix}")
     return StateVector(c, basis, tol)
 
 
@@ -353,26 +350,32 @@ def _displace(j: float, alpha: complex, psi: np.ndarray, directions=()):
     return _exp_spectral(abs(alpha) * lam, rotation[:, None] * V, psi, *Es)
 
 
-def su2_tilde_minus(spin: SpinTriple, v: float) -> np.ndarray:
-    """Squeezed lowering combination e^v Lx - i e^{-v} Ly.
-
-    Equals sqrt(2) (sinh v L+ + cosh v L-) in the normalized-ladder
-    convention; the scale does not affect its kernel.
-    """
-    return np.exp(v) * spin.lx - 1j * np.exp(-v) * spin.ly
-
-
 @lru_cache(maxsize=128)
 def su2_squeezed_vacuum(v: float, j: float) -> StateVector:
     """Kernel state of e^v Lx - i e^{-v} Ly in the spin-j representation.
 
-    At v = 0 this is the lowest-weight state.  For v != 0 a kernel exists
-    only for integer j: the operator maps the even-m sector onto the smaller
-    odd-m sector.  Half-integer j with v != 0 raises KernelError.  Cached.
+    The operator is sqrt(2) (sinh v L+ + cosh v L-), so going up from
+    m = -j the amplitudes obey the two-term recurrence
+
+        c_{m+2} = -tanh v sqrt((j-m)(j+m+1) / ((j+m+2)(j-m-1))) c_m,
+
+    with c_{-j+1} = 0, so every odd offset from -j vanishes.  At v = 0 this is
+    the lowest-weight state.  For v != 0 the chain closes at m = +j only for
+    integer j; half-integer j with v != 0 raises KernelError, and a
+    non-finite v DomainError.  The first amplitude in basis order above
+    1e-10 of the largest is real positive.  Cached.
     """
     spin = spin_matrices(j)
-    x, _resid = kernel_vector(su2_tilde_minus(spin, v))
-    return StateVector(x, spin_tag(j))
+    if not math.isfinite(v):
+        raise DomainError(f"v = {v} is not finite")
+    if v != 0 and spin.dim % 2 == 0:
+        raise KernelError(f"no kernel at half-integer j = {j} with v = {v} != 0")
+    m = np.arange(0, spin.dim - 2, 2) - j  # the chain's m below its top
+    c = np.zeros(spin.dim)  # basis order m = j .. -j, so -j is c[-1]
+    c[::-2] = np.cumprod(np.append(1.0, -np.tanh(v) * np.sqrt(
+        (j - m) * (j + m + 1) / ((j + m + 2) * (j - m - 1)))))
+    c *= np.sign(c[np.abs(c) > 1e-10 * np.abs(c).max()][0]) / np.linalg.norm(c)
+    return StateVector(c, spin_tag(j))
 
 
 def su2_displacement(alpha: complex, j: float) -> np.ndarray:

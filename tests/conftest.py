@@ -7,6 +7,15 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def su2_tilde_minus(spin, v: float) -> np.ndarray:
+    """Squeezed spin lowering combination e^v Lx - i e^{-v} Ly.
+
+    Equals sqrt(2) (sinh v L+ + cosh v L-) with L+- = (Lx +- i Ly)/sqrt(2);
+    the scale does not affect its kernel.
+    """
+    return np.exp(v) * spin.lx - 1j * np.exp(-v) * spin.ly
+
+
 def random_state(rng, dim, basis, tol=1e-12):
     """Random normalized state on the given basis."""
     from cohgeom import StateVector

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import cohgeom
-from cohgeom import cli, spin_matrices, su2_tilde_minus
+from cohgeom import cli
 from cohgeom.cli import main
+from cohgeom.states import kernel_vector
 
 
 def run_cli(args):
@@ -336,6 +337,16 @@ def test_pullback_nan_squeeze_raises_domain_error(capsys):
      "cohgeom: DomainError: --hbar applies to --family wh only"),
     (["sut", "kks", "--hbar", "3"], "error: unrecognized arguments: --hbar 3"),
     (["sut", "charts", "--hbar", "3"], "error: unrecognized arguments: --hbar 3"),
+    # --h and --points are read by no star row, --points by no gram row;
+    # no option is matched by a prefix, so --h is not taken for --h-seq
+    (["berezin", "star", "--h", "0.9", "--points", "5j"],
+     "error: unrecognized arguments: --h 0.9 --points 5j"),
+    (["berezin", "star", "--h", "0.2,0.1"], "error: unrecognized arguments: --h "),
+    (["berezin", "gram", "--points", "5j"],
+     "error: unrecognized arguments: --points 5j"),
+    # the chain of a half-integer spin does not close when squeezed
+    (["pullback", "--family", "su2", "--param", "7.5", "--squeeze", "0.1"],
+     "cohgeom: KernelError: no kernel at half-integer j = 7.5"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_error_exit_two_one_line(argv, message, capsys):
@@ -390,53 +401,43 @@ def test_error_in_subprocess_has_no_traceback():
 
 
 def _recorded_svds(monkeypatch) -> list:
-    """Empty every constructor cache and the form cache, then record every
-    matrix handed to np.linalg.svd."""
-    from cohgeom import pullback, states
+    """Empty every constructor, form and quadrature cache, then record the
+    compute_uv flag of every np.linalg.svd call."""
+    from cohgeom import berezin, pullback, states
 
-    for fn in vars(states).values():
-        getattr(fn, "cache_clear", lambda: None)()
-    pullback._pullback_matrix.cache_clear()
+    for module in (states, pullback, berezin):
+        for fn in vars(module).values():
+            getattr(fn, "cache_clear", lambda: None)()
     seen = []
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda M, *a, **k: seen.append(M) or svd(M, *a, **k))
+
+    def recording(M, full_matrices=True, compute_uv=True, hermitian=False):
+        seen.append(compute_uv)
+        return svd(M, full_matrices, compute_uv, hermitian)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
     return seen
 
 
-def _spin_cases(seen, cases) -> list:
-    """The (v, j) of the spin operator e^v Lx - i e^{-v} Ly that each recorded
-    matrix is; fails on any other matrix, an oscillator operator included."""
-    ops = {(v, j): su2_tilde_minus(spin_matrices(j), v) for (v, j) in cases}
-    found = []
-    for M in seen:
-        match = [key for key, op in ops.items()
-                 if op.shape == M.shape and np.array_equal(op, M)]
-        assert match, f"SVD of a {M.shape} matrix that is no spin operator"
-        found.append(match[0])
-    return found
-
-
-def test_report_all_svds_only_spin_fiducials(monkeypatch, capsys):
-    # the squeezed vacuum is built in closed form: the only kernel SVDs are
-    # of spin operators, one per distinct (v, j)
+def test_report_all_svds_no_singular_vectors(monkeypatch, capsys):
+    # every fiducial is a closed form; the emptied quadrature cache makes
+    # the Gauss-Jacobi rule run its singular-value-only SVD
     seen = _recorded_svds(monkeypatch)
     assert run_cli(["report-all"]) == 0
     capsys.readouterr()
-    cases = {(v, j) for (j, v) in cli.SU2_CASES}
-    assert sorted(_spin_cases(seen, cases)) == sorted(cases)
+    assert seen and not any(seen)
 
 
-def test_pullback_sweep_svds_no_oscillator_operator(monkeypatch):
+def test_pullback_sweep_svds_no_singular_vectors(monkeypatch):
     sweep = _bench_module("workloads").WORKLOADS["pullback-sweep"]
     ops = sweep.plan(1)
-    spins = [op[1] for op in ops if op[1].family == "su2"]
-    cases = {(f.v, f.param) for f in spins} | {(0.0, f.param) for f in spins}
     seen = _recorded_svds(monkeypatch)
     results = sweep.run(ops)
     assert not [r for r in results if isinstance(r, cohgeom.CohgeomError)]
-    found = _spin_cases(seen, cases)
-    assert seen and len(found) == len(set(found))
+    assert not any(seen)
+    # the recorder sees the kernel oracle's SVD
+    kernel_vector(np.diag([1.0, 0.0]))
+    assert seen[-1] is True
 
 
 def _bench_module(name: str):

@@ -15,13 +15,11 @@ from cohgeom import (
     family_state,
     fs_distance,
     inner,
-    kernel_vector,
     ladder_matrices,
     spin_matrices,
     squeezed_vacuum,
     su2_squeezed_vacuum,
     su2_state,
-    su2_tilde_minus,
     su11_coherent,
     truncation_dim,
     wh_coherent,
@@ -34,8 +32,10 @@ from cohgeom.states import (
     _displace,
     _exp_spectral,
     geometric_tail,
+    kernel_vector,
     pochhammer_coeffs,
 )
+from conftest import su2_tilde_minus
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +307,41 @@ def test_su2_integer_spin_squeezed_exists(j):
     vac = su2_squeezed_vacuum(0.5, j)
     spin = spin_matrices(j)
     assert np.linalg.norm(su2_tilde_minus(spin, 0.5) @ vac.amps) < 1e-12
+
+
+@pytest.mark.parametrize("twoj", range(1, 21))
+def test_su2_recurrence_matches_kernel_oracle(twoj):
+    # the SVD kernel, phase rule included, shares no code with the two-term
+    # recurrence.  For half-integer j and v != 0 the operator is regular: its
+    # smallest singular value, down to 3e-11 of the largest at j = 19/2 and
+    # |v| = 0.1, is far above round-off, though below the oracle's KERNEL_RTOL
+    j = twoj / 2
+    spin = spin_matrices(j)
+    for v in (k / 10 for k in range(-20, 21)):
+        if twoj % 2 and v != 0:
+            s = np.linalg.svd(su2_tilde_minus(spin, v), compute_uv=False)
+            assert s[-1] > 1e-13 * s[0], v
+            with pytest.raises(KernelError):
+                su2_squeezed_vacuum(v, j)
+            continue
+        x = kernel_vector(su2_tilde_minus(spin, v))
+        assert np.max(np.abs(su2_squeezed_vacuum(v, j).amps - x)) < 1e-13, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.floats(-2.0, 2.0))
+def test_su2_squeezed_vacuum_is_a_unit_kernel_vector(j, v):
+    vac = su2_squeezed_vacuum(v, float(j))
+    assert abs(vac.norm - 1.0) < 1e-14
+    assert np.linalg.norm(su2_tilde_minus(spin_matrices(j), v) @ vac.amps) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_su2_non_finite_input_rejected(bad):
+    with pytest.raises(DomainError):
+        su2_squeezed_vacuum(bad, 1.0)
+    with pytest.raises(InvalidSpin):
+        spin_matrices(bad)
 
 
 def _perelomov_zeta(alpha: complex) -> complex:
@@ -666,7 +701,7 @@ def test_squeezed_vacuum_matches_kernel_oracle(v):
     # the SVD kernel of the truncated a_v shares no code with the disc formula
     N = truncation_dim(0, "squeezed_fock", v, 1e-15)
     lad = ladder_matrices(N)
-    x, _ = kernel_vector(np.cosh(v) * lad.a + np.sinh(v) * lad.adag)
+    x = kernel_vector(np.cosh(v) * lad.a + np.sinh(v) * lad.adag)
     assert np.max(np.abs(x - squeezed_vacuum(v, N).amps)) < 1e-12
 
 
@@ -815,6 +850,16 @@ def test_wh_squeezed_below_budget_raises():
     assert wh_squeezed(alpha, v, N).is_normalized()
     with pytest.raises(TruncationError, match=f"need N >= {N}$"):
         wh_squeezed(alpha, v, N // 2)
+
+
+def test_wh_squeezed_round_off_beyond_budget_named():
+    # at N = truncation_dim the norm deficit 3.5e-12 is the recurrence's
+    # round-off, not dropped mass, so a larger N is no remedy
+    N = truncation_dim(145, "squeezed_fock", -2.0, STATE_TOL)
+    assert N == 29238
+    with pytest.raises(TruncationError, match="exceeds budget") as exc:
+        wh_squeezed(145, -2.0, N)
+    assert "round-off" in str(exc.value) and "need N" not in str(exc.value)
 
 
 def test_truncation_dim_fock_past_the_underflow_of_its_first_term():
