@@ -32,7 +32,10 @@ assembled in one pass from the angular Fourier modes of its multiplier,
     ghat_k(r) = mean_theta g(r e^{i theta}) e^{i k theta},
 
 which regroups the same sums over the same nodes as the L^2 separate
-integrals (psi_l, g psi_m)_D.
+integrals (psi_l, g psi_m)_D.  On the uniform angles every ghat_k(r) is one
+entry of the inverse FFT of g along its ring, so the modes take no
+exponential table and no matrix product, whose OpenBLAS zgemm would wake a
+second thread that then spins on a core.
 
 With the cutoff L, the reproducing kernel and coherent states are
 
@@ -64,6 +67,7 @@ from .errors import BasisMismatch, DomainError, QuadratureError, TruncationError
 from .states import geometric_tail, pochhammer_coeffs
 
 FD_STEP = 1e-5  # central-difference step of the Wirtinger derivatives
+RING_BLOCK = 32  # quadrature rings per inverse FFT in matrix assembly
 
 __all__ = [
     "BerezinSpace",
@@ -210,15 +214,12 @@ def _radial_rule(h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-def _angles(n_angular: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(n_angular) / n_angular
-
-
 @functools.lru_cache(maxsize=8)
 def _disc_grid(h: float, n_radial: int, n_angular: int) -> np.ndarray:
     """Read-only tensor grid z = sqrt(u_r) e^{i theta_a}, n_radial x n_angular."""
     u, _ = _radial_rule(h, n_radial)
-    z = np.sqrt(u)[:, None] * np.exp(1j * _angles(n_angular))[None, :]
+    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    z = np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]
     z.flags.writeable = False
     return z
 
@@ -365,15 +366,21 @@ def _multiplier_matrix(g: Callable, space: BerezinSpace,
     """(psi_l, g psi_m)_D for all l, m < cutoff on one quadrature level.
 
     g is evaluated once on the grid; its angular Fourier modes
-    k = m - l = -(L-1)..L-1 come from one n_angular x (2L-1) product.
+    k = m - l = -(L-1)..L-1 are read from the inverse FFT along the angles,
+    at index k mod n_angular (aliased, as the trapezoid sum itself is, when
+    n_angular < 2L - 1).  The rings are transformed RING_BLOCK at a time and
+    only those 2L - 1 modes kept, since a transform of the whole grid
+    allocates, and pages in, a fresh grid-sized array on every call.
     """
     L = space.cutoff
     ls = np.arange(L)
     u, wu = _radial_rule(space.h, n_radial)
     z = _disc_grid(space.h, n_radial, n_angular)
     vals = np.broadcast_to(np.asarray(g(z), dtype=complex), z.shape)
-    ks = np.arange(1 - L, L)
-    modes = vals @ np.exp(1j * np.outer(_angles(n_angular), ks)) / n_angular
+    ks = np.arange(1 - L, L) % n_angular
+    modes = np.concatenate([  # mean_theta g e^{i k theta}
+        np.fft.ifft(rings, axis=1)[:, ks]
+        for rings in np.split(vals, range(RING_BLOCK, n_radial, RING_BLOCK))])
     radial = np.sqrt(u)[:, None] ** ls  # r^l, n_radial x L
     by_diff = modes[:, ls[None, :] - ls[:, None] + L - 1]  # ghat_{m-l}(r)
     T = np.einsum("rl,rm,rlm->lm", wu[:, None] * radial, radial, by_diff)

@@ -148,6 +148,13 @@ def _real(tok: str) -> float:
     return _finite(float, tok)
 
 
+def _positive(tok: str) -> float:
+    x = _finite(float, tok)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"not a positive number: {tok!r}")
+    return x
+
+
 def _numbers(kind, text: str) -> list:
     vals = [_finite(kind, tok) for tok in text.split(",") if tok]
     if not vals:
@@ -714,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--squeeze", type=floats, default="0,0.5")
     sp.add_argument("--j", type=floats, default="0.5,1,2")
     sp.add_argument("--N", type=int, default=96)
-    sp.add_argument("--hbar", type=_real, default=1.0)
+    sp.add_argument("--hbar", type=_positive, default=1.0)
     sp.add_argument("--tol", type=_real, default=SATURATION_TOL)
     _add_common(sp)
     sp.set_defaults(func=cmd_uncertainty)
@@ -730,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=["t:0.5..4:8", "s:-2..2:8"])
         sp.add_argument("--tol", type=_real, default=tol)
         if name in ("flow", "dirac"):
-            sp.add_argument("--hbar", type=_real, default=1.0)
+            sp.add_argument("--hbar", type=_positive, default=1.0)
         if name == "charts":
             sp.add_argument("--u0", type=_real, default=0.0)
             sp.add_argument("--v0", type=_real, default=1.0)

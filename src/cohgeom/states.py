@@ -149,9 +149,15 @@ class SpinTriple:
 
 @lru_cache(maxsize=32)
 def ladder_matrices(N: int) -> LadderPair:
-    """Truncated oscillator ladder matrices of dimension N >= 2 (cached)."""
+    """Truncated oscillator ladder matrices of dimension N >= 2 (cached).
+
+    DomainError unless N is a whole number; DimensionTooSmall below 2.
+    """
+    if not (math.isfinite(N) and N == math.floor(N)):
+        raise DomainError(f"N must be a whole number of levels, got {N}")
     if N < 2:
         raise DimensionTooSmall(f"need N >= 2 levels, got {N}")
+    N = int(N)
     a = np.diag(np.sqrt(np.arange(1.0, N)), 1).astype(complex)
     adag = a.conj().T
     for x in (a, adag):

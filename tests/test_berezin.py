@@ -130,6 +130,44 @@ def test_matrix_assembly_matches_entrywise_inner_products(h):
     assert np.max(np.abs(bz.gram_matrix(space) - G_ref)) < 1e-14
 
 
+def _multiplier_by_exponential_sum(g, space, n_r, n_a):
+    """(psi_l, g psi_m)_D on one quadrature level, the angular mode of each
+    entry written out as (1/n_a) sum_a g(z_ra) e^{i (m - l) theta_a}."""
+    L, h = space.cutoff, space.h
+    u, w = bz._radial_rule(h, n_r)
+    theta = 2.0 * np.pi * np.arange(n_a) / n_a
+    r = np.sqrt(u)
+    vals = np.broadcast_to(g(r[:, None] * np.exp(1j * theta)[None, :]), (n_r, n_a))
+    c = np.array([bz.basis_psi(l, 1.0, h).real for l in range(L)])
+    T = np.empty((L, L), dtype=complex)
+    for l in range(L):
+        for m in range(L):
+            mode = np.sum(vals * np.exp(1j * (m - l) * theta), axis=1) / n_a
+            T[l, m] = (1.0 / h - 1.0) * c[l] * c[m] * np.sum(w * r ** (l + m) * mode)
+    return T
+
+
+@pytest.mark.parametrize("h, L, n_r, n_a", [
+    (0.25, 8, 64, 256),   # report-all's gram and star configurations
+    (0.1, 16, 128, 512),
+    (0.25, 8, 16, 8),     # aliased: n_a < 2L - 1
+    (0.2, 12, 48, 6),     # and a last block of 16 rings
+])
+@pytest.mark.parametrize("name", ["one", "z^3 conj(z)", "exp(z)/(2 - conj(z))",
+                                  "|z - 0.3|"])
+def test_multiplier_modes_match_the_exponential_sum(h, L, n_r, n_a, name):
+    g = {"one": np.ones_like, "z^3 conj(z)": lambda z: z**3 * np.conj(z),
+         "exp(z)/(2 - conj(z))": lambda z: np.exp(z) / (2.0 - np.conj(z)),
+         "|z - 0.3|": lambda z: np.abs(z - 0.3) + 0j}[name]
+    space = bz.BerezinSpace(h=h, cutoff=L)
+    T = bz._multiplier_matrix(g, space, n_r, n_a)
+    assert np.max(np.abs(T - _multiplier_by_exponential_sum(g, space, n_r, n_a))) < 1e-15
+    if n_a < L and name == "one":
+        # mode n_a of a constant aliases to mode 0: <psi_0, psi_{n_a}> is
+        # far from 0 on this level, as the trapezoid sum itself makes it
+        assert abs(T[0, n_a]) > 0.01
+
+
 def test_one_rule_per_configuration(monkeypatch):
     built = []
 

@@ -347,6 +347,13 @@ def test_pullback_nan_squeeze_raises_domain_error(capsys):
     # the chain of a half-integer spin does not close when squeezed
     (["pullback", "--family", "su2", "--param", "7.5", "--squeeze", "0.1"],
      "cohgeom: KernelError: no kernel at half-integer j = 7.5"),
+    # hbar is finite and positive wherever it is read
+    (["uncertainty", "--hbar", "-1"], "error: argument --hbar: not a positive number"),
+    (["uncertainty", "--hbar", "0"], "error: argument --hbar: not a positive number"),
+    (["sut", "dirac", "--hbar", "0"], "error: argument --hbar: not a positive number"),
+    (["sut", "flow", "--hbar", "0"], "error: argument --hbar: not a positive number"),
+    (["sut", "flow", "--hbar", "-1"], "error: argument --hbar: not a positive number"),
+    (["sut", "dirac", "--hbar", "inf"], "error: argument --hbar: not a finite number"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_error_exit_two_one_line(argv, message, capsys):
@@ -379,6 +386,58 @@ def test_report_all_imports_no_scipy():
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+_QUIET_WORKERS = r"""
+import glob, math, os, time
+from cohgeom import cli, pullback, uncertainty as un
+
+def worker_ticks():
+    # user + system clock ticks of every thread but the main one
+    total = 0
+    for path in glob.glob("/proc/self/task/*/stat"):
+        if int(path.split("/")[-2]) != os.getpid():
+            with open(path) as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+            total += int(fields[11]) + int(fields[12])
+    return total
+
+# threads started at import may spin a while before they sleep
+settled, last = 0, worker_ticks()
+for _ in range(100):
+    time.sleep(0.05)
+    now = worker_ticks()
+    settled, last = (settled + 1 if now == last else 0), now
+    if settled == 4:
+        break
+before = worker_ticks()
+for name, _, run in cli.CHECKS:
+    run()
+for N in (48, 64, 96):
+    q, p = un.quadrature_pair(N)
+    for v in (0.0, 0.5, -0.5):
+        fam = pullback.StateFamily("wh", v=v, trunc=N)
+        psi = pullback.family_state(fam, 0.6 + 0.3j).normalized()
+        un.moments(q, p, psi)
+        un.rs_report(q, p, psi)
+        un.min_uncertainty_residual(q, p, math.exp(v), psi)
+        un.min_uncertainty_residual(q, p, 1.0, psi)
+print(len(glob.glob("/proc/self/task/*")), worker_ticks() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="per-thread CPU times are read from /proc")
+def test_report_all_and_uncertainty_sweep_leave_blas_workers_idle():
+    # no benchmarked product hands work to a second BLAS thread, which would
+    # then spin on a core; the BLAS library keeps its default thread count
+    src = os.path.dirname(os.path.dirname(cohgeom.__file__))
+    proc = subprocess.run([sys.executable, "-c", _QUIET_WORKERS],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    threads, ticks = map(int, proc.stdout.split())
+    assert ticks == 0, f"{ticks} clock ticks on the other {threads - 1} threads"
 
 
 def test_sut_points_off_the_orbit_skipped(tmp_path):

@@ -190,6 +190,20 @@ def test_empty_or_unknown_input_measures_nothing_and_raises():
             call()
 
 
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_every_hbar_entry_point_rejects_bad_hbar(hbar):
+    P = OrbitPoint(0.3, 1.2)
+    for call in (lambda: prequantum_apply(1, ONE, P, hbar),
+                 lambda: prequantum_apply(2, ONE, P, hbar),
+                 lambda: flow_apply(1, 0.1, ONE, P, hbar),
+                 lambda: flow_apply(2, 0.1, ONE, P, hbar, variant="generator"),
+                 lambda: flow_generator_residual(2, ONE, P, hbar),
+                 lambda: commutator_apply(FIELDS["s"], P, hbar),
+                 lambda: dirac_residual([1.0, 2.0], [0.0], hbar)):
+        with pytest.raises(DomainError, match="hbar must be finite and positive"):
+            call()
+
+
 def _dirac_loop_oracle(t_vals, s_vals, hbar):
     """The bracket-correspondence residuals point by point, with the jets of
     Q1 psi and Q2 psi written out here from the field's partials."""

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohgeom import (
+    CohgeomError,
     DomainError,
     NonHermitian,
     NormalizationError,
     StateVector,
     basis_state,
     fock_tag,
+    ladder_matrices,
     min_uncertainty_residual,
     moments,
     quadrature_pair,
@@ -232,22 +234,36 @@ def test_moments_match_dense_oracle(dim, seed, log_lam, quadratures):
 
 class _CountedOperator(np.ndarray):
     """An operator that counts, per source name, every product with a vector
-    taken by it or by a matrix derived from it (A - a I, lam A + i B / lam)."""
+    taken by it or by a matrix derived from it (A - a I, lam A + i B / lam),
+    whether through ``@`` or through one of numpy's product functions."""
+
+    PRODUCTS = (np.einsum, np.dot, np.inner, np.tensordot, np.matmul)
 
     def __array_finalize__(self, obj):
         self.names = getattr(obj, "names", frozenset())
         self.products = getattr(obj, "products", None)
+
+    def _count(self, operands):
+        tagged = [arr for arr in operands if isinstance(arr, _CountedOperator)]
+        if tagged and any(np.ndim(arr) == 1 for arr in operands):
+            tagged[0].products.update(frozenset().union(*(arr.names for arr in tagged)))
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         tagged = [arr for arr in inputs if isinstance(arr, _CountedOperator)]
         names = frozenset().union(*(arr.names for arr in tagged))
         out = getattr(ufunc, method)(*(np.asarray(arr) for arr in inputs), **kwargs)
         if ufunc is np.matmul:
-            tagged[0].products.update(names)
+            self._count(inputs)
         elif isinstance(out, np.ndarray) and out.ndim == 2:
             out = out.view(_CountedOperator)
             out.names, out.products = names, tagged[0].products
         return out
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func in self.PRODUCTS:
+            self._count(args)
+        plain = [np.asarray(a) if isinstance(a, _CountedOperator) else a for a in args]
+        return func(*plain, **kwargs)
 
 
 @pytest.mark.parametrize("call", [
@@ -264,6 +280,24 @@ def test_each_operator_applied_once(call):
     A.products = B.products = products
     assert call(A, B, psi) == call(q, p, psi)
     assert products == {"A": 1, "B": 1}
+
+
+@pytest.mark.parametrize("apply", [
+    lambda M, x: M @ x,
+    lambda M, x: np.einsum("ij,j->i", M, x),
+    lambda M, x: np.dot(M, x),
+    lambda M, x: (M - 0.5 * M) @ x,
+], ids=["matmul", "einsum", "dot", "derived"])
+def test_counted_operator_sees_every_kernel(apply):
+    # the counter behind test_each_operator_applied_once: a second
+    # application by any of these kernels would show as a count of 2
+    q, _ = quadrature_pair(6)
+    A = q.view(_CountedOperator)
+    A.names, A.products = frozenset("A"), Counter()
+    x = np.arange(6.0) + 1j
+    for _ in range(2):
+        assert np.array_equal(apply(A, x), apply(q, x))
+    assert A.products == {"A": 2}
 
 
 def test_hermiticity_gate_is_entrywise():
@@ -307,3 +341,40 @@ def test_operator_shape_mismatch_is_typed():
                      lambda A, B, psi: min_uncertainty_residual(A, B, 1.0, psi)):
             with pytest.raises(NormalizationError):
                 call(A, B, psi)
+
+
+def test_quadrature_pair_is_cached_and_read_only():
+    q, p = quadrature_pair(40, 0.5)
+    again = quadrature_pair(40, 0.5)
+    assert again[0] is q and again[1] is p
+    assert quadrature_pair(40)[0] is not q  # another hbar, another pair
+    for arr in (q, p):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+    # the shared arrays still hold [q, p] = i hbar on the interior block
+    comm = q @ p - p @ q
+    assert np.max(np.abs(comm[:38, :38] - 0.5j * np.eye(38))) < 1e-12
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, -0.0, np.nan, np.inf, -np.inf])
+def test_quadrature_pair_rejects_bad_hbar(hbar):
+    before = quadrature_pair.cache_info().currsize
+    with pytest.raises(DomainError, match="hbar must be finite and positive"):
+        quadrature_pair(8, hbar)
+    assert quadrature_pair.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("N", [2.5, 7.01, np.nan, np.inf])
+def test_non_integral_levels_raise_before_caching(N):
+    caches = (quadrature_pair.cache_info, ladder_matrices.cache_info)
+    before = [info().currsize for info in caches]
+    for call in (lambda: quadrature_pair(N), lambda: ladder_matrices(N)):
+        with pytest.raises(CohgeomError, match="whole number of levels"):
+            call()
+    assert [info().currsize for info in caches] == before
+    # a whole number given as a float is a size
+    assert np.array_equal(quadrature_pair(7.0)[0], quadrature_pair(7)[0])
+    assert ladder_matrices(7.0).dim == 7 and type(ladder_matrices(7.0).dim) is int
