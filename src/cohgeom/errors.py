@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the hbar domain check."""
+
+import math
 
 
 class CohgeomError(Exception):
@@ -55,3 +57,9 @@ class QuadratureError(CohgeomError):
 
 class VerificationError(CohgeomError):
     """A closed form failed the check it is verified against before use."""
+
+
+def check_hbar(hbar) -> None:
+    """DomainError unless hbar is finite and positive."""
+    if not 0 < hbar < math.inf:
+        raise DomainError(f"hbar must be finite and positive, got {hbar}")

@@ -42,7 +42,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_hbar
 from .sut import OrbitPoint
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -107,15 +107,8 @@ def standard_fields() -> Mapping[str, PrequantField]:
                              f"e^(i{KAPPA}s)": osc, f"e^({SIGMA}a)": grow})
 
 
-def _check_hbar(hbar):
-    if not 0 < hbar < math.inf:
-        raise DomainError(f"hbar must be finite and positive, got {hbar}")
-
-
-def _coords(P: OrbitPoint, hbar) -> tuple[float, float]:
-    # the chart of P; both tests in one branch keep the hot path to one call
-    if not (P.t > 0 and 0 < hbar < math.inf):
-        _check_hbar(hbar)
+def _coords(P: OrbitPoint) -> tuple[float, float]:
+    if not P.t > 0:
         raise DomainError("prequantization chart requires t > 0")
     return math.log(P.t), P.s
 
@@ -134,7 +127,8 @@ def prequantum_apply(i: int, psi: PrequantField, P: OrbitPoint,
                      hbar: float = 1.0) -> complex:
     """Evaluate Q_i psi at P (t > 0)."""
     _check_index(i)
-    a, s = _coords(P, hbar)
+    check_hbar(hbar)
+    a, s = _coords(P)
     if i == 1:
         return complex(_q1(psi, a, s, P.t, hbar))
     return complex(2j * hbar * psi.d_a(a, s) + 2.0 * s * psi.value(a, s))
@@ -152,7 +146,8 @@ def flow_apply(i: int, tau: float, psi: PrequantField, P: OrbitPoint,
     _check_index(i)
     if variant not in ("stated", "generator"):
         raise DomainError(f"unknown flow variant {variant!r}")
-    a, s = _coords(P, hbar)
+    check_hbar(hbar)
+    a, s = _coords(P)
     t = P.t
     if i == 1:
         exponent, point = tau * t * (a + 1.0), (a, s - 1j * hbar * t * tau)
@@ -209,7 +204,8 @@ def commutator_apply(psi: PrequantField, P: OrbitPoint, hbar: float = 1.0) -> co
     """[Q1, Q2] psi at P, assembled mechanically from the field's jet."""
     if not psi.has_second_partials():
         raise DomainError("commutator needs a field with second partials")
-    a, s = _coords(P, hbar)
+    check_hbar(hbar)
+    a, s = _coords(P)
     return complex(_commutator(psi, a, s, P.t, hbar))
 
 
@@ -241,7 +237,7 @@ def dirac_residual(t_values, s_values, hbar: float = 1.0) -> DiracReport:
     grid point that is not finite or has t <= 0 (outside the chart), or an
     empty grid, raises DomainError before any logarithm is taken.
     """
-    _check_hbar(hbar)
+    check_hbar(hbar)
     t, s = (np.asarray(x, dtype=float) for x in (t_values, s_values))
     if t.size == 0 or s.size == 0:
         raise DomainError("dirac_residual needs a nonempty (t, s) grid")

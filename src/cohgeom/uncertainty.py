@@ -36,13 +36,12 @@ caller shares the cached arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonHermitian, NormalizationError
+from .errors import DomainError, NonHermitian, NormalizationError, check_hbar
 from .statespace import StateVector
 from .states import ladder_matrices
 
@@ -58,8 +57,7 @@ def quadrature_pair(N: int, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     DomainError unless hbar is finite and positive; N is checked by
     ``ladder_matrices``.
     """
-    if not 0 < hbar < math.inf:
-        raise DomainError(f"hbar must be finite and positive, got {hbar}")
+    check_hbar(hbar)
     lad = ladder_matrices(N)
     s = np.sqrt(hbar / 2.0)
     q = s * (lad.a + lad.adag)

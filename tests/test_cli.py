@@ -410,6 +410,10 @@ for _ in range(100):
     settled, last = (settled + 1 if now == last else 0), now
     if settled == 4:
         break
+else:
+    # still spinning after 5 s: the start-up spin would be counted
+    print("unsettled")
+    raise SystemExit(0)
 before = worker_ticks()
 for name, _, run in cli.CHECKS:
     run()
@@ -436,6 +440,8 @@ def test_report_all_and_uncertainty_sweep_leave_blas_workers_idle():
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+    if proc.stdout == "unsettled\n":
+        pytest.skip("the BLAS workers did not go idle within 5 s of start-up")
     threads, ticks = map(int, proc.stdout.split())
     assert ticks == 0, f"{ticks} clock ticks on the other {threads - 1} threads"
 

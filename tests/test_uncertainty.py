@@ -233,9 +233,10 @@ def test_moments_match_dense_oracle(dim, seed, log_lam, quadratures):
 
 
 class _CountedOperator(np.ndarray):
-    """An operator that counts, per source name, every product with a vector
-    taken by it or by a matrix derived from it (A - a I, lam A + i B / lam),
-    whether through ``@`` or through one of numpy's product functions."""
+    """An operator that counts, per source name, every product taken by it or
+    by a matrix derived from it (A - a I, lam A + i B / lam), with a vector or
+    with a matrix, whether through ``@`` or through one of numpy's product
+    functions."""
 
     PRODUCTS = (np.einsum, np.dot, np.inner, np.tensordot, np.matmul)
 
@@ -245,7 +246,7 @@ class _CountedOperator(np.ndarray):
 
     def _count(self, operands):
         tagged = [arr for arr in operands if isinstance(arr, _CountedOperator)]
-        if tagged and any(np.ndim(arr) == 1 for arr in operands):
+        if tagged:
             tagged[0].products.update(frozenset().union(*(arr.names for arr in tagged)))
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -287,10 +288,13 @@ def test_each_operator_applied_once(call):
     lambda M, x: np.einsum("ij,j->i", M, x),
     lambda M, x: np.dot(M, x),
     lambda M, x: (M - 0.5 * M) @ x,
-], ids=["matmul", "einsum", "dot", "derived"])
+    lambda M, x: (M @ M) @ x,
+    lambda M, x: np.einsum("ij,jk,k->i", M, M, x),
+], ids=["matmul", "einsum", "dot", "derived", "squared", "einsum-squared"])
 def test_counted_operator_sees_every_kernel(apply):
     # the counter behind test_each_operator_applied_once: a second
-    # application by any of these kernels would show as a count of 2
+    # application by any of these kernels would show as a count of 2, and a
+    # product with the operator itself (A @ A) counts like one with a vector
     q, _ = quadrature_pair(6)
     A = q.view(_CountedOperator)
     A.names, A.products = frozenset("A"), Counter()
