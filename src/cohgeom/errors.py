@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the hbar domain check."""
+"""Exception types shared across the package, and the hbar and level-count
+domain checks."""
 
 import math
 
@@ -63,3 +64,13 @@ def check_hbar(hbar) -> None:
     """DomainError unless hbar is finite and positive."""
     if not 0 < hbar < math.inf:
         raise DomainError(f"hbar must be finite and positive, got {hbar}")
+
+
+def check_levels(N) -> int:
+    """N as an int; DomainError unless it is a whole number of levels.
+
+    A whole float such as 7.0 counts as 7.
+    """
+    if not (math.isfinite(N) and N == math.floor(N)):
+        raise DomainError(f"N must be a whole number of levels, got {N}")
+    return int(N)

@@ -30,10 +30,19 @@ complex-shifted arguments; the bundled basis {1, s, t, e^{i k s}, e^{sigma a}}
 carries analytic partials through second order for the commutator check.
 Every entry point that takes hbar raises DomainError unless it is finite and
 positive.
+
+The point evaluators ``prequantum_apply``, ``flow_apply`` and
+``flow_generator_residual`` check their arguments once per call and then
+run the unchecked cores ``_apply`` and ``_flow`` on Python scalars, so the
+residual's two flows and one operator share one set of checks.  On such
+scalars the bundled fields take ``math``/``cmath`` exponentials, with no
+numpy call; they still accept arrays, evaluated by ``np.exp``, which
+``dirac_residual`` passes over its whole mesh.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -73,33 +82,50 @@ def _const(c):
     return lambda a, s: c
 
 
+def _exp(x):
+    """e^x: ``cmath.exp`` or ``math.exp`` for a Python scalar, ``np.exp`` for
+    an array.  A scalar that the scalar functions refuse (past the double
+    range, or a non-finite complex) takes ``np.exp`` too, so it reads inf or
+    nan, with numpy's warning, as an array entry would."""
+    try:
+        if isinstance(x, complex):
+            return cmath.exp(x)
+        if isinstance(x, (float, int)):
+            return math.exp(x)
+    except (OverflowError, ValueError):
+        pass
+    return np.exp(x)
+
+
 @cache
 def standard_fields() -> Mapping[str, PrequantField]:
     """The test basis {1, s, t, e^{i KAPPA s}, e^{SIGMA a}} with exact jets.
 
-    Built on first use and shared read-only; every callable also accepts
-    arrays, which ``dirac_residual`` passes.
+    Built on first use and shared read-only.  On Python scalars, as the point
+    evaluators pass them, every callable takes the scalar exponential of
+    ``_exp``; it also accepts arrays, which ``dirac_residual`` passes, and
+    there evaluates by ``np.exp``.
     """
     one = PrequantField(_const(1.0), _const(0.0), _const(0.0),
                         _const(0.0), _const(0.0), _const(0.0))
     coord_s = PrequantField(lambda a, s: s, _const(0.0), _const(1.0),
                             _const(0.0), _const(0.0), _const(0.0))
-    coord_t = PrequantField(lambda a, s: np.exp(a), lambda a, s: np.exp(a),
-                            _const(0.0), lambda a, s: np.exp(a),
+    coord_t = PrequantField(lambda a, s: _exp(a), lambda a, s: _exp(a),
+                            _const(0.0), lambda a, s: _exp(a),
                             _const(0.0), _const(0.0))
     osc = PrequantField(
-        lambda a, s: np.exp(1j * KAPPA * s),
+        lambda a, s: _exp(1j * KAPPA * s),
         _const(0.0),
-        lambda a, s: 1j * KAPPA * np.exp(1j * KAPPA * s),
+        lambda a, s: 1j * KAPPA * _exp(1j * KAPPA * s),
         _const(0.0),
         _const(0.0),
-        lambda a, s: -(KAPPA**2) * np.exp(1j * KAPPA * s),
+        lambda a, s: -(KAPPA**2) * _exp(1j * KAPPA * s),
     )
     grow = PrequantField(
-        lambda a, s: np.exp(SIGMA * a),
-        lambda a, s: SIGMA * np.exp(SIGMA * a),
+        lambda a, s: _exp(SIGMA * a),
+        lambda a, s: SIGMA * _exp(SIGMA * a),
         _const(0.0),
-        lambda a, s: SIGMA**2 * np.exp(SIGMA * a),
+        lambda a, s: SIGMA**2 * _exp(SIGMA * a),
         _const(0.0),
         _const(0.0),
     )
@@ -118,37 +144,28 @@ def _q1(psi: PrequantField, a, s, t, hbar):
     return -1j * hbar * t * psi.d_s(a, s) + t * (a + 1.0) * psi.value(a, s)
 
 
-def _check_index(i: int):
+def _checked(i: int, P: OrbitPoint, hbar: float, variant: str = "stated"):
+    """The chart coordinates (a, s) of P, after the argument checks of the
+    point evaluators: DomainError for an operator index other than 1 or 2,
+    an unknown flow variant, a bad hbar or t <= 0, in that order."""
     if i not in (1, 2):
         raise DomainError(f"operator index must be 1 or 2, got {i!r}")
-
-
-def prequantum_apply(i: int, psi: PrequantField, P: OrbitPoint,
-                     hbar: float = 1.0) -> complex:
-    """Evaluate Q_i psi at P (t > 0)."""
-    _check_index(i)
-    check_hbar(hbar)
-    a, s = _coords(P)
-    if i == 1:
-        return complex(_q1(psi, a, s, P.t, hbar))
-    return complex(2j * hbar * psi.d_a(a, s) + 2.0 * s * psi.value(a, s))
-
-
-def flow_apply(i: int, tau: float, psi: PrequantField, P: OrbitPoint,
-               hbar: float = 1.0, variant: str = "stated") -> complex:
-    """Evaluate the stated flow exp(tau J_i) on psi at P.
-
-    ``variant="stated"`` uses the closed forms as given.  For i = 2,
-    ``variant="generator"`` replaces exp(s tau) by exp(2 s tau), the unique
-    multiplier whose tau-derivative at 0 reproduces Q2.  An operator index
-    other than 1 or 2, or another variant, is a DomainError.
-    """
-    _check_index(i)
     if variant not in ("stated", "generator"):
         raise DomainError(f"unknown flow variant {variant!r}")
     check_hbar(hbar)
-    a, s = _coords(P)
-    t = P.t
+    return _coords(P)
+
+
+def _apply(i: int, psi: PrequantField, a, s, t, hbar) -> complex:
+    # Q_i psi at one point, arguments already checked
+    if i == 1:
+        return complex(_q1(psi, a, s, t, hbar))
+    return complex(2j * hbar * psi.d_a(a, s) + 2.0 * s * psi.value(a, s))
+
+
+def _flow(i: int, tau: float, psi: PrequantField, a, s, t, hbar,
+          variant: str) -> complex:
+    # the flow of J_i on psi at one point, arguments already checked
     if i == 1:
         exponent, point = tau * t * (a + 1.0), (a, s - 1j * hbar * t * tau)
     else:
@@ -161,6 +178,26 @@ def flow_apply(i: int, tau: float, psi: PrequantField, P: OrbitPoint,
     return complex(growth * psi.value(*point))
 
 
+def prequantum_apply(i: int, psi: PrequantField, P: OrbitPoint,
+                     hbar: float = 1.0) -> complex:
+    """Evaluate Q_i psi at P (t > 0)."""
+    a, s = _checked(i, P, hbar)
+    return _apply(i, psi, a, s, P.t, hbar)
+
+
+def flow_apply(i: int, tau: float, psi: PrequantField, P: OrbitPoint,
+               hbar: float = 1.0, variant: str = "stated") -> complex:
+    """Evaluate the stated flow exp(tau J_i) on psi at P.
+
+    ``variant="stated"`` uses the closed forms as given.  For i = 2,
+    ``variant="generator"`` replaces exp(s tau) by exp(2 s tau), the unique
+    multiplier whose tau-derivative at 0 reproduces Q2.  An operator index
+    other than 1 or 2, or another variant, is a DomainError.
+    """
+    a, s = _checked(i, P, hbar, variant)
+    return _flow(i, tau, psi, a, s, P.t, hbar, variant)
+
+
 def flow_generator_residual(i: int, psi: PrequantField, P: OrbitPoint,
                             hbar: float = 1.0, variant: str = "stated") -> float:
     """|d/dtau flow(tau)|_0 - Q_i psi| by central difference in tau, with
@@ -168,10 +205,15 @@ def flow_generator_residual(i: int, psi: PrequantField, P: OrbitPoint,
 
     Vanishes to O(FD_STEP^2) for i = 1; for i = 2 with the stated flow it
     equals |s psi(P)|, exposing the factor-2 gap on the multiplication term.
+    The arguments are checked once, as by ``flow_apply``; the value has the
+    bits of the same difference taken through ``flow_apply`` and
+    ``prequantum_apply``.
     """
-    num = (flow_apply(i, FD_STEP, psi, P, hbar, variant)
-           - flow_apply(i, -FD_STEP, psi, P, hbar, variant)) / (2.0 * FD_STEP)
-    return abs(num - prequantum_apply(i, psi, P, hbar))
+    a, s = _checked(i, P, hbar, variant)
+    t = P.t
+    num = (_flow(i, FD_STEP, psi, a, s, t, hbar, variant)
+           - _flow(i, -FD_STEP, psi, a, s, t, hbar, variant)) / (2.0 * FD_STEP)
+    return abs(num - _apply(i, psi, a, s, t, hbar))
 
 
 def _j1_jet(psi: PrequantField, a, s, hbar):

@@ -37,9 +37,10 @@ The spin fiducial, the kernel of e^v Lx - i e^{-v} Ly = sqrt(2) (sinh v L+ +
 cosh v L-), comes from that operator's two-term recurrence up from m = -j,
 one cumulative product (``su2_squeezed_vacuum``); a half-integer spin has no
 kernel when squeezed, by parity.  No state constructor takes an SVD:
-``kernel_vector`` and its tolerance ``KERNEL_RTOL`` remain as the tests'
-oracle.  Fiducial vectors are normalized with their first nonzero amplitude
-real positive, so results are deterministic representatives of the ray.
+``kernel_vector`` and its round-off gate ``KERNEL_ROUNDOFF`` remain as the
+tests' oracle.  Fiducial vectors are normalized with their first nonzero
+amplitude real positive, so results are deterministic representatives of
+the ray.
 
 The discrete series at label k and the weighted Bergman space of ``berezin``
 at weight h share one basis when 2k = 1/h: its normalizations are the square
@@ -82,6 +83,7 @@ from .errors import (
     InvalidSpin,
     KernelError,
     TruncationError,
+    check_levels,
 )
 from .statespace import StateVector, disc_tag, fock_tag, spin_tag
 
@@ -103,7 +105,7 @@ __all__ = [
     "geometric_tail",
 ]
 
-KERNEL_RTOL = 1e-8  # smallest singular value relative to the largest
+KERNEL_ROUNDOFF = 10  # kernel gate, in units of dim * eps * sigma_max
 STATE_TOL = 1e-12   # declared tail budget of the squeezed states and displacements
 
 
@@ -153,11 +155,9 @@ def ladder_matrices(N: int) -> LadderPair:
 
     DomainError unless N is a whole number; DimensionTooSmall below 2.
     """
-    if not (math.isfinite(N) and N == math.floor(N)):
-        raise DomainError(f"N must be a whole number of levels, got {N}")
+    N = check_levels(N)
     if N < 2:
         raise DimensionTooSmall(f"need N >= 2 levels, got {N}")
-    N = int(N)
     a = np.diag(np.sqrt(np.arange(1.0, N)), 1).astype(complex)
     adag = a.conj().T
     for x in (a, adag):
@@ -191,15 +191,19 @@ def kernel_vector(M: np.ndarray) -> np.ndarray:
     """Unit vector spanning the numerical kernel of M, by SVD: the tests'
     oracle for the closed-form fiducials, which no state constructor calls.
 
-    The kernel is accepted when the smallest singular value is at most
-    KERNEL_RTOL * sigma_max and the next one exceeds ten times that;
-    otherwise it is empty or more than one-dimensional (a zero M included)
-    and KernelError is raised.  The first amplitude above 1e-10 of the
+    The kernel is accepted when the smallest singular value is round-off, at
+    most KERNEL_ROUNDOFF * dim * eps * sigma_max, and the next one exceeds
+    ten times that bound; otherwise it is empty or more than one-dimensional
+    (a zero M included) and KernelError is raised.  Genuine kernels sit far
+    below the bound (at most 0.24 dim * eps * sigma_max for the spin
+    operators up to j = 20, about 1e-25 sigma_max for the truncated a_v), a
+    regular operator far above it.  The first amplitude above 1e-10 of the
     largest is made real positive.
     """
     _, s, vh = np.linalg.svd(M)
+    bound = KERNEL_ROUNDOFF * max(np.shape(M)) * np.finfo(float).eps * s[0]
     # s[-2:][0] is the next singular value, or sigma_max itself for a 1 x 1 M
-    if not s[-1] <= KERNEL_RTOL * s[0] < 0.1 * s[-2:][0]:
+    if not s[-1] <= bound < 0.1 * s[-2:][0]:
         raise KernelError(f"no one-dimensional kernel: smallest singular values "
                           f"{s[-2:]} against sigma_max = {s[0]:.3e}")
     x = vh[-1].conj()
@@ -246,9 +250,11 @@ def wh_squeezed(alpha: complex, v: float, N: int, tol: float = STATE_TOL) -> Sta
 
     The amplitudes come from the recurrence of the module notes and are
     exact up to round-off, so the norm deficit is the dropped tail mass:
-    TruncationError if it exceeds ``tol``.  The guard |v| <= 2 and a
-    non-finite alpha are DomainErrors.  For v = 0 this is the coherent state.
+    TruncationError if it exceeds ``tol``.  The guard |v| <= 2, a
+    non-finite alpha and an N that is not a whole number are DomainErrors.
+    For v = 0 this is the coherent state.
     """
+    N = check_levels(N)
     if N < 1:
         raise DimensionTooSmall("need at least one level")
     return _tail_checked(_fock_amplitudes(complex(alpha), v, N), tol, fock_tag(),

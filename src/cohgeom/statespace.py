@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch, DomainError, NormalizationError
+from .errors import BasisMismatch, DomainError, NormalizationError, check_levels
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,9 @@ def _require_normalized(psi: StateVector, who: str):
 
 
 def basis_state(dim: int, index: int, basis: BasisTag) -> StateVector:
-    """Return the basis vector e_index of the given space."""
-    amps = np.zeros(dim, dtype=complex)
+    """Return the basis vector e_index of the given space; DomainError unless
+    dim is a whole number."""
+    amps = np.zeros(check_levels(dim), dtype=complex)
     amps[index] = 1.0
     return StateVector(amps, basis)
 

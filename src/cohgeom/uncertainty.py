@@ -21,21 +21,26 @@ uncertainty (coherent / squeezed) states;
 Every moment is read from the two vectors A psi and B psi: each operator is
 applied to the state once per call, and the centring At psi = A psi - <A> psi
 is vector algebra, so no N x N operator is formed besides the Hermiticity
-check.  The products are taken by ``np.einsum``, not ``@``: from N of about 64
-OpenBLAS hands a matrix-vector product to a second thread, which then spins
-on a core for the rest of the caller's work, doubling its CPU time for
-products that take microseconds.
+check.  That check (``_require_hermitian``) runs in full once for an
+operator whose memory can never change again, a read-only array backed by
+an immutable ``bytes`` buffer such as the cached quadrature pair; its pass
+is remembered for as long as that array lives.  Every other operator,
+read-only or not, is checked on every call.  The products are taken by
+``np.einsum``, not ``@``: from N of about 64 OpenBLAS hands a matrix-vector
+product to a second thread, which then spins on a core for the rest of the
+caller's work, doubling its CPU time for products that take microseconds.
 
 Conventions: hbar enters only through the operators handed in;
 ``quadrature_pair`` builds q = sqrt(hbar/2)(a + a+), p = i sqrt(hbar/2)(a+ - a)
 so that [q, p] = i hbar away from the truncation edge.  The top number level
 violates the commutator by construction, so residual norms drop the edge row.
-Each pair is built once per (N, hbar) and returned read-only, since every
-caller shares the cached arrays.
+Each pair is built once per (N, hbar) and returned backed by ``bytes``, since
+every caller shares the cached arrays: no caller can make them writeable.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,10 +54,16 @@ HERMITICITY_TOL = 1e-12
 SLACK_TOL = 1e-10  # numerical slack allowed below each uncertainty bound
 
 
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """A copy of x backed by an immutable ``bytes`` object, which numpy never
+    lets anyone make writeable."""
+    return np.frombuffer(x.tobytes(), dtype=x.dtype).reshape(x.shape)
+
+
 @lru_cache(maxsize=32)
 def quadrature_pair(N: int, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Position / momentum quadratures on an N-level number basis (cached,
-    read-only).
+    immutable).
 
     DomainError unless hbar is finite and positive; N is checked by
     ``ladder_matrices``.
@@ -60,10 +71,10 @@ def quadrature_pair(N: int, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     check_hbar(hbar)
     lad = ladder_matrices(N)
     s = np.sqrt(hbar / 2.0)
-    q = s * (lad.a + lad.adag)
-    p = 1j * s * (lad.adag - lad.a)
-    for x in (q, p):
-        x.setflags(write=False)
+    # q's writeable temporary is freed before p's is allocated, so the bytes
+    # copies leave no lasting N x N high-water mark
+    q = _frozen(s * (lad.a + lad.adag))
+    p = _frozen(1j * s * (lad.adag - lad.a))
     return q, p
 
 
@@ -97,28 +108,71 @@ class RsReport:
     delta_b: float
 
 
+# id -> (weak reference, layout) of each immutable operator that passed
+_PASSED: dict = {}
+
+
+def _immutable(M) -> bool:
+    """True when M's memory can never change again: M is a read-only array
+    whose chain of bases ends in an immutable ``bytes`` object."""
+    if M.flags.writeable:
+        return False
+    base = M
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return type(base) is bytes
+
+
+def _full_check(M: np.ndarray, name: str) -> None:
+    # the entrywise gate of _require_hermitian, run on every entry of M
+    with np.errstate(invalid="ignore"):  # inf - inf reads nan and fails
+        D = M - M.conj().T
+        # the Frobenius norm bounds every entry, so the entrywise maximum
+        # is taken only when the norm alone cannot pass
+        if not np.vdot(D, D).real <= HERMITICITY_TOL ** 2:
+            dev = np.abs(D).max()
+            if not dev <= HERMITICITY_TOL:
+                raise NonHermitian(f"{name} deviates from Hermitian by {dev:.3e}")
+
+
+def _require_hermitian(M: np.ndarray, name: str) -> None:
+    """NonHermitian unless every entry of M - M+ is within HERMITICITY_TOL;
+    a non-finite entry fails.
+
+    A pass is remembered for an ``_immutable`` M only, by id, and trusted
+    again only while a weak reference still finds that same array with the
+    same dtype, shape and strides, so a reused id is never trusted.
+    """
+    layout = (M.dtype, M.shape, M.strides)
+    memo = _PASSED.get(id(M))
+    if memo is not None and memo[0]() is M and memo[1] == layout:
+        return
+    _full_check(M, name)
+    if _immutable(M):
+        key = id(M)
+
+        def forget(ref, key=key):
+            # M is gone; drop its entry unless a newer array took the id
+            if _PASSED.get(key, (None,))[0] is ref:
+                del _PASSED[key]
+
+        _PASSED[key] = (weakref.ref(M, forget), layout)
+
+
 def _centred(A: np.ndarray, B: np.ndarray, psi: StateVector):
     """Means a, b and the centred vectors (A - a) psi, (B - b) psi.
 
     Each operator is applied to psi once; the centring is vector algebra.
-    Both operators must be Hermitian (within HERMITICITY_TOL, a non-finite
-    entry fails) and act on psi's dimension; psi must be normalized.
+    Both operators must act on psi's dimension and pass
+    ``_require_hermitian``; psi must be normalized.
     """
     shape = (psi.dim, psi.dim)
-    with np.errstate(invalid="ignore"):  # inf - inf reads nan and fails
-        for M, name in ((A, "A"), (B, "B")):
-            if np.shape(M) != shape:
-                raise NormalizationError(
-                    f"{name} of shape {np.shape(M)} does not act on a state "
-                    f"of dimension {psi.dim}")
-            D = M - M.conj().T
-            # the Frobenius norm bounds every entry, so the entrywise
-            # maximum is taken only when the norm alone cannot pass
-            if not np.vdot(D, D).real <= HERMITICITY_TOL ** 2:
-                dev = np.abs(D).max()
-                if not dev <= HERMITICITY_TOL:
-                    raise NonHermitian(
-                        f"{name} deviates from Hermitian by {dev:.3e}")
+    for M, name in ((A, "A"), (B, "B")):
+        if np.shape(M) != shape:
+            raise NormalizationError(
+                f"{name} of shape {np.shape(M)} does not act on a state "
+                f"of dimension {psi.dim}")
+        _require_hermitian(M, name)
     if not psi.is_normalized():
         raise NormalizationError(
             f"state norm deficit {abs(psi.norm**2 - 1):.3e} exceeds budget")

@@ -3,6 +3,7 @@ import pytest
 
 from cohgeom.errors import DomainError
 from cohgeom.prequant import (
+    FD_STEP,
     SIGN_PAIRS,
     PrequantField,
     commutator_apply,
@@ -93,6 +94,37 @@ def test_flow_two_defect_detected_not_masked():
         P = OrbitPoint(s, t)
         resid = flow_generator_residual(2, ONE, P)
         assert resid == pytest.approx(abs(s), abs=1e-6)
+
+
+@pytest.mark.parametrize("variant", ["stated", "generator"])
+@pytest.mark.parametrize("i", [1, 2])
+def test_flow_residual_is_the_difference_of_its_public_parts(i, variant):
+    # the residual checks its arguments once and runs the unchecked cores;
+    # its value has the bits of the same formula through the checked entries
+    points = [OrbitPoint(s, t) for s in (-1.7, 0.0, 0.4, 2.0)
+              for t in (0.05, 0.9, 1.0, 3.3)] + [OrbitPoint(0.0, 1e8)]
+    for name, psi in FIELDS.items():
+        for P in points:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = abs((flow_apply(i, FD_STEP, psi, P, variant=variant)
+                            - flow_apply(i, -FD_STEP, psi, P, variant=variant))
+                           / (2.0 * FD_STEP) - prequantum_apply(i, psi, P))
+                got = flow_generator_residual(i, psi, P, variant=variant)
+            assert got == want or (np.isnan(got) and np.isnan(want)), (name, P)
+
+
+def test_field_callables_agree_on_scalars_and_arrays():
+    # a Python scalar takes math / cmath, an array np.exp: a few ulps apart
+    args = [(a, s) for a in (-2.3, -0.1, 0.0, 0.7, 1.4)
+            for s in (-1.9, 0.0, 0.3, 2.0, 0.5 - 0.25j)]
+    args += [(a + 0.3j, s) for a, s in args[:10]]
+    for name, psi in FIELDS.items():
+        for part in ("value", "d_a", "d_s", "d_aa", "d_as", "d_ss"):
+            f = getattr(psi, part)
+            for a, s in args:
+                scalar = complex(f(a, s))
+                array = complex(np.asarray(f(np.array([a]), np.array([s]))).ravel()[0])
+                assert abs(scalar - array) <= 4 * np.spacing(abs(array)), (name, part, a, s)
 
 
 def test_flow_two_generator_variant_consistent():

@@ -12,7 +12,9 @@ from cohgeom import (
     TangentSpec,
     TruncationError,
     analytic_tangent,
+    basis_state,
     family_state,
+    fock_tag,
     fs_distance,
     inner,
     ladder_matrices,
@@ -266,6 +268,15 @@ def test_kernel_error_when_no_kernel():
         squeezed_vacuum(2.0, 32)
 
 
+def test_kernel_vector_gate_is_round_off():
+    # sigma_min / sigma_max = 1e-12 is far below the former 1e-8 gate, but far
+    # above round-off for a 4 x 4 matrix: no kernel
+    with pytest.raises(KernelError):
+        kernel_vector(np.diag([1.0, 0.5, 0.25, 1e-12]))
+    x = kernel_vector(np.diag([1.0, 0.5, 0.25, 1e-17]))
+    assert np.max(np.abs(x - [0, 0, 0, 1])) < 1e-15
+
+
 def test_kernel_vector_gap_detection():
     with pytest.raises(KernelError):
         kernel_vector(np.zeros((3, 3)))
@@ -273,6 +284,21 @@ def test_kernel_vector_gap_detection():
     M = np.outer([1.0, 0, 0], [1.0, 0, 0])
     with pytest.raises(KernelError):
         kernel_vector(M)
+
+
+@pytest.mark.parametrize("build", [
+    lambda N: wh_coherent(0.5, N),
+    lambda N: squeezed_vacuum(0.3, N),
+    lambda N: wh_squeezed(0.1, 0.2, N),
+    lambda N: basis_state(N, 0, fock_tag()),
+], ids=["wh_coherent", "squeezed_vacuum", "wh_squeezed", "basis_state"])
+def test_level_count_must_be_whole(build):
+    for N in (10.5, 30.5, np.nan, np.inf):
+        with pytest.raises(DomainError, match="whole number of levels"):
+            build(N)
+    # a whole float such as 30.0 means 30 levels
+    psi = build(30.0)
+    assert psi.dim == 30 and np.array_equal(psi.amps, build(30).amps)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +340,7 @@ def test_su2_recurrence_matches_kernel_oracle(twoj):
     # the SVD kernel, phase rule included, shares no code with the two-term
     # recurrence.  For half-integer j and v != 0 the operator is regular: its
     # smallest singular value, down to 3e-11 of the largest at j = 19/2 and
-    # |v| = 0.1, is far above round-off, though below the oracle's KERNEL_RTOL
+    # |v| = 0.1, is far above round-off, and the oracle finds no kernel either
     j = twoj / 2
     spin = spin_matrices(j)
     for v in (k / 10 for k in range(-20, 21)):
@@ -323,6 +349,8 @@ def test_su2_recurrence_matches_kernel_oracle(twoj):
             assert s[-1] > 1e-13 * s[0], v
             with pytest.raises(KernelError):
                 su2_squeezed_vacuum(v, j)
+            with pytest.raises(KernelError):
+                kernel_vector(su2_tilde_minus(spin, v))
             continue
         x = kernel_vector(su2_tilde_minus(spin, v))
         assert np.max(np.abs(su2_squeezed_vacuum(v, j).amps - x)) < 1e-13, v

@@ -24,6 +24,7 @@ from cohgeom import (
     wh_coherent,
     wh_squeezed,
 )
+from cohgeom import uncertainty
 from cohgeom.uncertainty import SLACK_TOL
 from conftest import random_state
 
@@ -361,6 +362,101 @@ def test_quadrature_pair_is_cached_and_read_only():
     # the shared arrays still hold [q, p] = i hbar on the interior block
     comm = q @ p - p @ q
     assert np.max(np.abs(comm[:38, :38] - 0.5j * np.eye(38))) < 1e-12
+
+
+def test_quadrature_pair_cannot_be_made_writeable():
+    # the cached arrays are backed by bytes, so the read-only promise holds
+    for arr in quadrature_pair(12):
+        for view in (arr, arr.base):
+            with pytest.raises(ValueError):
+                view.setflags(write=True)
+            assert not view.flags.writeable
+
+
+def _bytes_backed(M):
+    return np.frombuffer(M.tobytes(), dtype=M.dtype).reshape(M.shape)
+
+
+def _full_checks(monkeypatch):
+    """Names of the operators the full Hermiticity check runs on, from an
+    empty memo."""
+    seen = []
+    full = uncertainty._full_check
+
+    def counted(M, name):
+        seen.append(name)
+        return full(M, name)
+
+    monkeypatch.setattr(uncertainty, "_full_check", counted)
+    monkeypatch.setattr(uncertainty, "_PASSED", {})
+    return seen
+
+
+def test_one_full_check_per_cached_operator(monkeypatch):
+    q, p = quadrature_pair(28, 0.7)
+    psi = wh_squeezed(0.3 + 0.1j, -0.2, 28)
+    seen = _full_checks(monkeypatch)
+    moments(q, p, psi)
+    rs_report(q, p, psi)
+    min_uncertainty_residual(q, p, 0.9, psi)
+    moments(p, q, psi)
+    assert seen == ["A", "B"]
+
+
+@pytest.mark.parametrize("immutable", [False, True], ids=["writeable", "bytes-backed"])
+def test_non_hermitian_raises_on_every_call(monkeypatch, immutable):
+    q, p = quadrature_pair(8)
+    psi = wh_coherent(0.2, 8)
+    bad = q + 1e-9j * np.eye(8)
+    if immutable:
+        bad = _bytes_backed(bad)
+    seen = _full_checks(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(NonHermitian, match="2.000e-09"):
+            moments(bad, p, psi)
+    assert seen == ["A", "A"]
+
+
+def test_writeable_operator_is_checked_on_every_call(monkeypatch):
+    q, p = quadrature_pair(8)
+    psi = wh_coherent(0.2, 8)
+    A = q.copy()
+    seen = _full_checks(monkeypatch)
+    moments(A, p, psi)
+    A[2, 5] += 1e-6  # no longer Hermitian
+    with pytest.raises(NonHermitian, match="1.000e-06"):
+        moments(A, p, psi)
+    assert seen == ["A", "B", "A"]
+    # read-only arrays whose memory is writeable are not trusted either
+    A[2, 5] = q[2, 5]
+    for frozen in (A[:, :], q.copy()):
+        frozen.setflags(write=False)
+        for _ in range(2):
+            rs_report(frozen, p, psi)
+    assert seen == ["A", "B", "A"] + ["A"] * 4
+
+
+def test_pass_is_trusted_only_for_the_same_array(monkeypatch):
+    q, p = quadrature_pair(8)
+    psi = wh_coherent(0.2, 8)
+    seen = _full_checks(monkeypatch)
+    A = _bytes_backed(q)
+    for _ in range(2):
+        moments(A, p, psi)
+    assert seen == ["A", "B"]
+    # the memo forgets a dead array, so an array reusing its id is checked
+    key = id(A)
+    del A
+    assert key not in uncertainty._PASSED
+    for _ in range(20):
+        with pytest.raises(NonHermitian):
+            moments(_bytes_backed(q + 1e-9j * np.eye(8)), p, psi)
+    # a dtype reassigned in place is another matrix, checked afresh
+    B = _bytes_backed(p)
+    moments(q, B, psi)
+    B.dtype = np.dtype(">c16")
+    with pytest.raises(NonHermitian):
+        moments(q, B, psi)
 
 
 @pytest.mark.parametrize("hbar", [0.0, -1.0, -0.0, np.nan, np.inf, -np.inf])
