@@ -108,8 +108,9 @@ class RsReport:
     delta_b: float
 
 
-# id -> (weak reference, layout) of each immutable operator that passed
-_PASSED: dict = {}
+# (id, dtype, shape, strides) -> each immutable operator that passed; an
+# entry goes when its array does
+_PASSED = weakref.WeakValueDictionary()
 
 
 def _immutable(M) -> bool:
@@ -139,24 +140,17 @@ def _require_hermitian(M: np.ndarray, name: str) -> None:
     """NonHermitian unless every entry of M - M+ is within HERMITICITY_TOL;
     a non-finite entry fails.
 
-    A pass is remembered for an ``_immutable`` M only, by id, and trusted
-    again only while a weak reference still finds that same array with the
-    same dtype, shape and strides, so a reused id is never trusted.
+    A pass is remembered for an ``_immutable`` M only, keyed by its id and
+    layout and held by a weak reference, so it is trusted again only for
+    that same living array with the same dtype, shape and strides; a
+    reused id is never trusted.
     """
-    layout = (M.dtype, M.shape, M.strides)
-    memo = _PASSED.get(id(M))
-    if memo is not None and memo[0]() is M and memo[1] == layout:
+    key = (id(M), M.dtype, M.shape, M.strides)
+    if _PASSED.get(key) is M:
         return
     _full_check(M, name)
     if _immutable(M):
-        key = id(M)
-
-        def forget(ref, key=key):
-            # M is gone; drop its entry unless a newer array took the id
-            if _PASSED.get(key, (None,))[0] is ref:
-                del _PASSED[key]
-
-        _PASSED[key] = (weakref.ref(M, forget), layout)
+        _PASSED[key] = M
 
 
 def _centred(A: np.ndarray, B: np.ndarray, psi: StateVector):
