@@ -268,15 +268,6 @@ def test_kernel_error_when_no_kernel():
         squeezed_vacuum(2.0, 32)
 
 
-def test_kernel_vector_gate_is_round_off():
-    # sigma_min / sigma_max = 1e-12 is far below the former 1e-8 gate, but far
-    # above round-off for a 4 x 4 matrix: no kernel
-    with pytest.raises(KernelError):
-        kernel_vector(np.diag([1.0, 0.5, 0.25, 1e-12]))
-    x = kernel_vector(np.diag([1.0, 0.5, 0.25, 1e-17]))
-    assert np.max(np.abs(x - [0, 0, 0, 1])) < 1e-15
-
-
 def test_kernel_vector_gap_detection():
     with pytest.raises(KernelError):
         kernel_vector(np.zeros((3, 3)))
@@ -284,6 +275,12 @@ def test_kernel_vector_gap_detection():
     M = np.outer([1.0, 0, 0], [1.0, 0, 0])
     with pytest.raises(KernelError):
         kernel_vector(M)
+    # sigma_min / sigma_max = 1e-12 is far below the former 1e-8 gate, but far
+    # above round-off for a 4 x 4 matrix: no kernel
+    with pytest.raises(KernelError):
+        kernel_vector(np.diag([1.0, 0.5, 0.25, 1e-12]))
+    x = kernel_vector(np.diag([1.0, 0.5, 0.25, 1e-17]))
+    assert np.max(np.abs(x - [0, 0, 0, 1])) < 1e-15
 
 
 @pytest.mark.parametrize("build", [

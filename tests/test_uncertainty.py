@@ -1,4 +1,3 @@
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -389,7 +388,7 @@ def _full_checks(monkeypatch):
         return full(M, name)
 
     monkeypatch.setattr(uncertainty, "_full_check", counted)
-    monkeypatch.setattr(uncertainty, "_PASSED", weakref.WeakValueDictionary())
+    monkeypatch.setattr(uncertainty, "_PASSED", type(uncertainty._PASSED)())
     return seen
 
 
@@ -445,13 +444,23 @@ def test_pass_is_trusted_only_for_the_same_array(monkeypatch):
     for _ in range(2):
         moments(A, p, psi)
     assert seen == ["A", "B"]
-    # the memo forgets a dead array, so an array reusing its id is checked
+    # the memo forgets a dead array, and an array that takes its id is
+    # checked afresh
     assert len(uncertainty._PASSED) == 2
     del A
     assert len(uncertainty._PASSED) == 1
+    flat = _bytes_backed(q + 1e-9j * np.eye(8)).base
+    reused = 0
     for _ in range(20):
+        good = _bytes_backed(q)
+        moments(good, p, psi)
+        key = id(good)
+        del good
+        bad = flat.reshape(8, 8)  # a new view, likely where good was
+        reused += id(bad) == key
         with pytest.raises(NonHermitian):
-            moments(_bytes_backed(q + 1e-9j * np.eye(8)), p, psi)
+            moments(bad, p, psi)
+    assert reused
     # a dtype reassigned in place is another matrix, checked afresh
     B = _bytes_backed(p)
     moments(q, B, psi)
