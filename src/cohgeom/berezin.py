@@ -25,7 +25,9 @@ numpy only) is built once per (h, node count), on first use, and kept
 read-only together with its tensor grid.  Every quadrature result is gated
 by one refinement doubling: a single inner product, or a whole
 Gram/Toeplitz matrix at once, whose coarse and doubled versions must agree
-entry by entry to ``quad_tol``.  A matrix is
+entry by entry to QUAD_TOL.  A space is ``BerezinSpace(h, cutoff)``; the
+base node counts N_RADIAL x N_ANGULAR, QUAD_TOL and the kernel's tail
+budget TAIL_TOL are module constants.  A matrix is
 assembled in one pass from the angular Fourier modes of its multiplier,
 
     T[l, m] = (1/h - 1) c_l c_m sum_r w_r r^{l+m} ghat_{m-l}(r),
@@ -44,10 +46,14 @@ With the cutoff L, the reproducing kernel and coherent states are
 
 the coefficient ordering for tau_p being the one (verified numerically) that
 makes (tau_p, f)_H = f(p) with the conjugate-linear-in-first-slot product.
+K_h(p, q) is therefore the identity's raw symbol (tau_p, tau_q)_H, taken
+from the same coefficients conj(f_l) = ``pochhammer_coeffs(1/h, l)``
+conj(eps^l) as every other symbol, so the kernel has one home.
 
 Symbols: the two-point symbol of an operator is (tau_p, A tau_q)_H; both the
 raw value and the covariant one (divided by K_h(p, q)) are exposed, and all
-semiclassical limits are phrased in the covariant symbol.  The composition
+semiclassical limits are phrased in the covariant symbol.  The covariant
+symbol of the identity is exactly 1 by construction.  The composition
 symbol ("star product") satisfies, as h -> 0,
 
     star12 -> A1 A2            and    star12 - star21 = h {A1, A2}_D + O(h^2),
@@ -68,6 +74,9 @@ from .states import geometric_tail, pochhammer_coeffs
 
 FD_STEP = 1e-5  # central-difference step of the Wirtinger derivatives
 RING_BLOCK = 32  # quadrature rings per inverse FFT in matrix assembly
+N_RADIAL, N_ANGULAR = 64, 256  # base quadrature grid, doubled once by the gate
+QUAD_TOL = 1e-8  # largest entry change the doubling may make
+TAIL_TOL = 1e-10  # largest kernel tail bound ``kernel`` accepts
 
 __all__ = [
     "BerezinSpace",
@@ -94,19 +103,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BerezinSpace:
-    """Weight parameter, basis cutoff and quadrature configuration.
+    """Weight parameter h and basis cutoff.
 
     0 < h < 1 keeps the weight exponent 1/h - 2 > -1 and the measure finite.
-    ``n_radial`` and ``n_angular`` are the base node counts; convergence is
-    gated by one doubling against ``quad_tol``.
+    The quadrature grid and tolerances are the module constants.
     """
 
     h: float
     cutoff: int = 8
-    n_radial: int = 64
-    n_angular: int = 256
-    quad_tol: float = 1e-8
-    tail_tol: float = 1e-10
 
     def __post_init__(self):
         if not (0.0 < self.h < 1.0):
@@ -233,19 +237,18 @@ def _disc_quadrature(integrand: Callable, space: BerezinSpace,
     return complex((1.0 / space.h - 1.0) * np.sum(wu * angular_mean))
 
 
-def _gated(level: Callable, space: BerezinSpace):
+def _gated(level: Callable):
     """``level(n_radial, n_angular)`` on the base grid and on the doubled one.
 
-    Returns the refined value when it agrees with the base one to
-    ``quad_tol`` in every entry, and raises QuadratureError otherwise.
+    Returns the refined value when it agrees with the base one to QUAD_TOL
+    in every entry, and raises QuadratureError otherwise.
     """
-    coarse = level(space.n_radial, space.n_angular)
-    fine = level(2 * space.n_radial, 2 * space.n_angular)
+    coarse = level(N_RADIAL, N_ANGULAR)
+    fine = level(2 * N_RADIAL, 2 * N_ANGULAR)
     delta = float(np.max(np.abs(fine - coarse)))
-    if not delta <= space.quad_tol:
+    if not delta <= QUAD_TOL:
         raise QuadratureError(
-            f"refinement changed the integral by {delta:.3e} "
-            f"(> {space.quad_tol:.1e})")
+            f"refinement changed the integral by {delta:.3e} (> {QUAD_TOL:.1e})")
     return fine
 
 
@@ -253,12 +256,11 @@ def disc_inner(phi: Callable, psi: Callable, space: BerezinSpace) -> complex:
     """Weighted Bergman inner product of two disc functions.
 
     ``phi`` and ``psi`` must accept complex arrays.  The base rule and its
-    doubled refinement must agree to ``quad_tol`` or QuadratureError is
-    raised; the refined value is returned.
+    doubled refinement must agree to QUAD_TOL or QuadratureError is raised;
+    the refined value is returned.
     """
     integrand = lambda z: np.conj(phi(z)) * psi(z)
-    return _gated(lambda n_r, n_a: _disc_quadrature(integrand, space, n_r, n_a),
-                  space)
+    return _gated(lambda n_r, n_a: _disc_quadrature(integrand, space, n_r, n_a))
 
 
 def halfplane_inner(f: Callable, g: Callable, space: BerezinSpace) -> complex:
@@ -274,11 +276,12 @@ def gram_matrix(space: BerezinSpace) -> np.ndarray:
     the exact identity) so that it checks the rule itself.
     """
     return _gated(lambda n_r, n_a: _multiplier_matrix(np.ones_like, space,
-                                                      n_r, n_a), space)
+                                                      n_r, n_a))
 
 
 def kernel_tail_bound(p: complex, q: complex, space: BerezinSpace) -> float:
-    """Geometric bound on the kernel series tail beyond the cutoff."""
+    """Geometric bound on the kernel series tail beyond the cutoff, from its
+    first term c_L^2 r^L."""
     r = abs(cayley(p) * np.conj(cayley(q)))
     if r == 0.0:
         return 0.0
@@ -287,30 +290,24 @@ def kernel_tail_bound(p: complex, q: complex, space: BerezinSpace) -> float:
     if rho >= 1.0:
         raise TruncationError(
             f"kernel series not summable at cutoff {L}: ratio {rho:.3f} >= 1")
-    t_L = pochhammer_coeffs(1.0 / space.h, L, 1.0) * r**L
+    t_L = pochhammer_coeffs(1.0 / space.h, L) ** 2 * r**L
     return float(geometric_tail(t_L, rho))
-
-
-def _kernel_sum(p: complex, q: complex, space: BerezinSpace) -> complex:
-    # the cutoff-model kernel; exact within the truncated space
-    ls = np.arange(space.cutoff)
-    c2 = pochhammer_coeffs(1.0 / space.h, ls, 1.0)
-    return complex(np.sum(c2 * (cayley(p) * np.conj(cayley(q))) ** ls))
 
 
 def kernel(p: complex, q: complex, space: BerezinSpace) -> complex:
     """Truncated reproducing kernel K_h(p, q) = sum_l f_l(p) conj(f_l(q)).
 
-    The conjugate acts on the second argument's coefficient functions.
-    TruncationError if the geometric tail bound exceeds ``tail_tol``, i.e.
+    The conjugate acts on the second argument's coefficient functions; the
+    value is the identity's raw symbol, from ``coherent_coeffs``.
+    TruncationError if the geometric tail bound exceeds TAIL_TOL, i.e.
     when the truncation misrepresents the full kernel at these points.
     """
     tail = kernel_tail_bound(p, q, space)
-    if tail > space.tail_tol:
+    if tail > TAIL_TOL:
         raise TruncationError(
-            f"kernel tail bound {tail:.3e} exceeds {space.tail_tol:.1e}; "
+            f"kernel tail bound {tail:.3e} exceeds {TAIL_TOL:.1e}; "
             "increase the cutoff")
-    return _kernel_sum(p, q, space)
+    return complex(np.vdot(coherent_coeffs(p, space), coherent_coeffs(q, space)))
 
 
 def coherent_coeffs(p: complex, space: BerezinSpace) -> np.ndarray:
@@ -344,7 +341,8 @@ def symbol(P: np.ndarray, p: complex, q: complex, space: BerezinSpace) -> Symbol
 
     Evaluated exactly in the orthonormal basis (Parseval), which the
     quadrature Gram gate validates independently.  The covariant symbol
-    divides by K_h(p, q); for the identity it is exactly 1.
+    divides by K_h(p, q) = conj(vp) . vq, the identity's raw symbol from the
+    same coefficients, so for the identity it is exactly 1.
     """
     L = space.cutoff
     if P.shape != (L, L):
@@ -352,8 +350,7 @@ def symbol(P: np.ndarray, p: complex, q: complex, space: BerezinSpace) -> Symbol
     vq = coherent_coeffs(q, space)
     vp = coherent_coeffs(p, space)
     raw = complex(np.conj(vp) @ (P @ vq))
-    # normalize inside the cutoff model: identity -> exactly 1 at any L
-    return SymbolPair(raw, raw / _kernel_sum(p, q, space))
+    return SymbolPair(raw, raw / complex(np.conj(vp) @ vq))
 
 
 def star(P1: np.ndarray, P2: np.ndarray, p: complex, space: BerezinSpace) -> SymbolPair:
@@ -393,11 +390,10 @@ def toeplitz_operator(g: Callable, space: BerezinSpace) -> np.ndarray:
 
     This is the fixed quantization rule used to build operator families that
     are comparable across different h.  ``g`` takes disc points (arrays).
-    The base and doubled quadratures must agree to ``quad_tol`` in every
-    entry or QuadratureError is raised; the refined matrix is returned.
+    The base and doubled quadratures must agree to QUAD_TOL in every entry
+    or QuadratureError is raised; the refined matrix is returned.
     """
-    return _gated(lambda n_r, n_a: _multiplier_matrix(g, space, n_r, n_a),
-                  space)
+    return _gated(lambda n_r, n_a: _multiplier_matrix(g, space, n_r, n_a))
 
 
 def _wirtinger(A: Callable, z: complex):
@@ -504,9 +500,8 @@ def _symbol_at_disc(P: np.ndarray, z, space: BerezinSpace):
     z = np.asarray(z, dtype=complex)
     ls = np.arange(space.cutoff)
     c = pochhammer_coeffs(1.0 / space.h, ls)
-    zz = z.reshape(-1, 1)
-    f = c * zz**ls  # f_l at each disc point, one row per point
+    f = c * z.reshape(-1, 1) ** ls  # f_l at each disc point, one row per point
     num = np.sum(f * (np.conj(f) @ P.T), axis=1)
-    den = (np.abs(zz) ** (2 * ls)) @ c**2
+    den = np.sum(np.abs(f) ** 2, axis=1)  # K(z, z) over the same rows
     out = num / den
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)

@@ -4,8 +4,8 @@ Subcommands: ``pullback``, ``uncertainty``, ``sut {kks|charts|flow|dirac}``,
 ``berezin {gram|kernel|symbol|star}``, ``report-all``.  Reports are written
 as CSV (one header row, %.12e floats) or JSON ({config, rows, summary}); a
 given configuration always produces byte-identical output.  Exit status 0
-when every check passed its tolerance, 1 on any failure, 2 on a usage error
-or a ``CohgeomError``, either reported as one line on stderr.
+when every check passed its tolerance, 1 on any failure, 2 on a usage error,
+a ``CohgeomError`` or a ``MemoryError``, each reported as one line on stderr.
 
 Each report-all criterion is one entry of ``CHECKS``.  Its measurement is a
 helper below that the subcommand calls per point, the registry calls at
@@ -40,6 +40,7 @@ from .pullback import (
     numeric_tangent,
     pullback_matrix,
     reference_matrix,
+    squeeze_prefactor,
 )
 from .statespace import project_orthogonal
 from .states import (
@@ -77,16 +78,6 @@ STAR_ORDER_FLOOR = 1.75
 # ---------------------------------------------------------------------------
 # report plumbing
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return FMT % float(x)
-    return str(x)
-
-
 def _jsonable(x):
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
@@ -97,6 +88,14 @@ def _jsonable(x):
     if isinstance(x, (float, np.floating)):
         return float(FMT % float(x))
     return str(x)
+
+
+def _fmt(x) -> str:
+    # a float read back from FMT prints the same FMT text again
+    x = _jsonable(x)
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return FMT % x if isinstance(x, float) else str(x)
 
 
 def write_report(args, rows: list[dict], summary: dict) -> None:
@@ -231,12 +230,6 @@ def pullback_dev(fam: StateFamily, bases, relative: bool = False) -> float:
         dev = max(dev, abs(G[0, 1] - R[0, 1]) / abs(R[0, 1])
                   if relative else form_dev(G, R))
     return dev
-
-
-def spin_verdict(j: float) -> tuple[bool, float]:
-    """Whether the spin-j coherent family embeds Kahler and symplectically."""
-    verdict = kahler_verdict(StateFamily("su2", param=j), tol=FORM_TOL)
-    return verdict.is_kahler and verdict.is_symplectic, verdict.max_dev
 
 
 def tangent_dev(fam: StateFamily, bases) -> float:
@@ -432,7 +425,9 @@ CHECKS = (
     _below("su2-form", FORM_TOL,
            lambda: max(pullback_dev(StateFamily("su2", v=v, param=j), [0j])
                        for (j, v) in SU2_CASES)),
-    ("su2-coherent-kahler-verdict", FORM_TOL, lambda: spin_verdict(1.0)),
+    # is_kahler implies is_symplectic, since |Im z| <= |z| entrywise
+    _below("su2-coherent-kahler-verdict", FORM_TOL,
+           lambda: kahler_verdict(StateFamily("su2", param=1.0)).max_dev),
     _below("su11-kahler-relative", DISC_REL_TOL,
            lambda: max(pullback_dev(StateFamily("su11", param=k),
                                     square_grid(0.8, 4), relative=True)
@@ -475,6 +470,8 @@ def cmd_report_all(args) -> int:
 # pullback
 
 def cmd_pullback(args) -> int:
+    if args.family == "wh" and args.param != 0.0:
+        raise DomainError("--param applies to --family su2 and su11 only")
     n_re, n_im = _grid_shape(args.grid)
     squeezes = _floats(args.squeeze)
     rows = []
@@ -507,7 +504,18 @@ def cmd_pullback(args) -> int:
 # ---------------------------------------------------------------------------
 # uncertainty
 
+# the options that one family alone reads, with their defaults; under the
+# other family a value other than the default is a DomainError
+UNCERTAINTY_OWN = {"wh": {"alphas": "1,0.5+0.5j", "squeeze": "0,0.5", "N": 96,
+                          "hbar": 1.0},
+                   "su2": {"j": "0.5,1,2"}}
+
+
 def cmd_uncertainty(args) -> int:
+    other = "su2" if args.family == "wh" else "wh"
+    for dest, default in UNCERTAINTY_OWN[other].items():
+        if getattr(args, dest) != default:
+            raise DomainError(f"--{dest} applies to --family {other} only")
     rows = []
     if args.family == "wh":
         q, p = quadrature_pair(args.N, args.hbar)
@@ -526,16 +534,14 @@ def cmd_uncertainty(args) -> int:
                     "dev": saturation_dev(q, p, psi, v),
                 })
     else:
-        if args.hbar != 1.0:
-            raise DomainError("--hbar applies to --family wh only")
         for j in _floats(args.j):
             spin = spin_matrices(j)
-            vac = su2_squeezed_vacuum(0.0, j)
-            m = moments(spin.lx, spin.ly, vac)
-            lz_mean = float(np.real(np.vdot(vac.amps, spin.lz @ vac.amps)))
-            dev = abs(m.delta_a * m.delta_b - abs(lz_mean) / 2.0)
+            m = moments(spin.lx, spin.ly, su2_squeezed_vacuum(0.0, j))
+            # <Lz> = -squeeze_prefactor on the lowest weight
+            half_lz = abs(squeeze_prefactor(StateFamily("su2", param=j))) / 2.0
             rows.append({"j": j, "dLx_dLy": m.delta_a * m.delta_b,
-                         "half_abs_lz": abs(lz_mean) / 2.0, "dev": dev,
+                         "half_abs_lz": half_lz,
+                         "dev": abs(m.delta_a * m.delta_b - half_lz),
                          "c_plus": m.c_plus})
     max_dev = max(row["dev"] for row in rows)
     return _report(args, rows, max_dev < args.tol, max_dev)
@@ -717,11 +723,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("uncertainty", help="moment and saturation checks")
     sp.add_argument("--family", choices=("wh", "su2"), default="wh")
-    sp.add_argument("--alphas", type=complexes, default="1,0.5+0.5j")
-    sp.add_argument("--squeeze", type=floats, default="0,0.5")
-    sp.add_argument("--j", type=floats, default="0.5,1,2")
-    sp.add_argument("--N", type=int, default=96)
-    sp.add_argument("--hbar", type=_positive, default=1.0)
+    wh, su2 = UNCERTAINTY_OWN["wh"], UNCERTAINTY_OWN["su2"]
+    sp.add_argument("--alphas", type=complexes, default=wh["alphas"])
+    sp.add_argument("--squeeze", type=floats, default=wh["squeeze"])
+    sp.add_argument("--j", type=floats, default=su2["j"])
+    sp.add_argument("--N", type=int, default=wh["N"])
+    sp.add_argument("--hbar", type=_positive, default=wh["hbar"])
     sp.add_argument("--tol", type=_real, default=SATURATION_TOL)
     _add_common(sp)
     sp.set_defaults(func=cmd_uncertainty)
@@ -813,8 +820,10 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv[:n] + _config_flags(ap, args) + argv[n:])
     try:
         return args.func(args)
-    except CohgeomError as exc:
-        sys.stderr.write(f"cohgeom: {type(exc).__name__}: {exc}\n")
+    except (CohgeomError, MemoryError) as exc:
+        # numpy raises a private subclass of MemoryError for a failed allocation
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        sys.stderr.write(f"cohgeom: {name}: {exc}\n")
         return 2
 
 

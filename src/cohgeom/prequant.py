@@ -139,9 +139,15 @@ def _coords(P: OrbitPoint) -> tuple[float, float]:
     return math.log(P.t), P.s
 
 
-def _q1(psi: PrequantField, a, s, t, hbar):
-    # Q1 psi at points or over a mesh of (a, s) with t = e^a
-    return -1j * hbar * t * psi.d_s(a, s) + t * (a + 1.0) * psi.value(a, s)
+def _q1(v, d_s, a, t, hbar):
+    # Q1 on a field of value v and s-partial d_s, at points or over a mesh
+    # of (a, s) with t = e^a
+    return -1j * hbar * t * d_s + t * (a + 1.0) * v
+
+
+def _q2(v, d_a, s, hbar):
+    # Q2 on a field of value v and a-partial d_a
+    return 2j * hbar * d_a + 2.0 * s * v
 
 
 def _checked(i: int, P: OrbitPoint, hbar: float, variant: str = "stated"):
@@ -159,8 +165,8 @@ def _checked(i: int, P: OrbitPoint, hbar: float, variant: str = "stated"):
 def _apply(i: int, psi: PrequantField, a, s, t, hbar) -> complex:
     # Q_i psi at one point, arguments already checked
     if i == 1:
-        return complex(_q1(psi, a, s, t, hbar))
-    return complex(2j * hbar * psi.d_a(a, s) + 2.0 * s * psi.value(a, s))
+        return complex(_q1(psi.value(a, s), psi.d_s(a, s), a, t, hbar))
+    return complex(_q2(psi.value(a, s), psi.d_a(a, s), s, hbar))
 
 
 def _flow(i: int, tau: float, psi: PrequantField, a, s, t, hbar,
@@ -217,29 +223,28 @@ def flow_generator_residual(i: int, psi: PrequantField, P: OrbitPoint,
 
 
 def _j1_jet(psi: PrequantField, a, s, hbar):
-    # value and first partials of Q1 psi, using psi's second partials
+    # value and first partials of Q1 psi, using psi's second partials; the
+    # s-partial is Q1 of psi's s-partial
     t = np.exp(a)
-    val = -1j * hbar * t * psi.d_s(a, s) + t * (a + 1.0) * psi.value(a, s)
-    da = (-1j * hbar * t * (psi.d_s(a, s) + psi.d_as(a, s))
-          + t * (a + 2.0) * psi.value(a, s) + t * (a + 1.0) * psi.d_a(a, s))
-    ds = -1j * hbar * t * psi.d_ss(a, s) + t * (a + 1.0) * psi.d_s(a, s)
-    return val, da, ds
+    v, d_s = psi.value(a, s), psi.d_s(a, s)
+    da = (-1j * hbar * t * (d_s + psi.d_as(a, s))
+          + t * (a + 2.0) * v + t * (a + 1.0) * psi.d_a(a, s))
+    return _q1(v, d_s, a, t, hbar), da, _q1(d_s, psi.d_ss(a, s), a, t, hbar)
 
 
 def _j2_jet(psi: PrequantField, a, s, hbar):
-    val = 2j * hbar * psi.d_a(a, s) + 2.0 * s * psi.value(a, s)
-    da = 2j * hbar * psi.d_aa(a, s) + 2.0 * s * psi.d_a(a, s)
-    ds = 2j * hbar * psi.d_as(a, s) + 2.0 * psi.value(a, s) + 2.0 * s * psi.d_s(a, s)
-    return val, da, ds
+    # value and first partials of Q2 psi; the a-partial is Q2 of psi's
+    # a-partial
+    v, d_a = psi.value(a, s), psi.d_a(a, s)
+    ds = 2j * hbar * psi.d_as(a, s) + 2.0 * v + 2.0 * s * psi.d_s(a, s)
+    return _q2(v, d_a, s, hbar), _q2(d_a, psi.d_aa(a, s), s, hbar), ds
 
 
 def _commutator(psi: PrequantField, a, s, t, hbar):
     # [Q1, Q2] psi at points or over a mesh, from the field's jet
-    v2, da2, ds2 = _j2_jet(psi, a, s, hbar)
-    v1, da1, ds1 = _j1_jet(psi, a, s, hbar)
-    q1q2 = -1j * hbar * t * ds2 + t * (a + 1.0) * v2
-    q2q1 = 2j * hbar * da1 + 2.0 * s * v1
-    return q1q2 - q2q1
+    v2, _, ds2 = _j2_jet(psi, a, s, hbar)
+    v1, da1, _ = _j1_jet(psi, a, s, hbar)
+    return _q1(v2, ds2, a, t, hbar) - _q2(v1, da1, s, hbar)
 
 
 def commutator_apply(psi: PrequantField, P: OrbitPoint, hbar: float = 1.0) -> complex:
@@ -291,7 +296,7 @@ def dirac_residual(t_values, s_values, hbar: float = 1.0) -> DiracReport:
     defect_dev = 0.0
     for psi in standard_fields().values():
         comm = _commutator(psi, a, s, t, hbar)
-        q1 = _q1(psi, a, s, t, hbar)
+        q1 = _q1(psi.value(a, s), psi.d_s(a, s), a, t, hbar)
         for (ef, ed) in SIGN_PAIRS:
             target = ed * 1j * hbar * (-2.0 * ef) * q1
             residuals[(ef, ed)] = max(residuals[(ef, ed)],

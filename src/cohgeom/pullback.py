@@ -106,7 +106,7 @@ class StateFamily:
 
     def dim(self, base: complex) -> int:
         if self.family == "su2":
-            return int(round(2 * self.param)) + 1
+            return spin_matrices(self.param).dim
         if self.trunc > 0:
             return self.trunc
         # tangent series weigh amplitudes by the level index, so the basis

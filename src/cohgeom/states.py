@@ -405,17 +405,18 @@ def su2_state(alpha: complex, v: float, j: float) -> StateVector:
     return StateVector(_displace(j, alpha, vac.amps)[0], spin_tag(j))
 
 
-def pochhammer_coeffs(a: float, n, power: float = 0.5) -> np.ndarray:
-    """((a)_n / n!)^power for each integer n >= 0 in ``n``.
+def pochhammer_coeffs(a: float, n) -> np.ndarray:
+    """((a)_n / n!)^{1/2} for each integer n >= 0 in ``n``.
 
     (a)_n / n! = prod_{m=1}^{n} (a + m - 1) / m is the coefficient of x^n in
-    (1 - x)^{-a}.  power = 1/2 gives the discrete-series (a = 2k) and
-    Bergman (a = 1/h) normalizations.  One cumulative product of the term
-    ratios ((a + m - 1) / m)^power up to max(n) is indexed at n; it stays
-    within a few ulps of the exact rational value, where log-gamma
-    differences lose up to 1e-13, and its partial products are monotone, so
-    it overflows only where the value does.  DomainError for a negative or
-    non-integer n and for a non-finite result.
+    (1 - x)^{-a}; its square root is the discrete-series (a = 2k) and
+    Bergman (a = 1/h) normalization, and callers that need the coefficient
+    itself square it.  One cumulative product of the term ratios
+    ((a + m - 1) / m)^{1/2} up to max(n) is indexed at n; it stays within a
+    few ulps of the exact rational value, where log-gamma differences lose
+    up to 1e-13, and its partial products are monotone, so it overflows only
+    where the value does.  DomainError for a negative or non-integer n and
+    for a non-finite result.
     """
     n = np.asarray(n)
     if n.dtype.kind not in "iu" or n.min(initial=0) < 0:
@@ -423,10 +424,10 @@ def pochhammer_coeffs(a: float, n, power: float = 0.5) -> np.ndarray:
     k = np.arange(float(n.max(initial=0)))
     table = np.ones(k.size + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(((a + k) / (k + 1.0)) ** power, out=table[1:])
+        np.cumprod(np.sqrt((a + k) / (k + 1.0)), out=table[1:])
     # a non-finite partial product stays non-finite to the end of the table
     if not np.isfinite(table[-1]):
-        raise DomainError(f"((a)_n / n!)^{power} is not finite at a = {a}")
+        raise DomainError(f"((a)_n / n!)^(1/2) is not finite at a = {a}")
     return table[n]
 
 
@@ -442,13 +443,15 @@ def su11_coherent(alpha: complex, k: float, N: int, tol: float = 1e-12) -> State
     Amplitudes (1-|alpha|^2)^k [Gamma(n+2k)/(n! Gamma(2k))]^{1/2} alpha^n on
     the basis |n, k>; requires |alpha| < 1.  The binomial identity
     sum Gamma(n+2k)/(n! Gamma(2k)) x^n = (1-x)^{-2k} makes the dropped tail
-    mass equal to the norm deficit, checked against ``tol``.
+    mass equal to the norm deficit, checked against ``tol``.  DomainError
+    unless N is a whole number of levels (7.0 counts as 7).
     """
     alpha = complex(alpha)
     if abs(alpha) >= 1.0:
         raise DomainError(f"|alpha| = {abs(alpha):.4f} outside the unit disc")
     if k <= 0.5:
         raise DomainError(f"discrete-series label must satisfy k > 1/2, got {k}")
+    N = check_levels(N)
     if N < 1:
         raise DimensionTooSmall("need at least one level")
     n = np.arange(N)

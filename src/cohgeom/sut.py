@@ -25,6 +25,11 @@ functions J1 = t, J2 = 2s, and with the momentum-map identity
 {J1, J2} = -2 J1 mirroring the algebra bracket [E1, E2] = -2 E1; intermediate
 derivations that carry extra factors of -1/2 fail those anchors.
 
+Hamiltonian fields are solved from the form, not taken from the closed
+forms: a 2-form on the plane has one coefficient, omega = w ds ^ dt with
+w = omega(d/ds, d/dt), so omega(X_f, .) = df gives X_f = (f_t, -f_s) / w
+from one ``kks_form`` evaluation (``hamiltonian_field``).
+
 Chart maps onto the positive-diagonal subgroup and the half plane implement
 
     Phi(s, t) = (a, b) = (sqrt(v0/t), (u0 - s)/sqrt(v0 t)),
@@ -100,10 +105,6 @@ class OrbitPoint:
         if self.t == 0.0:
             raise DegenerateOrbit("t = 0 is a single-point orbit")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.s, 0.0], [self.t, -self.s]])
-
 
 @dataclass(frozen=True)
 class OrbitTangent:
@@ -165,9 +166,9 @@ def coadjoint_differential(V: np.ndarray, P: OrbitPoint) -> OrbitTangent:
 
 
 def _algebra_components(P: OrbitPoint, xi: OrbitTangent) -> tuple[float, float]:
-    """The entries (v1, v2) of ``tangent_to_algebra``: v1 = -dt/(2t), v2 = ds/t."""
-    if P.t == 0.0:
-        raise DegenerateOrbit("tangent identification needs t != 0")
+    """The entries (v1, v2) of ``tangent_to_algebra``: v1 = -dt/(2t), v2 = ds/t.
+
+    ``OrbitPoint`` rejects t = 0, so the division is always defined."""
     return -xi.dt / (2.0 * P.t), xi.ds / P.t
 
 
@@ -229,17 +230,16 @@ class Field2D:
 
 
 def hamiltonian_field(f: Field2D, P: OrbitPoint) -> OrbitTangent:
-    """Solve omega(X_f, .) = df at P as a 2x2 linear system, by Cramer's
-    rule; DegenerateOrbit if its determinant vanishes."""
-    # rows: omega(e_i, e_j) acting on the unknown components of X_f
-    w11, w12 = kks_form(P, _ES, _ES), kks_form(P, _ET, _ES)
-    w21, w22 = kks_form(P, _ES, _ET), kks_form(P, _ET, _ET)
-    det = w11 * w22 - w12 * w21
-    if det == 0.0:
+    """Solve omega(X_f, .) = df at P from the form's one coefficient.
+
+    A 2-form on the plane is w ds ^ dt with w = omega(d/ds, d/dt), so
+    omega(X, d/ds) = -w X_t and omega(X, d/dt) = w X_s, and
+    X_f = (f_t, -f_s) / w.  DegenerateOrbit where w reads 0.
+    """
+    w = kks_form(P, _ES, _ET)
+    if w == 0.0:
         raise DegenerateOrbit(f"omega is degenerate at {P}")
-    fs, ft = f.d_s(P.s, P.t), f.d_t(P.s, P.t)
-    return OrbitTangent(float((fs * w22 - w12 * ft) / det),
-                        float((w11 * ft - w21 * fs) / det))
+    return OrbitTangent(float(f.d_t(P.s, P.t) / w), float(-f.d_s(P.s, P.t) / w))
 
 
 def poisson(f: Field2D, g: Field2D, P: OrbitPoint) -> float:

@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NonHermitian, NormalizationError, check_hbar
-from .statespace import StateVector
+from .statespace import StateVector, _require_normalized
 from .states import ladder_matrices
 
 HERMITICITY_TOL = 1e-12
@@ -167,9 +167,7 @@ def _centred(A: np.ndarray, B: np.ndarray, psi: StateVector):
                 f"{name} of shape {np.shape(M)} does not act on a state "
                 f"of dimension {psi.dim}")
         _require_hermitian(M, name)
-    if not psi.is_normalized():
-        raise NormalizationError(
-            f"state norm deficit {abs(psi.norm**2 - 1):.3e} exceeds budget")
+    _require_normalized(psi, "uncertainty")
     x = psi.amps
     # einsum's own loop, not OpenBLAS's zgemv, which wakes a second thread
     Ax, Bx = np.einsum("ij,j->i", A, x), np.einsum("ij,j->i", B, x)

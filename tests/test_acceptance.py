@@ -17,6 +17,7 @@ from cohgeom import (
     StateFamily,
     closed_form,
     family_state,
+    kahler_verdict,
     pullback_form,
     pullback_matrix,
     quadrature_pair,
@@ -84,7 +85,8 @@ def test_criterion_3_su2_bracket_and_verdict():
     with pytest.raises(KernelError):
         family_state(StateFamily("su2", v=0.5, param=0.5), 0j)
     for j in (0.5, 2.0):  # j = 1 is su2-coherent-kahler-verdict
-        assert cli.spin_verdict(j)[0]
+        verdict = kahler_verdict(StateFamily("su2", param=j), tol=cli.FORM_TOL)
+        assert verdict.is_kahler and verdict.is_symplectic
     report(f"spin printed variant off by {printed_gap:.2f}", printed_gap, 1.0)
 
 
@@ -140,7 +142,7 @@ def test_criterion_7_prequant_checkers():
            max(pot, stability), cli.PREQUANT_TOL)
 
 
-def test_criterion_9_oracle_cross_checks():
+def test_criterion_9_oracle_cross_checks(monkeypatch):
     # finite-difference tangents vs analytic ones, projected, per family
     cases = [
         (StateFamily("wh"), cli.square_grid(1.5, 5)),
@@ -157,12 +159,13 @@ def test_criterion_9_oracle_cross_checks():
         (StateFamily("su11", param=2.0), 0.4 - 0.3j)))
     assert stab < 10 * cli.FORM_TOL
     g1 = cli.gram_dev(bz.BerezinSpace(h=0.45, cutoff=8))
-    g2 = cli.gram_dev(bz.BerezinSpace(h=0.45, cutoff=8, n_radial=128,
-                                      n_angular=512))
+    monkeypatch.setattr(bz, "N_RADIAL", 128)
+    monkeypatch.setattr(bz, "N_ANGULAR", 512)
+    g2 = cli.gram_dev(bz.BerezinSpace(h=0.45, cutoff=8))
     assert abs(g1 - g2) < 10 * cli.GRAM_TOL
     space24 = bz.BerezinSpace(h=0.25, cutoff=24)
     space48 = bz.BerezinSpace(h=0.25, cutoff=48)
     kdev = abs(bz.kernel(2j, 1 + 1j, space24) - bz.kernel(2j, 1 + 1j, space48))
-    assert kdev < 10 * space24.tail_tol
+    assert kdev < 10 * bz.TAIL_TOL
     report("independent oracles agree; parameter doubling is inert",
            max(dev, stab), cli.ORACLE_TOL)

@@ -103,10 +103,12 @@ def test_gram_orthonormality(h):
     assert np.max(np.abs(G - np.eye(12))) < 1e-8
 
 
-def test_quadrature_gate_raises_on_rough_integrand():
+def test_quadrature_gate_raises_on_rough_integrand(monkeypatch):
     # integrand with a jump across the refinement cannot converge
-    space = bz.BerezinSpace(h=0.25, cutoff=4, n_radial=4, n_angular=8,
-                            quad_tol=1e-14)
+    monkeypatch.setattr(bz, "N_RADIAL", 4)
+    monkeypatch.setattr(bz, "N_ANGULAR", 8)
+    monkeypatch.setattr(bz, "QUAD_TOL", 1e-14)
+    space = bz.BerezinSpace(h=0.25, cutoff=4)
     rough = lambda z: np.where(np.abs(z) > 0.3456, 1.0, -1.0)
     one = lambda z: np.ones_like(z)
     with pytest.raises(QuadratureError):
@@ -230,19 +232,27 @@ def test_kernel_at_center_is_one():
         assert bz.kernel(p, 1j, SPACE) == 1.0
 
 
-def test_kernel_matches_closed_form():
+def test_kernel_matches_closed_form(monkeypatch):
     # truncation aside, K(p, q) = (1 - eps(p) conj(eps(q)))^(-1/h)
-    space = bz.BerezinSpace(h=0.25, cutoff=48, tail_tol=1e-12)
+    monkeypatch.setattr(bz, "TAIL_TOL", 1e-12)
+    space = bz.BerezinSpace(h=0.25, cutoff=48)
     for (p, q) in ((2j, 2j), (1 + 1j, 2j), (0.5 + 0.5j, -0.3 + 0.8j)):
         zp, zq = bz.cayley(p), bz.cayley(q)
         closed = (1 - zp * np.conj(zq)) ** (-1 / space.h)
         assert bz.kernel(p, q, space) == pytest.approx(closed, abs=1e-10)
 
 
-def test_kernel_tail_budget():
-    space = bz.BerezinSpace(h=0.25, cutoff=4, tail_tol=1e-12)
+def test_kernel_tail_budget(monkeypatch):
+    monkeypatch.setattr(bz, "TAIL_TOL", 1e-12)
+    space = bz.BerezinSpace(h=0.25, cutoff=4)
     with pytest.raises(TruncationError):
         bz.kernel(3j, 3j, space)  # |eps(3i)| = 0.5, tail far above budget
+    # |eps(9i)|^2 = 0.64 and (1/h + L) / (L + 1) = 1.6, so the term ratio
+    # bound 1.024 leaves the tail unbounded
+    with pytest.raises(TruncationError, match="not summable"):
+        bz.kernel_tail_bound(9j, 9j, space)
+    with pytest.raises(TruncationError, match="not summable"):
+        bz.kernel(9j, 9j, space)
 
 
 def test_reproducing_property():
@@ -264,11 +274,12 @@ def test_coherent_overlap_equals_kernel():
         bz.kernel(p, q, space), abs=1e-10)
 
 
-def test_kernel_matches_disc_series_overlap():
+def test_kernel_matches_disc_series_overlap(monkeypatch):
     # the k = 1/(2h) disc family reproduces the kernel up to the weights
     h = 0.25
     k = 1.0 / (2.0 * h)
-    space = bz.BerezinSpace(h=h, cutoff=64, tail_tol=1e-12)
+    monkeypatch.setattr(bz, "TAIL_TOL", 1e-12)
+    space = bz.BerezinSpace(h=h, cutoff=64)
     for (p, q) in ((2j, 1 + 1j), (0.5j, -0.2 + 0.4j)):
         zp, zq = bz.cayley(p), bz.cayley(q)
         sp = su11_coherent(zp, k, 64)
@@ -402,3 +413,11 @@ def test_measure_invariance_against_dblquad():
                               epsabs=1e-9, epsrel=1e-9)
         hp_val *= (1 / h - 1)
         assert disc_val == pytest.approx(hp_val, abs=1e-7), name
+
+
+# ---------------------------------------------------------------------------
+# guard branches
+
+def test_space_needs_a_positive_cutoff():
+    with pytest.raises(DomainError, match="cutoff must be at least 1"):
+        bz.BerezinSpace(h=0.25, cutoff=0)

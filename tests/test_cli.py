@@ -354,6 +354,21 @@ def test_pullback_nan_squeeze_raises_domain_error(capsys):
     (["sut", "flow", "--hbar", "0"], "error: argument --hbar: not a positive number"),
     (["sut", "flow", "--hbar", "-1"], "error: argument --hbar: not a positive number"),
     (["sut", "dirac", "--hbar", "inf"], "error: argument --hbar: not a finite number"),
+    # an option that the chosen family never reads
+    (["uncertainty", "--family", "su2", "--N", "5"],
+     "cohgeom: DomainError: --N applies to --family wh only"),
+    (["uncertainty", "--family", "su2", "--squeeze", "0.7"],
+     "cohgeom: DomainError: --squeeze applies to --family wh only"),
+    (["uncertainty", "--family", "su2", "--alphas", "3"],
+     "cohgeom: DomainError: --alphas applies to --family wh only"),
+    (["uncertainty", "--family", "wh", "--j", "7"],
+     "cohgeom: DomainError: --j applies to --family su2 only"),
+    (["pullback", "--family", "wh", "--param", "3"],
+     "cohgeom: DomainError: --param applies to --family su2 and su11 only"),
+    # a spin too large to allocate: 2j + 1 = 2e17 levels ask for 1.4 EiB,
+    # beyond any virtual address space, so the allocation fails at once
+    (["uncertainty", "--family", "su2", "--j", "1e17"], "cohgeom: MemoryError: "),
+    (["pullback", "--family", "su2", "--param", "1e17"], "cohgeom: MemoryError: "),
 ])
 @pytest.mark.filterwarnings("error")
 def test_error_exit_two_one_line(argv, message, capsys):

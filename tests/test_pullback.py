@@ -538,6 +538,9 @@ def test_unknown_family_and_disc_squeezing_rejected():
         StateFamily("nosuch")
     with pytest.raises(DomainError):
         StateFamily("su11", v=0.5, param=1.0)
+    for k in (0.5, 0.25, -1.0):
+        with pytest.raises(DomainError, match="k > 1/2"):
+            StateFamily("su11", param=k)
 
 
 def test_squeezed_families():

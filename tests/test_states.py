@@ -20,6 +20,7 @@ from cohgeom import (
     ladder_matrices,
     spin_matrices,
     squeezed_vacuum,
+    su2_displacement,
     su2_squeezed_vacuum,
     su2_state,
     su11_coherent,
@@ -288,7 +289,9 @@ def test_kernel_vector_gap_detection():
     lambda N: squeezed_vacuum(0.3, N),
     lambda N: wh_squeezed(0.1, 0.2, N),
     lambda N: basis_state(N, 0, fock_tag()),
-], ids=["wh_coherent", "squeezed_vacuum", "wh_squeezed", "basis_state"])
+    lambda N: su11_coherent(0.1, 1.0, N),
+], ids=["wh_coherent", "squeezed_vacuum", "wh_squeezed", "basis_state",
+        "su11_coherent"])
 def test_level_count_must_be_whole(build):
     for N in (10.5, 30.5, np.nan, np.inf):
         with pytest.raises(DomainError, match="whole number of levels"):
@@ -472,6 +475,9 @@ def test_truncation_dim_rejects_bad_budget_and_family():
     for k in (0.0, -0.25):
         with pytest.raises(DomainError):
             truncation_dim(0.5, "discrete_series", k)
+    for alpha in (1.0, -1j, 0.8 + 0.8j):  # outside the open disc
+        with pytest.raises(DomainError, match=r"\|alpha\| < 1"):
+            truncation_dim(alpha, "discrete_series", 1.0)
 
 
 def test_geometric_tail():
@@ -494,30 +500,31 @@ def test_pochhammer_coeffs_match_scipy_poch(a, n):
     from scipy.special import poch
 
     expected = poch(a, n) / factorial(n)
-    assert pochhammer_coeffs(a, n, 1.0) == pytest.approx(expected, rel=1e-11)
-    assert pochhammer_coeffs(a, n) ** 2 == pytest.approx(expected, rel=1e-11)
-    assert pochhammer_coeffs(a, np.arange(n + 1), 1.0)[-1] == \
-        pochhammer_coeffs(a, n, 1.0)
+    c = pochhammer_coeffs(a, n)
+    assert c**2 == pytest.approx(expected, rel=1e-11)
+    assert pochhammer_coeffs(a, np.arange(n + 1))[-1] == c
 
 
 @pytest.mark.parametrize("power", [0.5, 1.0])
 def test_pochhammer_coeffs_match_exact_rationals(power):
-    # (a)_n / n! from exact rationals of the float a that is passed in
+    # ((a)_n / n!)^power from exact rationals of the float a that is passed
+    # in, against the table (power 1/2) or its square (power 1)
     from fractions import Fraction
     from math import sqrt
 
     n = np.arange(200)
     for a in (Fraction(1, 2), Fraction(3, 7), 2, Fraction(20, 9), 4, 5, 10, 20, 50):
         exact = Fraction(float(a))
-        got = pochhammer_coeffs(float(a), n, power)
+        table = pochhammer_coeffs(float(a), n)
+        got = table ** (2 * power)
         value = Fraction(1)
         for m in n:
             if m:
                 value *= (exact + m - 1) / m
             expected = float(value) if power == 1.0 else sqrt(float(value))
             assert abs(got[m] / expected - 1.0) <= 1e-14, (a, m)
-            assert pochhammer_coeffs(float(a), int(m), power) == got[m]
-    assert pochhammer_coeffs(2.5, 0, power) == 1.0
+            assert pochhammer_coeffs(float(a), int(m)) == table[m]
+    assert pochhammer_coeffs(2.5, 0) == 1.0
 
 
 @pytest.mark.parametrize("n", [-1, 2.0, np.array([0, 3, -2]), np.array([0.5])])
@@ -530,8 +537,9 @@ def test_pochhammer_coeffs_non_finite_is_domain_error():
     with pytest.raises(DomainError):
         pochhammer_coeffs(-0.5, 3)  # (-1/2)_1 < 0 has no real square root
     with pytest.raises(DomainError):
-        pochhammer_coeffs(1e3, 400, 1.0)  # C(1399, 400) overflows
-    assert np.isfinite(pochhammer_coeffs(1e3, 100, 1.0))
+        pochhammer_coeffs(1e4, 1000)  # C(10999, 1000)^(1/2) ~ 1e727 overflows
+    # C(1399, 400) ~ 1e362 overflows, but not its square root
+    assert np.isfinite(pochhammer_coeffs(1e3, 400))
 
 
 def _disc_tail(r: float, k: float, n: int) -> float:
@@ -736,6 +744,9 @@ def test_non_finite_alpha_rejected():
             truncation_dim(bad, "fock")
     with pytest.raises(DomainError):
         squeezed_vacuum(float("nan"), 16)
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+        with pytest.raises(DomainError, match="not finite"):
+            _displace(1.0, bad, np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -902,3 +913,30 @@ def test_truncation_dim_fock_past_the_underflow_of_its_first_term():
     psi = family_state(StateFamily("wh"), 30.0)
     assert psi.dim == truncation_dim(30.0, "fock", eps=1e-15) + 2
     assert abs(psi.norm - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# guard branches and the explicit spin displacement
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 2.5])
+def test_su2_displacement_is_unitary_and_displaces_the_lowest_weight(j):
+    from scipy.linalg import expm
+
+    spin = spin_matrices(j)
+    for alpha in (0j, 0.3 - 0.7j, 1.2j):
+        D = su2_displacement(alpha, j)
+        assert np.max(np.abs(D.conj().T @ D - np.eye(spin.dim))) < 1e-13
+        # the lowest weight m = -j is the last basis vector
+        assert np.max(np.abs(D[:, -1] - su2_state(alpha, 0.0, j).amps)) < 1e-13
+        X = np.conj(alpha) * spin.lminus - alpha * spin.lplus
+        assert np.max(np.abs(D - expm(X))) < 1e-13
+
+
+@pytest.mark.parametrize("build", [
+    lambda N: wh_squeezed(0.1, 0.2, N),
+    lambda N: su11_coherent(0.1, 1.0, N),
+], ids=["wh_squeezed", "su11_coherent"])
+def test_fewer_than_one_level_is_too_small(build):
+    for N in (0, -3, 0.0):
+        with pytest.raises(DimensionTooSmall):
+            build(N)

@@ -172,3 +172,8 @@ def test_pullback_report_fields():
     assert rep.abs_deviation == pytest.approx(1.0)
     free = PullbackReport.from_value(0.5j)
     assert free.reference is None and free.abs_deviation is None
+
+
+def test_normalizing_the_zero_vector_raises():
+    with pytest.raises(NormalizationError, match="zero vector"):
+        StateVector(np.zeros(3), FOCK).normalized()

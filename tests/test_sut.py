@@ -296,6 +296,14 @@ def test_chart_sign_guard():
         orbit.point(0.0, -1.0)
     with pytest.raises(DomainError):
         phi_inv(orbit, SutElement(-1.0, 0.0))
+    for P in (OrbitPoint(0.5, -1.0), OrbitPoint(-2.0, -1e-300)):  # t < 0
+        with pytest.raises(DomainError, match="does not lie on this orbit"):
+            phi_map(orbit, P)
+        with pytest.raises(DomainError, match="does not lie on this orbit"):
+            psi_map(orbit, P)
+    for g1 in (-1.0, -1e-3):
+        with pytest.raises(DomainError, match="positive diagonal"):
+            chi_map(orbit, SutElement(g1, 0.5))
 
 
 def test_chi_pullback_is_twice_area_form(rng):
@@ -378,3 +386,14 @@ def test_hamiltonian_field_degenerate_form_raises():
 def test_orbit_point_rejects_non_finite(s, t):
     with pytest.raises(DomainError):
         OrbitPoint(s, t)
+
+
+# ---------------------------------------------------------------------------
+# guard branches
+
+def test_zero_diagonal_and_point_orbit_are_rejected():
+    with pytest.raises(DomainError, match="g1 must be nonzero"):
+        SutElement(0.0)
+    for s in (0.0, -1.5):
+        with pytest.raises(DegenerateOrbit):
+            OrbitPoint(s, 0.0)
