@@ -281,7 +281,7 @@ def gram_matrix(space: BerezinSpace) -> np.ndarray:
 
 def kernel_tail_bound(p: complex, q: complex, space: BerezinSpace) -> float:
     """Geometric bound on the kernel series tail beyond the cutoff, from its
-    first term c_L^2 r^L."""
+    first term (c_L r^{L/2})^2, formed so that neither factor overflows."""
     r = abs(cayley(p) * np.conj(cayley(q)))
     if r == 0.0:
         return 0.0
@@ -290,7 +290,7 @@ def kernel_tail_bound(p: complex, q: complex, space: BerezinSpace) -> float:
     if rho >= 1.0:
         raise TruncationError(
             f"kernel series not summable at cutoff {L}: ratio {rho:.3f} >= 1")
-    t_L = pochhammer_coeffs(1.0 / space.h, L) ** 2 * r**L
+    t_L = (pochhammer_coeffs(1.0 / space.h, L) * r ** (L / 2.0)) ** 2
     return float(geometric_tail(t_L, rho))
 
 
@@ -303,7 +303,7 @@ def kernel(p: complex, q: complex, space: BerezinSpace) -> complex:
     when the truncation misrepresents the full kernel at these points.
     """
     tail = kernel_tail_bound(p, q, space)
-    if tail > TAIL_TOL:
+    if not tail <= TAIL_TOL:  # NaN fails too
         raise TruncationError(
             f"kernel tail bound {tail:.3e} exceeds {TAIL_TOL:.1e}; "
             "increase the cutoff")

@@ -91,11 +91,10 @@ def _jsonable(x):
 
 
 def _fmt(x) -> str:
-    # a float read back from FMT prints the same FMT text again
+    if isinstance(x, (float, np.floating)):
+        return FMT % float(x)
     x = _jsonable(x)
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return FMT % x if isinstance(x, float) else str(x)
+    return ("true" if x else "false") if isinstance(x, bool) else str(x)
 
 
 def write_report(args, rows: list[dict], summary: dict) -> None:

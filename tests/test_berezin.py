@@ -1,3 +1,4 @@
+import math
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn, roots_jacobi
@@ -253,6 +254,22 @@ def test_kernel_tail_budget(monkeypatch):
         bz.kernel_tail_bound(9j, 9j, space)
     with pytest.raises(TruncationError, match="not summable"):
         bz.kernel(9j, 9j, space)
+
+
+def test_kernel_tail_bound_where_the_coefficient_squared_overflows():
+    # at 1/h = 1000 and L = 400, c_L^2 = (1000)_400 / 400! is about 1e362
+    # and r^400 about 1e-330, so the first tail term is only finite formed
+    # as (c_L r^{L/2})^2; a NaN or inf bound must not pass the budget
+    space = bz.BerezinSpace(h=1e-3, cutoff=400)
+    y = (1 + 0.15**0.5) / (1 - 0.15**0.5)  # |eps(iy)|^2 = 0.15
+    L, a, r = 400, 1000.0, abs(bz.cayley(1j * y)) ** 2
+    rho = (a + L) / (L + 1) * r
+    log_t = math.lgamma(a + L) - math.lgamma(a) - math.lgamma(L + 1) + L * math.log(r)
+    tail = bz.kernel_tail_bound(1j * y, 1j * y, space)
+    assert tail == pytest.approx(math.exp(log_t) / (1 - rho), rel=1e-9)
+    assert 1e31 < tail < 1e33
+    with pytest.raises(TruncationError, match="exceeds"):
+        bz.kernel(1j * y, 1j * y, space)
 
 
 def test_reproducing_property():

@@ -5,8 +5,7 @@ comment, and no part of a docstring: blank lines, comment-only lines and
 the docstrings of modules, classes and functions are skipped.  A statement
 spread over several lines counts each line it spans.
 
-    python tools/count_lines.py            # src/cohgeom
-    python tools/count_lines.py DIR ...    # every *.py below each DIR
+    python tools/count_lines.py
 
 Prints one line per module and a total; it measures and gates nothing.
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -45,17 +43,15 @@ def code_lines(source: str) -> int:
     return len(lines - skip)
 
 
-def main(argv: list[str]) -> int:
-    roots = [Path(a) for a in argv] or [Path(__file__).parent.parent / "src" / "cohgeom"]
+def main() -> None:
+    root = Path(__file__).resolve().parent.parent / "src" / "cohgeom"
     total = 0
-    for root in roots:
-        for path in sorted(root.rglob("*.py")):
-            n = code_lines(path.read_text())
-            total += n
-            print(f"{n:6d}  {path.relative_to(root.parent)}")
+    for path in sorted(root.rglob("*.py")):
+        n = code_lines(path.read_text())
+        total += n
+        print(f"{n:6d}  {path.relative_to(root.parent)}")
     print(f"{total:6d}  total")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
