@@ -22,7 +22,11 @@ essentially exactly even where the weight exponent is not an integer; the
 angular direction is the uniform (trapezoid) rule, exact for trigonometric
 polynomials below the node count.  Each Gauss-Jacobi rule (``roots_jacobi``,
 numpy only) is built once per (h, node count), on first use, and kept
-read-only together with its tensor grid.  Every quadrature result is gated
+read-only together with its tensor grid.  The half-plane image of that grid,
+cayley_inv(z), is likewise built once, by the first ``halfplane_inner`` on
+it, and kept read-only; the half-plane functions are evaluated there, and
+each still maps the points back to the disc through ``cayley``, so the
+integral still tests the Cayley pullback.  Every quadrature result is gated
 by one refinement doubling: a single inner product, or a whole
 Gram/Toeplitz matrix at once, whose coarse and doubled versions must agree
 entry by entry to QUAD_TOL.  A space is ``BerezinSpace(h, cutoff)``; the
@@ -228,13 +232,25 @@ def _disc_grid(h: float, n_radial: int, n_angular: int) -> np.ndarray:
     return z
 
 
-def _disc_quadrature(integrand: Callable, space: BerezinSpace,
-                     n_radial: int, n_angular: int) -> complex:
-    _, wu = _radial_rule(space.h, n_radial)
-    vals = np.asarray(integrand(_disc_grid(space.h, n_radial, n_angular)),
-                      dtype=complex)
-    angular_mean = vals.mean(axis=1)
-    return complex((1.0 / space.h - 1.0) * np.sum(wu * angular_mean))
+@functools.lru_cache(maxsize=8)
+def _halfplane_grid(h: float, n_radial: int, n_angular: int) -> np.ndarray:
+    """Read-only Cayley image cayley_inv(z) of ``_disc_grid``, the nodes on
+    which ``halfplane_inner`` evaluates its functions."""
+    w = cayley_inv(_disc_grid(h, n_radial, n_angular))
+    w.flags.writeable = False
+    return w
+
+
+def _gated_inner(grid: Callable, phi: Callable, psi: Callable,
+                 space: BerezinSpace) -> complex:
+    """Integral of conj(phi) psi at the nodes ``grid(h, n_radial, n_angular)``
+    under the disc rule's weights, gated by one refinement doubling."""
+    def level(n_radial, n_angular):
+        _, wu = _radial_rule(space.h, n_radial)
+        x = grid(space.h, n_radial, n_angular)
+        vals = np.asarray(np.conj(phi(x)) * psi(x), dtype=complex)
+        return complex((1.0 / space.h - 1.0) * np.sum(wu * vals.mean(axis=1)))
+    return _gated(level)
 
 
 def _gated(level: Callable):
@@ -259,14 +275,18 @@ def disc_inner(phi: Callable, psi: Callable, space: BerezinSpace) -> complex:
     doubled refinement must agree to QUAD_TOL or QuadratureError is raised;
     the refined value is returned.
     """
-    integrand = lambda z: np.conj(phi(z)) * psi(z)
-    return _gated(lambda n_r, n_a: _disc_quadrature(integrand, space, n_r, n_a))
+    return _gated_inner(_disc_grid, phi, psi, space)
 
 
 def halfplane_inner(f: Callable, g: Callable, space: BerezinSpace) -> complex:
-    """(f, g)_H computed as the disc inner product of the pulled-back pair."""
-    return disc_inner(lambda z: f(cayley_inv(z)), lambda z: g(cayley_inv(z)),
-                      space)
+    """(f, g)_H, the disc inner product of the pulled-back pair.
+
+    ``f`` and ``g`` take half-plane points (arrays) and are evaluated on
+    the cached Cayley image of each disc quadrature grid, so the grid is
+    mapped to the half plane once per (h, level); the rule, the weights and
+    the QUAD_TOL gate are those of ``disc_inner``.
+    """
+    return _gated_inner(_halfplane_grid, f, g, space)
 
 
 def gram_matrix(space: BerezinSpace) -> np.ndarray:
@@ -323,7 +343,14 @@ def coherent_state_fn(p: complex, space: BerezinSpace) -> Callable:
         1.0 / space.h, np.arange(space.cutoff))
 
     def tau(w):
-        return np.polyval(series[::-1], cayley(w))
+        # Horner from the top coefficient, in place: np.polyval's arithmetic
+        # without a fresh grid-sized array per coefficient
+        z = cayley(w)
+        y = np.full(z.shape, series[-1])
+        for c in series[-2::-1]:
+            y *= z
+            y += c
+        return y
 
     return tau
 

@@ -468,11 +468,22 @@ def cmd_report_all(args) -> int:
 # ---------------------------------------------------------------------------
 # pullback
 
+# the options that some pullback runs never read, with their defaults; there
+# a value other than the default is a DomainError.  A spin state's size comes
+# from j, not eps, and a squeezed family is claimed at the origin alone, so
+# no grid is read when every row is squeezed
+PULLBACK_OWN = {"eps": 1e-12, "grid": "5x5", "base_max": 2.0}
+
+
 def cmd_pullback(args) -> int:
-    if args.family == "wh" and args.param != 0.0:
-        raise DomainError("--param applies to --family su2 and su11 only")
     n_re, n_im = _grid_shape(args.grid)
     squeezes = _floats(args.squeeze)
+    unread = {"eps": "--family su2"} if args.family == "su2" else {}
+    if args.family == "su2" or 0.0 not in squeezes:
+        unread.update(grid="a squeezed family", base_max="a squeezed family")
+    for dest, runs in unread.items():
+        if getattr(args, dest) != PULLBACK_OWN[dest]:
+            raise DomainError(f"--{dest.replace('_', '-')} is not read by {runs}")
     rows = []
     for v in squeezes:
         fam = StateFamily(args.family, v=v, param=args.param, eps=args.eps)
@@ -711,10 +722,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--squeeze", type=floats, default="0",
                     help="comma list of v values")
     sp.add_argument("--param", type=_real, default=0.0, help="j or k")
-    sp.add_argument("--grid", type=_checked(_grid_shape), default="5x5")
-    sp.add_argument("--base-max", type=_real, default=2.0)
+    sp.add_argument("--grid", type=_checked(_grid_shape), default=PULLBACK_OWN["grid"])
+    sp.add_argument("--base-max", type=_real, default=PULLBACK_OWN["base_max"])
     sp.add_argument("--tol", type=_real, default=FORM_TOL)
-    sp.add_argument("--eps", type=_real, default=1e-12)
+    sp.add_argument("--eps", type=_real, default=PULLBACK_OWN["eps"])
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check tangents and truncation doubling")
     _add_common(sp)

@@ -76,7 +76,7 @@ class StateFamily:
 
     family: "wh" (oscillator), "su2" (spin), "su11" (discrete series).
     v: squeeze parameter (lambda = e^v); must be 0 for su11.
-    param: j for su2, k for su11; unused for wh.
+    param: j for su2, k for su11; must be 0 for wh, which reads none.
     trunc: number-basis truncation; 0 selects it from the tail budget eps.
     """
 
@@ -93,6 +93,9 @@ class StateFamily:
             raise DomainError(f"non-finite family parameter in {self}")
         if not self.eps > 0:
             raise DomainError(f"tail budget eps must be positive, got {self.eps}")
+        if self.family == "wh" and self.param != 0.0:
+            raise DomainError(f"param applies to family su2 and su11 only, "
+                              f"got {self.param} for wh")
         if self.family == "su11" and self.param <= 0.5:
             raise DomainError("su11 family needs k > 1/2")
         if self.family == "su11" and self.v != 0.0:

@@ -199,6 +199,12 @@ def kernel_vector(M: np.ndarray) -> np.ndarray:
     operators up to j = 20, about 1e-25 sigma_max for the truncated a_v), a
     regular operator far above it.  The first amplitude above 1e-10 of the
     largest is made real positive.
+
+    The oracle is sound for spin operators with 2j <= 23.  Beyond that a
+    regular operator can pass the gate: for e^v Lx - i e^{-v} Ly at
+    half-integer j >= 25/2 and |v| = 0.1, sigma_min falls below the bound
+    (it is 6.2e2 dim * eps * sigma_max at j = 21/2, and about ten times
+    smaller per unit of j), so a spurious kernel vector is returned.
     """
     _, s, vh = np.linalg.svd(M)
     bound = KERNEL_ROUNDOFF * max(np.shape(M)) * np.finfo(float).eps * s[0]

@@ -1,11 +1,14 @@
 import math
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import beta as beta_fn, roots_jacobi
 
 from cohgeom.errors import BasisMismatch, DomainError, QuadratureError, TruncationError
 from cohgeom import berezin as bz
-from cohgeom import su11_coherent, inner
+from cohgeom import cli, su11_coherent, inner
+from cohgeom.states import pochhammer_coeffs
 
 
 SPACE = bz.BerezinSpace(h=0.25, cutoff=8)
@@ -280,6 +283,52 @@ def test_reproducing_property():
             fl = lambda w, l=l: bz.basis_f(l, w, space.h)
             lhs = bz.halfplane_inner(tau, fl, space)
             assert lhs == pytest.approx(bz.basis_f(l, p, space.h), abs=1e-10)
+
+
+_upper = st.builds(complex, st.floats(-10.0, 10.0), st.floats(1e-3, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-3, 1.0, exclude_max=True), st.integers(1, 24), _upper,
+       st.lists(_upper, min_size=1, max_size=6))
+def test_coherent_state_fn_matches_polyval(h, cutoff, p, ws):
+    # the in-place Horner loop against np.polyval of the same power series
+    space = bz.BerezinSpace(h=h, cutoff=cutoff)
+    series = bz.coherent_coeffs(p, space) * pochhammer_coeffs(1.0 / h, np.arange(cutoff))
+    w = np.array(ws)
+    z = bz.cayley(w)
+    ref = np.polyval(series[::-1], z)
+    scale = np.abs(series) @ (np.abs(z)[None, :] ** np.arange(cutoff)[:, None])
+    got = bz.coherent_state_fn(p, space)(w)
+    assert got.shape == w.shape
+    assert np.all(np.abs(got - ref) <= 4 * cutoff * np.finfo(float).eps * scale)
+
+
+def test_halfplane_grid_is_cached_and_read_only():
+    w = bz._halfplane_grid(0.25, 64, 256)
+    assert w is bz._halfplane_grid(0.25, 64, 256)
+    assert np.array_equal(w, bz.cayley_inv(bz._disc_grid(0.25, 64, 256)))
+    with pytest.raises(ValueError):
+        w[0, 0] = 1j
+
+
+def test_reproducing_dev_maps_each_level_once(monkeypatch):
+    # the grid goes to the half plane once per level, not once per function
+    # and point; each function still maps its points back through cayley
+    mapped = []
+
+    def counting(z):
+        mapped.append(np.shape(z))
+        return cayley_inv(z)
+
+    cayley_inv = bz.cayley_inv
+    bz._halfplane_grid.cache_clear()
+    monkeypatch.setattr(bz, "cayley_inv", counting)
+    space = bz.BerezinSpace(h=0.25, cutoff=8)
+    for p in (1j, 2j, 1 + 1j):
+        assert cli.reproducing_dev(space, p) < cli.KERNEL_TOL
+    assert sorted(mapped) == [(bz.N_RADIAL, bz.N_ANGULAR),
+                              (2 * bz.N_RADIAL, 2 * bz.N_ANGULAR)]
 
 
 def test_coherent_overlap_equals_kernel():

@@ -41,7 +41,7 @@ def test_pullback_impossible_tolerance_fails(tmp_path):
 def test_pullback_squeezed_rows(tmp_path):
     out = tmp_path / "report.csv"
     code = run_cli(["pullback", "--family", "wh", "--squeeze", "0.5,-0.5",
-                    "--grid", "3x3", "--out", str(out)])
+                    "--out", str(out)])
     assert code == 0
     rows = [l for l in out.read_text().splitlines()
             if l and not l.startswith(("re_alpha", "#"))]
@@ -364,11 +364,21 @@ def test_pullback_nan_squeeze_raises_domain_error(capsys):
     (["uncertainty", "--family", "wh", "--j", "7"],
      "cohgeom: DomainError: --j applies to --family su2 only"),
     (["pullback", "--family", "wh", "--param", "3"],
-     "cohgeom: DomainError: --param applies to --family su2 and su11 only"),
+     "cohgeom: DomainError: param applies to family su2 and su11 only"),
     # a spin too large to allocate: 2j + 1 = 2e17 levels ask for 1.4 EiB,
     # beyond any virtual address space, so the allocation fails at once
     (["uncertainty", "--family", "su2", "--j", "1e17"], "cohgeom: MemoryError: "),
     (["pullback", "--family", "su2", "--param", "1e17"], "cohgeom: MemoryError: "),
+    # a spin state is sized from j, and a squeezed family is claimed at the
+    # origin alone, so neither reads these
+    (["pullback", "--family", "su2", "--param", "1", "--eps", "1e-3"],
+     "cohgeom: DomainError: --eps is not read by --family su2"),
+    (["pullback", "--family", "su2", "--param", "1", "--grid", "3x3"],
+     "cohgeom: DomainError: --grid is not read by a squeezed family"),
+    (["pullback", "--squeeze", "0.5,-0.5", "--grid", "3x3"],
+     "cohgeom: DomainError: --grid is not read by a squeezed family"),
+    (["pullback", "--squeeze", "0.5", "--base-max", "1"],
+     "cohgeom: DomainError: --base-max is not read by a squeezed family"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_error_exit_two_one_line(argv, message, capsys):
@@ -379,6 +389,18 @@ def test_error_exit_two_one_line(argv, message, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and message in err
+
+
+def test_pullback_options_kept_where_they_are_read(tmp_path):
+    # the defaults pass wherever the option is unread, and a grid is read as
+    # soon as one row is unsqueezed
+    for argv in (["--family", "su2", "--param", "1", "--eps", "1e-12",
+                  "--grid", "5x5", "--base-max", "2"],
+                 ["--squeeze", "0.5", "--grid", "5x5", "--base-max", "2.0"],
+                 ["--squeeze", "0,0.5", "--grid", "2x2", "--base-max", "1"],
+                 ["--family", "su11", "--param", "1", "--eps", "1e-10",
+                  "--grid", "2x2", "--base-max", "0.5"]):
+        assert run_cli(["pullback", *argv, "--out", str(tmp_path / "p.csv")]) == 0
 
 
 def test_hbar_kept_where_it_is_read(tmp_path):

@@ -543,6 +543,14 @@ def test_unknown_family_and_disc_squeezing_rejected():
             StateFamily("su11", param=k)
 
 
+def test_oscillator_family_takes_no_param():
+    # the oscillator reads neither j nor k, so a value for them is an error
+    for param in (3.0, -1.0, 0.5):
+        with pytest.raises(DomainError, match="param applies to family su2 and su11"):
+            StateFamily("wh", param=param)
+    assert StateFamily("wh", param=0.0) == StateFamily("wh")
+
+
 def test_squeezed_families():
     assert not WH.squeezed and not SU11_K1.squeezed
     assert StateFamily("wh", v=-0.5).squeezed and SU2_J1.squeezed
