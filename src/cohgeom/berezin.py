@@ -350,7 +350,7 @@ def coherent_state_fn(p: complex, space: BerezinSpace) -> Callable:
         for c in series[-2::-1]:
             y *= z
             y += c
-        return y
+        return y[()]  # a scalar for a scalar w, as from np.polyval
 
     return tau
 

@@ -299,9 +299,13 @@ def test_coherent_state_fn_matches_polyval(h, cutoff, p, ws):
     z = bz.cayley(w)
     ref = np.polyval(series[::-1], z)
     scale = np.abs(series) @ (np.abs(z)[None, :] ** np.arange(cutoff)[:, None])
-    got = bz.coherent_state_fn(p, space)(w)
+    tau = bz.coherent_state_fn(p, space)
+    got = tau(w)
     assert got.shape == w.shape
     assert np.all(np.abs(got - ref) <= 4 * cutoff * np.finfo(float).eps * scale)
+    # a scalar point gives a scalar, as from np.polyval
+    assert isinstance(tau(ws[0]), complex)
+    assert abs(tau(ws[0]) - ref[0]) <= 4 * cutoff * np.finfo(float).eps * scale[0]
 
 
 def test_halfplane_grid_is_cached_and_read_only():
