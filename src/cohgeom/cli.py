@@ -7,10 +7,15 @@ given configuration always produces byte-identical output.  Exit status 0
 when every check passed its tolerance, 1 on any failure, 2 on a usage error,
 a ``CohgeomError`` or a ``MemoryError``, each reported as one line on stderr.
 
-Each report-all criterion is one entry of ``CHECKS``.  Its measurement is a
-helper below that the subcommand calls per point, the registry calls at
-report-all's inputs and the acceptance suite calls on larger inputs; each
-tolerance is one constant.
+Every check, a ``report-all`` row or a subcommand's summary, is one
+``Check``: the deviation it reports and the bounds it must meet, each an
+upper bound or a floor on a measured value.  ``Check.passed`` is the one
+place that decides pass; the registry rows, the subcommands and the
+acceptance suite all read it.  Each ``report-all`` row is one entry of
+``CHECKS``.  Its measurement is a helper below that the subcommand calls per
+point, the registry calls at report-all's inputs and the acceptance suite
+calls on larger inputs; each tolerance is one constant, read when the check
+runs.
 
 A flat key=value file given by ``--config`` sets the chosen subcommand's own
 options, ahead of the explicit flags, which win; other keys are ignored.
@@ -23,13 +28,14 @@ import json
 import math
 import sys
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import berezin as bz
 from . import prequant as pq
 from . import sut
-from .errors import CohgeomError, DomainError, TruncationError
+from .errors import CohgeomError, DomainError
 from .pullback import (
     StateFamily,
     TangentSpec,
@@ -46,7 +52,6 @@ from .statespace import project_orthogonal
 from .states import (
     spin_matrices,
     su2_squeezed_vacuum,
-    truncation_dim,
     wh_coherent,
 )
 from .uncertainty import (
@@ -79,9 +84,8 @@ STAR_ORDER_FLOOR = 1.75
 # report plumbing
 
 def _jsonable(x):
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, str):
+    # pass is a bool from Check.passed; a str or a list is kept as its text
+    if isinstance(x, bool):
         return x
     if isinstance(x, (int, np.integer)):
         return int(x)
@@ -97,7 +101,31 @@ def _fmt(x) -> str:
     return ("true" if x else "false") if isinstance(x, bool) else str(x)
 
 
-def write_report(args, rows: list[dict], summary: dict) -> None:
+class Check(NamedTuple):
+    """The deviation a check reports and the bounds it must meet: each
+    (value, limit) of ``below`` is an upper bound, met when value < limit,
+    and each of ``above`` a floor, met when value > limit."""
+
+    dev: float
+    below: tuple = ()
+    above: tuple = ()
+
+    @property
+    def passed(self) -> bool:
+        """The one verdict: every bound met, so a NaN value fails."""
+        return (all(value < limit for value, limit in self.below)
+                and all(value > limit for value, limit in self.above))
+
+
+def under(dev: float, tol: float) -> Check:
+    """A check whose reported deviation is its one upper-bounded value."""
+    return Check(dev, ((dev, tol),))
+
+
+def write_report(args, rows: list[dict], check: Check, **extra) -> int:
+    """Write the report of ``rows`` and the summary of ``check`` and
+    ``extra``; the exit status is 0 if the check passed, else 1."""
+    summary = {"pass": check.passed, "max_dev": check.dev, **extra}
     config = {k: _jsonable(v) for k, v in sorted(vars(args).items())
               if k not in ("func", "out", "format", "config") and v is not None}
     if args.format == "json":
@@ -108,25 +136,25 @@ def write_report(args, rows: list[dict], summary: dict) -> None:
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
-        if rows:
-            cols = list(rows[0].keys())
-            lines = [",".join(cols)]
-            lines += [",".join(_fmt(row[c]) for c in cols) for row in rows]
-        else:
-            lines = []
+        # every subcommand has a row or raises a CohgeomError
+        cols = list(rows[0].keys())
+        lines = [",".join(cols)]
+        lines += [",".join(_fmt(row[c]) for c in cols) for row in rows]
         lines.append("# summary: " + " ".join(
             f"{k}={_fmt(v)}" for k, v in sorted(summary.items())))
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # a usage error, reported like an unreadable --config
+            sys.stderr.write(f"cohgeom: error: cannot write --out {args.out}: "
+                             f"{exc.strerror}\n")
+            raise SystemExit(2) from None
     else:
         sys.stdout.write(text)
-
-
-def _report(args, rows: list[dict], ok: bool, max_dev: float, **extra) -> int:
-    write_report(args, rows, {"pass": ok, "max_dev": max_dev, **extra})
-    return 0 if ok else 1
+    return 0 if check.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +279,15 @@ def doubling_dev(fam: StateFamily, base: complex) -> float:
     return form_dev(pullback_matrix(fam, base), pullback_matrix(fam2, base))
 
 
+def oracle_dev(fam: StateFamily) -> float:
+    """Worst of the tangent gap and the doubling move (off the spin family,
+    whose size is fixed by j) at the origin and, for a coherent family, at
+    one point off it."""
+    bases = [0j] if fam.squeezed else [0j, 0.2 + 0.1j]
+    doubling = [doubling_dev(fam, b) for b in bases if fam.family != "su2"]
+    return max([tangent_dev(fam, bases)] + doubling)
+
+
 def saturation_dev(q, p, psi, v: float = 0.0) -> float:
     """Worst of the Robertson-Schrodinger slack and the residual at the
     matched lambda = e^v, both zero on coherent and squeezed states."""
@@ -258,10 +295,14 @@ def saturation_dev(q, p, psi, v: float = 0.0) -> float:
                min_uncertainty_residual(q, p, float(np.exp(v)), psi))
 
 
+def orbit_points(t_vals, s_vals) -> list:
+    """The grid points P = (s, t), t major."""
+    return [sut.OrbitPoint(float(s), float(t)) for t in t_vals for s in s_vals]
+
+
 def orbit_max(fn, t_vals, s_vals) -> float:
-    """Largest fn(P) over the grid points P = (s, t)."""
-    return max(fn(sut.OrbitPoint(float(s), float(t)))
-               for t in t_vals for s in s_vals)
+    """Largest fn(P) over the grid points."""
+    return max(fn(P) for P in orbit_points(t_vals, s_vals))
 
 
 def coadjoint_dev() -> float:
@@ -277,15 +318,6 @@ _J2 = sut.Field2D(lambda s, t: 2 * s, lambda s, t: 2.0, lambda s, t: 0.0)
 def bracket_dev(P) -> float:
     """|{J1, J2} + 2 J1| at P, for the moments J1 = t and J2 = 2s."""
     return abs(sut.poisson(_J1, _J2, P) + 2.0 * P.t)
-
-
-def hamiltonian_dev(P) -> float:
-    """Worst miss of omega(X_J, e) = dJ(e) over both moments and both
-    coordinate directions e at P."""
-    mf = sut.moment_and_fields(P)
-    es, et = sut.OrbitTangent(1, 0), sut.OrbitTangent(0, 1)
-    return max(abs(sut.kks_form(P, X, e) - dj) for X, e, dj in (
-        (mf.xj1, es, 0.0), (mf.xj1, et, 1.0), (mf.xj2, es, 2.0), (mf.xj2, et, 0.0)))
 
 
 def chart_point(orbit: sut.Orbit, P) -> tuple[float, float]:
@@ -341,10 +373,11 @@ def reproducing_dev(space: bz.BerezinSpace, p: complex) -> float:
 
 
 def star_report(h_seq, point: complex, cutoff: int):
-    """Star-product limits of Re z and Im z at ``point`` over ``h_seq``, the
-    gate (both deviations fall strictly with h and both fitted orders clear
-    their floors) and the worst deviation.  DomainError for fewer than two
-    distinct h, from which no order can be fitted."""
+    """Star-product limits of Re z and Im z at ``point`` over ``h_seq``, and
+    their check: dev is the worst deviation, each deviation's drop from one
+    h to the next clears a floor of 0, and both fitted orders clear their
+    floors.  DomainError for fewer than two distinct h, from which no order
+    can be fitted."""
     if len(set(h_seq)) < 2:
         raise DomainError(f"the star gate needs two distinct h, got {list(h_seq)}")
     rep = bz.correspondence_report(
@@ -352,34 +385,15 @@ def star_report(h_seq, point: complex, cutoff: int):
         lambda sp: bz.toeplitz_operator(lambda z: np.imag(z) + 0j, sp),
         point, h_seq, cutoff=cutoff)
     devs = [(r.dev_product, r.dev_bracket) for r in rep.rows]
-    monotone = all(a[0] > b[0] and a[1] > b[1] for a, b in zip(devs, devs[1:]))
-    ok = (monotone and rep.order_product >= STAR_PRODUCT_ORDER_FLOOR
-          and rep.order_bracket >= STAR_ORDER_FLOOR)
-    return rep, ok, max(max(d) for d in devs)
+    drops = tuple((a[k] - b[k], 0.0) for a, b in zip(devs, devs[1:]) for k in (0, 1))
+    return rep, Check(max(max(d) for d in devs), above=drops + (
+        (rep.order_product, STAR_PRODUCT_ORDER_FLOOR),
+        (rep.order_bracket, STAR_ORDER_FLOOR)))
 
 
 # ---------------------------------------------------------------------------
-# report-all: CHECKS holds (name, tol, run) in report order; run() returns
-# (passed, dev).  tol bounds dev from above, except where noted
-
-def _below(name: str, tol: float, measure):
-    def run():
-        dev = measure()
-        return dev < tol, dev
-    return name, tol, run
-
-
-def _wh_coherent() -> float:
-    # the basis must meet the 1e-12 tail budget at every base point
-    fam, bases = StateFamily("wh", eps=1e-12), square_grid(2.0, 5)
-    for base in bases:
-        need = truncation_dim(base, "fock", eps=1e-12)
-        if fam.dim(base) < need:
-            raise TruncationError(
-                f"basis of {fam.dim(base)} states at {base} is below the "
-                f"{need} states the 1e-12 tail budget needs")
-    return pullback_dev(fam, bases)
-
+# report-all: CHECKS holds (name, run) in report order; run() returns the
+# row's Check
 
 def _oscillator_64():
     q, p = quadrature_pair(64)
@@ -392,16 +406,17 @@ def _saturation() -> float:
                saturation_dev(q, p, sq, 0.5))
 
 
-def _mismatch_gap():
+def _mismatch_gap() -> Check:
     q, p, sq = _oscillator_64()
     gap = min_uncertainty_residual(q, p, 1.0, sq)
-    return gap > MISMATCH_GAP, gap
+    return Check(gap, above=((gap, MISMATCH_GAP),))
 
 
-def _flow_defect():
-    P = sut.OrbitPoint(1.5, 2.0)
-    dev, (_, gap, _) = flow_check(P)
-    return dev < FLOW_TOL, gap
+def _flow_defect() -> Check:
+    # dev is the stated second flow's defect, |s| = 1.5; the gated residuals
+    # vanish
+    dev, (_, gap, _) = flow_check(sut.OrbitPoint(1.5, 2.0))
+    return Check(gap, ((dev, FLOW_TOL),))
 
 
 def _reproducing() -> float:
@@ -414,120 +429,111 @@ SU2_CASES = ((0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.5), (2.0, 0.5))
 DISC_KS = (0.75, 1.0, 2.0)
 
 CHECKS = (
-    _below("wh-coherent-kahler", FORM_TOL, _wh_coherent),
-    _below("wh-squeezed-form", FORM_TOL,
-           lambda: max(pullback_dev(StateFamily("wh", v=v), [0j])
-                       for v in WH_SQUEEZES)),
-    _below("wh-squeezed-symplectic-invariance", FORM_TOL,
-           lambda: max(kahler_verdict(StateFamily("wh", v=v)).symplectic_dev
-                       for v in WH_SQUEEZES)),
-    _below("su2-form", FORM_TOL,
-           lambda: max(pullback_dev(StateFamily("su2", v=v, param=j), [0j])
-                       for (j, v) in SU2_CASES)),
+    # the family's tail budget sizes its basis, which wh_squeezed enforces
+    ("wh-coherent-kahler",
+     lambda: under(pullback_dev(StateFamily("wh"), square_grid(2.0, 5)), FORM_TOL)),
+    ("wh-squeezed-form",
+     lambda: under(max(pullback_dev(StateFamily("wh", v=v), [0j])
+                       for v in WH_SQUEEZES), FORM_TOL)),
+    ("wh-squeezed-symplectic-invariance",
+     lambda: under(max(kahler_verdict(StateFamily("wh", v=v)).symplectic_dev
+                       for v in WH_SQUEEZES), FORM_TOL)),
+    ("su2-form",
+     lambda: under(max(pullback_dev(StateFamily("su2", v=v, param=j), [0j])
+                       for (j, v) in SU2_CASES), FORM_TOL)),
     # is_kahler implies is_symplectic, since |Im z| <= |z| entrywise
-    _below("su2-coherent-kahler-verdict", FORM_TOL,
-           lambda: kahler_verdict(StateFamily("su2", param=1.0)).max_dev),
-    _below("su11-kahler-relative", DISC_REL_TOL,
-           lambda: max(pullback_dev(StateFamily("su11", param=k),
+    ("su2-coherent-kahler-verdict",
+     lambda: under(kahler_verdict(StateFamily("su2", param=1.0)).max_dev, FORM_TOL)),
+    ("su11-kahler-relative",
+     lambda: under(max(pullback_dev(StateFamily("su11", param=k),
                                     square_grid(0.8, 4), relative=True)
-                       for k in DISC_KS)),
-    _below("uncertainty-saturation", SATURATION_TOL, _saturation),
-    # tol is a floor on the gap
-    ("uncertainty-mismatch-gap", MISMATCH_GAP, _mismatch_gap),
-    _below("sut-coadjoint-and-brackets", ORBIT_TOL,
-           lambda: max(coadjoint_dev(), orbit_max(bracket_dev, *orbit_grid(8)))),
-    _below("sut-chart-pullback", CHART_TOL, lambda: chart_dev(*orbit_grid(4))),
-    _below("prequant-potential", PREQUANT_TOL,
-           lambda: pq.potential_residual(orbit_grid(8)[0])),
-    _below("prequant-dirac-defect-identified", PREQUANT_TOL,
-           lambda: pq.dirac_residual(*orbit_grid(8)).defect_dev),
-    # dev is the stated second flow's defect, |s| = 1.5 up to tol; the
-    # first flow and the second flow's generator stay below tol
-    ("prequant-flow2-defect-detected", FLOW_TOL, _flow_defect),
-    _below("berezin-gram", GRAM_TOL,
-           lambda: max(gram_dev(bz.BerezinSpace(h=h, cutoff=8))
-                       for h in (0.45, 0.25))),
-    _below("berezin-reproducing", KERNEL_TOL, _reproducing),
-    # tol is the floor on the fitted bracket order; dev is the worst
-    # deviation, which a passing run has at the largest h
-    ("berezin-star-monotone", STAR_ORDER_FLOOR,
-     lambda: star_report((0.2, 0.1, 0.05), 1.5j, 12)[1:]),
+                       for k in DISC_KS), DISC_REL_TOL)),
+    ("uncertainty-saturation", lambda: under(_saturation(), SATURATION_TOL)),
+    ("uncertainty-mismatch-gap", _mismatch_gap),
+    ("sut-coadjoint-and-brackets",
+     lambda: under(max(coadjoint_dev(), orbit_max(bracket_dev, *orbit_grid(8))),
+                   ORBIT_TOL)),
+    ("sut-chart-pullback", lambda: under(chart_dev(*orbit_grid(4)), CHART_TOL)),
+    ("prequant-potential",
+     lambda: under(pq.potential_residual(orbit_grid(8)[0]), PREQUANT_TOL)),
+    ("prequant-dirac-defect-identified",
+     lambda: under(pq.dirac_residual(*orbit_grid(8)).defect_dev, PREQUANT_TOL)),
+    ("prequant-flow2-defect-detected", _flow_defect),
+    ("berezin-gram",
+     lambda: under(max(gram_dev(bz.BerezinSpace(h=h, cutoff=8))
+                       for h in (0.45, 0.25)), GRAM_TOL)),
+    ("berezin-reproducing", lambda: under(_reproducing(), KERNEL_TOL)),
+    # dev is the worst deviation, which a passing run has at the largest h
+    ("berezin-star-monotone", lambda: star_report((0.2, 0.1, 0.05), 1.5j, 12)[1]),
 )
 
 
 def cmd_report_all(args) -> int:
-    rows = []
-    for name, _, run in CHECKS:
-        passed, dev = run()
-        print(f"{'PASS' if passed else 'FAIL'} {name} (dev={dev:.3e})")
-        rows.append({"check": name, "pass": passed, "dev": dev})
-    return _report(args, rows, all(row["pass"] for row in rows),
-                   max(row["dev"] for row in rows))
+    rows, below, above = [], (), ()
+    for name, run in CHECKS:
+        check = run()
+        print(f"{'PASS' if check.passed else 'FAIL'} {name} (dev={check.dev:.3e})")
+        rows.append({"check": name, "pass": check.passed, "dev": check.dev})
+        below, above = below + check.below, above + check.above
+    # the summary meets every row's bounds
+    return write_report(args, rows, Check(max(row["dev"] for row in rows),
+                                          below, above))
 
 
 # ---------------------------------------------------------------------------
-# pullback
+# pullback and uncertainty
 
-# the options that some pullback runs never read, with their defaults; there
-# a value other than the default is a DomainError.  A spin state's size comes
-# from j, not eps, and a squeezed family is claimed at the origin alone, so
-# no grid is read when every row is squeezed
-PULLBACK_OWN = {"eps": 1e-12, "grid": "5x5", "base_max": 2.0}
+# each option that some runs never read, with its default: where a run
+# leaves it unread, a value other than the default is a DomainError.  A spin
+# state's size comes from j, not eps, and a squeezed family is claimed at the
+# origin alone, so reads no grid (pullback); the spin moments read no
+# oscillator option, and the oscillator ones no j (uncertainty)
+UNREAD_DEFAULTS = {"eps": 1e-12, "grid": "5x5", "base_max": 2.0,
+                   "alphas": "1,0.5+0.5j", "squeeze": "0,0.5", "N": 96,
+                   "hbar": 1.0, "j": "0.5,1,2"}
+
+
+def _unread(args, runs: str, *dests: str) -> None:
+    """DomainError for the first of ``dests`` set away from its default,
+    which ``runs`` never reads."""
+    for dest in dests:
+        if getattr(args, dest) != UNREAD_DEFAULTS[dest]:
+            raise DomainError(f"--{dest.replace('_', '-')} is not read by {runs}")
 
 
 def cmd_pullback(args) -> int:
     n_re, n_im = _grid_shape(args.grid)
-    squeezes = _floats(args.squeeze)
-    unread = {"eps": "--family su2"} if args.family == "su2" else {}
-    if args.family == "su2" or 0.0 not in squeezes:
-        unread.update(grid="a squeezed family", base_max="a squeezed family")
-    for dest, runs in unread.items():
-        if getattr(args, dest) != PULLBACK_OWN[dest]:
-            raise DomainError(f"--{dest.replace('_', '-')} is not read by {runs}")
+    fams = [StateFamily(args.family, v=v, param=args.param, eps=args.eps)
+            for v in _floats(args.squeeze)]
+    if args.family == "su2":
+        _unread(args, "--family su2", "eps")
+    if all(fam.squeezed for fam in fams):
+        _unread(args, "a squeezed family", "grid", "base_max")
     rows = []
-    for v in squeezes:
-        fam = StateFamily(args.family, v=v, param=args.param, eps=args.eps)
+    for fam in fams:
         # closed forms of squeezed families are claimed at the origin only
         bases = [0j] if fam.squeezed else square_grid(args.base_max, n_re, n_im)
         for base in bases:
             G = pullback_matrix(fam, base) + 0.0  # no signed zeros in the report
             rows.append({
-                "re_alpha": base.real, "im_alpha": base.imag, "squeeze": v,
+                "re_alpha": base.real, "im_alpha": base.imag, "squeeze": fam.v,
                 "g11": G[0, 0].real, "g12": G[0, 1].real,
                 "g22": G[1, 1].real, "omega12": G[0, 1].imag,
                 "ref_g11": reference_matrix(fam, base)[0, 0].real,
                 "dev": pullback_dev(fam, [base]),
             })
     max_dev = max(row["dev"] for row in rows)
-    extra = {}
+    below, extra = ((max_dev, args.tol),), {}
     if args.oracle:
-        # numeric against analytic tangents, and truncation doubling
-        fam = StateFamily(args.family, v=squeezes[0], param=args.param,
-                          eps=args.eps)
-        bases = [0j] if fam.squeezed else [0j, 0.2 + 0.1j]
-        doubling = [doubling_dev(fam, b) for b in bases if fam.family != "su2"]
-        extra["oracle_dev"] = max([tangent_dev(fam, bases)] + doubling)
-    ok = max_dev < args.tol and extra.get("oracle_dev", 0.0) < ORACLE_TOL
-    return _report(args, rows, ok, max_dev, **extra)
-
-
-# ---------------------------------------------------------------------------
-# uncertainty
-
-# the options that one family alone reads, with their defaults; under the
-# other family a value other than the default is a DomainError
-UNCERTAINTY_OWN = {"wh": {"alphas": "1,0.5+0.5j", "squeeze": "0,0.5", "N": 96,
-                          "hbar": 1.0},
-                   "su2": {"j": "0.5,1,2"}}
+        extra["oracle_dev"] = max(oracle_dev(fam) for fam in fams)
+        below += ((extra["oracle_dev"], ORACLE_TOL),)
+    return write_report(args, rows, Check(max_dev, below), **extra)
 
 
 def cmd_uncertainty(args) -> int:
-    other = "su2" if args.family == "wh" else "wh"
-    for dest, default in UNCERTAINTY_OWN[other].items():
-        if getattr(args, dest) != default:
-            raise DomainError(f"--{dest} applies to --family {other} only")
     rows = []
     if args.family == "wh":
+        _unread(args, "--family wh", "j")
         q, p = quadrature_pair(args.N, args.hbar)
         for alpha in _complexes(args.alphas):
             for v in _floats(args.squeeze):
@@ -544,6 +550,7 @@ def cmd_uncertainty(args) -> int:
                     "dev": saturation_dev(q, p, psi, v),
                 })
     else:
+        _unread(args, "--family su2", "alphas", "squeeze", "N", "hbar")
         for j in _floats(args.j):
             spin = spin_matrices(j)
             m = moments(spin.lx, spin.ly, su2_squeezed_vacuum(0.0, j))
@@ -553,8 +560,7 @@ def cmd_uncertainty(args) -> int:
                          "half_abs_lz": half_lz,
                          "dev": abs(m.delta_a * m.delta_b - half_lz),
                          "c_plus": m.c_plus})
-    max_dev = max(row["dev"] for row in rows)
-    return _report(args, rows, max_dev < args.tol, max_dev)
+    return write_report(args, rows, under(max(row["dev"] for row in rows), args.tol))
 
 
 # ---------------------------------------------------------------------------
@@ -568,55 +574,44 @@ def _sut_grid(args) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_sut_kks(args) -> int:
-    t_vals, s_vals = _sut_grid(args)
-    rows = []
-    for t in t_vals:
-        for s in s_vals:
-            P = sut.OrbitPoint(float(s), float(t))
-            rows.append({"s": s, "t": t, "pb_dev": bracket_dev(P),
-                         "ham_dev": hamiltonian_dev(P)})
+    rows = [{"s": P.s, "t": P.t, "pb_dev": bracket_dev(P),
+             "ham_dev": sut.hamiltonian_dev(P, sut.moment_and_fields(P))}
+            for P in orbit_points(*_sut_grid(args))]
     example_dev = coadjoint_dev()
     worst = max([example_dev] + [max(r["pb_dev"], r["ham_dev"]) for r in rows])
-    return _report(args, rows, worst < args.tol, worst,
-                   coadjoint_example_dev=example_dev)
+    return write_report(args, rows, under(worst, args.tol),
+                        coadjoint_example_dev=example_dev)
 
 
 def cmd_sut_charts(args) -> int:
     t_vals, s_vals = _sut_grid(args)
     orbit = sut.Orbit(args.u0, args.v0)
     rows = []
-    for t in t_vals:
-        for s in s_vals:
-            if t * args.v0 > 0:
-                rt, coeff = chart_point(orbit, orbit.point(float(s), float(t)))
-                rows.append({"s": s, "t": t, "roundtrip_dev": rt,
-                             "pullback_coeff": coeff,
-                             "pullback_dev": abs(coeff - 2.0)})
+    for P in orbit_points(t_vals[t_vals * args.v0 > 0], s_vals):
+        rt, coeff = chart_point(orbit, P)
+        rows.append({"s": P.s, "t": P.t, "roundtrip_dev": rt,
+                     "pullback_coeff": coeff, "pullback_dev": abs(coeff - 2.0)})
     if not rows:
         raise DomainError(f"no grid point lies on the orbit through v0 = {args.v0}")
     worst_rt = max(r["roundtrip_dev"] for r in rows)
     worst_pb = max(r["pullback_dev"] for r in rows)
-    return _report(args, rows, worst_rt < ORBIT_TOL and worst_pb < args.tol,
-                   max(worst_rt, worst_pb))
+    return write_report(args, rows, Check(max(worst_rt, worst_pb), (
+        (worst_rt, ORBIT_TOL), (worst_pb, args.tol))))
 
 
 def cmd_sut_flow(args) -> int:
     t_vals, s_vals = _sut_grid(args)
     rows = []
     worst = 0.0
-    for t in t_vals:
-        if t <= 0:
-            continue
-        for s in s_vals:
-            dev, (r1, r2, r2g) = flow_check(sut.OrbitPoint(float(s), float(t)),
-                                           args.hbar)
-            rows.append({"s": s, "t": t, "resid_flow1": r1,
-                         "resid_flow2_stated": r2, "expected_defect": abs(s),
-                         "resid_flow2_generator": r2g})
-            worst = max(worst, dev)
+    for P in orbit_points(t_vals[t_vals > 0], s_vals):
+        dev, (r1, r2, r2g) = flow_check(P, args.hbar)
+        rows.append({"s": P.s, "t": P.t, "resid_flow1": r1,
+                     "resid_flow2_stated": r2, "expected_defect": abs(P.s),
+                     "resid_flow2_generator": r2g})
+        worst = max(worst, dev)
     if not rows:
         raise DomainError("no grid point has t > 0")
-    return _report(args, rows, worst < args.tol, worst)
+    return write_report(args, rows, under(worst, args.tol))
 
 
 def cmd_sut_dirac(args) -> int:
@@ -625,10 +620,10 @@ def cmd_sut_dirac(args) -> int:
     rows = [{"eps_field": ef, "eps_dirac": ed, "residual": r,
              "residual_refined": fine.residuals[(ef, ed)]}
             for (ef, ed), r in sorted(rep.residuals.items())]
-    pot_log = pq.potential_residual(t_vals[t_vals > 0])
+    pot_log = pq.potential_residual(t_vals)
     worst = max(rep.defect_dev, stability, pot_log)
-    return _report(
-        args, rows, worst < args.tol, worst, best_eps_field=rep.best_pair[0],
+    return write_report(
+        args, rows, under(worst, args.tol), best_eps_field=rep.best_pair[0],
         best_eps_dirac=rep.best_pair[1], best_residual=rep.best_residual,
         defect_dev=rep.defect_dev, grid_stability=stability,
         potential_residual_log=pot_log)
@@ -641,8 +636,7 @@ def cmd_berezin_gram(args) -> int:
     rows = [{"h": h, "cutoff": args.cutoff,
              "gram_dev": gram_dev(bz.BerezinSpace(h=h, cutoff=args.cutoff))}
             for h in _floats(args.h)]
-    worst = max(r["gram_dev"] for r in rows)
-    return _report(args, rows, worst < args.tol, worst)
+    return write_report(args, rows, under(max(r["gram_dev"] for r in rows), args.tol))
 
 
 def cmd_berezin_kernel(args) -> int:
@@ -655,38 +649,39 @@ def cmd_berezin_kernel(args) -> int:
                          "kernel_p_i_dev": abs(bz.kernel(p, 1j, space) - 1.0),
                          "tail_bound": bz.kernel_tail_bound(p, p, space)})
     worst = max(max(r["reproducing_dev"], r["kernel_p_i_dev"]) for r in rows)
-    return _report(args, rows, worst < args.tol, worst)
+    return write_report(args, rows, under(worst, args.tol))
 
 
 def cmd_berezin_symbol(args) -> int:
+    spaces = [bz.BerezinSpace(h=h, cutoff=args.cutoff) for h in _floats(args.h)]
+    eye = np.eye(args.cutoff, dtype=complex)
+    diag = np.diag(np.arange(args.cutoff, dtype=complex) + 1.0)
+    proj0 = np.zeros((args.cutoff, args.cutoff), dtype=complex)
+    proj0[0, 0] = 1.0
     rows = []
-    worst = 0.0
-    for h in _floats(args.h):
-        space = bz.BerezinSpace(h=h, cutoff=args.cutoff)
-        eye = np.eye(args.cutoff, dtype=complex)
-        diag = np.diag(np.arange(args.cutoff, dtype=complex) + 1.0)
-        proj0 = np.zeros((args.cutoff, args.cutoff), dtype=complex)
-        proj0[0, 0] = 1.0
+    for space in spaces:
+        # cutoff-model identities, exact at any basis size; two are taken at
+        # the centre 1j, whatever the point
+        d0 = abs(bz.symbol(diag, 1j, 1j, space).raw - 1.0)
+        pr = abs(bz.symbol(proj0, 1j, 1j, space).raw - 1.0)
         for p in _complexes(args.points):
-            # cutoff-model identities, exact at any basis size
             dev_norm = abs(bz.symbol(eye, p, p, space).normalized - 1.0)
-            d0 = abs(bz.symbol(diag, 1j, 1j, space).raw - 1.0)
-            pr = abs(bz.symbol(proj0, 1j, 1j, space).raw - 1.0)
-            rows.append({"h": h, "re_p": p.real, "im_p": p.imag,
+            rows.append({"h": space.h, "re_p": p.real, "im_p": p.imag,
                          "identity_norm_dev": dev_norm,
                          "diag_at_center_dev": d0,
                          "projector_at_center_dev": pr})
-            worst = max(worst, dev_norm, d0, pr)
-    return _report(args, rows, worst < args.tol, worst)
+    worst = max(max(r["identity_norm_dev"], r["diag_at_center_dev"],
+                    r["projector_at_center_dev"]) for r in rows)
+    return write_report(args, rows, under(worst, args.tol))
 
 
 def cmd_berezin_star(args) -> int:
-    rep, ok, worst = star_report(_floats(args.h_seq), complex(args.point),
-                                 args.cutoff)
+    rep, check = star_report(_floats(args.h_seq), complex(args.point),
+                             args.cutoff)
     rows = [{"h": r.h, "dev_product": r.dev_product,
              "dev_bracket": r.dev_bracket} for r in rep.rows]
-    return _report(args, rows, ok, worst, order_product=rep.order_product,
-                   order_bracket=rep.order_bracket)
+    return write_report(args, rows, check, order_product=rep.order_product,
+                        order_bracket=rep.order_bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -717,15 +712,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     floats, complexes = _checked(_floats), _checked(_complexes)
 
+    own = UNREAD_DEFAULTS
     sp = sub.add_parser("pullback", help="projective-form pullback vs closed forms")
     sp.add_argument("--family", choices=("wh", "su2", "su11"), default="wh")
     sp.add_argument("--squeeze", type=floats, default="0",
                     help="comma list of v values")
     sp.add_argument("--param", type=_real, default=0.0, help="j or k")
-    sp.add_argument("--grid", type=_checked(_grid_shape), default=PULLBACK_OWN["grid"])
-    sp.add_argument("--base-max", type=_real, default=PULLBACK_OWN["base_max"])
+    sp.add_argument("--grid", type=_checked(_grid_shape), default=own["grid"])
+    sp.add_argument("--base-max", type=_real, default=own["base_max"])
     sp.add_argument("--tol", type=_real, default=FORM_TOL)
-    sp.add_argument("--eps", type=_real, default=PULLBACK_OWN["eps"])
+    sp.add_argument("--eps", type=_real, default=own["eps"])
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check tangents and truncation doubling")
     _add_common(sp)
@@ -733,12 +729,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("uncertainty", help="moment and saturation checks")
     sp.add_argument("--family", choices=("wh", "su2"), default="wh")
-    wh, su2 = UNCERTAINTY_OWN["wh"], UNCERTAINTY_OWN["su2"]
-    sp.add_argument("--alphas", type=complexes, default=wh["alphas"])
-    sp.add_argument("--squeeze", type=floats, default=wh["squeeze"])
-    sp.add_argument("--j", type=floats, default=su2["j"])
-    sp.add_argument("--N", type=int, default=wh["N"])
-    sp.add_argument("--hbar", type=_positive, default=wh["hbar"])
+    sp.add_argument("--alphas", type=complexes, default=own["alphas"])
+    sp.add_argument("--squeeze", type=floats, default=own["squeeze"])
+    sp.add_argument("--j", type=floats, default=own["j"])
+    sp.add_argument("--N", type=int, default=own["N"])
+    sp.add_argument("--hbar", type=_positive, default=own["hbar"])
     sp.add_argument("--tol", type=_real, default=SATURATION_TOL)
     _add_common(sp)
     sp.set_defaults(func=cmd_uncertainty)

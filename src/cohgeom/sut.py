@@ -201,23 +201,30 @@ class MomentFields:
     xj2: OrbitTangent
 
 
+def hamiltonian_dev(P: OrbitPoint, fields: MomentFields) -> float:
+    """Worst miss of omega(X_J, e) = dJ(e) at P over both moments' fields and
+    both coordinate directions e, for dJ1 = dt and dJ2 = 2 ds."""
+    return max(abs(kks_form(P, fields.xj1, _ES)),
+               abs(kks_form(P, fields.xj1, _ET) - 1.0),
+               abs(kks_form(P, fields.xj2, _ES) - 2.0),
+               abs(kks_form(P, fields.xj2, _ET)))
+
+
 def moment_and_fields(P: OrbitPoint) -> MomentFields:
     """Moment functions J_i = Tr(P E_i) and their Hamiltonian fields.
 
     J1 = t with X_{J1} = t d/ds and J2 = 2s with X_{J2} = -2t d/dt; both are
-    verified pointwise against omega(X, .) = dJ before returning.
+    verified pointwise against omega(X, .) = dJ (``hamiltonian_dev``) before
+    returning: VerificationError unless the miss is below 1e-10 max(1, |t|).
     """
     # Tr(P E1) = t and Tr(P E2) = 2s for P = [[s, 0], [t, -s]]
-    j1, j2 = float(P.t), 2.0 * float(P.s)
-    xj1 = OrbitTangent(P.t, 0.0)
-    xj2 = OrbitTangent(0.0, -2.0 * P.t)
-    for X, grad in ((xj1, (0.0, 1.0)), (xj2, (2.0, 0.0))):
-        for e, comp in ((_ES, grad[0]), (_ET, grad[1])):
-            dev = abs(kks_form(P, X, e) - comp)
-            if not dev < 1e-10 * max(1.0, abs(P.t)):
-                raise VerificationError(
-                    f"Hamiltonian field {X} misses dJ by {dev:.3e} at {P}")
-    return MomentFields(j1, j2, xj1, xj2)
+    fields = MomentFields(float(P.t), 2.0 * float(P.s), OrbitTangent(P.t, 0.0),
+                          OrbitTangent(0.0, -2.0 * P.t))
+    dev = hamiltonian_dev(P, fields)
+    if not dev < 1e-10 * max(1.0, abs(P.t)):
+        raise VerificationError(
+            f"Hamiltonian fields miss dJ by {dev:.3e} at {P}")
+    return fields
 
 
 @dataclass(frozen=True)

@@ -235,13 +235,57 @@ def test_console_entry_point():
     assert proc.stdout.startswith("re_alpha")
 
 
-def test_report_all_truncation_check_raises(monkeypatch, capsys):
-    # the basis-size check must hold under python -O, so it cannot be an assert
-    monkeypatch.setattr(cli, "truncation_dim", lambda *a, **k: 10**6)
+def test_report_all_truncation_check_raises(monkeypatch, capsys, request):
+    # a basis too small for the family's tail budget fails in the state
+    # constructor, which holds under python -O, and exits 2 with one line;
+    # the pullback cache is emptied on both sides so no small basis leaks
+    from cohgeom import pullback
+
+    pullback._pullback_matrix.cache_clear()
+    request.addfinalizer(pullback._pullback_matrix.cache_clear)
+    monkeypatch.setattr(pullback, "truncation_dim", lambda *a, **k: 4)
     assert main(["report-all"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("cohgeom: TruncationError: ")
+    assert err.startswith("cohgeom: TruncationError: tail mass ")
     assert len(err.splitlines()) == 1
+
+
+def test_one_gate_reads_the_tolerance_at_run_time(monkeypatch, capsys):
+    # wh-squeezed-form reads 2.7e-13 and pullback --squeeze 0.5 2.2e-14;
+    # FORM_TOL is read when the check runs, by the row and by the option's
+    # default alike
+    monkeypatch.setattr(cli, "FORM_TOL", 1e-14)
+    assert main(["report-all"]) == 1
+    assert "FAIL wh-squeezed-form " in capsys.readouterr().out
+    assert main(["pullback", "--squeeze", "0.5"]) == 1
+    assert "pass=false" in capsys.readouterr().out
+    monkeypatch.undo()
+    assert main(["report-all"]) == 0
+    assert "PASS wh-squeezed-form " in capsys.readouterr().out
+    assert main(["pullback", "--squeeze", "0.5"]) == 0
+    assert "pass=true" in capsys.readouterr().out
+
+
+def test_check_bounds_decide_pass():
+    # upper bounds and floors are strict, and a NaN value meets neither
+    Check = cli.Check
+    assert Check(1.0, ((1.0, 2.0),), ((3.0, 2.0),)).passed
+    assert not Check(0.0, ((2.0, 2.0),)).passed
+    assert not Check(0.0, above=((2.0, 2.0),)).passed
+    assert not Check(0.0, ((float("nan"), 1.0),)).passed
+    assert not Check(0.0, above=((float("nan"), 1.0),)).passed
+    assert cli.under(0.5, 1.0) == Check(0.5, ((0.5, 1.0),))
+
+
+def test_pullback_oracle_covers_every_squeeze(tmp_path):
+    # the oracle is the worst over all squeeze values, in either order
+    out = tmp_path / "o.json"
+    devs = []
+    for squeeze in ("0,0.5", "0.5,0"):
+        assert run_cli(["pullback", "--squeeze", squeeze, "--grid", "2x2",
+                        "--oracle", "--format", "json", "--out", str(out)]) == 0
+        devs.append(json.loads(out.read_text())["summary"]["oracle_dev"])
+    assert devs[0] == devs[1]
 
 
 def test_report_all_same_under_optimize(capsys):
@@ -334,7 +378,7 @@ def test_pullback_nan_squeeze_raises_domain_error(capsys):
      "cohgeom: DomainError: the su11 family has no squeezing"),
     # --hbar is read by no spin row, orbit check or chart
     (["uncertainty", "--family", "su2", "--hbar", "2"],
-     "cohgeom: DomainError: --hbar applies to --family wh only"),
+     "cohgeom: DomainError: --hbar is not read by --family su2"),
     (["sut", "kks", "--hbar", "3"], "error: unrecognized arguments: --hbar 3"),
     (["sut", "charts", "--hbar", "3"], "error: unrecognized arguments: --hbar 3"),
     # --h and --points are read by no star row, --points by no gram row;
@@ -356,13 +400,13 @@ def test_pullback_nan_squeeze_raises_domain_error(capsys):
     (["sut", "dirac", "--hbar", "inf"], "error: argument --hbar: not a finite number"),
     # an option that the chosen family never reads
     (["uncertainty", "--family", "su2", "--N", "5"],
-     "cohgeom: DomainError: --N applies to --family wh only"),
+     "cohgeom: DomainError: --N is not read by --family su2"),
     (["uncertainty", "--family", "su2", "--squeeze", "0.7"],
-     "cohgeom: DomainError: --squeeze applies to --family wh only"),
+     "cohgeom: DomainError: --squeeze is not read by --family su2"),
     (["uncertainty", "--family", "su2", "--alphas", "3"],
-     "cohgeom: DomainError: --alphas applies to --family wh only"),
+     "cohgeom: DomainError: --alphas is not read by --family su2"),
     (["uncertainty", "--family", "wh", "--j", "7"],
-     "cohgeom: DomainError: --j applies to --family su2 only"),
+     "cohgeom: DomainError: --j is not read by --family wh"),
     (["pullback", "--family", "wh", "--param", "3"],
      "cohgeom: DomainError: param applies to family su2 and su11 only"),
     # a spin too large to allocate: 2j + 1 = 2e17 levels ask for 1.4 EiB,
@@ -379,6 +423,14 @@ def test_pullback_nan_squeeze_raises_domain_error(capsys):
      "cohgeom: DomainError: --grid is not read by a squeezed family"),
     (["pullback", "--squeeze", "0.5", "--base-max", "1"],
      "cohgeom: DomainError: --base-max is not read by a squeezed family"),
+    # an unwritable report path is a usage error too
+    (["berezin", "gram", "--out", "no-such-dir/r.csv"],
+     "cohgeom: error: cannot write --out no-such-dir/r.csv: No such file or directory"),
+    (["berezin", "gram", "--out", "."],
+     "cohgeom: error: cannot write --out .: Is a directory"),
+    # the basis size is checked before any matrix of that size is built
+    (["berezin", "symbol", "--cutoff", "0"],
+     "cohgeom: DomainError: cutoff must be at least 1"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_error_exit_two_one_line(argv, message, capsys):
@@ -452,8 +504,8 @@ else:
     print("unsettled")
     raise SystemExit(0)
 before = worker_ticks()
-for name, _, run in cli.CHECKS:
-    run()
+if not all(run().passed for _, run in cli.CHECKS):
+    raise SystemExit("a report-all check failed")
 for N in (48, 64, 96):
     q, p = un.quadrature_pair(N)
     for v in (0.0, 0.5, -0.5):
@@ -565,5 +617,5 @@ def test_bench_tooling_matches_the_package(tmp_path, capsys):
     assert main(["report-all", "--format", "json", "--out", str(out)]) == 0
     capsys.readouterr()
     names = [row["check"] for row in json.loads(out.read_text())["rows"]]
-    assert names == [check[0] for check in cli.CHECKS]
+    assert names == [name for name, _ in cli.CHECKS]
     assert sorted(names) == sorted(workloads.REPORT_TOLERANCES)

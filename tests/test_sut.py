@@ -13,6 +13,7 @@ from cohgeom.sut import (
     chi_pullback_coefficient,
     coadjoint_action,
     coadjoint_differential,
+    hamiltonian_dev,
     hamiltonian_field,
     kks_form,
     moment_and_fields,
@@ -217,6 +218,25 @@ def test_moment_fields_check_raises_on_wrong_form(monkeypatch):
     monkeypatch.setattr(sut, "kks_form", lambda P, xi1, xi2: 0.5)
     with pytest.raises(VerificationError):
         moment_and_fields(OrbitPoint(1.0, 2.0))
+
+
+def test_moment_fields_gate_on_hamiltonian_dev(monkeypatch):
+    # the closed-form fields miss by nothing; a form shifted by a constant
+    # misses by that constant, and moment_and_fields raises once the miss
+    # reaches 1e-10 max(1, |t|), which is 2e-10 at t = 2
+    P = OrbitPoint(1.0, 2.0)
+    fields = moment_and_fields(P)
+    assert hamiltonian_dev(P, fields) == 0.0
+    form = sut.kks_form
+    for shift in (1e-10, 3e-10):
+        monkeypatch.setattr(sut, "kks_form", lambda Q, a, b: form(Q, a, b) + shift)
+        dev = hamiltonian_dev(P, fields)
+        assert dev == pytest.approx(shift, rel=1e-6)
+        if dev < 2e-10:
+            assert moment_and_fields(P) == fields
+        else:
+            with pytest.raises(VerificationError, match=f"miss dJ by {dev:.3e}"):
+                moment_and_fields(P)
 
 
 def test_hamiltonian_field_solver_matches_closed_form(rng):
