@@ -288,11 +288,13 @@ def oracle_dev(fam: StateFamily) -> float:
     return max([tangent_dev(fam, bases)] + doubling)
 
 
-def saturation_dev(q, p, psi, v: float = 0.0) -> float:
-    """Worst of the Robertson-Schrodinger slack and the residual at the
-    matched lambda = e^v, both zero on coherent and squeezed states."""
-    return max(abs(rs_report(q, p, psi).slack_rs),
-               min_uncertainty_residual(q, p, float(np.exp(v)), psi))
+def saturation(q, p, psi, v: float = 0.0):
+    """The Robertson-Schrodinger report of psi, its residual at the matched
+    lambda = e^v, and the worst of the report's slack and that residual,
+    both zero on coherent and squeezed states: each computed once."""
+    rep = rs_report(q, p, psi)
+    matched = min_uncertainty_residual(q, p, float(np.exp(v)), psi)
+    return rep, matched, max(abs(rep.slack_rs), matched)
 
 
 def orbit_points(t_vals, s_vals) -> list:
@@ -402,8 +404,8 @@ def _oscillator_64():
 
 def _saturation() -> float:
     q, p, sq = _oscillator_64()
-    return max(saturation_dev(q, p, wh_coherent(1.0, 64)),
-               saturation_dev(q, p, sq, 0.5))
+    return max(saturation(q, p, wh_coherent(1.0, 64))[2],
+               saturation(q, p, sq, 0.5)[2])
 
 
 def _mismatch_gap() -> Check:
@@ -539,15 +541,13 @@ def cmd_uncertainty(args) -> int:
             for v in _floats(args.squeeze):
                 psi = family_state(StateFamily("wh", v=v, trunc=args.N), alpha)
                 psi = psi.normalized()
-                rep = rs_report(q, p, psi)
+                rep, matched, dev = saturation(q, p, psi, v)
                 rows.append({
                     "re_alpha": alpha.real, "im_alpha": alpha.imag, "v": v,
                     "dq": rep.delta_a, "dp": rep.delta_b,
-                    "slack_rs": rep.slack_rs,
-                    "resid_matched": min_uncertainty_residual(
-                        q, p, float(np.exp(v)), psi),
+                    "slack_rs": rep.slack_rs, "resid_matched": matched,
                     "resid_lambda1": min_uncertainty_residual(q, p, 1.0, psi),
-                    "dev": saturation_dev(q, p, psi, v),
+                    "dev": dev,
                 })
     else:
         _unread(args, "--family su2", "alphas", "squeeze", "N", "hbar")

@@ -56,10 +56,11 @@ from .statespace import (
 )
 from .states import (
     _displace,
+    _sized_amplitudes,
+    _tail_checked,
     spin_matrices,
     su2_squeezed_vacuum,
     su11_coherent,
-    truncation_dim,
     wh_squeezed,
 )
 
@@ -77,7 +78,9 @@ class StateFamily:
     family: "wh" (oscillator), "su2" (spin), "su11" (discrete series).
     v: squeeze parameter (lambda = e^v); must be 0 for su11.
     param: j for su2, k for su11; must be 0 for wh, which reads none.
-    trunc: number-basis truncation; 0 selects it from the tail budget eps.
+    trunc: number-basis truncation; 0 sizes it from the tail budget eps,
+    by the one truncation rule of ``states``, whose amplitude run then
+    gives the state.
     """
 
     family: str
@@ -108,19 +111,30 @@ class StateFamily:
         return self.family == "su2" or self.v != 0.0
 
     def dim(self, base: complex) -> int:
+        """Number of basis levels of the state at ``base``: 2j + 1 for spin,
+        ``trunc`` if set, and otherwise that of ``_state``."""
         if self.family == "su2":
             return spin_matrices(self.param).dim
+        return self.trunc if self.trunc > 0 else self._state(base).dim
+
+    def _state(self, base: complex) -> StateVector:
+        """The oscillator or disc state at ``base``.
+
+        With ``trunc`` set, its constructor builds it on ``trunc`` levels.
+        Otherwise it is a prefix of the amplitude run of ``states``' one
+        sizer, under the constructors' tail check (TruncationError), with no
+        second amplitude pass: tangent series weigh amplitudes by the level
+        index, so the sizer's budget is three decades below eps, and the
+        state keeps two levels of headroom beyond its N for the one-level
+        shift of the derivative itself, and at least 8 levels.  The run
+        reaches two levels past N and at least 32, so it covers them."""
+        family, param = (("discrete_series", self.param) if self.family == "su11"
+                         else ("squeezed_fock", self.v))
         if self.trunc > 0:
-            return self.trunc
-        # tangent series weigh amplitudes by the level index, so the basis
-        # is sized three decades below the declared state budget
-        tight = 1e-3 * self.eps
-        if self.family == "su11":
-            n = truncation_dim(base, "discrete_series", self.param, tight)
-        else:
-            n = truncation_dim(base, "squeezed_fock", self.v, tight)
-        # headroom for the one-level shift of the derivative itself
-        return max(n + 2, 8)
+            build = wh_squeezed if self.family == "wh" else su11_coherent
+            return build(base, param, self.trunc, self.eps)
+        c, n = _sized_amplitudes(base, family, param, 1e-3 * self.eps)
+        return _tail_checked(c[:max(n + 2, 8)], self.eps, base, family, param)
 
 
 @dataclass(frozen=True)
@@ -163,17 +177,15 @@ def _frame(fam: StateFamily, base: complex,
         amps, tangents = _displace(fam.param, base, vac.amps, directions)
         return (StateVector(amps, vac.basis, vac.tol),
                 [StateVector(t, vac.basis, vac.tol) for t in tangents])
-    N = fam.dim(base)
-    n = np.arange(1, N)
+    psi = fam._state(base)
+    n = np.arange(1, psi.dim)
     if fam.family == "wh":
-        psi = wh_squeezed(base, fam.v, N, fam.eps)
         raise_elems = np.sqrt(n)
         beta_ch = base + np.conj(base) * np.tanh(fam.v)  # beta / cosh v
         coeffs = [(u + np.conj(u) * np.tanh(fam.v),
                    np.conj(u) * beta_ch + 1j * (u * np.conj(base)).imag)
                   for u in directions]
     else:
-        psi = su11_coherent(base, fam.param, N, fam.eps)
         raise_elems = np.sqrt(n * (n - 1 + 2 * fam.param))
         rate = 2 * fam.param * np.conj(base) / (1 - abs(base) ** 2)
         coeffs = [(u, np.real(rate * u)) for u in directions]

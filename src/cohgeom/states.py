@@ -29,9 +29,17 @@ conj(alpha) sinh v (Yuen's two-photon coherent state, Phys. Rev. A 13, 2226,
 which at v = 0 is the coherent recurrence c_{n+1} = alpha c_n / sqrt(n+1)
 and at alpha = 0 the squeezed vacuum on the even levels (``_fock_amplitudes``).
 It costs O(N) per state and gives the true amplitudes, so the norm deficit
-is the dropped tail mass and ``truncation_dim`` sizes the squeezed family
-from the recurrence's own tail.  No oscillator state needs a matrix
-exponential; ``wh_displacement`` is kept as the explicit unitary.
+is the dropped tail mass.  No oscillator state needs a matrix exponential;
+``wh_displacement`` is kept as the explicit unitary.
+
+One truncation rule serves every oscillator and disc state
+(``truncation_dim``): the state's amplitudes are run to 32, 64, ... levels
+until the rest beyond the run is bounded geometrically, and N is the
+smallest level whose exact suffix sum of |c_n|^2 plus that rest is below
+the budget.  Each amplitude depends on its level alone (the recurrence runs
+up from c_0, the disc amplitudes are elementwise), so a prefix of the run is
+bit for bit the state its constructor builds on that many levels; a family
+sized by the rule takes its state from the run (``pullback``).
 
 The spin fiducial, the kernel of e^v Lx - i e^{-v} Ly = sqrt(2) (sinh v L+ +
 cosh v L-), comes from that operator's two-term recurrence up from m = -j,
@@ -45,8 +53,8 @@ the ray.
 The discrete series at label k and the weighted Bergman space of ``berezin``
 at weight h share one basis when 2k = 1/h: its normalizations are the square
 roots of the coefficients (a)_n / n! of (1 - x)^{-a}, with a = 2k = 1/h,
-computed once here (``pochhammer_coeffs``), and both tail estimates use the
-one geometric bound ``geometric_tail``.
+computed once here (``pochhammer_coeffs``), and the truncation rule and the
+Bergman kernel's tail bound use the one geometric bound ``geometric_tail``.
 
 Spin displacements are phase covariant.  The lowest weight's stabilizer U(1)
 rotates the orbit, D(r e^{i theta}) = R D(r) R+ with R = e^{i theta m}
@@ -73,7 +81,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -263,8 +271,8 @@ def wh_squeezed(alpha: complex, v: float, N: int, tol: float = STATE_TOL) -> Sta
     N = check_levels(N)
     if N < 1:
         raise DimensionTooSmall("need at least one level")
-    return _tail_checked(_fock_amplitudes(complex(alpha), v, N), tol, fock_tag(),
-                         alpha, "squeezed_fock", v)
+    return _tail_checked(_fock_amplitudes(complex(alpha), v, N), tol, alpha,
+                         "squeezed_fock", v)
 
 
 def squeezed_vacuum(v: float, N: int) -> StateVector:
@@ -279,21 +287,27 @@ def squeezed_vacuum(v: float, N: int) -> StateVector:
     return wh_squeezed(0j, v, N)
 
 
-def _tail_checked(c: np.ndarray, tol: float, basis, alpha: complex,
-                  family: str, param: float) -> StateVector:
-    """The state of amplitudes c, whose norm deficit is the dropped tail mass
-    of the ``truncation_dim`` family; TruncationError if it exceeds tol, and
-    DomainError (from ``truncation_dim``) if it is not finite for a
-    non-finite alpha.  Where N already meets ``truncation_dim`` the excess
-    is the amplitudes' own round-off, and the message says so."""
+def _tail_checked(c: np.ndarray, tol: float, alpha: complex, family: str,
+                  param: float) -> StateVector:
+    """The state of amplitudes c of the ``truncation_dim`` family, on its
+    number or disc basis, whose norm deficit is the dropped tail mass;
+    TruncationError if it exceeds tol, and DomainError (from
+    ``truncation_dim``) if it is not finite for a non-finite alpha.  The
+    message names the remedy: the N that ``truncation_dim`` asks for, or
+    none where N already meets it, since the excess is then the amplitudes'
+    own round-off, or where c_0 underflows, which ``truncation_dim``
+    rejects."""
     tail = 1.0 - float(np.sum(np.abs(c) ** 2))
     if not tail <= tol:
-        need = truncation_dim(alpha, family, param, eps=tol)
-        fix = (f"need N >= {need}" if len(c) < need
-               else f"N meets truncation_dim = {need}: the excess is round-off")
+        fix = "c_0 underflows, so truncation_dim cannot size the state"
+        if not abs(c[0]) < np.finfo(float).tiny:  # a NaN c_0 is a DomainError
+            need = truncation_dim(alpha, family, param, eps=tol)
+            fix = (f"need N >= {need}" if len(c) < need
+                   else f"N meets truncation_dim = {need}: the excess is round-off")
         raise TruncationError(f"tail mass {tail:.3e} exceeds budget {tol:.1e} "
                               f"at N = {len(c)}; {fix}")
-    return StateVector(c, basis, tol)
+    return StateVector(c, disc_tag(param) if family == "discrete_series" else fock_tag(),
+                       tol)
 
 
 def _exp_spectral(lam: np.ndarray, V: np.ndarray, psi: np.ndarray,
@@ -317,9 +331,9 @@ def wh_displacement(alpha: complex, N: int) -> np.ndarray:
     Exactly unitary (exponential of a skew-Hermitian matrix, taken through
     one eigendecomposition of its generator); agrees with the true
     displacement on the well-truncated block.  No state constructor uses it.
-    DomainError for a non-finite alpha (from ``truncation_dim``);
-    TruncationError if N is below the coherent tail budget STATE_TOL for
-    this alpha.
+    DomainError for a non-finite alpha and where c_0 underflows (from
+    ``truncation_dim``); TruncationError if N is below the coherent tail
+    budget STATE_TOL for this alpha.
     """
     if N < truncation_dim(alpha, "fock", eps=STATE_TOL):
         raise TruncationError(
@@ -460,80 +474,82 @@ def su11_coherent(alpha: complex, k: float, N: int, tol: float = 1e-12) -> State
     N = check_levels(N)
     if N < 1:
         raise DimensionTooSmall("need at least one level")
-    n = np.arange(N)
-    c = (1.0 - abs(alpha) ** 2) ** k * pochhammer_coeffs(2.0 * k, n) * alpha**n
-    return _tail_checked(c, tol, disc_tag(k), alpha, "discrete_series", k)
+    return _tail_checked(_disc_amplitudes(alpha, k, N), tol, alpha, "discrete_series", k)
+
+
+def _disc_amplitudes(alpha: complex, k: float, n: int) -> np.ndarray:
+    """Amplitudes c_0 .. c_{n-1} of ``su11_coherent``, each from its own
+    level: (1-|alpha|^2)^k ((2k)_m / m!)^{1/2} alpha^m."""
+    m = np.arange(n)
+    return (1.0 - abs(alpha) ** 2) ** k * pochhammer_coeffs(2.0 * k, m) * alpha**m
 
 
 def truncation_dim(alpha: complex, family: str, param: float = 0.0,
                    eps: float = 1e-12) -> int:
     """Smallest N whose tail mass (norm deficit) beyond N is below eps.
 
-    The mass is bounded by ``geometric_tail`` from the term t_n = |c_n|^2 and
-    the term ratios r_n = t_{n+1} / t_n, which tend to a limit r:
+    One rule sizes every family, from the state's own amplitudes
+    (``_sized_amplitudes``):
 
-    * ``"fock"``: coherent amplitudes, r_n = |alpha|^2 / (n+1), r = 0.
-    * ``"discrete_series"`` (param = k > 0, |alpha| < 1): disc amplitudes,
-      r_n = |alpha|^2 (n+2k)/(n+1), r = |alpha|^2.  For 2k > 1 the ratios
-      fall toward r, so r_n bounds the rest; for 2k < 1 they rise toward r,
-      which bounds them instead.
-    * ``"squeezed_fock"`` (param = v): the displaced squeezed amplitudes
-      themselves, from ``_fock_amplitudes`` (see ``_recurrence_dim``); at
-      v = 0 these are the coherent ones, sized as ``"fock"``.
+    * ``"fock"``: the coherent oscillator state, the v = 0 member of
+      ``"squeezed_fock"``.
+    * ``"squeezed_fock"`` (param = v): D(alpha)|0; v>, from
+      ``_fock_amplitudes``.
+    * ``"discrete_series"`` (param = k > 0, |alpha| < 1): the disc coherent
+      state, from ``_disc_amplitudes``.
 
-    The terms are carried in log space, so a first term exp(-|alpha|^2)
-    below the smallest double does not end the loop.
+    DomainError for a non-positive eps, a non-finite alpha, an unknown
+    family, a k <= 0 or |alpha| >= 1 on the disc, |v| > 2, and where |c_0|
+    is below the smallest normal double (|alpha| > 37.6 for the coherent
+    state), where the amplitudes lose their precision.
+    """
+    return _sized_amplitudes(alpha, family, param, eps)[1]
+
+
+def _sized_amplitudes(alpha: complex, family: str, param: float,
+                      eps: float) -> tuple[np.ndarray, int]:
+    """The amplitudes of ``truncation_dim``'s family at alpha, run to n
+    levels, and the smallest N <= n - 2 whose tail mass beyond N is below
+    eps.
+
+    n doubles from 32 until the last pair of terms bounds the rest
+    geometrically below 1e-3 eps and at least half the unit mass has been
+    seen.  Pair sums t_n + t_{n+1} of t_n = |c_n|^2 smooth out the
+    even-odd alternation of squeezed states.  Their ratios tend to a limit
+    r: 0 for the coherent oscillator state, tanh^2 v for a squeezed one
+    (from above when the displacement has an anti-squeezed part and from
+    below otherwise) and at most |alpha|^2 on the disc (falling toward it
+    for 2k > 1, rising for 2k < 1), so the larger of the last ratio and r
+    bounds the rest.  The tail beyond each N is then a suffix sum of exact
+    terms plus that rest, free of the cancellation in 1 - sum |c_n|^2.
+    Each amplitude depends on its level alone, so any prefix of the run is
+    the state its constructor builds on that many levels.
     """
     if not eps > 0:
         raise DomainError(f"tail budget eps must be positive, got {eps}")
-    x = abs(complex(alpha)) ** 2
-    if not np.isfinite(x):
-        # the tail recurrences below would never terminate
+    alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        # the amplitude runs below would never converge
         raise DomainError(f"alpha = {alpha} is not finite")
-
-    if family == "squeezed_fock" and param != 0:
-        return _recurrence_dim(complex(alpha), param, eps)
     if family in ("fock", "squeezed_fock"):
-        log_t, ratio, limit = -x, lambda n: x / (n + 1), 0.0
+        v = param if family == "squeezed_fock" else 0.0
+        build, limit = partial(_fock_amplitudes, alpha, v), np.tanh(v) ** 2
     elif family == "discrete_series":
-        k = param
-        if not k > 0:
-            raise DomainError(f"need k > 0, got {k}")
-        if x >= 1.0:
+        if not param > 0:
+            raise DomainError(f"need k > 0, got {param}")
+        if abs(alpha) >= 1.0:
             raise DomainError("discrete-series states require |alpha| < 1")
-        log_t, ratio, limit = (2.0 * k * math.log1p(-x),
-                               lambda n: x * (n + 2.0 * k) / (n + 1), x)
+        build, limit = partial(_disc_amplitudes, alpha, param), abs(alpha) ** 2
     else:
         raise DomainError(f"unknown family {family!r}")
-    for n in itertools.count(1):
-        r = ratio(n - 1)  # from the term of level n - 1 to that of level n
-        log_t = log_t + math.log(r) if r > 0 else -math.inf
-        if geometric_tail(math.exp(log_t), max(ratio(n), limit)) < eps:
-            return n
-
-
-def _recurrence_dim(alpha: complex, v: float, eps: float) -> int:
-    """``truncation_dim`` of D(alpha)|0; v>, from its own amplitudes.
-
-    The amplitudes are run to n levels, n doubling from 32, until the last
-    pair of terms bounds the rest geometrically below 1e-3 eps and at least
-    half the unit mass has been seen.  Pair sums t_n + t_{n+1} smooth out
-    the even-odd alternation; their ratios tend to tanh^2 v, from above
-    when the displacement has an anti-squeezed part and from below
-    otherwise, so the larger of the last ratio and tanh^2 v bounds the rest.
-    The tail beyond each N is then a suffix sum of exact terms, free of the
-    cancellation in 1 - sum |c_n|^2.  DomainError if |c_0| is below the
-    smallest normal double, where the amplitudes lose their precision, or
-    if |v| > 2 (from ``_fock_amplitudes``).
-    """
     for n in (32 << k for k in itertools.count()):
-        c = np.abs(_fock_amplitudes(alpha, v, n))
-        if c[0] < np.finfo(float).tiny:
-            raise DomainError(f"c_0 underflows at alpha = {alpha}, v = {v}")
-        t = c**2
+        c = build(n)
+        t = np.abs(c) ** 2
+        if not abs(c[0]) >= np.finfo(float).tiny:
+            raise DomainError(f"c_0 underflows at alpha = {alpha}, {family} {param}")
         last, before = t[-2:].sum(), t[-4:-2].sum()
         ratio = last / before if last < before else np.inf
-        rest = geometric_tail(last, max(ratio, np.tanh(v) ** 2)) if last else 0.0
+        rest = geometric_tail(last, max(ratio, limit)) if last else 0.0
         if rest < 1e-3 * eps and t.sum() > 0.5:
             tail = np.cumsum(t[::-1])[::-1] + rest  # mass at levels >= N
-            return max(1, int(np.argmax(np.append(tail, rest) < eps)))
+            return c, max(1, int(np.argmax(np.append(tail, rest) < eps)))

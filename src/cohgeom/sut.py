@@ -50,7 +50,7 @@ from .errors import DegenerateOrbit, DomainError, VerificationError
 
 E1 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E2 = np.array([[1.0, 0.0], [0.0, -1.0]])
-CHART_FD_STEP = 1e-6
+CHART_FD_STEP = 1e-6  # chart FD step, relative to the point's a
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,10 @@ def coadjoint_differential(V: np.ndarray, P: OrbitPoint) -> OrbitTangent:
 def _algebra_components(P: OrbitPoint, xi: OrbitTangent) -> tuple[float, float]:
     """The entries (v1, v2) of ``tangent_to_algebra``: v1 = -dt/(2t), v2 = ds/t.
 
-    ``OrbitPoint`` rejects t = 0, so the division is always defined."""
-    return -xi.dt / (2.0 * P.t), xi.ds / P.t
+    ``OrbitPoint`` rejects t = 0, so the division is always defined; v1 is
+    taken as (-dt/2)/t, the same double as -dt/(2t) wherever 2t does not
+    overflow, and right where it does."""
+    return -0.5 * xi.dt / P.t, xi.ds / P.t
 
 
 def tangent_to_algebra(P: OrbitPoint, xi: OrbitTangent) -> np.ndarray:
@@ -185,12 +187,15 @@ def kks_form(P: OrbitPoint, xi1: OrbitTangent, xi2: OrbitTangent) -> float:
     [V, W] has the single entry 2 (v1 w2 - w1 v2) above the diagonal, so the
     trace pairing with P = [[s, 0], [t, -s]] is t 2 (v1 w2 - w1 v2), taken
     in scalar arithmetic from the components of ``tangent_to_algebra``.
-    Antisymmetric and nondegenerate for t != 0; equals
-    (xi1_s xi2_t - xi1_t xi2_s)/t, i.e. the two-form (1/t) ds ^ dt.
+    Each component is of size 1/t, so t scales one factor of each product,
+    2 ((t v1) w2 - (t w1) v2): the products are then of size 1/t, not
+    1/t^2, and do not underflow while 1/t is representable.  Antisymmetric
+    and nondegenerate for t != 0; equals (xi1_s xi2_t - xi1_t xi2_s)/t,
+    i.e. the two-form (1/t) ds ^ dt.
     """
     v1, v2 = _algebra_components(P, xi1)
     w1, w2 = _algebra_components(P, xi2)
-    return float(P.t * 2.0 * (v1 * w2 - w1 * v2))
+    return float(2.0 * ((P.t * v1) * w2 - (P.t * w1) * v2))
 
 
 @dataclass(frozen=True)
@@ -291,19 +296,24 @@ def chi_map(orbit: Orbit, g: SutElement) -> tuple[float, float]:
 
 def chi_pullback_coefficient(orbit: Orbit, g: SutElement) -> float:
     """Coefficient of da ^ db in chi*(dlam ^ dmu / mu^2), by FD Jacobians
-    with step CHART_FD_STEP.
+    with the step h = CHART_FD_STEP a, relative to the point's a = g1.
 
-    Analytically equal to 2 everywhere on the positive subgroup.
+    mu = 1/a^2 varies on the scale a, so an absolute step would swamp the
+    difference, or leave the positive subgroup, once a is small (large t).
+    The central differences are kept undivided and the Jacobian is divided
+    by (2 h mu)^2 once, so no intermediate exceeds a few times
+    t CHART_FD_STEP.  Analytically equal to 2 everywhere on the positive
+    subgroup.
     """
-    h = CHART_FD_STEP
+    a, b = g.g1, g.g2
+    h = CHART_FD_STEP * a
 
     def central(plus, minus):
         (lam_p, mu_p), (lam_m, mu_m) = (chi_map(orbit, SutElement(*x))
                                         for x in (plus, minus))
-        return (lam_p - lam_m) / (2 * h), (mu_p - mu_m) / (2 * h)
+        return lam_p - lam_m, mu_p - mu_m  # 2h times the partials
 
-    a, b = g.g1, g.g2
     lam_a, mu_a = central((a + h, b), (a - h, b))
     lam_b, mu_b = central((a, b + h), (a, b - h))
     _, mu = chi_map(orbit, g)
-    return float((lam_a * mu_b - mu_a * lam_b) / mu**2)
+    return float((lam_a * mu_b - mu_a * lam_b) / (2 * h * mu) ** 2)

@@ -113,7 +113,7 @@ def test_criterion_5_uncertainty_saturation():
     # displaced squeezed states; report-all takes them at the origin
     tol = cli.SATURATION_TOL
     q, p = quadrature_pair(64)
-    dev = max(cli.saturation_dev(q, p, wh_squeezed(0.4, v, 64), v)
+    dev = max(cli.saturation(q, p, wh_squeezed(0.4, v, 64), v)[2]
               for v in (0.5, -0.5))
     assert dev < tol
     report("displaced squeezed states saturate", dev, tol)

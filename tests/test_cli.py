@@ -219,6 +219,36 @@ def test_uncertainty_summary_max_dev_is_the_worst_row(tmp_path):
     assert doc["summary"]["pass"] is True
 
 
+def test_uncertainty_computes_each_saturation_term_once_per_row(monkeypatch, capsys):
+    # the four default rows need one RS report and two residuals (matched
+    # and lambda = 1) each; the row's dev reuses the first two
+    calls = {"rs_report": 0, "min_uncertainty_residual": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(cli, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    assert run_cli(["uncertainty"]) == 0
+    capsys.readouterr()
+    assert calls == {"rs_report": 4, "min_uncertainty_residual": 8}
+
+
+@pytest.mark.parametrize("argv", [
+    # the orbit form's products stay of size 1/t, so neither underflows
+    "sut kks --grid t:3e161..3e161:1 s:0..1:1",
+    "sut kks --grid t:1e200..1e200:1 s:0..1:1",
+    # the chart step is relative to a = sqrt(v0/t), here 3.2e-6 and 3.2e-7
+    "sut charts --grid t:1e11..1e11:1 s:0..1:2",
+    "sut charts --grid t:1e13..1e13:1 s:0..1:2",
+])
+def test_orbit_checks_hold_at_large_t(argv, tmp_path):
+    out = tmp_path / "o.json"
+    assert run_cli(argv.split() + ["--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["summary"]["pass"] is True
+    assert doc["summary"]["max_dev"] < 1e-9
+
+
 def test_uncertainty_below_the_tail_budget_exits_2(capsys):
     assert run_cli(["uncertainty", "--alphas", "1j", "--squeeze", "0.5",
                     "--N", "16"]) == 2
@@ -236,14 +266,17 @@ def test_console_entry_point():
 
 
 def test_report_all_truncation_check_raises(monkeypatch, capsys, request):
-    # a basis too small for the family's tail budget fails in the state
-    # constructor, which holds under python -O, and exits 2 with one line;
-    # the pullback cache is emptied on both sides so no small basis leaks
+    # a basis too small for the family's tail budget fails in the state's
+    # tail check, which holds under python -O, and exits 2 with one line;
+    # the sizer is made to report N = 4, so the frames keep 8 levels of its
+    # true amplitudes; the pullback cache is emptied on both sides so no
+    # small basis leaks
     from cohgeom import pullback
 
     pullback._pullback_matrix.cache_clear()
     request.addfinalizer(pullback._pullback_matrix.cache_clear)
-    monkeypatch.setattr(pullback, "truncation_dim", lambda *a, **k: 4)
+    sized = pullback._sized_amplitudes
+    monkeypatch.setattr(pullback, "_sized_amplitudes", lambda *a: (sized(*a)[0], 4))
     assert main(["report-all"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cohgeom: TruncationError: tail mass ")

@@ -900,7 +900,7 @@ def test_wh_squeezed_round_off_beyond_budget_named():
 
 def test_truncation_dim_fock_past_the_underflow_of_its_first_term():
     # exp(-|alpha|^2) underflows from |alpha| ~ 27.3; the terms are summed
-    # here in log space from log-gamma, sharing no code with the loop
+    # here in log space from log-gamma, sharing no code with the sizer
     from math import exp, lgamma, log
 
     def tail(x, n):
@@ -913,6 +913,73 @@ def test_truncation_dim_fock_past_the_underflow_of_its_first_term():
     psi = family_state(StateFamily("wh"), 30.0)
     assert psi.dim == truncation_dim(30.0, "fock", eps=1e-15) + 2
     assert abs(psi.norm - 1.0) < 1e-12
+
+
+def _coherent_tail(r: float, n: int) -> float:
+    """Mass of the coherent state at |alpha| = r at levels >= n, summed term
+    by term in log space from log-gamma (the terms past n + 3000 are
+    negligible for r <= 36)."""
+    from math import exp, lgamma, log
+
+    x = r * r
+    if x == 0:
+        return float(n == 0)
+    return sum(exp(-x + m * log(x) - lgamma(m + 1)) for m in range(n, n + 3000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 36.0), st.floats(-np.pi, np.pi),
+       st.sampled_from([1e-8, 1e-12, 1e-15]))
+@example(36.0, 0.0, 1e-15)
+@example(13.0, 1.0, 1e-12)
+def test_truncation_dim_fock_is_the_smallest_basis_within_eps(r, theta, eps):
+    # the sizer adds a geometric rest below 1e-3 eps to exact suffix sums, so
+    # the tail it keeps out is below eps and one level less would keep out
+    # at least (1 - 1e-3) eps
+    n = truncation_dim(r * np.exp(1j * theta), "fock", eps=eps)
+    assert _coherent_tail(r, n) < eps
+    assert n == 1 or _coherent_tail(r, n - 1) >= (1 - 1e-3) * eps
+
+
+def test_truncation_dim_raises_where_the_first_amplitude_underflows():
+    # |c_0| = exp(-|alpha|^2 / 2) is below the smallest normal double from
+    # |alpha| ~ 37.6; the constructors still raise TruncationError there
+    for alpha in (38.0, 40j):
+        with pytest.raises(DomainError, match="c_0 underflows"):
+            truncation_dim(alpha, "fock")
+        with pytest.raises(DomainError, match="c_0 underflows"):
+            wh_displacement(alpha, 2000)
+        with pytest.raises(TruncationError, match="c_0 underflows"):
+            wh_coherent(alpha, 600)
+
+
+@pytest.mark.parametrize("fam, base", [
+    (StateFamily("wh"), 0j), (StateFamily("wh"), 0.3 + 0.1j),
+    (StateFamily("wh"), 6 - 2j), (StateFamily("wh", v=1.0), 0j),
+    (StateFamily("wh", v=-0.5, eps=1e-9), 1 + 2j),
+    (StateFamily("su11", param=1.0), 0j), (StateFamily("su11", param=1.0), 0.5 + 0.3j),
+    (StateFamily("su11", param=2.5, eps=1e-10), -0.85j),
+])
+def test_sized_frame_is_the_constructor_state_bit_for_bit(fam, base, monkeypatch):
+    # a family sized from its tail takes its state as a prefix of the
+    # sizer's amplitude run, building no amplitudes after sizing
+    from cohgeom import pullback
+
+    N = fam.dim(base)
+    if fam.family == "wh":
+        ref = wh_squeezed(base, fam.v, N, fam.eps)
+    else:
+        ref = su11_coherent(base, fam.param, N, fam.eps)
+
+    def refuse(*args):
+        raise AssertionError("constructor called for a sized family")
+
+    for module in (states, pullback):
+        monkeypatch.setattr(module, "wh_squeezed", refuse)
+        monkeypatch.setattr(module, "su11_coherent", refuse)
+    psi = family_state(fam, base)
+    assert np.array_equal(psi.amps, ref.amps)
+    assert (psi.basis, psi.tol) == (ref.basis, ref.tol)
 
 
 # ---------------------------------------------------------------------------

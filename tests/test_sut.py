@@ -394,11 +394,17 @@ def test_hamiltonian_field_and_poisson_match_matrix_oracle(rng):
             _form_oracle(P.s, P.t, xf, xg), rel=1e-12, abs=1e-14)
 
 
-def test_hamiltonian_field_degenerate_form_raises():
-    # at |t| = 1e200 the form's entries 1/t square to an underflowing det
+def test_hamiltonian_field_degenerate_form_raises(monkeypatch):
+    # omega = (1/t) ds ^ dt stays representable up to the largest double t,
+    # where the field of f = s is X_f = (0, -t); only a form that reads 0
+    # is degenerate
     f = Poly2({(1, 0): 1.0}).as_field()
-    with pytest.raises(DegenerateOrbit):
-        hamiltonian_field(f, OrbitPoint(0.0, 1e200))
+    for t in (3e161, 1e200, -1e308, 1.7e308):
+        X = hamiltonian_field(f, OrbitPoint(0.0, t))
+        assert (X.ds, X.dt) == pytest.approx((0.0, -t), rel=1e-15)
+    monkeypatch.setattr(sut, "kks_form", lambda P, xi1, xi2: 0.0)
+    with pytest.raises(DegenerateOrbit, match="omega is degenerate"):
+        hamiltonian_field(f, OrbitPoint(0.0, 1.0))
 
 
 @pytest.mark.parametrize("s, t", [(0.0, float("nan")), (float("nan"), 1.0),
