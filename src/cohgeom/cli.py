@@ -324,10 +324,14 @@ def bracket_dev(P) -> float:
 
 def chart_point(orbit: sut.Orbit, P) -> tuple[float, float]:
     """Round-trip error of the chart phi at P, and the coefficient of its
-    chi pullback, which the half-plane form makes 2."""
+    chi pullback, which the half-plane form makes 2.  The error is measured
+    at the point's own scale, |dt| / max(1, |t|) and
+    |ds| / max(1, |s|, |u0|), so one ulp of a large coordinate stays
+    round-off."""
     g = sut.phi_map(orbit, P)
     back = sut.phi_inv(orbit, g)
-    return (max(abs(back.s - P.s), abs(back.t - P.t)),
+    return (max(abs(back.s - P.s) / max(1.0, abs(P.s), abs(orbit.u0)),
+                abs(back.t - P.t) / max(1.0, abs(P.t))),
             sut.chi_pullback_coefficient(orbit, g))
 
 

@@ -9,14 +9,17 @@ the ray, the Hermitian form
 has the induced metric as its real part and the induced symplectic form as
 its imaginary part.  Tangents are R-linear in u, so H is fixed at each base
 point by the 2x2 matrix H(e_a, e_b) over the directions e = (1, i);
-``pullback_matrix`` computes it once per (family, base) and caches it, and
-``pullback_form`` and ``kahler_verdict`` read it.  Every oscillator
-family, coherent or squeezed, takes its state D(base)|0;v> from the
-recurrence of ``states`` and its tangents from those amplitudes shifted by
-one level and the state itself, with no matrix exponential; the disc family
-differentiates its amplitude series.  Only the spin family displaces its kernel state through
-the cached spectrum of the generator (the Daleckii-Krein Frechet derivative,
-see ``states``).
+``pullback_matrix`` computes it once per (family, base) and caches it with
+the closed form's ``reference_matrix`` beside it, and ``pullback_form`` and
+``kahler_verdict`` read them.  Every oscillator family, coherent or
+squeezed, takes its state D(base)|0;v> from the one amplitude run of
+``states`` and its tangents from those amplitudes shifted by one level and
+the state itself, with no matrix exponential; the disc family
+differentiates its amplitude series.  Only the spin family displaces its
+kernel state through the cached spectrum of the generator (the
+Daleckii-Krein Frechet derivative, see ``states``).  Tangents stay
+amplitude arrays: they are projected orthogonally to the state on their
+arrays, and only ``analytic_tangent`` wraps one in a ``StateVector``.
 
 Slot convention (fixed once, used everywhere): the FIRST tangent argument u
 sits in the conjugated slot.  The closed form is one matrix in the basis of
@@ -49,11 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, StepError, UnsupportedBasePoint
-from .statespace import (
-    PullbackReport,
-    StateVector,
-    project_orthogonal,
-)
+from .statespace import PullbackReport, StateVector
 from .states import (
     _displace,
     _sized_amplitudes,
@@ -121,13 +120,14 @@ class StateFamily:
         """The oscillator or disc state at ``base``.
 
         With ``trunc`` set, its constructor builds it on ``trunc`` levels.
-        Otherwise it is a prefix of the amplitude run of ``states``' one
-        sizer, under the constructors' tail check (TruncationError), with no
-        second amplitude pass: tangent series weigh amplitudes by the level
-        index, so the sizer's budget is three decades below eps, and the
-        state keeps two levels of headroom beyond its N for the one-level
-        shift of the derivative itself, and at least 8 levels.  The run
-        reaches two levels past N and at least 32, so it covers them."""
+        Otherwise it is a prefix of the one amplitude run that ``states``'
+        sizer builds once and tests, under the constructors' tail check
+        (TruncationError), with no second amplitude pass: tangent series
+        weigh amplitudes by the level index, so the sizer's budget is three
+        decades below eps, and the state keeps two levels of headroom beyond
+        its N for the one-level shift of the derivative itself, and at least
+        8 levels.  The sized prefix reaches two levels past N and at least
+        32, so it covers them."""
         family, param = (("discrete_series", self.param) if self.family == "su11"
                          else ("squeezed_fock", self.v))
         if self.trunc > 0:
@@ -158,8 +158,9 @@ def family_state(fam: StateFamily, base: complex) -> StateVector:
 
 
 def _frame(fam: StateFamily, base: complex,
-           directions) -> tuple[StateVector, list[StateVector]]:
-    """The state at ``base`` and its un-projected tangents along ``directions``.
+           directions) -> tuple[StateVector, list[np.ndarray]]:
+    """The state at ``base`` and the amplitudes of its un-projected tangents
+    along ``directions``, on the state's basis.
 
     Oscillator and disc tangents are banded: each is A_u R psi - b_u psi for
     the raising operator R (a+, or K+ on the disc) and scalars A_u, b_u.
@@ -175,8 +176,7 @@ def _frame(fam: StateFamily, base: complex,
     if fam.family == "su2":
         vac = su2_squeezed_vacuum(fam.v, fam.param)
         amps, tangents = _displace(fam.param, base, vac.amps, directions)
-        return (StateVector(amps, vac.basis, vac.tol),
-                [StateVector(t, vac.basis, vac.tol) for t in tangents])
+        return StateVector(amps, vac.basis, vac.tol), tangents
     psi = fam._state(base)
     n = np.arange(1, psi.dim)
     if fam.family == "wh":
@@ -190,8 +190,7 @@ def _frame(fam: StateFamily, base: complex,
         rate = 2 * fam.param * np.conj(base) / (1 - abs(base) ** 2)
         coeffs = [(u, np.real(rate * u)) for u in directions]
     deriv = np.concatenate(([0j], raise_elems * psi.amps[:-1]))  # R psi
-    return psi, [StateVector(a * deriv - b * psi.amps, psi.basis, psi.tol)
-                 for a, b in coeffs]
+    return psi, [a * deriv - b * psi.amps for a, b in coeffs]
 
 
 def analytic_tangent(fam: StateFamily, t: TangentSpec) -> StateVector:
@@ -201,7 +200,8 @@ def analytic_tangent(fam: StateFamily, t: TangentSpec) -> StateVector:
     are the Frechet derivative of the displacement acting on the fiducial
     state (see ``_frame``).
     """
-    return _frame(fam, _base_point(t.base), (complex(t.direction),))[1][0]
+    psi, (tangent,) = _frame(fam, _base_point(t.base), (complex(t.direction),))
+    return StateVector(tangent, psi.basis, psi.tol)
 
 
 def numeric_tangent(fam: StateFamily, t: TangentSpec, h: float) -> StateVector:
@@ -285,17 +285,29 @@ def pullback_matrix(fam: StateFamily, base: complex) -> np.ndarray:
     H(u, w) = [u1, u2] G [w1, w2]^T for u = u1 + i u2 and w = w1 + i w2.
     Cached per (fam, base); the returned array is read-only.
     """
-    return _pullback_matrix(fam, _base_point(base))
+    return _pullback_matrix(fam, _base_point(base))[0]
 
 
 @lru_cache(maxsize=1024)
-def _pullback_matrix(fam: StateFamily, base: complex) -> np.ndarray:
+def _pullback_matrix(fam: StateFamily,
+                     base: complex) -> tuple[np.ndarray, np.ndarray | None]:
+    """G of ``pullback_matrix`` and ``reference_matrix`` at the same point,
+    None where no closed form is claimed, both read-only.
+
+    The tangents are projected on their arrays: psi / |psi| and
+    t - <x|t> x are the operations of ``StateVector.normalized`` and
+    ``project_orthogonal``, with no copies and basis checks."""
     psi, tangents = _frame(fam, base, (1, 1j))
-    psi = psi.normalized()
-    P = np.array([project_orthogonal(psi, t).amps for t in tangents])
+    x = psi.amps / np.linalg.norm(psi.amps)
+    P = np.array([t - np.vdot(x, t) * x for t in tangents])
     G = P.conj() @ P.T
     G.setflags(write=False)
-    return G
+    try:
+        ref = reference_matrix(fam, base)
+        ref.setflags(write=False)
+    except UnsupportedBasePoint:
+        ref = None
+    return G, ref
 
 
 def form_dev(A: np.ndarray, B: np.ndarray) -> float:
@@ -312,15 +324,14 @@ def pullback_form(fam: StateFamily, base: complex, u: complex,
                   w: complex) -> PullbackReport:
     """Evaluate H(u, w) at ``base`` and compare with the closed form.
 
-    The value contracts ``pullback_matrix`` with the real components of u
-    and w, so every pair at one base point shares one set of tangents.
+    The value contracts ``pullback_matrix``, and the reference the
+    ``reference_matrix`` kept beside it, with the real components of u and
+    w, so every pair at one base point shares one set of tangents and one
+    reference.
     """
-    G = pullback_matrix(fam, base)
-    try:
-        ref = closed_form(fam, base, u, w)
-    except UnsupportedBasePoint:
-        ref = None
-    return PullbackReport.from_value(_contract(G, u, w), ref)
+    G, ref = _pullback_matrix(fam, _base_point(base))
+    return PullbackReport.from_value(
+        _contract(G, u, w), None if ref is None else _contract(ref, u, w))
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,15 @@ is the dropped tail mass.  No oscillator state needs a matrix exponential;
 ``wh_displacement`` is kept as the explicit unitary.
 
 One truncation rule serves every oscillator and disc state
-(``truncation_dim``): the state's amplitudes are run to 32, 64, ... levels
-until the rest beyond the run is bounded geometrically, and N is the
-smallest level whose exact suffix sum of |c_n|^2 plus that rest is below
-the budget.  Each amplitude depends on its level alone (the recurrence runs
-up from c_0, the disc amplitudes are elementwise), so a prefix of the run is
-bit for bit the state its constructor builds on that many levels; a family
-sized by the rule takes its state from the run (``pullback``).
+(``truncation_dim``): the state's first 32, 64, ... amplitudes are tested
+until the rest beyond them is bounded geometrically, and N is the smallest
+level whose exact suffix sum of |c_n|^2 plus that rest is below the budget.
+Each amplitude depends on its level alone (the recurrence runs up from c_0,
+the disc amplitudes are elementwise), so a prefix of a run is bit for bit
+the state its constructor builds on that many levels.  The amplitudes are
+therefore built once, as one run as long as the tail's ratio limit
+predicts, and every doubling is tested on a prefix of it; a family sized by
+the rule takes its state from the run (``pullback``).
 
 The spin fiducial, the kernel of e^v Lx - i e^{-v} Ly = sqrt(2) (sinh v L+ +
 cosh v L-), comes from that operator's two-term recurrence up from m = -j,
@@ -227,21 +229,23 @@ def kernel_vector(M: np.ndarray) -> np.ndarray:
 
 def _fock_amplitudes(alpha: complex, v: float, n: int) -> np.ndarray:
     """Amplitudes c_0 .. c_{n-1} of D(alpha)|0; v> from the three-term
-    recurrence of the module notes, n >= 1, as a loop over complex scalars.
+    recurrence of the module notes, n >= 1: at v = 0 one cumulative product
+    of the coherent recurrence, otherwise a loop over complex scalars.
 
-    c_0 is exp(Re) e^{i Im} of its exponent, so at v = 0 every amplitude
-    has the bits of the cumulative product of the coherent recurrence.  The
-    guard |v| <= 2 is a DomainError.
+    c_0 is exp(Re) e^{i Im} of its exponent, so both give the coherent
+    amplitudes the same bits.  The guard |v| <= 2 is a DomainError.
     """
     if not abs(v) <= 2.0:
         raise DomainError(f"|v| = {abs(v):.2f} exceeds the guard |v| <= 2")
     ch, th = np.cosh(v), np.tanh(v)
     root = np.sqrt(np.arange(n))
-    gain = ((alpha * ch + np.conj(alpha) * np.sinh(v)) / ch / root[1:]).tolist()
-    back = (th * root[:-1] / root[1:]).tolist()
+    gain = (alpha * ch + np.conj(alpha) * np.sinh(v)) / ch / root[1:]
     a2 = np.conj(alpha) ** 2
     cur = complex(np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * th * a2.real)
                   * np.exp(-0.5j * th * a2.imag) / np.sqrt(ch))
+    if v == 0:
+        return np.cumprod(np.append(cur, gain))
+    gain, back = gain.tolist(), (th * root[:-1] / root[1:]).tolist()
     prev, out = 0j, [cur]
     for g, b in zip(gain, back):
         prev, cur = cur, g * cur - b * prev
@@ -488,7 +492,8 @@ def truncation_dim(alpha: complex, family: str, param: float = 0.0,
                    eps: float = 1e-12) -> int:
     """Smallest N whose tail mass (norm deficit) beyond N is below eps.
 
-    One rule sizes every family, from the state's own amplitudes
+    One rule sizes every family, from the state's own amplitudes, built
+    once as one run whose prefixes are tested for 32, 64, ... levels
     (``_sized_amplitudes``):
 
     * ``"fock"``: the coherent oscillator state, the v = 0 member of
@@ -522,11 +527,20 @@ def _sized_amplitudes(alpha: complex, family: str, param: float,
     for 2k > 1, rising for 2k < 1), so the larger of the last ratio and r
     bounds the rest.  The tail beyond each N is then a suffix sum of exact
     terms plus that rest, free of the cancellation in 1 - sum |c_n|^2.
-    Each amplitude depends on its level alone, so any prefix of the run is
-    the state its constructor builds on that many levels.
+
+    The amplitudes are built once, as a run of 32 2^m levels, the first
+    such length not below log(1e-3 eps) / log(r) (32 where r = 0), and each
+    n is tested on the run's prefix; the run is built again, twice as long,
+    only when n passes its end.  Each amplitude depends on its level alone,
+    so a prefix of the run is the state its constructor builds on that many
+    levels, and the result does not depend on the run's length.  A long
+    disc run can overflow its normalizations (``pochhammer_coeffs``) where
+    c_0 underflows; the run then starts at 32 levels, so the error raised
+    is that underflow.  DomainError where 1e-3 eps is no positive double.
     """
-    if not eps > 0:
-        raise DomainError(f"tail budget eps must be positive, got {eps}")
+    if not 1e-3 * eps > 0:
+        raise DomainError(f"tail budget eps must be positive and above 1e-3 of "
+                          f"the smallest double, got {eps}")
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         # the amplitude runs below would never converge
@@ -542,14 +556,20 @@ def _sized_amplitudes(alpha: complex, family: str, param: float,
         build, limit = partial(_disc_amplitudes, alpha, param), abs(alpha) ** 2
     else:
         raise DomainError(f"unknown family {family!r}")
+    levels = math.log(1e-3 * eps) / math.log(limit) if 0 < limit < 1 else 0.0
+    try:
+        c = build(32 << max(0, math.ceil(math.log2(max(levels, 1.0) / 32))))
+    except DomainError:
+        c = build(32)
+    if not abs(c[0]) >= np.finfo(float).tiny:
+        raise DomainError(f"c_0 underflows at alpha = {alpha}, {family} {param}")
     for n in (32 << k for k in itertools.count()):
-        c = build(n)
-        t = np.abs(c) ** 2
-        if not abs(c[0]) >= np.finfo(float).tiny:
-            raise DomainError(f"c_0 underflows at alpha = {alpha}, {family} {param}")
+        if n > c.size:
+            c = build(n)
+        t = np.abs(c[:n]) ** 2
         last, before = t[-2:].sum(), t[-4:-2].sum()
         ratio = last / before if last < before else np.inf
         rest = geometric_tail(last, max(ratio, limit)) if last else 0.0
         if rest < 1e-3 * eps and t.sum() > 0.5:
             tail = np.cumsum(t[::-1])[::-1] + rest  # mass at levels >= N
-            return c, max(1, int(np.argmax(np.append(tail, rest) < eps)))
+            return c[:n], max(1, int(np.argmax(np.append(tail, rest) < eps)))

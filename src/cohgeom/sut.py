@@ -272,10 +272,13 @@ def phi_map(orbit: Orbit, P: OrbitPoint) -> SutElement:
 
 
 def phi_inv(orbit: Orbit, g: SutElement) -> OrbitPoint:
-    """Positive subgroup -> orbit: inverse of phi_map."""
+    """Positive subgroup -> orbit: inverse of phi_map.
+
+    b / a = (u0 - s) / |v0| on either orbit, since sqrt(v0 t) = |v0| / a,
+    so s = u0 - b |v0| / a and t = v0 / a^2."""
     if not g.is_positive:
         raise DomainError("chart requires a positive diagonal")
-    s = orbit.u0 - g.g2 * orbit.v0 / g.g1
+    s = orbit.u0 - g.g2 * abs(orbit.v0) / g.g1
     t = orbit.v0 / g.g1**2
     return OrbitPoint(float(s), float(t))
 

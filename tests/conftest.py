@@ -72,3 +72,42 @@ def poly_poisson(f: Poly2, g: Poly2) -> Poly2:
     """Exact orbit bracket t (f_s g_t - f_t g_s) for polynomial fields."""
     t = Poly2({(0, 1): 1.0})
     return t * (f.d_s() * g.d_t() - f.d_t() * g.d_s())
+
+
+def doubling_sized_amplitudes(alpha, family: str, param: float, eps: float):
+    """The truncation rule of ``states._sized_amplitudes``, with each
+    doubling n = 32, 64, ... built again from level 0: the oracle for the
+    one run whose prefixes the library tests.  Same (amplitudes, N) and the
+    same DomainErrors."""
+    import cmath
+    import itertools
+    from functools import partial
+
+    from cohgeom import states
+    from cohgeom.errors import DomainError
+
+    if not eps > 0:
+        raise DomainError("eps")
+    alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise DomainError("alpha")
+    if family in ("fock", "squeezed_fock"):
+        v = param if family == "squeezed_fock" else 0.0
+        build, limit = partial(states._fock_amplitudes, alpha, v), np.tanh(v) ** 2
+    elif family == "discrete_series":
+        if not param > 0 or abs(alpha) >= 1.0:
+            raise DomainError("disc")
+        build, limit = partial(states._disc_amplitudes, alpha, param), abs(alpha) ** 2
+    else:
+        raise DomainError("family")
+    for n in (32 << k for k in itertools.count()):
+        c = build(n)
+        t = np.abs(c) ** 2
+        if not abs(c[0]) >= np.finfo(float).tiny:
+            raise DomainError("c_0 underflows")
+        last, before = t[-2:].sum(), t[-4:-2].sum()
+        ratio = last / before if last < before else np.inf
+        rest = states.geometric_tail(last, max(ratio, limit)) if last else 0.0
+        if rest < 1e-3 * eps and t.sum() > 0.5:
+            tail = np.cumsum(t[::-1])[::-1] + rest
+            return c, max(1, int(np.argmax(np.append(tail, rest) < eps)))

@@ -240,6 +240,10 @@ def test_uncertainty_computes_each_saturation_term_once_per_row(monkeypatch, cap
     # the chart step is relative to a = sqrt(v0/t), here 3.2e-6 and 3.2e-7
     "sut charts --grid t:1e11..1e11:1 s:0..1:2",
     "sut charts --grid t:1e13..1e13:1 s:0..1:2",
+    # the round trip is measured at the point's scale, where one ulp of t
+    # is round-off, and holds on the orbit with v0 < 0
+    "sut charts --grid t:0.1..1e9:9 s:-3..3:4",
+    "sut charts --v0 -2 --grid t:-5..-0.5:6 s:-2..2:5",
 ])
 def test_orbit_checks_hold_at_large_t(argv, tmp_path):
     out = tmp_path / "o.json"
@@ -247,6 +251,17 @@ def test_orbit_checks_hold_at_large_t(argv, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["summary"]["pass"] is True
     assert doc["summary"]["max_dev"] < 1e-9
+
+
+def test_chart_round_trip_off_by_1e9_fails_the_default_grid(monkeypatch, capsys):
+    # scaling the round trip by the point's size keeps the gate tight: an
+    # inverse off by 1e-9 in s or in t fails the default grid
+    real = cli.sut.phi_inv
+    for shift in ((1e-9, 0.0), (0.0, 1e-9)):
+        monkeypatch.setattr(cli.sut, "phi_inv", lambda orbit, g, d=shift: cli.sut.OrbitPoint(
+            real(orbit, g).s + d[0], real(orbit, g).t + d[1]))
+        assert run_cli(["sut", "charts"]) == 1
+        assert "pass=false" in capsys.readouterr().out
 
 
 def test_uncertainty_below_the_tail_budget_exits_2(capsys):

@@ -527,6 +527,48 @@ def test_pullback_matrix_is_cached_and_read_only(monkeypatch):
     assert G[0, 1] == pytest.approx(np.conj(G[1, 0]), abs=1e-14)
 
 
+FRAME_CASES = [
+    (WH, 0j), (WH, 1.3 - 0.4j), (StateFamily("wh", v=0.5), 0j),
+    (StateFamily("wh", v=-1.0, eps=1e-10), 0.7j), (SU2_J1, 0j), (SU2_J1, 0.4 + 0.2j),
+    (StateFamily("su2", v=0.5, param=2.0), 0j), (StateFamily("su2", param=2.5), -0.3j),
+    (SU11_K1, 0j), (StateFamily("su11", param=2.0), 0.6 - 0.5j),
+]
+
+
+@pytest.mark.parametrize("fam, base", FRAME_CASES)
+def test_pullback_matrix_is_the_state_vector_route_bit_for_bit(fam, base):
+    # projecting the tangents on their arrays gives the bits of
+    # StateVector.normalized and project_orthogonal
+    pullback_module._pullback_matrix.cache_clear()
+    psi, tangents = pullback_module._frame(fam, base, (1, 1j))
+    x = psi.normalized()
+    P = np.array([project_orthogonal(x, StateVector(t, psi.basis, psi.tol)).amps
+                  for t in tangents])
+    assert np.array_equal(pullback_matrix(fam, base), P.conj() @ P.T)
+
+
+@pytest.mark.parametrize("fam, base", FRAME_CASES)
+def test_reference_is_kept_beside_the_form(fam, base, monkeypatch):
+    # pullback_form contracts the reference cached with G, the closed form's
+    # own matrix, and claims none where the closed form raises
+    pullback_module._pullback_matrix.cache_clear()
+    G, ref = pullback_module._pullback_matrix(fam, complex(base))
+    calls = []
+    real = pullback_module.reference_matrix
+    monkeypatch.setattr(pullback_module, "reference_matrix",
+                        lambda *a: calls.append(a) or real(*a))
+    for u, w in PAIRS + ((0.3 - 1j, 2 + 0.5j),):
+        rep = pullback_form(fam, base, u, w)
+        assert not calls
+        try:
+            assert rep.reference == closed_form(fam, base, u, w)
+        except UnsupportedBasePoint:
+            assert rep.reference is None and ref is None
+        calls.clear()
+    if ref is not None:
+        assert np.array_equal(ref, real(fam, base)) and not ref.flags.writeable
+
+
 def test_non_positive_budget_rejected():
     for eps in (0.0, -1.0):
         with pytest.raises(DomainError):

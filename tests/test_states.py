@@ -38,7 +38,7 @@ from cohgeom.states import (
     kernel_vector,
     pochhammer_coeffs,
 )
-from conftest import su2_tilde_minus
+from conftest import doubling_sized_amplitudes, su2_tilde_minus
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +143,13 @@ def test_coherent_tail_budget_enforced():
 
 
 def _coherent_loop(alpha, N):
-    # c_n = c_{n-1} alpha / sqrt(n), one level at a time
+    # c_n = c_{n-1} g_n for the gains g_n = alpha / sqrt(n), one level at a
+    # time
+    gain = alpha / np.sqrt(np.arange(1.0, N))
     c = np.zeros(N, dtype=complex)
     c[0] = np.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, N):
-        c[n] = c[n - 1] * alpha / np.sqrt(n)
+        c[n] = c[n - 1] * gain[n - 1]
     return c
 
 
@@ -155,9 +157,19 @@ def _coherent_loop(alpha, N):
                                       (-1.3 + 0.7j, 64), (5j, 200),
                                       (20 * np.exp(0.3j), 600)])
 def test_coherent_cumulative_product_matches_loop(alpha, N):
+    # the cumulative product multiplies in the loop's order, so the values
+    # are the loop's to the bit
     loop = _coherent_loop(complex(alpha), N)
-    amps = wh_coherent(alpha, N).amps
-    assert np.all(np.abs(amps - loop) <= 1e-13 * np.abs(loop))
+    assert np.array_equal(wh_coherent(alpha, N).amps, loop)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0, 30), st.floats(0, 1), st.integers(1, 600))
+def test_coherent_amplitudes_are_the_recurrence_loop(r, turn, n):
+    # value for value (an amplitude that underflows may differ in the sign
+    # of its 0)
+    alpha = r * np.exp(2j * np.pi * turn)
+    assert np.array_equal(states._fock_amplitudes(alpha, 0.0, n), _coherent_loop(alpha, n))
 
 
 def test_coherent_underflow_still_truncation_error():
@@ -980,6 +992,80 @@ def test_sized_frame_is_the_constructor_state_bit_for_bit(fam, base, monkeypatch
     psi = family_state(fam, base)
     assert np.array_equal(psi.amps, ref.amps)
     assert (psi.basis, psi.tol) == (ref.basis, ref.tol)
+
+
+def _sized_or_error(fn, *args):
+    # the error's type, and whether it is the c_0 underflow
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc), "c_0 underflows" in str(exc)
+
+
+@st.composite
+def _sizer_inputs(draw):
+    family = draw(st.sampled_from(["fock", "squeezed_fock", "discrete_series"]))
+    phase = np.exp(2j * np.pi * draw(st.floats(0, 1)))
+    eps = 10.0 ** draw(st.floats(-19, -8))
+    if family == "fock":
+        return draw(st.floats(0, 30)) * phase, family, 0.0, eps
+    if family == "squeezed_fock":
+        return draw(st.floats(0, 8)) * phase, family, draw(st.floats(-2, 2)), eps
+    # k up to 500 at |alpha| up to 0.999 reaches runs whose normalizations
+    # overflow and first amplitudes underflow
+    k = 10.0 ** draw(st.floats(np.log10(0.05), np.log10(500)))
+    return draw(st.floats(0, 0.999)) * phase, family, k, eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sizer_inputs())
+@example((0.8, "discrete_series", 1.0, 1e-15))
+@example((0.5j, "squeezed_fock", -1.0, 1e-19))
+@example((0.999, "discrete_series", 500.0, 1e-19))
+@example((0.99, "discrete_series", 120.0, 1e-8))
+@example((0.5, "discrete_series", 0.11, 3e-17))  # the run is longer than n
+def test_one_amplitude_run_sizes_as_the_doublings_do(inputs):
+    # every doubling is tested on a prefix of one run; the amplitudes, N and
+    # the run's length are those of rebuilding each doubling from level 0,
+    # and so is the error where there is one
+    got = _sized_or_error(states._sized_amplitudes, *inputs)
+    want = _sized_or_error(doubling_sized_amplitudes, *inputs)
+    if isinstance(want[0], type) or isinstance(got[0], type):
+        assert got == want
+        return
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1] and got[0].size == want[0].size
+
+
+@pytest.mark.parametrize("fam, base, most", [
+    (StateFamily("su11", param=1.0), 0.8, 1), (StateFamily("su11", param=1.0), 0.8j, 1),
+    (StateFamily("wh", v=1.0), 0j, 2), (StateFamily("wh", v=-1.0), 0j, 2),
+    (StateFamily("wh", v=1.0), 0.5 - 0.5j, 2),
+])
+def test_sized_frame_builds_one_amplitude_run(fam, base, most, monkeypatch):
+    # the run starts at the length the ratio limit predicts, so a disc frame
+    # builds its amplitudes once and a squeezed one at most twice
+    from cohgeom import pullback
+
+    builds = []
+    for name in ("_fock_amplitudes", "_disc_amplitudes"):
+        def counted(*args, _fn=getattr(states, name)):
+            builds.append(args[-1])
+            return _fn(*args)
+        monkeypatch.setattr(states, name, counted)
+    pullback._pullback_matrix.cache_clear()
+    try:
+        pullback.pullback_matrix(fam, base)
+    finally:
+        pullback._pullback_matrix.cache_clear()
+    assert 1 <= len(builds) <= most
+
+
+def test_sizer_rejects_a_budget_with_no_positive_thousandth():
+    # 1e-3 eps must be a positive double for the rest to fall below it
+    for eps in (1e-322, 5e-324):
+        with pytest.raises(DomainError, match="tail budget"):
+            truncation_dim(0.5, "squeezed_fock", 0.5, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohgeom.errors import DegenerateOrbit, DomainError, VerificationError
 from cohgeom import sut
@@ -301,6 +303,19 @@ def test_chart_roundtrips(rng):
         lam2, mu2 = psi_map(orbit, P)
         assert (lam, mu) == (pytest.approx(lam2), pytest.approx(mu2))
         assert mu > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-50, 50).filter(lambda u: u != 0), st.floats(1e-3, 1e3),
+       st.sampled_from([1.0, -1.0]), st.floats(-50, 50), st.floats(1e-3, 1e3))
+def test_chart_roundtrips_on_both_orbits(u0, v_abs, sign, s, t_abs):
+    # phi_inv undoes phi_map on the orbits of either sign of v0, at the
+    # point's own scale; with v0 < 0 the chart's b / a is (u0 - s) / |v0|
+    orbit = Orbit(u0, sign * v_abs)
+    P = orbit.point(s, sign * t_abs)
+    back = phi_inv(orbit, phi_map(orbit, P))
+    assert abs(back.s - P.s) <= 1e-13 * max(1.0, abs(P.s), abs(u0))
+    assert abs(back.t - P.t) <= 1e-13 * max(1.0, abs(P.t))
 
 
 def test_chart_worked_example():
