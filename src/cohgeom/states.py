@@ -232,8 +232,9 @@ def _fock_amplitudes(alpha: complex, v: float, n: int) -> np.ndarray:
     recurrence of the module notes, n >= 1: at v = 0 one cumulative product
     of the coherent recurrence, otherwise a loop over complex scalars.
 
-    c_0 is exp(Re) e^{i Im} of its exponent, so both give the coherent
-    amplitudes the same bits.  The guard |v| <= 2 is a DomainError.
+    c_0 is exp(Re) e^{i Im} of its exponent, and both multiply c_0 by the
+    same gains in the same order, so they give the coherent amplitudes the
+    same values.  The guard |v| <= 2 is a DomainError.
     """
     if not abs(v) <= 2.0:
         raise DomainError(f"|v| = {abs(v):.2f} exceeds the guard |v| <= 2")
@@ -559,7 +560,7 @@ def _sized_amplitudes(alpha: complex, family: str, param: float,
     levels = math.log(1e-3 * eps) / math.log(limit) if 0 < limit < 1 else 0.0
     try:
         c = build(32 << max(0, math.ceil(math.log2(max(levels, 1.0) / 32))))
-    except DomainError:
+    except DomainError:  # a long disc run overflows only where c_0 underflows
         c = build(32)
     if not abs(c[0]) >= np.finfo(float).tiny:
         raise DomainError(f"c_0 underflows at alpha = {alpha}, {family} {param}")
