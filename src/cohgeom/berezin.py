@@ -22,17 +22,20 @@ essentially exactly even where the weight exponent is not an integer; the
 angular direction is the uniform (trapezoid) rule, exact for trigonometric
 polynomials below the node count.  Each Gauss-Jacobi rule (``roots_jacobi``,
 numpy only) is built once per (h, node count), on first use, and kept
-read-only together with its tensor grid.  The half-plane image of that grid,
-cayley_inv(z), is likewise built once, by the first ``halfplane_inner`` on
-it, and kept read-only; the half-plane functions are evaluated there, and
-each still maps the points back to the disc through ``cayley``, so the
-integral still tests the Cayley pullback.  Every quadrature result is gated
-by one refinement doubling: a single inner product, or a whole
-Gram/Toeplitz matrix at once, whose coarse and doubled versions must agree
-entry by entry to QUAD_TOL.  A space is ``BerezinSpace(h, cutoff)``; the
-base node counts N_RADIAL x N_ANGULAR, QUAD_TOL and the kernel's tail
-budget TAIL_TOL are module constants.  A matrix is
-assembled in one pass from the angular Fourier modes of its multiplier,
+read-only.  The tensor grid of a rule is never built whole: its rings are
+streamed RING_BLOCK at a time (``_rings``), and every integrand is evaluated,
+reduced and dropped block by block.  The half-plane image of each block,
+cayley_inv(z), is the one cache beside the rules: it is built by the first
+``halfplane_inner`` at each (h, level) and kept read-only; the half-plane
+functions are evaluated there, and each still maps the points back to the
+disc through ``cayley``, so the integral still tests the Cayley pullback.
+Every quadrature result is gated by one refinement doubling: a single inner
+product, or a whole Gram/Toeplitz matrix at once, whose coarse and doubled
+versions must agree entry by entry to QUAD_TOL.  A space is
+``BerezinSpace(h, cutoff)``; the base node counts N_RADIAL x N_ANGULAR,
+QUAD_TOL and the kernel's tail budget TAIL_TOL are module constants.  A
+matrix is assembled in one pass from the angular Fourier modes of its
+multiplier, one block of rings at a time,
 
     T[l, m] = (1/h - 1) c_l c_m sum_r w_r r^{l+m} ghat_{m-l}(r),
     ghat_k(r) = mean_theta g(r e^{i theta}) e^{i k theta},
@@ -77,7 +80,10 @@ from .errors import BasisMismatch, DomainError, QuadratureError, TruncationError
 from .states import geometric_tail, pochhammer_coeffs
 
 FD_STEP = 1e-5  # central-difference step of the Wirtinger derivatives
-RING_BLOCK = 32  # quadrature rings per inverse FFT in matrix assembly
+# quadrature rings per streamed block and per inverse FFT: a block of the
+# doubled grid (64 KiB) stays below glibc's 128 KiB mmap threshold, so its
+# temporaries reuse the heap instead of faulting in fresh pages
+RING_BLOCK = 8
 N_RADIAL, N_ANGULAR = 64, 256  # base quadrature grid, doubled once by the gate
 QUAD_TOL = 1e-8  # largest entry change the doubling may make
 TAIL_TOL = 1e-10  # largest kernel tail bound ``kernel`` accepts
@@ -222,34 +228,38 @@ def _radial_rule(h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-@functools.lru_cache(maxsize=8)
-def _disc_grid(h: float, n_radial: int, n_angular: int) -> np.ndarray:
-    """Read-only tensor grid z = sqrt(u_r) e^{i theta_a}, n_radial x n_angular."""
+def _rings(h: float, n_radial: int, n_angular: int):
+    """Tensor grid z = sqrt(u_r) e^{i theta_a} of the n_radial x n_angular
+    rule, RING_BLOCK rings at a time."""
     u, _ = _radial_rule(h, n_radial)
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    z = np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]
-    z.flags.writeable = False
-    return z
+    r = np.sqrt(u)[:, None]
+    e = np.exp(1j * (2.0 * np.pi * np.arange(n_angular) / n_angular))[None, :]
+    for start in range(0, n_radial, RING_BLOCK):
+        yield r[start:start + RING_BLOCK] * e
 
 
 @functools.lru_cache(maxsize=8)
-def _halfplane_grid(h: float, n_radial: int, n_angular: int) -> np.ndarray:
-    """Read-only Cayley image cayley_inv(z) of ``_disc_grid``, the nodes on
-    which ``halfplane_inner`` evaluates its functions."""
-    w = cayley_inv(_disc_grid(h, n_radial, n_angular))
-    w.flags.writeable = False
-    return w
+def _halfplane_grid(h: float, n_radial: int, n_angular: int) -> tuple:
+    """Read-only Cayley image cayley_inv(z) of each ``_rings`` block, the
+    nodes on which ``halfplane_inner`` evaluates its functions."""
+    blocks = tuple(cayley_inv(z) for z in _rings(h, n_radial, n_angular))
+    for w in blocks:
+        w.flags.writeable = False
+    return blocks
 
 
 def _gated_inner(grid: Callable, phi: Callable, psi: Callable,
                  space: BerezinSpace) -> complex:
-    """Integral of conj(phi) psi at the nodes ``grid(h, n_radial, n_angular)``
-    under the disc rule's weights, gated by one refinement doubling."""
+    """Integral of conj(phi) psi at the ring blocks
+    ``grid(h, n_radial, n_angular)`` under the disc rule's weights, gated by
+    one refinement doubling; each ring's angular mean is taken block by
+    block."""
     def level(n_radial, n_angular):
         _, wu = _radial_rule(space.h, n_radial)
-        x = grid(space.h, n_radial, n_angular)
-        vals = np.asarray(np.conj(phi(x)) * psi(x), dtype=complex)
-        return complex((1.0 / space.h - 1.0) * np.sum(wu * vals.mean(axis=1)))
+        means = np.concatenate([
+            np.asarray(np.conj(phi(x)) * psi(x), dtype=complex).mean(axis=1)
+            for x in grid(space.h, n_radial, n_angular)])
+        return complex((1.0 / space.h - 1.0) * np.sum(wu * means))
     return _gated(level)
 
 
@@ -271,20 +281,22 @@ def _gated(level: Callable):
 def disc_inner(phi: Callable, psi: Callable, space: BerezinSpace) -> complex:
     """Weighted Bergman inner product of two disc functions.
 
-    ``phi`` and ``psi`` must accept complex arrays.  The base rule and its
-    doubled refinement must agree to QUAD_TOL or QuadratureError is raised;
-    the refined value is returned.
+    ``phi`` and ``psi`` must accept complex arrays; they are evaluated on
+    one block of RING_BLOCK rings at a time, so nothing grid-sized is built.
+    The base rule and its doubled refinement must agree to QUAD_TOL or
+    QuadratureError is raised; the refined value is returned.
     """
-    return _gated_inner(_disc_grid, phi, psi, space)
+    return _gated_inner(_rings, phi, psi, space)
 
 
 def halfplane_inner(f: Callable, g: Callable, space: BerezinSpace) -> complex:
     """(f, g)_H, the disc inner product of the pulled-back pair.
 
     ``f`` and ``g`` take half-plane points (arrays) and are evaluated on
-    the cached Cayley image of each disc quadrature grid, so the grid is
-    mapped to the half plane once per (h, level); the rule, the weights and
-    the QUAD_TOL gate are those of ``disc_inner``.
+    the cached Cayley image of each block of rings, so each block is mapped
+    to the half plane once per (h, level); the image is the only cached
+    array besides the rules, and the blocks, the weights and the QUAD_TOL
+    gate are those of ``disc_inner``.
     """
     return _gated_inner(_halfplane_grid, f, g, space)
 
@@ -389,22 +401,20 @@ def _multiplier_matrix(g: Callable, space: BerezinSpace,
                        n_radial: int, n_angular: int) -> np.ndarray:
     """(psi_l, g psi_m)_D for all l, m < cutoff on one quadrature level.
 
-    g is evaluated once on the grid; its angular Fourier modes
-    k = m - l = -(L-1)..L-1 are read from the inverse FFT along the angles,
-    at index k mod n_angular (aliased, as the trapezoid sum itself is, when
-    n_angular < 2L - 1).  The rings are transformed RING_BLOCK at a time and
-    only those 2L - 1 modes kept, since a transform of the whole grid
-    allocates, and pages in, a fresh grid-sized array on every call.
+    The rings are streamed RING_BLOCK at a time (``_rings``): g is
+    evaluated on each block, and of the block's inverse FFT along the angles
+    only the angular Fourier modes k = m - l = -(L-1)..L-1 are kept, at
+    index k mod n_angular (aliased, as the trapezoid sum itself is, when
+    n_angular < 2L - 1).  No grid-sized array is built or cached.
     """
     L = space.cutoff
     ls = np.arange(L)
     u, wu = _radial_rule(space.h, n_radial)
-    z = _disc_grid(space.h, n_radial, n_angular)
-    vals = np.broadcast_to(np.asarray(g(z), dtype=complex), z.shape)
     ks = np.arange(1 - L, L) % n_angular
     modes = np.concatenate([  # mean_theta g e^{i k theta}
-        np.fft.ifft(rings, axis=1)[:, ks]
-        for rings in np.split(vals, range(RING_BLOCK, n_radial, RING_BLOCK))])
+        np.fft.ifft(np.broadcast_to(np.asarray(g(z), dtype=complex), z.shape),
+                    axis=1)[:, ks]
+        for z in _rings(space.h, n_radial, n_angular)])
     radial = np.sqrt(u)[:, None] ** ls  # r^l, n_radial x L
     by_diff = modes[:, ls[None, :] - ls[:, None] + L - 1]  # ghat_{m-l}(r)
     T = np.einsum("rl,rm,rlm->lm", wu[:, None] * radial, radial, by_diff)

@@ -324,8 +324,8 @@ def bracket_dev(P) -> float:
 
 def chart_point(orbit: sut.Orbit, P) -> tuple[float, float]:
     """Round-trip error of the chart phi at P, and the coefficient of its
-    chi pullback, which the half-plane form makes 2.  The error is measured
-    at the point's own scale, |dt| / max(1, |t|) and
+    chi pullback, which the half-plane form makes 2 sign(v0).  The error is
+    measured at the point's own scale, |dt| / max(1, |t|) and
     |ds| / max(1, |s|, |u0|), so one ulp of a large coordinate stays
     round-off."""
     g = sut.phi_map(orbit, P)
@@ -593,8 +593,8 @@ def cmd_sut_charts(args) -> int:
     rows = []
     for P in orbit_points(t_vals[t_vals * args.v0 > 0], s_vals):
         rt, coeff = chart_point(orbit, P)
-        rows.append({"s": P.s, "t": P.t, "roundtrip_dev": rt,
-                     "pullback_coeff": coeff, "pullback_dev": abs(coeff - 2.0)})
+        rows.append({"s": P.s, "t": P.t, "roundtrip_dev": rt, "pullback_coeff": coeff,
+                     "pullback_dev": abs(coeff - math.copysign(2.0, args.v0))})
     if not rows:
         raise DomainError(f"no grid point lies on the orbit through v0 = {args.v0}")
     worst_rt = max(r["roundtrip_dev"] for r in rows)

@@ -317,7 +317,10 @@ def form_dev(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def _contract(G: np.ndarray, u: complex, w: complex) -> complex:
-    return complex(np.array([u.real, u.imag]) @ G @ np.array([w.real, w.imag]))
+    # (u1, u2) G (w1, w2)^T for u = u1 + i u2 and w = w1 + i w2, in scalars
+    (g00, g01), (g10, g11) = G.tolist()
+    return complex((u.real * g00 + u.imag * g10) * w.real
+                   + (u.real * g01 + u.imag * g11) * w.imag)
 
 
 def pullback_form(fam: StateFamily, base: complex, u: complex,

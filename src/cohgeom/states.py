@@ -530,7 +530,8 @@ def _sized_amplitudes(alpha: complex, family: str, param: float,
     terms plus that rest, free of the cancellation in 1 - sum |c_n|^2.
 
     The amplitudes are built once, as a run of 32 2^m levels, the first
-    such length not below log(1e-3 eps) / log(r) (32 where r = 0), and each
+    such length not below log(1e-3 eps) / log(r) (32 where r = 0), twice
+    that for the oscillator, whose pair ratio spans two levels, and each
     n is tested on the run's prefix; the run is built again, twice as long,
     only when n passes its end.  Each amplitude depends on its level alone,
     so a prefix of the run is the state its constructor builds on that many
@@ -548,16 +549,17 @@ def _sized_amplitudes(alpha: complex, family: str, param: float,
         raise DomainError(f"alpha = {alpha} is not finite")
     if family in ("fock", "squeezed_fock"):
         v = param if family == "squeezed_fock" else 0.0
-        build, limit = partial(_fock_amplitudes, alpha, v), np.tanh(v) ** 2
+        # the squeezed terms fall by tanh^2 v over two levels
+        build, limit, span = partial(_fock_amplitudes, alpha, v), np.tanh(v) ** 2, 2
     elif family == "discrete_series":
         if not param > 0:
             raise DomainError(f"need k > 0, got {param}")
         if abs(alpha) >= 1.0:
             raise DomainError("discrete-series states require |alpha| < 1")
-        build, limit = partial(_disc_amplitudes, alpha, param), abs(alpha) ** 2
+        build, limit, span = partial(_disc_amplitudes, alpha, param), abs(alpha) ** 2, 1
     else:
         raise DomainError(f"unknown family {family!r}")
-    levels = math.log(1e-3 * eps) / math.log(limit) if 0 < limit < 1 else 0.0
+    levels = span * math.log(1e-3 * eps) / math.log(limit) if 0 < limit < 1 else 0.0
     try:
         c = build(32 << max(0, math.ceil(math.log2(max(levels, 1.0) / 32))))
     except DomainError:  # a long disc run overflows only where c_0 underflows

@@ -33,9 +33,10 @@ from one ``kks_form`` evaluation (``hamiltonian_field``).
 Chart maps onto the positive-diagonal subgroup and the half plane implement
 
     Phi(s, t) = (a, b) = (sqrt(v0/t), (u0 - s)/sqrt(v0 t)),
-    chi(a, b) = (lam, mu) = (b/a, 1/a^2),
+    chi(a, b) = (lam, mu) = (sign(v0) b/a, 1/a^2),
 
-with chi pulling dlam ^ dmu / mu^2 back to 2 da ^ db.
+so that chi = psi o Phi^{-1} on the orbits of either sign, with chi pulling
+dlam ^ dmu / mu^2 back to 2 sign(v0) da ^ db.
 """
 
 from __future__ import annotations
@@ -291,10 +292,10 @@ def psi_map(orbit: Orbit, P: OrbitPoint) -> tuple[float, float]:
 
 
 def chi_map(orbit: Orbit, g: SutElement) -> tuple[float, float]:
-    """Positive subgroup -> half plane, psi o phi^{-1}: (b/a, 1/a^2)."""
+    """Positive subgroup -> half plane, psi o phi^{-1}: (sign(v0) b/a, 1/a^2)."""
     if not g.is_positive:
         raise DomainError("chart requires a positive diagonal")
-    return g.g2 / g.g1, 1.0 / g.g1**2
+    return math.copysign(1.0, orbit.v0) * g.g2 / g.g1, 1.0 / g.g1**2
 
 
 def chi_pullback_coefficient(orbit: Orbit, g: SutElement) -> float:
@@ -305,8 +306,8 @@ def chi_pullback_coefficient(orbit: Orbit, g: SutElement) -> float:
     difference, or leave the positive subgroup, once a is small (large t).
     The central differences are kept undivided and the Jacobian is divided
     by (2 h mu)^2 once, so no intermediate exceeds a few times
-    t CHART_FD_STEP.  Analytically equal to 2 everywhere on the positive
-    subgroup.
+    t CHART_FD_STEP.  Analytically equal to 2 sign(v0) everywhere on the
+    positive subgroup.
     """
     a, b = g.g1, g.g2
     h = CHART_FD_STEP * a

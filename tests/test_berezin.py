@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,7 +158,8 @@ def _multiplier_by_exponential_sum(g, space, n_r, n_a):
     (0.25, 8, 64, 256),   # report-all's gram and star configurations
     (0.1, 16, 128, 512),
     (0.25, 8, 16, 8),     # aliased: n_a < 2L - 1
-    (0.2, 12, 48, 6),     # and a last block of 16 rings
+    (0.2, 12, 48, 6),
+    (0.2, 12, 44, 6),     # and a last block of 4 rings
 ])
 @pytest.mark.parametrize("name", ["one", "z^3 conj(z)", "exp(z)/(2 - conj(z))",
                                   "|z - 0.3|"])
@@ -308,17 +310,65 @@ def test_coherent_state_fn_matches_polyval(h, cutoff, p, ws):
     assert abs(tau(ws[0]) - ref[0]) <= 4 * cutoff * np.finfo(float).eps * scale[0]
 
 
+@pytest.mark.parametrize("h, n_r, n_a", [
+    (0.25, bz.N_RADIAL, bz.N_ANGULAR),
+    (0.25, 2 * bz.N_RADIAL, 2 * bz.N_ANGULAR),
+    (0.2, 48, 6),
+    (0.2, 3 * bz.RING_BLOCK // 2, 6),  # a last block of half the rings
+])
+def test_rings_are_the_tensor_grid_in_blocks(h, n_r, n_a):
+    u, _ = bz._radial_rule(h, n_r)
+    theta = 2.0 * np.pi * np.arange(n_a) / n_a
+    z = np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]
+    blocks = list(bz._rings(h, n_r, n_a))
+    assert [b.shape for b in blocks] == [(min(bz.RING_BLOCK, n_r - start), n_a)
+                                         for start in range(0, n_r, bz.RING_BLOCK)]
+    assert np.concatenate(blocks).tobytes() == z.tobytes()
+
+
+def test_quadrature_keeps_no_grid_sized_array():
+    # at a fresh h, a Gram matrix and a half-plane inner product keep no
+    # more than the rules and the half-plane image, and no call holds more
+    # than 1.5 fine grids at once beyond the image it builds
+    coarse = bz.N_RADIAL * bz.N_ANGULAR * np.dtype(complex).itemsize
+    fine = 4 * coarse
+    h = 0.3
+    space = bz.BerezinSpace(h=h, cutoff=8)
+    tau = bz.coherent_state_fn(1j, space)
+    bz._radial_rule.cache_clear()
+    bz._halfplane_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        for call, image in ((lambda: bz.gram_matrix(space), False),
+                            (lambda: bz.halfplane_inner(tau, tau, space), True)):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            after, peak = tracemalloc.get_traced_memory()
+            built = image * sum(w.nbytes for n in (1, 2) for w in bz._halfplane_grid(
+                h, n * bz.N_RADIAL, n * bz.N_ANGULAR))
+            assert after - before - built < coarse
+            assert peak - before - built < 1.5 * fine
+    finally:
+        tracemalloc.stop()
+
+
 def test_halfplane_grid_is_cached_and_read_only():
-    w = bz._halfplane_grid(0.25, 64, 256)
-    assert w is bz._halfplane_grid(0.25, 64, 256)
-    assert np.array_equal(w, bz.cayley_inv(bz._disc_grid(0.25, 64, 256)))
-    with pytest.raises(ValueError):
-        w[0, 0] = 1j
+    blocks = bz._halfplane_grid(0.25, 64, 256)
+    assert isinstance(blocks, tuple)
+    assert blocks is bz._halfplane_grid(0.25, 64, 256)
+    rings = list(bz._rings(0.25, 64, 256))
+    assert len(blocks) == len(rings)
+    for w, z in zip(blocks, rings):
+        assert np.array_equal(w, bz.cayley_inv(z))
+        with pytest.raises(ValueError):
+            w[0, 0] = 1j
 
 
 def test_reproducing_dev_maps_each_level_once(monkeypatch):
-    # the grid goes to the half plane once per level, not once per function
-    # and point; each function still maps its points back through cayley
+    # each block of each level goes to the half plane once, not once per
+    # function and point; each function still maps its points back through
+    # cayley
     mapped = []
 
     def counting(z):
@@ -331,8 +381,14 @@ def test_reproducing_dev_maps_each_level_once(monkeypatch):
     space = bz.BerezinSpace(h=0.25, cutoff=8)
     for p in (1j, 2j, 1 + 1j):
         assert cli.reproducing_dev(space, p) < cli.KERNEL_TOL
-    assert sorted(mapped) == [(bz.N_RADIAL, bz.N_ANGULAR),
-                              (2 * bz.N_RADIAL, 2 * bz.N_ANGULAR)]
+    rings = {}
+    for n_rings, n_angles in mapped:
+        assert n_rings <= bz.RING_BLOCK
+        rings[n_angles] = rings.get(n_angles, 0) + n_rings
+    assert rings == {bz.N_ANGULAR: bz.N_RADIAL, 2 * bz.N_ANGULAR: 2 * bz.N_RADIAL}
+    assert len(mapped) == sum(len(bz._halfplane_grid(0.25, n * bz.N_RADIAL,
+                                                     n * bz.N_ANGULAR))
+                              for n in (1, 2))
 
 
 def test_coherent_overlap_equals_kernel():

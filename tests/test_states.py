@@ -1041,6 +1041,9 @@ def test_one_amplitude_run_sizes_as_the_doublings_do(inputs):
     (StateFamily("su11", param=1.0), 0.8, 1), (StateFamily("su11", param=1.0), 0.8j, 1),
     (StateFamily("wh", v=1.0), 0j, 2), (StateFamily("wh", v=-1.0), 0j, 2),
     (StateFamily("wh", v=1.0), 0.5 - 0.5j, 2),
+    # the oscillator's start length counts levels, two per pair ratio
+    # tanh^2 v, so a v = +-1 origin frame's first run is long enough
+    (StateFamily("wh", v=1.0), 0j, 1), (StateFamily("wh", v=-1.0), 0j, 1),
 ])
 def test_sized_frame_builds_one_amplitude_run(fam, base, most, monkeypatch):
     # the run starts at the length the ratio limit predicts, so a disc frame

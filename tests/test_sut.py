@@ -1,3 +1,4 @@
+import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,17 +293,20 @@ def test_poisson_jacobi_identity(rng):
 # chart maps
 
 def test_chart_roundtrips(rng):
-    orbit = Orbit(0.7, 2.0)
-    for _ in range(50):
-        P = orbit.point(float(rng.normal()), float(rng.uniform(0.1, 5.0)))
-        g = phi_map(orbit, P)
-        back = phi_inv(orbit, g)
-        assert back.s == pytest.approx(P.s, abs=1e-12)
-        assert back.t == pytest.approx(P.t, abs=1e-12)
-        lam, mu = chi_map(orbit, g)
-        lam2, mu2 = psi_map(orbit, P)
-        assert (lam, mu) == (pytest.approx(lam2), pytest.approx(mu2))
-        assert mu > 0
+    # chi = psi o phi^{-1} on the orbits of both signs of v0
+    for v0 in (2.0, -2.0):
+        orbit = Orbit(0.7, v0)
+        for _ in range(50):
+            t = math.copysign(float(rng.uniform(0.1, 5.0)), v0)
+            P = orbit.point(float(rng.normal()), t)
+            g = phi_map(orbit, P)
+            back = phi_inv(orbit, g)
+            assert back.s == pytest.approx(P.s, abs=1e-12)
+            assert back.t == pytest.approx(P.t, abs=1e-12)
+            lam, mu = chi_map(orbit, g)
+            lam2, mu2 = psi_map(orbit, P)
+            assert (lam, mu) == (pytest.approx(lam2), pytest.approx(mu2))
+            assert mu > 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -342,11 +346,13 @@ def test_chart_sign_guard():
 
 
 def test_chi_pullback_is_twice_area_form(rng):
-    orbit = Orbit(0.0, 1.0)
-    for _ in range(30):
-        g = SutElement(float(rng.uniform(0.3, 2.5)), float(rng.normal()))
-        coeff = chi_pullback_coefficient(orbit, g)
-        assert coeff == pytest.approx(2.0, abs=1e-6)
+    # 2 sign(v0) da ^ db, since chi's lam carries the orbit's sign
+    for v0 in (1.0, 2.0, -2.0):
+        orbit = Orbit(0.0, v0)
+        for _ in range(30):
+            g = SutElement(float(rng.uniform(0.3, 2.5)), float(rng.normal()))
+            coeff = chi_pullback_coefficient(orbit, g)
+            assert coeff == pytest.approx(math.copysign(2.0, v0), abs=1e-6)
 
 
 def test_psi_chart_pullback_coefficient(rng):
