@@ -29,9 +29,19 @@ cayley_inv(z), is the one cache beside the rules: it is built by the first
 ``halfplane_inner`` at each (h, level) and kept read-only; the half-plane
 functions are evaluated there, and each still maps the points back to the
 disc through ``cayley``, so the integral still tests the Cayley pullback.
-Every quadrature result is gated by one refinement doubling: a single inner
+Every quadrature result is gated by a refinement doubling: a single inner
 product, or a whole Gram/Toeplitz matrix at once, whose coarse and doubled
-versions must agree entry by entry to QUAD_TOL.  A space is
+versions must agree entry by entry to QUAD_TOL.  The grid is sized from the
+space's cutoff L: the radial count starts at the smallest n = N_RADIAL 2^k
+with 2n - 1 >= L + 2, so the n-node rule already integrates every basis
+product times z^a conj(z)^b, a, b <= 3, exactly (a polynomial of degree at
+most L + 2 in u); the angular count starts at N_ANGULAR.  On a miss the
+radial count doubles at most twice more, and QuadratureError names the last
+pair tried; below L = 30 that last pair is 64x256 against 128x512.  The
+angular count is not sized from
+L: a band-limited multiplier such as z^64 aliases the same way on 32 and on
+64 angles, so a doubling of short trapezoid rules would not show it, while
+a too-short Gauss rule does show in the doubling.  A space is
 ``BerezinSpace(h, cutoff)``; the base node counts N_RADIAL x N_ANGULAR,
 QUAD_TOL and the kernel's tail budget TAIL_TOL are module constants.  A
 matrix is assembled in one pass from the angular Fourier modes of its
@@ -84,7 +94,7 @@ FD_STEP = 1e-5  # central-difference step of the Wirtinger derivatives
 # doubled grid (64 KiB) stays below glibc's 128 KiB mmap threshold, so its
 # temporaries reuse the heap instead of faulting in fresh pages
 RING_BLOCK = 8
-N_RADIAL, N_ANGULAR = 64, 256  # base quadrature grid, doubled once by the gate
+N_RADIAL, N_ANGULAR = 16, 256  # smallest base grid; the gate sizes and doubles it
 QUAD_TOL = 1e-8  # largest entry change the doubling may make
 TAIL_TOL = 1e-10  # largest kernel tail bound ``kernel`` accepts
 
@@ -171,10 +181,11 @@ def roots_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     (Golub & Welsch 1969).  In u = (1 + x)/2 that matrix is B^T B for an
     upper bidiagonal B with the explicit entries below (the chain-sequence
     factorization of a weight on [0, 1]), so the nodes are 2 sigma^2 - 1 over
-    the singular values sigma of B.  That SVD is O(n^2) on one thread, where
-    a dense eigvalsh of 128 nodes reduces the matrix with threaded O(n^3)
-    BLAS.  One pass of the three-term recurrence over all nodes gives P_n
-    and P_{n-1}, hence
+    the singular values sigma of B.  np.linalg.svd reduces the dense B by
+    Householder steps, which is O(n^3): on a 2-core host it took 0.19, 0.67,
+    6.6 and 44 ms at n = 64, 128, 256 and 512, so the gate builds the
+    shortest rule that is exact for its integrands.  One pass of the
+    three-term recurrence over all nodes gives P_n and P_{n-1}, hence
 
         (2n + alpha) (1 - x^2) P_n' = n (alpha - (2n + alpha) x) P_n
                                       + 2n (n + alpha) P_{n-1},
@@ -260,22 +271,29 @@ def _gated_inner(grid: Callable, phi: Callable, psi: Callable,
             np.asarray(np.conj(phi(x)) * psi(x), dtype=complex).mean(axis=1)
             for x in grid(space.h, n_radial, n_angular)])
         return complex((1.0 / space.h - 1.0) * np.sum(wu * means))
-    return _gated(level)
+    return _gated(level, space.cutoff)
 
 
-def _gated(level: Callable):
-    """``level(n_radial, n_angular)`` on the base grid and on the doubled one.
+def _gated(level: Callable, cutoff: int):
+    """``level(n_radial, n_angular)`` on a grid and on the doubled one.
 
-    Returns the refined value when it agrees with the base one to QUAD_TOL
-    in every entry, and raises QuadratureError otherwise.
+    The grid (n, N_ANGULAR) starts at the smallest n = N_RADIAL 2^k with
+    2n - 1 >= cutoff + 2 and is compared with (2n, 2 N_ANGULAR); on a miss
+    n doubles at most twice more.  Returns the refined value of the first
+    pair that agrees to QUAD_TOL in every entry, and raises QuadratureError,
+    naming the last pair, otherwise.
     """
-    coarse = level(N_RADIAL, N_ANGULAR)
-    fine = level(2 * N_RADIAL, 2 * N_ANGULAR)
-    delta = float(np.max(np.abs(fine - coarse)))
-    if not delta <= QUAD_TOL:
-        raise QuadratureError(
-            f"refinement changed the integral by {delta:.3e} (> {QUAD_TOL:.1e})")
-    return fine
+    n = N_RADIAL
+    while 2 * n - 1 < cutoff + 2:
+        n *= 2
+    for n in (n, 2 * n, 4 * n):
+        coarse, fine = level(n, N_ANGULAR), level(2 * n, 2 * N_ANGULAR)
+        delta = float(np.max(np.abs(fine - coarse)))
+        if delta <= QUAD_TOL:
+            return fine
+    raise QuadratureError(
+        f"refinement changed the integral by {delta:.3e} (> {QUAD_TOL:.1e}) "
+        f"between {n}x{N_ANGULAR} and {2 * n}x{2 * N_ANGULAR} nodes")
 
 
 def disc_inner(phi: Callable, psi: Callable, space: BerezinSpace) -> complex:
@@ -283,8 +301,8 @@ def disc_inner(phi: Callable, psi: Callable, space: BerezinSpace) -> complex:
 
     ``phi`` and ``psi`` must accept complex arrays; they are evaluated on
     one block of RING_BLOCK rings at a time, so nothing grid-sized is built.
-    The base rule and its doubled refinement must agree to QUAD_TOL or
-    QuadratureError is raised; the refined value is returned.
+    A rule and its doubled refinement, sized by ``_gated``, must agree to
+    QUAD_TOL or QuadratureError is raised; the refined value is returned.
     """
     return _gated_inner(_rings, phi, psi, space)
 
@@ -307,8 +325,8 @@ def gram_matrix(space: BerezinSpace) -> np.ndarray:
     This is the Toeplitz matrix of g = 1, kept as a quadrature result (not
     the exact identity) so that it checks the rule itself.
     """
-    return _gated(lambda n_r, n_a: _multiplier_matrix(np.ones_like, space,
-                                                      n_r, n_a))
+    return _gated(functools.partial(_multiplier_matrix, np.ones_like, space),
+                  space.cutoff)
 
 
 def kernel_tail_bound(p: complex, q: complex, space: BerezinSpace) -> float:
@@ -427,10 +445,11 @@ def toeplitz_operator(g: Callable, space: BerezinSpace) -> np.ndarray:
 
     This is the fixed quantization rule used to build operator families that
     are comparable across different h.  ``g`` takes disc points (arrays).
-    The base and doubled quadratures must agree to QUAD_TOL in every entry
-    or QuadratureError is raised; the refined matrix is returned.
+    A quadrature and its doubled refinement, sized by ``_gated``, must agree
+    to QUAD_TOL in every entry or QuadratureError is raised; the refined
+    matrix is returned.
     """
-    return _gated(lambda n_r, n_a: _multiplier_matrix(g, space, n_r, n_a))
+    return _gated(functools.partial(_multiplier_matrix, g, space), space.cutoff)
 
 
 def _wirtinger(A: Callable, z: complex):

@@ -122,6 +122,51 @@ def test_quadrature_gate_raises_on_rough_integrand(monkeypatch):
         bz.toeplitz_operator(rough, space)
 
 
+@pytest.mark.parametrize("h", [0.45, 0.2, 0.05])
+@pytest.mark.parametrize("L", [8, 12, 40])
+def test_monomial_toeplitz_entries_match_the_beta_form(h, L):
+    # (psi_l, z^a conj(z)^b psi_m)_D = (nu - 1) c_l c_m B(l + b + 1, nu - 1)
+    # when l + b = m + a and 0 otherwise, nu = 1/h and
+    # c_l^2 = Gamma(nu + l) / (Gamma(nu) l!): from math.lgamma alone, sharing
+    # nothing with the Gauss-Jacobi rule or the FFT assembly
+    nu = 1.0 / h
+    log_c = [0.5 * (math.lgamma(nu + l) - math.lgamma(nu) - math.lgamma(l + 1.0))
+             for l in range(L)]
+    space = bz.BerezinSpace(h=h, cutoff=L)
+    for a in range(4):
+        for b in range(4):
+            exact = np.zeros((L, L))
+            for l in range(L):
+                m = l + b - a
+                if 0 <= m < L:
+                    log_beta = (math.lgamma(l + b + 1.0) + math.lgamma(nu - 1.0)
+                                - math.lgamma(l + b + nu))
+                    exact[l, m] = (nu - 1.0) * math.exp(log_c[l] + log_c[m] + log_beta)
+            T = bz.toeplitz_operator(lambda z: z**a * np.conj(z) ** b, space)
+            assert np.max(np.abs(T - exact)) < 2e-13, (a, b)
+
+
+@pytest.mark.parametrize("name", ["1/(1.05 - |z|^2)", "|z|^200"])
+def test_gate_doubles_beyond_the_exact_rule(name):
+    # neither multiplier is a low-degree polynomial in |z|^2: the first
+    # pairs of rules disagree, and a later doubling converges to the value
+    # of a much finer rule
+    g = {"1/(1.05 - |z|^2)": lambda z: 1.0 / (1.05 - np.abs(z) ** 2) + 0j,
+         "|z|^200": lambda z: np.abs(z) ** 200 + 0j}[name]
+    space = bz.BerezinSpace(h=0.25, cutoff=8)
+    T = bz.toeplitz_operator(g, space)
+    assert np.max(np.abs(T - bz._multiplier_matrix(g, space, 512, 1024))) < 1e-12
+
+
+def test_gate_error_names_the_last_pair_of_rules():
+    # exp(30 |z|^2) has not converged at the last pair tried, the 64- and
+    # 128-node rules at cutoff 8
+    space = bz.BerezinSpace(h=0.25, cutoff=8)
+    with pytest.raises(QuadratureError, match=r"changed the integral by 5\.798e-04 .*"
+                       r"between 64x256 and 128x512 nodes$"):
+        bz.toeplitz_operator(lambda z: np.exp(30.0 * np.abs(z) ** 2) + 0j, space)
+
+
 @pytest.mark.parametrize("h", [0.45, 0.1])
 def test_matrix_assembly_matches_entrywise_inner_products(h):
     # oracle: one gated disc_inner per entry, as (psi_l, g psi_m)_D
@@ -155,7 +200,8 @@ def _multiplier_by_exponential_sum(g, space, n_r, n_a):
 
 
 @pytest.mark.parametrize("h, L, n_r, n_a", [
-    (0.25, 8, 64, 256),   # report-all's gram and star configurations
+    (0.25, 8, 16, 256),   # report-all's gram and star configurations
+    (0.25, 8, 64, 256),   # the coarse level of the last pair tried from the base
     (0.1, 16, 128, 512),
     (0.25, 8, 16, 8),     # aliased: n_a < 2L - 1
     (0.2, 12, 48, 6),
@@ -190,10 +236,11 @@ def test_one_rule_per_configuration(monkeypatch):
         lambda sp: bz.toeplitz_operator(lambda z: np.real(z) + 0j, sp),
         lambda sp: bz.toeplitz_operator(lambda z: np.imag(z) + 0j, sp),
         1.5j, hs, cutoff=8)
-    # base and doubled radial node counts, once each per h
+    # base and doubled radial node counts, once each per h: at cutoff 8
+    # the gate starts at N_RADIAL nodes and its first pair passes
     assert sorted(built) == sorted((n, 1.0 / h - 2.0)
-                                   for h in hs for n in (64, 128))
-    u, w = bz._radial_rule(0.2, 64)
+                                   for h in hs for n in (bz.N_RADIAL, 2 * bz.N_RADIAL))
+    u, w = bz._radial_rule(0.2, bz.N_RADIAL)
     assert not (u.flags.writeable or w.flags.writeable)
 
 
@@ -311,8 +358,10 @@ def test_coherent_state_fn_matches_polyval(h, cutoff, p, ws):
 
 
 @pytest.mark.parametrize("h, n_r, n_a", [
-    (0.25, bz.N_RADIAL, bz.N_ANGULAR),
+    (0.25, bz.N_RADIAL, bz.N_ANGULAR),  # the first pair tried from the base
     (0.25, 2 * bz.N_RADIAL, 2 * bz.N_ANGULAR),
+    (0.25, 64, 256),  # and the last
+    (0.25, 128, 512),
     (0.2, 48, 6),
     (0.2, 3 * bz.RING_BLOCK // 2, 6),  # a last block of half the rings
 ])
