@@ -701,25 +701,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sp):
+def _add_common(sp, func) -> None:
+    """The options of every subcommand, and ``func``, the command it runs."""
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="report path (default stdout)")
     sp.add_argument("--config", default=None,
                     help="flat key=value file setting this subcommand's options")
+    sp.set_defaults(func=func)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="cohgeom",
-        description="numerical verification suites for coherent-state "
-                    "geometry, orbit quantization and Berezin calculus")
-    sub = ap.add_subparsers(dest="command", required=True)
-    floats, complexes = _checked(_floats), _checked(_complexes)
-
+def _pullback_parser(sub, command: str) -> None:
     own = UNREAD_DEFAULTS
-    sp = sub.add_parser("pullback", help="projective-form pullback vs closed forms")
+    sp = sub.add_parser(command, help="projective-form pullback vs closed forms")
     sp.add_argument("--family", choices=("wh", "su2", "su11"), default="wh")
-    sp.add_argument("--squeeze", type=floats, default="0",
+    sp.add_argument("--squeeze", type=_checked(_floats), default="0",
                     help="comma list of v values")
     sp.add_argument("--param", type=_real, default=0.0, help="j or k")
     sp.add_argument("--grid", type=_checked(_grid_shape), default=own["grid"])
@@ -728,22 +723,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=_real, default=own["eps"])
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check tangents and truncation doubling")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_pullback)
+    _add_common(sp, cmd_pullback)
 
-    sp = sub.add_parser("uncertainty", help="moment and saturation checks")
+
+def _uncertainty_parser(sub, command: str) -> None:
+    own, floats = UNREAD_DEFAULTS, _checked(_floats)
+    sp = sub.add_parser(command, help="moment and saturation checks")
     sp.add_argument("--family", choices=("wh", "su2"), default="wh")
-    sp.add_argument("--alphas", type=complexes, default=own["alphas"])
+    sp.add_argument("--alphas", type=_checked(_complexes), default=own["alphas"])
     sp.add_argument("--squeeze", type=floats, default=own["squeeze"])
     sp.add_argument("--j", type=floats, default=own["j"])
     sp.add_argument("--N", type=int, default=own["N"])
     sp.add_argument("--hbar", type=_positive, default=own["hbar"])
     sp.add_argument("--tol", type=_real, default=SATURATION_TOL)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_uncertainty)
+    _add_common(sp, cmd_uncertainty)
 
-    sp_sut = sub.add_parser("sut", help="coadjoint orbit suite")
-    sub_sut = sp_sut.add_subparsers(dest="subcommand", required=True)
+
+def _sut_parser(sub, command: str) -> None:
+    sub_sut = sub.add_parser(command, help="coadjoint orbit suite").add_subparsers(
+        dest="subcommand", required=True)
     for name, fn, tol in (("kks", cmd_sut_kks, ORBIT_TOL),
                           ("charts", cmd_sut_charts, CHART_TOL),
                           ("flow", cmd_sut_flow, FLOW_TOL),
@@ -757,11 +755,12 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "charts":
             sp.add_argument("--u0", type=_real, default=0.0)
             sp.add_argument("--v0", type=_real, default=1.0)
-        _add_common(sp)
-        sp.set_defaults(func=fn)
+        _add_common(sp, fn)
 
-    sp_bz = sub.add_parser("berezin", help="weighted Bergman space suite")
-    sub_bz = sp_bz.add_subparsers(dest="subcommand", required=True)
+
+def _berezin_parser(sub, command: str) -> None:
+    sub_bz = sub.add_parser(command, help="weighted Bergman space suite").add_subparsers(
+        dest="subcommand", required=True)
     for name, fn, tol in (("gram", cmd_berezin_gram, GRAM_TOL),
                           ("kernel", cmd_berezin_kernel, KERNEL_TOL),
                           ("symbol", cmd_berezin_symbol, SYMBOL_TOL),
@@ -769,20 +768,37 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub_bz.add_parser(name)
         sp.add_argument("--cutoff", type=int, default=8)
         if name == "star":
-            sp.add_argument("--h-seq", type=floats, default="0.2,0.1,0.05")
+            sp.add_argument("--h-seq", type=_checked(_floats), default="0.2,0.1,0.05")
             sp.add_argument("--point", type=_checked(lambda t: _finite(complex, t)),
                             default="1.5j")
         else:
-            sp.add_argument("--h", type=floats, default="0.25")
+            sp.add_argument("--h", type=_checked(_floats), default="0.25")
             sp.add_argument("--tol", type=_real, default=tol)
         if name in ("kernel", "symbol"):
-            sp.add_argument("--points", type=complexes, default="1j,2j,1+1j")
-        _add_common(sp)
-        sp.set_defaults(func=fn)
+            sp.add_argument("--points", type=_checked(_complexes), default="1j,2j,1+1j")
+        _add_common(sp, fn)
 
-    sp = sub.add_parser("report-all", help="run every suite at defaults")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_report_all)
+
+def _report_all_parser(sub, command: str) -> None:
+    _add_common(sub.add_parser(command, help="run every suite at defaults"), cmd_report_all)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, with its subcommands, or the full
+    parser of every command when ``command`` names none of them (None, an
+    option, a typo), so that the top-level help and errors list them all.
+    Each command parses, helps and fails in the one parser as in the full
+    one."""
+    ap = _Parser(
+        prog="cohgeom",
+        description="numerical verification suites for coherent-state "
+                    "geometry, orbit quantization and Berezin calculus")
+    sub = ap.add_subparsers(dest="command", required=True)
+    builders = {"pullback": _pullback_parser, "uncertainty": _uncertainty_parser,
+                "sut": _sut_parser, "berezin": _berezin_parser,
+                "report-all": _report_all_parser}
+    for name in [command] if command in builders else builders:
+        builders[name](sub, name)
     return ap
 
 
@@ -821,7 +837,7 @@ def _config_flags(ap: argparse.ArgumentParser, args) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
+    ap = build_parser(argv[0] if argv else None)
     args = ap.parse_args(argv)
     if args.config:
         # file settings go ahead of the explicit flags, so those win

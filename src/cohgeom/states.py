@@ -55,7 +55,8 @@ the ray.
 The discrete series at label k and the weighted Bergman space of ``berezin``
 at weight h share one basis when 2k = 1/h: its normalizations are the square
 roots of the coefficients (a)_n / n! of (1 - x)^{-a}, with a = 2k = 1/h,
-computed once here (``pochhammer_coeffs``), and the truncation rule and the
+computed here alone (``pochhammer_coeffs``) from one cached read-only table
+per (a, max n), of which callers receive copies; the truncation rule and the
 Bergman kernel's tail bound use the one geometric bound ``geometric_tail``.
 
 Spin displacements are phase covariant.  The lowest weight's stabilizer U(1)
@@ -440,20 +441,30 @@ def pochhammer_coeffs(a: float, n) -> np.ndarray:
     ((a + m - 1) / m)^{1/2} up to max(n) is indexed at n; it stays within a
     few ulps of the exact rational value, where log-gamma differences lose
     up to 1e-13, and its partial products are monotone, so it overflows only
-    where the value does.  DomainError for a negative or non-integer n and
-    for a non-finite result.
+    where the value does.  The product is built once per (a, max(n)) and
+    kept read-only in a bounded LRU cache (``_pochhammer_table``); each call
+    indexes it, so the caller receives a fresh array (a scalar for a scalar
+    n).  DomainError for a negative or non-integer n and for a non-finite
+    result.
     """
     n = np.asarray(n)
     if n.dtype.kind not in "iu" or n.min(initial=0) < 0:
         raise DomainError(f"levels must be non-negative integers, got {n}")
-    k = np.arange(float(n.max(initial=0)))
-    table = np.ones(k.size + 1)
+    return _pochhammer_table(float(a), int(n.max(initial=0)))[n]
+
+
+@lru_cache(maxsize=32)
+def _pochhammer_table(a: float, top: int) -> np.ndarray:
+    """The read-only table ((a)_m / m!)^{1/2}, m = 0 .. top, of
+    ``pochhammer_coeffs``; a non-finite table raises, and is not cached."""
+    k = np.arange(float(top))
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(np.sqrt((a + k) / (k + 1.0)), out=table[1:])
+        table = np.cumprod(np.append(1.0, np.sqrt((a + k) / (k + 1.0))))
     # a non-finite partial product stays non-finite to the end of the table
     if not np.isfinite(table[-1]):
         raise DomainError(f"((a)_n / n!)^(1/2) is not finite at a = {a}")
-    return table[n]
+    table.setflags(write=False)
+    return table
 
 
 def geometric_tail(t: float, r: float) -> float:
@@ -570,9 +581,12 @@ def _sized_amplitudes(alpha: complex, family: str, param: float,
         if n > c.size:
             c = build(n)
         t = np.abs(c[:n]) ** 2
-        last, before = t[-2:].sum(), t[-4:-2].sum()
+        t0, t1, t2, t3 = t[-4:].tolist()
+        last, before = t2 + t3, t0 + t1
         ratio = last / before if last < before else np.inf
         rest = geometric_tail(last, max(ratio, limit)) if last else 0.0
         if rest < 1e-3 * eps and t.sum() > 0.5:
-            tail = np.cumsum(t[::-1])[::-1] + rest  # mass at levels >= N
-            return c[:n], max(1, int(np.argmax(np.append(tail, rest) < eps)))
+            # mass at levels >= N; the last is t[n-1] + rest <= 2 rest < eps,
+            # since rest >= last >= t[n-1], so some N qualifies
+            tail = np.cumsum(t[::-1])[::-1] + rest
+            return c[:n], max(1, int(np.argmax(tail < eps)))

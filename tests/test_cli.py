@@ -667,3 +667,74 @@ def test_bench_tooling_matches_the_package(tmp_path, capsys):
     names = [row["check"] for row in json.loads(out.read_text())["rows"]]
     assert names == [name for name, _ in cli.CHECKS]
     assert sorted(names) == sorted(workloads.REPORT_TOLERANCES)
+
+
+# ---------------------------------------------------------------------------
+# the parser: main builds the chain of the command it runs, or every command
+
+_LEAVES = [["pullback"], ["uncertainty"], ["report-all"],
+           *(["sut", leaf] for leaf in ("kks", "charts", "flow", "dirac")),
+           *(["berezin", leaf] for leaf in ("gram", "kernel", "symbol", "star"))]
+
+
+def _parsers_built(monkeypatch) -> list:
+    """Record one entry per ArgumentParser constructed from now on."""
+    import argparse
+
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def _outcome(parse, argv, capsys):
+    """Exit code (None without one), stdout and stderr of ``parse(argv)``."""
+    capsys.readouterr()
+    try:
+        parse(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["report-all"], 2),  # cohgeom and report-all
+    (["sut", "flow"], 6),  # cohgeom, sut and its four leaves
+    (["berezin", "star"], 6),
+])
+def test_main_builds_only_the_named_commands_parsers(argv, parsers, monkeypatch,
+                                                      capsys):
+    built = _parsers_built(monkeypatch)
+    assert main(argv) == 0
+    assert len(built) == parsers
+    built.clear()
+    cli.build_parser()
+    assert len(built) == 14  # every command
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nosuch"], ["--format", "json"]])
+def test_main_without_a_command_builds_every_parser(argv, monkeypatch, capsys):
+    built = _parsers_built(monkeypatch)
+    got = _outcome(main, argv, capsys)
+    assert len(built) == 14
+    assert got == _outcome(cli.build_parser().parse_args, argv, capsys)
+    assert got[0] in (0, 2) and (got[1] or got[2])
+
+
+@pytest.mark.parametrize("path", [[], ["sut"], ["berezin"], *_LEAVES],
+                         ids=lambda p: " ".join(p) or "cohgeom")
+def test_named_command_parser_matches_the_full_parser(path, capsys):
+    # help, usage errors and the parsed defaults of each command are those
+    # of the parser of every command
+    full, own = cli.build_parser(), cli.build_parser(path[0] if path else None)
+    for argv in (path + ["--help"], path + ["--nosuch"], path[:1] + ["nosuch"]):
+        want = _outcome(full.parse_args, argv, capsys)
+        assert _outcome(main, argv, capsys) == want, argv
+        assert _outcome(own.parse_args, argv, capsys) == want, argv
+    if path in _LEAVES:
+        assert vars(own.parse_args(path)) == vars(full.parse_args(path))

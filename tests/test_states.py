@@ -554,6 +554,40 @@ def test_pochhammer_coeffs_non_finite_is_domain_error():
     assert np.isfinite(pochhammer_coeffs(1e3, 400))
 
 
+def test_pochhammer_table_is_cached_read_only_and_callers_get_copies():
+    table = states._pochhammer_table(2.5, 6)
+    assert table.flags.writeable is False
+    assert states._pochhammer_table(2.5, 6) is table
+    first = pochhammer_coeffs(2.5, np.arange(7))
+    assert first.flags.writeable and not np.shares_memory(first, table)
+    want = first.copy()
+    first[:] = -1.0
+    assert np.array_equal(pochhammer_coeffs(2.5, np.arange(7)), want)
+    assert np.array_equal(table, want)
+    # a scalar level is a scalar, the table's entry
+    value = pochhammer_coeffs(2.5, 6)
+    assert isinstance(value, np.float64) and np.ndim(value) == 0
+    assert value == want[6]
+
+
+def test_pochhammer_non_finite_table_is_not_cached():
+    misses = states._pochhammer_table.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            pochhammer_coeffs(1e4, 1000)
+    assert states._pochhammer_table.cache_info().misses == misses + 2
+
+
+def test_report_all_builds_each_pochhammer_table_once(capsys):
+    from cohgeom.cli import main
+
+    states._pochhammer_table.cache_clear()
+    assert main(["report-all"]) == 0
+    info = states._pochhammer_table.cache_info()
+    # 133 calls over 16 distinct (a, max n)
+    assert info.misses <= 16 and info.hits > info.misses
+
+
 def _disc_tail(r: float, k: float, n: int) -> float:
     """Mass of the label-k disc state at |alpha| = r beyond level n, summed
     term by term from log-gamma (the terms past n + 4000 are negligible for
@@ -1062,6 +1096,30 @@ def test_sized_frame_builds_one_amplitude_run(fam, base, most, monkeypatch):
     finally:
         pullback._pullback_matrix.cache_clear()
     assert 1 <= len(builds) <= most
+
+
+@st.composite
+def _sweep_inputs(draw):
+    family = draw(st.sampled_from(["fock", "squeezed_fock", "discrete_series"]))
+    phase = np.exp(2j * np.pi * draw(st.floats(0, 1)))
+    eps = 10.0 ** draw(st.floats(-16, -8))
+    if family == "fock":
+        return draw(st.floats(0, 12)) * phase, family, 0.0, eps
+    if family == "squeezed_fock":
+        return draw(st.floats(0, 4)) * phase, family, draw(st.floats(-2, 2)), eps
+    k = draw(st.floats(0.5, 3.0, exclude_min=True))
+    return draw(st.floats(0, 0.95)) * phase, family, k, eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sweep_inputs())
+def test_sizer_reads_each_prefix_as_the_doublings_do(inputs):
+    # each prefix's last four terms are read once as floats; N, the run's
+    # length and its amplitudes are the rebuilt doublings' bit for bit
+    got = states._sized_amplitudes(*inputs)
+    want = doubling_sized_amplitudes(*inputs)
+    assert got[1] == want[1] and got[0].size == want[0].size
+    assert got[0].tobytes() == want[0].tobytes()
 
 
 def test_sizer_rejects_a_budget_with_no_positive_thousandth():
