@@ -532,16 +532,13 @@ def correspondence_report(factory1: Callable, factory2: Callable, p: complex,
         s21 = star(P2, P1, p, space).normalized
         sym1 = lambda z, P1=P1, space=space: _symbol_at_disc(P1, z, space)
         sym2 = lambda z, P2=P2, space=space: _symbol_at_disc(P2, z, space)
-        a1 = sym1(zeta)
-        a2 = sym2(zeta)
+        prod = sym1(zeta) * sym2(zeta)
         pb = poisson_disc(sym1, sym2, zeta)
-        dev_prod = abs(s12 - a1 * a2)
         dev_br = abs((s12 - s21) - h * pb)
-        rows.append(CorrespondenceRow(h, s12, s21, complex(a1 * a2), pb,
-                                      dev_prod, dev_br))
-        alt["-1"].append(abs((s12 - s21) + h * pb))
-        alt["i"].append(abs((s12 - s21) - 1j * h * pb))
-        alt["-i"].append(abs((s12 - s21) + 1j * h * pb))
+        rows.append(CorrespondenceRow(h, s12, s21, complex(prod), pb,
+                                      abs(s12 - prod), dev_br))
+        for key, unit in (("-1", -1), ("i", 1j), ("-i", -1j)):
+            alt[key].append(abs((s12 - s21) - unit * h * pb))
     hs = [r.h for r in rows]
     return CorrespondenceReport(
         rows=tuple(rows),

@@ -11,11 +11,12 @@ Every check, a ``report-all`` row or a subcommand's summary, is one
 ``Check``: the deviation it reports and the bounds it must meet, each an
 upper bound or a floor on a measured value.  ``Check.passed`` is the one
 place that decides pass; the registry rows, the subcommands and the
-acceptance suite all read it.  Each ``report-all`` row is one entry of
-``CHECKS``.  Its measurement is a helper below that the subcommand calls per
-point, the registry calls at report-all's inputs and the acceptance suite
-calls on larger inputs; each tolerance is one constant, read when the check
-runs.
+acceptance suite all read it.  Deviations are combined by one fold,
+``errors.worst``, which keeps a NaN, so a NaN deviation fails its bound.
+Each ``report-all`` row is one entry of ``CHECKS``.  Its measurement is a
+helper below that the subcommand calls per point, the registry calls at
+report-all's inputs and the acceptance suite calls on larger inputs; each
+tolerance is one constant, read when the check runs.
 
 A flat key=value file given by ``--config`` sets the chosen subcommand's own
 options, ahead of the explicit flags, which win; other keys are ignored.
@@ -35,7 +36,7 @@ import numpy as np
 from . import berezin as bz
 from . import prequant as pq
 from . import sut
-from .errors import CohgeomError, DomainError
+from .errors import CohgeomError, DomainError, worst
 from .pullback import (
     StateFamily,
     TangentSpec,
@@ -251,26 +252,22 @@ def pullback_dev(fam: StateFamily, bases, relative: bool = False) -> float:
     """Worst deviation (``form_dev``) of the pulled-back form from its closed
     form; ``relative`` takes the (1, i) entry relative to its reference
     instead."""
-    dev = 0.0
-    for base in bases:
-        G, R = pullback_matrix(fam, base), reference_matrix(fam, base)
-        dev = max(dev, abs(G[0, 1] - R[0, 1]) / abs(R[0, 1])
-                  if relative else form_dev(G, R))
-    return dev
+    forms = ((pullback_matrix(fam, b), reference_matrix(fam, b)) for b in bases)
+    return worst(abs(G[0, 1] - R[0, 1]) / abs(R[0, 1]) if relative else form_dev(G, R)
+                 for G, R in forms)
 
 
 def tangent_dev(fam: StateFamily, bases) -> float:
     """Worst norm gap between projected analytic and numeric (step 1e-4)
     tangents."""
-    worst = 0.0
+    gaps = []
     for base in bases:
         psi = family_state(fam, base).normalized()
-        for direction in (1 + 0j, 1j):
-            spec = TangentSpec(base, direction)
+        for spec in (TangentSpec(base, 1 + 0j), TangentSpec(base, 1j)):
             ta = project_orthogonal(psi, analytic_tangent(fam, spec))
             tn = project_orthogonal(psi, numeric_tangent(fam, spec, 1e-4))
-            worst = max(worst, float(np.linalg.norm(ta.amps - tn.amps)))
-    return worst
+            gaps.append(float(np.linalg.norm(ta.amps - tn.amps)))
+    return worst(gaps)
 
 
 def doubling_dev(fam: StateFamily, base: complex) -> float:
@@ -285,7 +282,7 @@ def oracle_dev(fam: StateFamily) -> float:
     one point off it."""
     bases = [0j] if fam.squeezed else [0j, 0.2 + 0.1j]
     doubling = [doubling_dev(fam, b) for b in bases if fam.family != "su2"]
-    return max([tangent_dev(fam, bases)] + doubling)
+    return worst([tangent_dev(fam, bases)] + doubling)
 
 
 def saturation(q, p, psi, v: float = 0.0):
@@ -294,7 +291,7 @@ def saturation(q, p, psi, v: float = 0.0):
     both zero on coherent and squeezed states: each computed once."""
     rep = rs_report(q, p, psi)
     matched = min_uncertainty_residual(q, p, float(np.exp(v)), psi)
-    return rep, matched, max(abs(rep.slack_rs), matched)
+    return rep, matched, worst((abs(rep.slack_rs), matched))
 
 
 def orbit_points(t_vals, s_vals) -> list:
@@ -303,14 +300,14 @@ def orbit_points(t_vals, s_vals) -> list:
 
 
 def orbit_max(fn, t_vals, s_vals) -> float:
-    """Largest fn(P) over the grid points."""
-    return max(fn(P) for P in orbit_points(t_vals, s_vals))
+    """Worst fn(P) over the grid points: the largest, or NaN if any is NaN."""
+    return worst(fn(P) for P in orbit_points(t_vals, s_vals))
 
 
 def coadjoint_dev() -> float:
     """Deviation of the worked example Ad*_(2, 1) (1, 4) = (3, 1)."""
     img = sut.coadjoint_action(sut.SutElement(2.0, 1.0), sut.SutDual(1.0, 4.0))
-    return max(abs(img.u - 3.0), abs(img.v - 1.0))
+    return worst((abs(img.u - 3.0), abs(img.v - 1.0)))
 
 
 _J1 = sut.Field2D(lambda s, t: t, lambda s, t: 0.0, lambda s, t: 1.0)
@@ -330,8 +327,8 @@ def chart_point(orbit: sut.Orbit, P) -> tuple[float, float]:
     round-off."""
     g = sut.phi_map(orbit, P)
     back = sut.phi_inv(orbit, g)
-    return (max(abs(back.s - P.s) / max(1.0, abs(P.s), abs(orbit.u0)),
-                abs(back.t - P.t) / max(1.0, abs(P.t))),
+    return (worst((abs(back.s - P.s) / max(1.0, abs(P.s), abs(orbit.u0)),
+                   abs(back.t - P.t) / max(1.0, abs(P.t)))),
             sut.chi_pullback_coefficient(orbit, g))
 
 
@@ -344,25 +341,24 @@ def chart_dev(t_vals, s_vals) -> float:
 def flow_check(P, hbar: float = 1.0):
     """Flow/generator residuals (first flow, second flow as stated, second
     flow by its generator) on psi = 1 at P, and the worst gated residual
-    max(r1, r2g, |r2 - |s||): the stated second flow misses its generator by
-    |s| (a factor-2 gap on the multiplication term) and the other two
+    of r1, r2g and |r2 - |s||: the stated second flow misses its generator
+    by |s| (a factor-2 gap on the multiplication term) and the other two
     vanish."""
     one = pq.standard_fields()["1"]
     r1 = pq.flow_generator_residual(1, one, P, hbar)
     r2 = pq.flow_generator_residual(2, one, P, hbar)
     r2g = pq.flow_generator_residual(2, one, P, hbar, variant="generator")
-    return max(r1, r2g, abs(r2 - abs(P.s))), (r1, r2, r2g)
+    return worst((r1, r2g, abs(r2 - abs(P.s)))), (r1, r2, r2g)
 
 
 def dirac_refined(t_vals, s_vals, hbar: float = 1.0):
     """Bracket-correspondence residuals on the grid and on the grid with
     twice the points per axis, and the largest change between them."""
     rep = pq.dirac_residual(t_vals, s_vals, hbar)
-    fine = pq.dirac_residual(np.linspace(t_vals[0], t_vals[-1], 2 * len(t_vals)),
-                             np.linspace(s_vals[0], s_vals[-1], 2 * len(s_vals)),
-                             hbar)
-    return rep, fine, max(abs(r - fine.residuals[key])
-                          for key, r in rep.residuals.items())
+    fine = pq.dirac_residual(*(np.linspace(x[0], x[-1], 2 * len(x))
+                               for x in (t_vals, s_vals)), hbar)
+    return rep, fine, worst(abs(r - fine.residuals[key])
+                            for key, r in rep.residuals.items())
 
 
 def gram_dev(space: bz.BerezinSpace) -> float:
@@ -392,7 +388,7 @@ def star_report(h_seq, point: complex, cutoff: int):
         point, h_seq, cutoff=cutoff)
     devs = [(r.dev_product, r.dev_bracket) for r in rep.rows]
     drops = tuple((a[k] - b[k], 0.0) for a, b in zip(devs, devs[1:]) for k in (0, 1))
-    return rep, Check(max(max(d) for d in devs), above=drops + (
+    return rep, Check(worst(x for d in devs for x in d), above=drops + (
         (rep.order_product, STAR_PRODUCT_ORDER_FLOOR),
         (rep.order_bracket, STAR_ORDER_FLOOR)))
 
@@ -408,8 +404,8 @@ def _oscillator_64():
 
 def _saturation() -> float:
     q, p, sq = _oscillator_64()
-    return max(saturation(q, p, wh_coherent(1.0, 64))[2],
-               saturation(q, p, sq, 0.5)[2])
+    return worst((saturation(q, p, wh_coherent(1.0, 64))[2],
+                  saturation(q, p, sq, 0.5)[2]))
 
 
 def _mismatch_gap() -> Check:
@@ -427,7 +423,7 @@ def _flow_defect() -> Check:
 
 def _reproducing() -> float:
     space = bz.BerezinSpace(h=0.25, cutoff=12)
-    return max(reproducing_dev(space, p) for p in (1j, 2j, 1 + 1j))
+    return worst(reproducing_dev(space, p) for p in (1j, 2j, 1 + 1j))
 
 
 WH_SQUEEZES = (1.0, -1.0, 0.5, -0.5)
@@ -439,25 +435,25 @@ CHECKS = (
     ("wh-coherent-kahler",
      lambda: under(pullback_dev(StateFamily("wh"), square_grid(2.0, 5)), FORM_TOL)),
     ("wh-squeezed-form",
-     lambda: under(max(pullback_dev(StateFamily("wh", v=v), [0j])
-                       for v in WH_SQUEEZES), FORM_TOL)),
+     lambda: under(worst(pullback_dev(StateFamily("wh", v=v), [0j])
+                         for v in WH_SQUEEZES), FORM_TOL)),
     ("wh-squeezed-symplectic-invariance",
-     lambda: under(max(kahler_verdict(StateFamily("wh", v=v)).symplectic_dev
-                       for v in WH_SQUEEZES), FORM_TOL)),
+     lambda: under(worst(kahler_verdict(StateFamily("wh", v=v)).symplectic_dev
+                         for v in WH_SQUEEZES), FORM_TOL)),
     ("su2-form",
-     lambda: under(max(pullback_dev(StateFamily("su2", v=v, param=j), [0j])
-                       for (j, v) in SU2_CASES), FORM_TOL)),
+     lambda: under(worst(pullback_dev(StateFamily("su2", v=v, param=j), [0j])
+                         for (j, v) in SU2_CASES), FORM_TOL)),
     # is_kahler implies is_symplectic, since |Im z| <= |z| entrywise
     ("su2-coherent-kahler-verdict",
      lambda: under(kahler_verdict(StateFamily("su2", param=1.0)).max_dev, FORM_TOL)),
     ("su11-kahler-relative",
-     lambda: under(max(pullback_dev(StateFamily("su11", param=k),
-                                    square_grid(0.8, 4), relative=True)
-                       for k in DISC_KS), DISC_REL_TOL)),
+     lambda: under(worst(pullback_dev(StateFamily("su11", param=k),
+                                      square_grid(0.8, 4), relative=True)
+                         for k in DISC_KS), DISC_REL_TOL)),
     ("uncertainty-saturation", lambda: under(_saturation(), SATURATION_TOL)),
     ("uncertainty-mismatch-gap", _mismatch_gap),
     ("sut-coadjoint-and-brackets",
-     lambda: under(max(coadjoint_dev(), orbit_max(bracket_dev, *orbit_grid(8))),
+     lambda: under(worst((coadjoint_dev(), orbit_max(bracket_dev, *orbit_grid(8)))),
                    ORBIT_TOL)),
     ("sut-chart-pullback", lambda: under(chart_dev(*orbit_grid(4)), CHART_TOL)),
     ("prequant-potential",
@@ -466,8 +462,8 @@ CHECKS = (
      lambda: under(pq.dirac_residual(*orbit_grid(8)).defect_dev, PREQUANT_TOL)),
     ("prequant-flow2-defect-detected", _flow_defect),
     ("berezin-gram",
-     lambda: under(max(gram_dev(bz.BerezinSpace(h=h, cutoff=8))
-                       for h in (0.45, 0.25)), GRAM_TOL)),
+     lambda: under(worst(gram_dev(bz.BerezinSpace(h=h, cutoff=8))
+                         for h in (0.45, 0.25)), GRAM_TOL)),
     ("berezin-reproducing", lambda: under(_reproducing(), KERNEL_TOL)),
     # dev is the worst deviation, which a passing run has at the largest h
     ("berezin-star-monotone", lambda: star_report((0.2, 0.1, 0.05), 1.5j, 12)[1]),
@@ -482,8 +478,7 @@ def cmd_report_all(args) -> int:
         rows.append({"check": name, "pass": check.passed, "dev": check.dev})
         below, above = below + check.below, above + check.above
     # the summary meets every row's bounds
-    return write_report(args, rows, Check(max(row["dev"] for row in rows),
-                                          below, above))
+    return write_report(args, rows, Check(worst(r["dev"] for r in rows), below, above))
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +523,10 @@ def cmd_pullback(args) -> int:
                 "ref_g11": reference_matrix(fam, base)[0, 0].real,
                 "dev": pullback_dev(fam, [base]),
             })
-    max_dev = max(row["dev"] for row in rows)
+    max_dev = worst(row["dev"] for row in rows)
     below, extra = ((max_dev, args.tol),), {}
     if args.oracle:
-        extra["oracle_dev"] = max(oracle_dev(fam) for fam in fams)
+        extra["oracle_dev"] = worst(oracle_dev(fam) for fam in fams)
         below += ((extra["oracle_dev"], ORACLE_TOL),)
     return write_report(args, rows, Check(max_dev, below), **extra)
 
@@ -564,7 +559,7 @@ def cmd_uncertainty(args) -> int:
                          "half_abs_lz": half_lz,
                          "dev": abs(m.delta_a * m.delta_b - half_lz),
                          "c_plus": m.c_plus})
-    return write_report(args, rows, under(max(row["dev"] for row in rows), args.tol))
+    return write_report(args, rows, under(worst(row["dev"] for row in rows), args.tol))
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +577,8 @@ def cmd_sut_kks(args) -> int:
              "ham_dev": sut.hamiltonian_dev(P, sut.moment_and_fields(P))}
             for P in orbit_points(*_sut_grid(args))]
     example_dev = coadjoint_dev()
-    worst = max([example_dev] + [max(r["pb_dev"], r["ham_dev"]) for r in rows])
-    return write_report(args, rows, under(worst, args.tol),
+    dev = worst([example_dev] + [r[k] for r in rows for k in r if k.endswith("_dev")])
+    return write_report(args, rows, under(dev, args.tol),
                         coadjoint_example_dev=example_dev)
 
 
@@ -591,31 +586,29 @@ def cmd_sut_charts(args) -> int:
     t_vals, s_vals = _sut_grid(args)
     orbit = sut.Orbit(args.u0, args.v0)
     rows = []
-    for P in orbit_points(t_vals[t_vals * args.v0 > 0], s_vals):
+    for P in orbit_points(t_vals[np.sign(t_vals) == np.sign(args.v0)], s_vals):
         rt, coeff = chart_point(orbit, P)
         rows.append({"s": P.s, "t": P.t, "roundtrip_dev": rt, "pullback_coeff": coeff,
                      "pullback_dev": abs(coeff - math.copysign(2.0, args.v0))})
     if not rows:
         raise DomainError(f"no grid point lies on the orbit through v0 = {args.v0}")
-    worst_rt = max(r["roundtrip_dev"] for r in rows)
-    worst_pb = max(r["pullback_dev"] for r in rows)
-    return write_report(args, rows, Check(max(worst_rt, worst_pb), (
-        (worst_rt, ORBIT_TOL), (worst_pb, args.tol))))
+    rt, pb = (worst(r[k] for r in rows) for k in ("roundtrip_dev", "pullback_dev"))
+    return write_report(args, rows, Check(worst((rt, pb)),
+                                          ((rt, ORBIT_TOL), (pb, args.tol))))
 
 
 def cmd_sut_flow(args) -> int:
     t_vals, s_vals = _sut_grid(args)
-    rows = []
-    worst = 0.0
+    rows, devs = [], []
     for P in orbit_points(t_vals[t_vals > 0], s_vals):
         dev, (r1, r2, r2g) = flow_check(P, args.hbar)
         rows.append({"s": P.s, "t": P.t, "resid_flow1": r1,
                      "resid_flow2_stated": r2, "expected_defect": abs(P.s),
                      "resid_flow2_generator": r2g})
-        worst = max(worst, dev)
+        devs.append(dev)
     if not rows:
         raise DomainError("no grid point has t > 0")
-    return write_report(args, rows, under(worst, args.tol))
+    return write_report(args, rows, under(worst(devs), args.tol))
 
 
 def cmd_sut_dirac(args) -> int:
@@ -625,12 +618,11 @@ def cmd_sut_dirac(args) -> int:
              "residual_refined": fine.residuals[(ef, ed)]}
             for (ef, ed), r in sorted(rep.residuals.items())]
     pot_log = pq.potential_residual(t_vals)
-    worst = max(rep.defect_dev, stability, pot_log)
     return write_report(
-        args, rows, under(worst, args.tol), best_eps_field=rep.best_pair[0],
-        best_eps_dirac=rep.best_pair[1], best_residual=rep.best_residual,
-        defect_dev=rep.defect_dev, grid_stability=stability,
-        potential_residual_log=pot_log)
+        args, rows, under(worst((rep.defect_dev, stability, pot_log)), args.tol),
+        best_eps_field=rep.best_pair[0], best_eps_dirac=rep.best_pair[1],
+        best_residual=rep.best_residual, defect_dev=rep.defect_dev,
+        grid_stability=stability, potential_residual_log=pot_log)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +632,7 @@ def cmd_berezin_gram(args) -> int:
     rows = [{"h": h, "cutoff": args.cutoff,
              "gram_dev": gram_dev(bz.BerezinSpace(h=h, cutoff=args.cutoff))}
             for h in _floats(args.h)]
-    return write_report(args, rows, under(max(r["gram_dev"] for r in rows), args.tol))
+    return write_report(args, rows, under(worst(r["gram_dev"] for r in rows), args.tol))
 
 
 def cmd_berezin_kernel(args) -> int:
@@ -652,16 +644,15 @@ def cmd_berezin_kernel(args) -> int:
                          "reproducing_dev": reproducing_dev(space, p),
                          "kernel_p_i_dev": abs(bz.kernel(p, 1j, space) - 1.0),
                          "tail_bound": bz.kernel_tail_bound(p, p, space)})
-    worst = max(max(r["reproducing_dev"], r["kernel_p_i_dev"]) for r in rows)
-    return write_report(args, rows, under(worst, args.tol))
+    dev = worst(r[k] for r in rows for k in r if k.endswith("_dev"))
+    return write_report(args, rows, under(dev, args.tol))
 
 
 def cmd_berezin_symbol(args) -> int:
     spaces = [bz.BerezinSpace(h=h, cutoff=args.cutoff) for h in _floats(args.h)]
     eye = np.eye(args.cutoff, dtype=complex)
     diag = np.diag(np.arange(args.cutoff, dtype=complex) + 1.0)
-    proj0 = np.zeros((args.cutoff, args.cutoff), dtype=complex)
-    proj0[0, 0] = 1.0
+    proj0 = np.outer(eye[0], eye[0])
     rows = []
     for space in spaces:
         # cutoff-model identities, exact at any basis size; two are taken at
@@ -674,9 +665,8 @@ def cmd_berezin_symbol(args) -> int:
                          "identity_norm_dev": dev_norm,
                          "diag_at_center_dev": d0,
                          "projector_at_center_dev": pr})
-    worst = max(max(r["identity_norm_dev"], r["diag_at_center_dev"],
-                    r["projector_at_center_dev"]) for r in rows)
-    return write_report(args, rows, under(worst, args.tol))
+    dev = worst(r[k] for r in rows for k in r if k.endswith("_dev"))
+    return write_report(args, rows, under(dev, args.tol))
 
 
 def cmd_berezin_star(args) -> int:

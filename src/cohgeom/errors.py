@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the hbar and level-count
-domain checks."""
+"""Exception types shared across the package, the hbar and level-count
+domain checks, and ``worst``, the one fold of deviations: every check that
+combines deviations takes the worst of them through it, so a NaN deviation
+stays NaN and fails its bound."""
 
 import math
 
@@ -74,3 +76,13 @@ def check_levels(N) -> int:
     if not (math.isfinite(N) and N == math.floor(N)):
         raise DomainError(f"N must be a whole number of levels, got {N}")
     return int(N)
+
+
+def worst(values) -> float:
+    """The largest of ``values``, or NaN if any of them is NaN.
+
+    Python's ``max`` keeps a NaN only when it comes first.  An empty
+    ``values`` raises ValueError, as ``max`` does.
+    """
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)

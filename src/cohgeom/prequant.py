@@ -51,7 +51,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, check_hbar
+from .errors import DomainError, check_hbar, worst
 from .sut import OrbitPoint
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -277,7 +277,7 @@ class DiracReport:
 def dirac_residual(t_values, s_values, hbar: float = 1.0) -> DiracReport:
     """Brute-force the four sign conventions of the bracket correspondence.
 
-    For each convention pair the residual is the max over the grid and the
+    For each convention pair the residual is the worst over the grid and the
     ``standard_fields`` of |([Q1, Q2] - eps_dirac i hbar Q_h) psi| with
     h = {J1, J2} = -2 eps_field t, so Q_h = -2 eps_field Q1 by linearity.
     Each field's jets are evaluated over the whole (t, s) mesh at once.  A
@@ -292,26 +292,25 @@ def dirac_residual(t_values, s_values, hbar: float = 1.0) -> DiracReport:
         raise DomainError("prequantization chart requires t > 0 at finite points")
     t, s = np.meshgrid(t, s, indexing="ij")
     a = np.log(t)
-    residuals = {pair: 0.0 for pair in SIGN_PAIRS}
-    defect_dev = 0.0
+    per_field, defects = {pair: [] for pair in SIGN_PAIRS}, []
     for psi in standard_fields().values():
         comm = _commutator(psi, a, s, t, hbar)
         q1 = _q1(psi.value(a, s), psi.d_s(a, s), a, t, hbar)
         for (ef, ed) in SIGN_PAIRS:
             target = ed * 1j * hbar * (-2.0 * ef) * q1
-            residuals[(ef, ed)] = max(residuals[(ef, ed)],
-                                      float(np.max(np.abs(comm - target), initial=0.0)))
+            per_field[(ef, ed)].append(float(np.max(np.abs(comm - target))))
         # identified defect of the eps_f * eps_d = +1 conventions, against
         # 2 i hbar {J1, J2} psi with {J1, J2} = -2t
         defect = comm - (-2j * hbar * q1)
-        defect_dev = max(defect_dev, float(np.max(
-            np.abs(defect - 2j * hbar * (-2.0 * t) * psi.value(a, s)), initial=0.0)))
+        defects.append(float(np.max(
+            np.abs(defect - 2j * hbar * (-2.0 * t) * psi.value(a, s)))))
+    residuals = {pair: worst(r) for pair, r in per_field.items()}
     best_pair = min(residuals, key=residuals.get)
-    return DiracReport(residuals, best_pair, residuals[best_pair], defect_dev)
+    return DiracReport(residuals, best_pair, residuals[best_pair], worst(defects))
 
 
 def potential_residual(t_values, variant: str = "log") -> float:
-    """Max |d theta - omega| coefficient over t, by central differences
+    """Worst |d theta - omega| coefficient over t, by central differences
     with step FD_STEP.
 
     theta = -log(t) ds gives d theta = (1/t) ds ^ dt = omega for all t > 0.
@@ -327,11 +326,10 @@ def potential_residual(t_values, variant: str = "log") -> float:
         raise DomainError(f"unknown potential variant {variant!r}")
     if len(t_values) == 0:
         raise DomainError("potential_residual needs at least one t")
-    worst = 0.0
-    for t in t_values:
+    def dev(t):
         if not (math.isfinite(t) and t > 0):
             raise DomainError(f"potential defined for finite t > 0, got {t}")
         # d theta = -(d theta_s / dt) ds ^ dt; omega coefficient is 1/t
         coeff = -(theta_s(t + FD_STEP) - theta_s(t - FD_STEP)) / (2.0 * FD_STEP)
-        worst = max(worst, abs(coeff - 1.0 / t))
-    return worst
+        return abs(coeff - 1.0 / t)
+    return worst(dev(t) for t in t_values)

@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, StepError, UnsupportedBasePoint
+from .errors import DomainError, StepError, UnsupportedBasePoint, worst
 from .statespace import PullbackReport, StateVector
 from .states import (
     _displace,
@@ -357,9 +357,11 @@ def kahler_verdict(fam: StateFamily, bases=None,
     ``symplectic_dev`` is the worst imaginary-part deviation, which
     ``is_symplectic`` gates; ``max_dev`` is the worst full-value deviation,
     which ``is_kahler`` gates: metric and symplectic parts are then mutually
-    compatible.  Squeezed families are judged at the origin, their default
-    and only base point (UnsupportedBasePoint for any other).  An empty
-    ``bases`` is a DomainError: a verdict needs at least one sample.
+    compatible.  Both are taken by ``errors.worst``, so a NaN form at any
+    sample fails both gates.  Squeezed families are judged at the origin,
+    their default and only base point (UnsupportedBasePoint for any other).
+    An empty ``bases`` is a DomainError: a verdict needs at least one
+    sample.
     """
     if bases is None:
         bases = [0j] if fam.squeezed else [0j, 0.3 + 0.1j, -0.2 + 0.4j]
@@ -369,12 +371,10 @@ def kahler_verdict(fam: StateFamily, bases=None,
         raise UnsupportedBasePoint("squeezed families are judged at 0 only")
     fam0 = replace(fam, v=0.0)
     n_v, n_0 = squeeze_prefactor(fam), squeeze_prefactor(fam0)
-    dev_full = dev_sympl = 0.0
-    for base in bases:
-        G = pullback_matrix(fam, base) / n_v
-        R = reference_matrix(fam0, base) / n_0
-        dev_full = max(dev_full, form_dev(G, R))
-        dev_sympl = max(dev_sympl, form_dev(G.imag, R.imag))
+    forms = [(pullback_matrix(fam, base) / n_v, reference_matrix(fam0, base) / n_0)
+             for base in bases]
+    dev_full = worst(form_dev(G, R) for G, R in forms)
+    dev_sympl = worst(form_dev(G.imag, R.imag) for G, R in forms)
     return KahlerVerdict(is_kahler=dev_full < tol,
                          is_symplectic=dev_sympl < tol,
                          max_dev=dev_full, symplectic_dev=dev_sympl)

@@ -183,7 +183,7 @@ def spin_matrices(j: float) -> SpinTriple:
     Raises InvalidSpin unless 2j is a positive integer.
     """
     twoj = 2.0 * j
-    if not 0 < j < math.inf or abs(twoj - round(twoj)) > 1e-12:
+    if not 0 < twoj < math.inf or abs(twoj - round(twoj)) > 1e-12:
         raise InvalidSpin(f"j must be a positive half-integer, got {j}")
     d = int(round(twoj)) + 1
     m = j - np.arange(d)  # m = j .. -j
@@ -235,15 +235,20 @@ def _fock_amplitudes(alpha: complex, v: float, n: int) -> np.ndarray:
 
     c_0 is exp(Re) e^{i Im} of its exponent, and both multiply c_0 by the
     same gains in the same order, so they give the coherent amplitudes the
-    same values.  The guard |v| <= 2 is a DomainError.
+    same values.  The guard |v| <= 2 is a DomainError, and so is an alpha
+    whose |alpha|^2 overflows, where c_0 underflows at any such v.
     """
     if not abs(v) <= 2.0:
         raise DomainError(f"|v| = {abs(v):.2f} exceeds the guard |v| <= 2")
+    try:
+        r2 = abs(alpha) ** 2
+    except OverflowError:
+        raise DomainError(f"|alpha|^2 overflows at alpha = {alpha}") from None
     ch, th = np.cosh(v), np.tanh(v)
     root = np.sqrt(np.arange(n))
     gain = (alpha * ch + np.conj(alpha) * np.sinh(v)) / ch / root[1:]
     a2 = np.conj(alpha) ** 2
-    cur = complex(np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * th * a2.real)
+    cur = complex(np.exp(-0.5 * r2 - 0.5 * th * a2.real)
                   * np.exp(-0.5j * th * a2.imag) / np.sqrt(ch))
     if v == 0:
         return np.cumprod(np.append(cur, gain))
@@ -271,8 +276,9 @@ def wh_squeezed(alpha: complex, v: float, N: int, tol: float = STATE_TOL) -> Sta
     The amplitudes come from the recurrence of the module notes and are
     exact up to round-off, so the norm deficit is the dropped tail mass:
     TruncationError if it exceeds ``tol``.  The guard |v| <= 2, a
-    non-finite alpha and an N that is not a whole number are DomainErrors.
-    For v = 0 this is the coherent state.
+    non-finite alpha, an alpha whose |alpha|^2 overflows and an N that is
+    not a whole number are DomainErrors.  For v = 0 this is the coherent
+    state.
     """
     N = check_levels(N)
     if N < 1:

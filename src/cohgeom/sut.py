@@ -128,7 +128,8 @@ class Orbit:
             raise DegenerateOrbit("v0 = 0 gives a point orbit")
 
     def contains(self, P: OrbitPoint) -> bool:
-        return P.t * self.v0 > 0
+        # signs, not the product, which underflows to 0 for tiny t and v0
+        return (P.t > 0) == (self.v0 > 0)
 
     def point(self, s: float, t: float) -> OrbitPoint:
         P = OrbitPoint(s, t)
@@ -264,12 +265,16 @@ def poisson(f: Field2D, g: Field2D, P: OrbitPoint) -> float:
 # chart maps between the orbit, the positive subgroup and the half plane
 
 def phi_map(orbit: Orbit, P: OrbitPoint) -> SutElement:
-    """Orbit -> positive subgroup: (s, t) -> (a, b) as in the module docstring."""
-    if P.t * orbit.v0 <= 0:
+    """Orbit -> positive subgroup: (s, t) -> (a, b) as in the module docstring.
+
+    DomainError off the orbit, and where sqrt(v0/t) or sqrt(v0 t) is not a
+    finite positive double."""
+    if not orbit.contains(P):
         raise DomainError("point does not lie on this orbit")
-    a = np.sqrt(orbit.v0 / P.t)
-    b = (orbit.u0 - P.s) / np.sqrt(orbit.v0 * P.t)
-    return SutElement(float(a), float(b))
+    a, root = math.sqrt(orbit.v0 / P.t), math.sqrt(orbit.v0 * P.t)
+    if not (0 < a < math.inf and 0 < root < math.inf):
+        raise DomainError(f"phi has no finite a, b at t = {P.t} on v0 = {orbit.v0}")
+    return SutElement(a, (orbit.u0 - P.s) / root)
 
 
 def phi_inv(orbit: Orbit, g: SutElement) -> OrbitPoint:
@@ -286,7 +291,7 @@ def phi_inv(orbit: Orbit, g: SutElement) -> OrbitPoint:
 
 def psi_map(orbit: Orbit, P: OrbitPoint) -> tuple[float, float]:
     """Orbit -> upper half plane: (lam, mu) = ((u0 - s)/v0, t/v0)."""
-    if P.t * orbit.v0 <= 0:
+    if not orbit.contains(P):
         raise DomainError("point does not lie on this orbit")
     return (orbit.u0 - P.s) / orbit.v0, P.t / orbit.v0
 

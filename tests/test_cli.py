@@ -8,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cohgeom
 from cohgeom import cli
 from cohgeom.cli import main
+from cohgeom.errors import worst
 from cohgeom.states import kernel_vector
 
 
@@ -325,6 +328,41 @@ def test_check_bounds_decide_pass():
     assert cli.under(0.5, 1.0) == Check(0.5, ((0.5, 1.0),))
 
 
+def test_worst_propagates_nan_wherever_it_sits():
+    nan = float("nan")
+    for values in ([nan, 1.0, 2.0], [1.0, nan, 2.0], [1.0, 2.0, nan], [nan]):
+        assert np.isnan(worst(values))
+        assert np.isnan(worst(iter(values)))
+        assert np.isnan(worst(np.array(values)))
+    # Python's max keeps a NaN only when it comes first
+    assert max([1.0, nan]) == 1.0
+    with pytest.raises(ValueError):
+        worst([])
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=1))
+def test_worst_equals_max_without_nan(values):
+    assert worst(values) == max(values)
+    assert worst(np.array(values)) == max(values)
+
+
+def test_sut_flow_nan_residual_fails(capsys):
+    # hbar = 1e308 makes the second flows overflow: their residuals read NaN,
+    # which fails the gate instead of being dropped by the fold
+    assert main(["sut", "flow", "--hbar", "1e308"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "# summary: max_dev=nan pass=false"
+
+
+# the overflow of the commutator's arrays at this hbar still warns
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sut_dirac_nan_residual_fails(capsys):
+    assert main(["sut", "dirac", "--hbar", "1e308", "--format", "json"]) == 1
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["pass"] is False
+    for key in ("max_dev", "defect_dev", "grid_stability"):
+        assert np.isnan(summary[key])
+
+
 def test_pullback_oracle_covers_every_squeeze(tmp_path):
     # the oracle is the worst over all squeeze values, in either order
     out = tmp_path / "o.json"
@@ -479,6 +517,19 @@ def test_pullback_nan_squeeze_raises_domain_error(capsys):
     # the basis size is checked before any matrix of that size is built
     (["berezin", "symbol", "--cutoff", "0"],
      "cohgeom: DomainError: cutoff must be at least 1"),
+    # inputs whose arithmetic overflows are rejected before it runs: 2j
+    # overflows, |alpha|^2 overflows, and sqrt(v0/t) of the chart phi
+    (["uncertainty", "--family", "su2", "--j", "1e308"], "cohgeom: InvalidSpin: "),
+    (["pullback", "--base-max", "1e308"],
+     "cohgeom: DomainError: |alpha|^2 overflows at alpha = "),
+    (["pullback", "--base-max=-1e308"],
+     "cohgeom: DomainError: |alpha|^2 overflows at alpha = "),
+    (["pullback", "--base-max", "1e200"],
+     "cohgeom: DomainError: |alpha|^2 overflows at alpha = "),
+    (["uncertainty", "--alphas", "1e308j"],
+     "cohgeom: DomainError: |alpha|^2 overflows at alpha = 1e+308j"),
+    (["sut", "charts", "--v0", "1e308"],
+     "cohgeom: DomainError: phi has no finite a, b at t = 0.5 on v0 = 1e+308"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_error_exit_two_one_line(argv, message, capsys):

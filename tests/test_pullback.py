@@ -359,6 +359,21 @@ def test_verdict_without_base_points_rejected():
                 kahler_verdict(fam, bases=bases)
 
 
+def test_verdict_with_a_nan_form_is_neither(monkeypatch):
+    # a NaN form at the second base point fails both gates, whatever the
+    # other points read
+    real = pullback_module.pullback_matrix
+
+    def nan_at_second(fam, base):
+        G = real(fam, base)
+        return G * np.nan if base == 0.3 + 0.1j else G
+
+    monkeypatch.setattr(pullback_module, "pullback_matrix", nan_at_second)
+    verdict = kahler_verdict(WH, bases=[0j, 0.3 + 0.1j, -0.2 + 0.4j])
+    assert not verdict.is_kahler and not verdict.is_symplectic
+    assert np.isnan(verdict.max_dev) and np.isnan(verdict.symplectic_dev)
+
+
 def test_verdict_su11():
     verdict = kahler_verdict(SU11_K1, bases=[0j, 0.3, 0.2 + 0.4j])
     assert verdict.is_kahler and verdict.is_symplectic

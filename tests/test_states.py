@@ -79,6 +79,10 @@ def test_spin_invalid():
         spin_matrices(0.7)
     with pytest.raises(InvalidSpin):
         spin_matrices(-1)
+    # 2j overflows to inf, which round() cannot take: still InvalidSpin
+    for j in (1e308, -1e308, float("nan")):
+        with pytest.raises(InvalidSpin):
+            spin_matrices(j)
 
 
 @pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0])
@@ -942,6 +946,20 @@ def test_wh_squeezed_round_off_beyond_budget_named():
     with pytest.raises(TruncationError, match="exceeds budget") as exc:
         wh_squeezed(145, -2.0, N)
     assert "round-off" in str(exc.value) and "need N" not in str(exc.value)
+
+
+@pytest.mark.parametrize("alpha", [1e200, 1e308j, -1e155, complex(1e308, 1e308)])
+@pytest.mark.parametrize("v", [0.0, 0.5, -2.0])
+@pytest.mark.filterwarnings("error")
+def test_fock_amplitudes_reject_an_alpha_whose_square_overflows(alpha, v):
+    # |alpha|^2 (or |alpha| itself) overflows: a DomainError naming alpha,
+    # with no OverflowError and no RuntimeWarning, from every caller
+    family = "squeezed_fock" if v else "fock"
+    for call in (lambda: wh_squeezed(alpha, v, 8),
+                 lambda: truncation_dim(alpha, family, v)):
+        with pytest.raises(DomainError, match="overflows at alpha") as exc:
+            call()
+        assert repr(complex(alpha)) in str(exc.value)
 
 
 def test_truncation_dim_fock_past_the_underflow_of_its_first_term():

@@ -345,6 +345,23 @@ def test_chart_sign_guard():
             chi_map(orbit, SutElement(g1, 0.5))
 
 
+@pytest.mark.parametrize("v0, t", [
+    (1e308, 0.5),      # sqrt(v0/t) overflows
+    (-1e308, -0.5),
+    (1e-300, 1e300),   # v0/t underflows to 0
+    (1e300, 1e300),    # sqrt(v0 t) overflows, so b would read 0
+    (5e-324, 5e-324),  # v0 t underflows to 0
+])
+@pytest.mark.filterwarnings("error")
+def test_phi_map_rejects_a_chart_with_no_finite_positive_double(v0, t):
+    # P lies on the orbit, even where v0 t underflows, but phi has no chart
+    # point there in doubles: a DomainError, not a t = 0 from phi_inv
+    orbit, P = Orbit(0.0, v0), OrbitPoint(0.0, t)
+    assert orbit.contains(P)
+    with pytest.raises(DomainError, match="phi has no finite a, b"):
+        phi_map(orbit, P)
+
+
 def test_chi_pullback_is_twice_area_form(rng):
     # 2 sign(v0) da ^ db, since chi's lam carries the orbit's sign
     for v0 in (1.0, 2.0, -2.0):
