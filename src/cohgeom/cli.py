@@ -45,8 +45,8 @@ from .pullback import (
     form_dev,
     kahler_verdict,
     numeric_tangent,
+    pullback_matrices,
     pullback_matrix,
-    reference_matrix,
     squeeze_prefactor,
 )
 from .statespace import project_orthogonal
@@ -217,9 +217,10 @@ def _parse_range(spec: str) -> tuple[str, np.ndarray]:
         n = int(count)
     except (ValueError, argparse.ArgumentTypeError):
         name, n = "", 0
-    if name not in ("t", "s") or n < 1:
-        raise argparse.ArgumentTypeError(
-            f"bad range spec {spec!r}: expected t:lo..hi:count or s:lo..hi:count")
+    # a span hi - lo that overflows would overflow np.linspace's step too
+    if name not in ("t", "s") or n < 1 or not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError(f"bad range spec {spec!r}: expected t:lo..hi:count "
+                                         f"or s:lo..hi:count with a finite hi - lo")
     return name, np.linspace(lo, hi, n)
 
 
@@ -250,11 +251,13 @@ def orbit_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pullback_dev(fam: StateFamily, bases, relative: bool = False) -> float:
     """Worst deviation (``form_dev``) of the pulled-back form from its closed
-    form; ``relative`` takes the (1, i) entry relative to its reference
-    instead."""
-    forms = ((pullback_matrix(fam, b), reference_matrix(fam, b)) for b in bases)
-    return worst(abs(G[0, 1] - R[0, 1]) / abs(R[0, 1]) if relative else form_dev(G, R)
-                 for G, R in forms)
+    form over the grid ``bases``, taken by ``pullback_matrices`` at once;
+    ``relative`` takes the (1, i) entry relative to its reference instead.
+    Every base point must carry a closed form (a squeezed family's origin
+    alone)."""
+    G, R = pullback_matrices(fam, bases)
+    return worst(np.abs(G[:, 0, 1] - R[:, 0, 1]) / np.abs(R[:, 0, 1]) if relative
+                 else form_dev(G, R))
 
 
 def tangent_dev(fam: StateFamily, bases) -> float:
@@ -514,15 +517,12 @@ def cmd_pullback(args) -> int:
     for fam in fams:
         # closed forms of squeezed families are claimed at the origin only
         bases = [0j] if fam.squeezed else square_grid(args.base_max, n_re, n_im)
-        for base in bases:
-            G = pullback_matrix(fam, base) + 0.0  # no signed zeros in the report
-            rows.append({
-                "re_alpha": base.real, "im_alpha": base.imag, "squeeze": fam.v,
-                "g11": G[0, 0].real, "g12": G[0, 1].real,
-                "g22": G[1, 1].real, "omega12": G[0, 1].imag,
-                "ref_g11": reference_matrix(fam, base)[0, 0].real,
-                "dev": pullback_dev(fam, [base]),
-            })
+        forms, refs = pullback_matrices(fam, bases)
+        # forms + 0.0: no signed zeros in the report
+        for base, G, R, dev in zip(bases, forms + 0.0, refs, form_dev(forms, refs)):
+            rows.append({"re_alpha": base.real, "im_alpha": base.imag, "squeeze": fam.v,
+                         "g11": G[0, 0].real, "g12": G[0, 1].real, "g22": G[1, 1].real,
+                         "omega12": G[0, 1].imag, "ref_g11": R[0, 0].real, "dev": dev})
     max_dev = worst(row["dev"] for row in rows)
     below, extra = ((max_dev, args.tol),), {}
     if args.oracle:

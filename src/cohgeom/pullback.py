@@ -8,16 +8,22 @@ the ray, the Hermitian form
 
 has the induced metric as its real part and the induced symplectic form as
 its imaginary part.  Tangents are R-linear in u, so H is fixed at each base
-point by the 2x2 matrix H(e_a, e_b) over the directions e = (1, i);
-``pullback_matrix`` computes it once per (family, base) and caches it with
-the closed form's ``reference_matrix`` beside it, and ``pullback_form`` and
-``kahler_verdict`` read them.  Every oscillator family, coherent or
-squeezed, takes its state D(base)|0;v> from the one amplitude run of
-``states`` and its tangents from those amplitudes shifted by one level and
-the state itself, with no matrix exponential; the disc family
-differentiates its amplitude series.  Only the spin family displaces its
-kernel state through the cached spectrum of the generator (the
-Daleckii-Krein Frechet derivative, see ``states``).  Tangents stay
+point by the 2x2 matrix H(e_a, e_b) over the directions e = (1, i).
+``pullback_matrices`` computes it for a whole grid of base points as one
+read-only (B, 2, 2) array, with the closed form's ``reference_matrix`` at
+the same points beside it: the grid's states are the rows of one amplitude
+array, each zero past its own levels, and the tangents, projections and
+Gram matrices are one array operation each (``_frames``).
+``pullback_matrix`` is the one-point call of the same kernel, cached per
+(family, base), and ``pullback_form`` reads that cache; ``kahler_verdict``
+and the command-line checks pass whole grids.  Every oscillator family,
+coherent or squeezed, takes its state D(base)|0;v> from the amplitude runs
+of ``states`` (one cumulative product per grid for the coherent state) and
+its tangents from those amplitudes shifted by one level and the state
+itself, with no matrix exponential; the disc family differentiates its
+amplitude series.  Only the spin family displaces its kernel state through
+the cached spectrum of the generator (the Daleckii-Krein Frechet
+derivative, see ``states``), one base point at a time.  Tangents stay
 amplitude arrays: they are projected orthogonally to the state on their
 arrays, and only ``analytic_tangent`` wraps one in a ``StateVector``.
 
@@ -52,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, StepError, UnsupportedBasePoint, worst
-from .statespace import PullbackReport, StateVector
+from .statespace import PullbackReport, StateVector, disc_tag, fock_tag
 from .states import (
     _displace,
     _sized_amplitudes,
@@ -111,30 +117,8 @@ class StateFamily:
 
     def dim(self, base: complex) -> int:
         """Number of basis levels of the state at ``base``: 2j + 1 for spin,
-        ``trunc`` if set, and otherwise that of ``_state``."""
-        if self.family == "su2":
-            return spin_matrices(self.param).dim
-        return self.trunc if self.trunc > 0 else self._state(base).dim
-
-    def _state(self, base: complex) -> StateVector:
-        """The oscillator or disc state at ``base``.
-
-        With ``trunc`` set, its constructor builds it on ``trunc`` levels.
-        Otherwise it is a prefix of the one amplitude run that ``states``'
-        sizer builds once and tests, under the constructors' tail check
-        (TruncationError), with no second amplitude pass: tangent series
-        weigh amplitudes by the level index, so the sizer's budget is three
-        decades below eps, and the state keeps two levels of headroom beyond
-        its N for the one-level shift of the derivative itself, and at least
-        8 levels.  The sized prefix reaches two levels past N and at least
-        32, so it covers them."""
-        family, param = (("discrete_series", self.param) if self.family == "su11"
-                         else ("squeezed_fock", self.v))
-        if self.trunc > 0:
-            build = wh_squeezed if self.family == "wh" else su11_coherent
-            return build(base, param, self.trunc, self.eps)
-        c, n = _sized_amplitudes(base, family, param, 1e-3 * self.eps)
-        return _tail_checked(c[:max(n + 2, 8)], self.eps, base, family, param)
+        ``trunc`` if set, and otherwise as many as the tail budget asks."""
+        return self.trunc if self.trunc > 0 else _frame(self, base, ())[0].dim
 
 
 @dataclass(frozen=True)
@@ -157,40 +141,77 @@ def family_state(fam: StateFamily, base: complex) -> StateVector:
     return _frame(fam, _base_point(base), ())[0]
 
 
-def _frame(fam: StateFamily, base: complex,
-           directions) -> tuple[StateVector, list[np.ndarray]]:
+def _frame(fam: StateFamily, base: complex, directions) -> tuple[StateVector, list]:
     """The state at ``base`` and the amplitudes of its un-projected tangents
-    along ``directions``, on the state's basis.
+    along ``directions``, on the state's basis: the one-point ``_frames``."""
+    psi, tangents = _frames(fam, np.array([base]), directions)
+    vac = su2_squeezed_vacuum(fam.v, fam.param) if fam.family == "su2" else None
+    basis = vac.basis if vac else disc_tag(fam.param) if fam.family == "su11" else fock_tag()
+    return StateVector(psi[0], basis, vac.tol if vac else fam.eps), list(tangents[0])
+
+
+def _frames(fam: StateFamily, bases: np.ndarray, directions) -> tuple[np.ndarray, ...]:
+    """The states at ``bases`` as the rows of one amplitude array, and their
+    un-projected tangents along ``directions`` as one array of shape
+    (bases, directions, levels); both are zero past each row's own levels.
+
+    An oscillator or disc state with ``trunc`` set is built by its
+    constructor on ``trunc`` levels.  Otherwise each row is a prefix of the
+    one amplitude run that ``states``' sizer builds for all rows at once
+    and tests, under the constructors' tail check (TruncationError), with
+    no second amplitude pass: tangent series weigh amplitudes by the level
+    index, so the sizer's budget is three decades below eps, and the state
+    keeps two levels of headroom beyond its N for the one-level shift of
+    the derivative itself, and at least 8 levels.  The sized prefix reaches
+    two levels past N and at least 32, so it covers them.
 
     Oscillator and disc tangents are banded: each is A_u R psi - b_u psi for
-    the raising operator R (a+, or K+ on the disc) and scalars A_u, b_u.
-    The disc family differentiates its amplitude series term by term.  The
-    oscillator tangent along u is (u a+ - conj(u) a) psi - i Im(u conj(base))
-    psi, the derivative of D(base + s u) = e^{-i s Im(u conj(base))} D(s u)
-    D(base) at s = 0; a psi = (beta psi - sinh v a+ psi) / cosh v, since psi
-    is the eigenvector of a_v with eigenvalue beta (see ``states``).  Spin
-    families differentiate D(base)|0;v> = e^X |0;v>; the state and every
-    tangent L(X, Xdot_u)|0;v> come from the cached spectrum of the generator
-    (``states._displace``).
+    the raising operator R (a+, or K+ on the disc) and scalars A_u, b_u,
+    taken in complex scalars as at one point.  The disc family
+    differentiates its amplitude series term by term.  The oscillator
+    tangent along u is (u a+ - conj(u) a) psi - i Im(u conj(base)) psi, the
+    derivative of D(base + s u) = e^{-i s Im(u conj(base))} D(s u) D(base)
+    at s = 0; a psi = (beta psi - sinh v a+ psi) / cosh v, since psi is the
+    eigenvector of a_v with eigenvalue beta (see ``states``).  Spin families
+    differentiate D(base)|0;v> = e^X |0;v>; the state and every tangent
+    L(X, Xdot_u)|0;v> come from the cached spectrum of the generator
+    (``states._displace``), one base point at a time.
     """
     if fam.family == "su2":
         vac = su2_squeezed_vacuum(fam.v, fam.param)
-        amps, tangents = _displace(fam.param, base, vac.amps, directions)
-        return StateVector(amps, vac.basis, vac.tol), tangents
-    psi = fam._state(base)
-    n = np.arange(1, psi.dim)
-    if fam.family == "wh":
-        raise_elems = np.sqrt(n)
-        beta_ch = base + np.conj(base) * np.tanh(fam.v)  # beta / cosh v
-        coeffs = [(u + np.conj(u) * np.tanh(fam.v),
-                   np.conj(u) * beta_ch + 1j * (u * np.conj(base)).imag)
-                  for u in directions]
+        return tuple(map(np.array, zip(*(_displace(fam.param, base, vac.amps, directions)
+                                          for base in bases))))
+    family, param = (("discrete_series", fam.param) if fam.family == "su11"
+                     else ("squeezed_fock", fam.v))
+    if fam.trunc > 0:
+        build = wh_squeezed if fam.family == "wh" else su11_coherent
+        psi = np.array([build(b, param, fam.trunc, fam.eps).amps for b in bases])
+        size = [fam.trunc] * len(bases)
     else:
-        raise_elems = np.sqrt(n * (n - 1 + 2 * fam.param))
-        rate = 2 * fam.param * np.conj(base) / (1 - abs(base) ** 2)
-        coeffs = [(u, np.real(rate * u)) for u in directions]
-    deriv = np.concatenate(([0j], raise_elems * psi.amps[:-1]))  # R psi
-    return psi, [a * deriv - b * psi.amps for a, b in coeffs]
+        c, n = _sized_amplitudes(bases, family, param, 1e-3 * fam.eps)
+        size = [max(k + 2, 8) for k in n]
+        psi = c[:, :max(size)].copy()
+        for i, (row, k) in enumerate(zip(psi, size)):
+            row[k:] = 0  # past the row's own levels; a norm deficit over budget raises
+            if not 1.0 - np.vdot(row, row).real <= fam.eps:
+                _tail_checked(row[:k], fam.eps, complex(bases[i]), family, param)
+    if not directions:
+        return psi, np.empty((len(bases), 0, psi.shape[1]))
+    n = np.arange(1, psi.shape[1])
+    if fam.family == "wh":
+        raise_elems, th = np.sqrt(n), np.tanh(fam.v)
+        a = [u + u.conjugate() * th for u in directions]
+        b = [[u.conjugate() * (z + z.conjugate() * th)  # beta / cosh v
+              + 1j * (u * z.conjugate()).imag for u in directions] for z in bases.tolist()]
+    else:
+        raise_elems, a = np.sqrt(n * (n - 1 + 2 * fam.param)), directions
+        # 2k conj(base) / (1 - |base|^2), divided as numpy divides by a real
+        b = [[(2 * fam.param * z.conjugate() * (1.0 / (1 - abs(z) ** 2)) * u).real
+              for u in directions] for z in bases.tolist()]
+    deriv = np.concatenate((np.zeros((len(bases), 1)), raise_elems * psi[:, :-1]), axis=1)
+    for row, k in zip(deriv, size):  # R psi, zero past the row's own levels
+        row[k:] = 0
+    return psi, np.array(a)[:, None] * deriv[:, None] - np.array(b)[..., None] * psi[:, None]
 
 
 def analytic_tangent(fam: StateFamily, t: TangentSpec) -> StateVector:
@@ -214,11 +235,9 @@ def numeric_tangent(fam: StateFamily, t: TangentSpec, h: float) -> StateVector:
     if not (1e-6 <= h <= 1e-3):
         raise StepError(f"step {h:.2e} outside [1e-6, 1e-3]")
     base, u = _base_point(t.base), complex(t.direction)
-    fam_fixed = replace(fam, trunc=fam.dim(base))
-    plus = family_state(fam_fixed, base + h * u)
-    minus = family_state(fam_fixed, base - h * u)
-    amps = (plus.amps - minus.amps) / (2.0 * h)
-    return StateVector(amps, plus.basis, plus.tol)
+    fixed = replace(fam, trunc=fam.dim(base))
+    plus, minus = (family_state(fixed, base + s * h * u) for s in (1, -1))
+    return StateVector((plus.amps - minus.amps) / (2.0 * h), plus.basis, plus.tol)
 
 
 def squeeze_prefactor(fam: StateFamily) -> float:
@@ -243,15 +262,20 @@ def reference_matrix(fam: StateFamily, base: complex) -> np.ndarray:
     UnsupportedBasePoint is raised and callers report the computed value
     with no claim.  DomainError for a disc base point with |base| >= 1.
     """
-    base = _base_point(base)
+    return _references(fam, np.array([_base_point(base)]))[0]
+
+
+def _references(fam: StateFamily, bases: np.ndarray) -> np.ndarray:
+    # reference_matrix at each of the checked base points, as one array
     B = np.array([[np.exp(2 * fam.v), 1j], [-1j, np.exp(-2 * fam.v)]])
     if fam.family == "su11":
-        if abs(base) >= 1.0:
+        r = [abs(z) for z in bases.tolist()]
+        if max(r) >= 1.0:
             raise DomainError("disc base point must satisfy |alpha| < 1")
-        return 2.0 * fam.param * B / (1.0 - abs(base) ** 2) ** 2
-    if fam.squeezed and base != 0:
+        return 2.0 * fam.param * B / np.array([(1.0 - x ** 2) ** 2 for x in r])[:, None, None]
+    if fam.squeezed and bases.any():
         raise UnsupportedBasePoint("squeezed reference available at 0 only")
-    return squeeze_prefactor(fam) * B
+    return np.full((len(bases), 2, 2), squeeze_prefactor(fam) * B)
 
 
 def closed_form(fam: StateFamily, base: complex, u: complex, w: complex,
@@ -277,43 +301,68 @@ def closed_form(fam: StateFamily, base: complex, u: complex, w: complex,
 
 
 def pullback_matrix(fam: StateFamily, base: complex) -> np.ndarray:
-    """The 2x2 matrix G_ab = H(e_a, e_b) at ``base`` for the directions (1, i).
+    """The 2x2 matrix G_ab = H(e_a, e_b) at ``base`` for the directions (1, i):
+    the one-point ``pullback_matrices``, cached per (fam, base); the
+    returned array is read-only."""
+    return _pullback_matrix(fam, _base_point(base))[0]
+
+
+@lru_cache(maxsize=1024)
+def _pullback_matrix(fam: StateFamily, base: complex) -> tuple[np.ndarray, ...]:
+    """G of ``pullback_matrix`` and ``reference_matrix`` at the same point,
+    None where no closed form is claimed, both read-only."""
+    G, ref = _pullback_rows(fam, np.array([base]))
+    return G[0], None if ref is None else ref[0]
+
+
+def pullback_matrices(fam: StateFamily, bases) -> tuple[np.ndarray, np.ndarray | None]:
+    """G_ab = H(e_a, e_b) for the directions (1, i) at each of ``bases``, as
+    one read-only (B, 2, 2) array, and the closed form's
+    ``reference_matrix`` at the same points as another, or None unless a
+    closed form is claimed at every one of them.
 
     G is the Gram matrix of the two tangents after projecting them
     orthogonally to the normalized state, which removes the norm and phase
     derivative terms.  Tangents are R-linear in the direction, so
     H(u, w) = [u1, u2] G [w1, w2]^T for u = u1 + i u2 and w = w1 + i w2.
-    Cached per (fam, base); the returned array is read-only.
+    ``_frames`` builds the grid's states and tangents as the rows of one
+    array, and the norms, projections and Gram matrices are one array
+    operation each.  Their sums along a row are BLAS dot products
+    (``np.vecdot``), those of ``np.linalg.norm`` and ``np.vdot``, so a
+    one-point grid gives the bits of ``StateVector.normalized`` and
+    ``project_orthogonal``; in a larger grid a row's zeros past its own
+    levels move its G by round-off only.  A one-point grid is read from
+    ``pullback_matrix``'s cache.  DomainError for an empty grid or a
+    non-finite base point.
     """
-    return _pullback_matrix(fam, _base_point(base))[0]
+    bases = np.array([_base_point(base) for base in bases], dtype=complex)
+    if not bases.size:
+        raise DomainError("a pullback grid needs at least one base point")
+    if bases.size == 1:
+        return tuple(m if m is None else m[None] for m in _pullback_matrix(fam, bases[0]))
+    return _pullback_rows(fam, bases)
 
 
-@lru_cache(maxsize=1024)
-def _pullback_matrix(fam: StateFamily,
-                     base: complex) -> tuple[np.ndarray, np.ndarray | None]:
-    """G of ``pullback_matrix`` and ``reference_matrix`` at the same point,
-    None where no closed form is claimed, both read-only.
-
-    The tangents are projected on their arrays: psi / |psi| and
-    t - <x|t> x are the operations of ``StateVector.normalized`` and
-    ``project_orthogonal``, with no copies and basis checks."""
-    psi, tangents = _frame(fam, base, (1, 1j))
-    x = psi.amps / np.linalg.norm(psi.amps)
-    P = np.array([t - np.vdot(x, t) * x for t in tangents])
-    G = P.conj() @ P.T
+def _pullback_rows(fam: StateFamily, bases: np.ndarray):
+    # the kernel of pullback_matrices, on checked base points
+    psi, tangents = _frames(fam, bases, (1, 1j))
+    norm = np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))
+    x = (psi / norm[:, None])[:, None]
+    P = tangents - np.vecdot(x, tangents)[..., None] * x
+    G = P.conj() @ P.transpose(0, 2, 1)
     G.setflags(write=False)
     try:
-        ref = reference_matrix(fam, base)
+        ref = _references(fam, bases)
         ref.setflags(write=False)
     except UnsupportedBasePoint:
         ref = None
     return G, ref
 
 
-def form_dev(A: np.ndarray, B: np.ndarray) -> float:
+def form_dev(A: np.ndarray, B: np.ndarray) -> float | list[float]:
     """Largest |A - B| over ``PAIR_ENTRIES``: how far two 2x2 forms differ
-    on DEFAULT_PAIRS."""
-    return float(np.max(np.abs((A - B)[PAIR_ENTRIES])))
+    on DEFAULT_PAIRS; one value per form for stacks of them."""
+    return np.max(np.abs((A - B)[(Ellipsis, *PAIR_ENTRIES)]), axis=-1).tolist()
 
 
 def _contract(G: np.ndarray, u: complex, w: complex) -> complex:
@@ -351,8 +400,8 @@ def kahler_verdict(fam: StateFamily, bases=None,
                    tol: float = 1e-8) -> KahlerVerdict:
     """Decide whether the family embeds symplectically and/or Kahler-ly.
 
-    Each sample compares ``pullback_matrix`` with the v = 0
-    ``reference_matrix`` by ``form_dev``, after dividing out
+    The grid's ``pullback_matrices`` are compared with the v = 0
+    ``reference_matrix`` at each sample by ``form_dev``, after dividing out
     the family's overall constant, which for spin depends on v.
     ``symplectic_dev`` is the worst imaginary-part deviation, which
     ``is_symplectic`` gates; ``max_dev`` is the worst full-value deviation,
@@ -365,18 +414,13 @@ def kahler_verdict(fam: StateFamily, bases=None,
     """
     if bases is None:
         bases = [0j] if fam.squeezed else [0j, 0.3 + 0.1j, -0.2 + 0.4j]
-    elif len(bases) == 0:
-        raise DomainError("kahler_verdict needs at least one base point")
     elif fam.squeezed and any(base != 0 for base in bases):
         raise UnsupportedBasePoint("squeezed families are judged at 0 only")
     fam0 = replace(fam, v=0.0)
-    n_v, n_0 = squeeze_prefactor(fam), squeeze_prefactor(fam0)
-    forms = [(pullback_matrix(fam, base) / n_v, reference_matrix(fam0, base) / n_0)
-             for base in bases]
-    dev_full = worst(form_dev(G, R) for G, R in forms)
-    dev_sympl = worst(form_dev(G.imag, R.imag) for G, R in forms)
-    return KahlerVerdict(is_kahler=dev_full < tol,
-                         is_symplectic=dev_sympl < tol,
+    G = pullback_matrices(fam, bases)[0] / squeeze_prefactor(fam)
+    R = _references(fam0, np.array(bases, dtype=complex)) / squeeze_prefactor(fam0)
+    dev_full, dev_sympl = worst(form_dev(G, R)), worst(form_dev(G.imag, R.imag))
+    return KahlerVerdict(is_kahler=dev_full < tol, is_symplectic=dev_sympl < tol,
                          max_dev=dev_full, symplectic_dev=dev_sympl)
 
 

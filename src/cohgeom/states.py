@@ -41,7 +41,12 @@ the disc amplitudes are elementwise), so a prefix of a run is bit for bit
 the state its constructor builds on that many levels.  The amplitudes are
 therefore built once, as one run as long as the tail's ratio limit
 predicts, and every doubling is tested on a prefix of it; a family sized by
-the rule takes its state from the run (``pullback``).
+the rule takes its state from the run (``pullback``).  A grid of alphas is
+one array of runs, one row each (one cumulative product along the rows for
+the coherent state, the elementwise series on the disc, the scalar
+recurrence row by row for a squeezed state), and the rows are tested
+together, so that each keeps the N and the amplitudes it has alone, bit for
+bit.
 
 The spin fiducial, the kernel of e^v Lx - i e^{-v} Ly = sqrt(2) (sinh v L+ +
 cosh v L-), comes from that operator's two-term recurrence up from m = -j,
@@ -56,8 +61,9 @@ The discrete series at label k and the weighted Bergman space of ``berezin``
 at weight h share one basis when 2k = 1/h: its normalizations are the square
 roots of the coefficients (a)_n / n! of (1 - x)^{-a}, with a = 2k = 1/h,
 computed here alone (``pochhammer_coeffs``) from one cached read-only table
-per (a, max n), of which callers receive copies; the truncation rule and the
-Bergman kernel's tail bound use the one geometric bound ``geometric_tail``.
+per a, extended on demand, of which callers receive copies; the truncation
+rule and the Bergman kernel's tail bound use the one geometric bound
+``geometric_tail``.
 
 Spin displacements are phase covariant.  The lowest weight's stabilizer U(1)
 rotates the orbit, D(r e^{i theta}) = R D(r) R+ with R = e^{i theta m}
@@ -83,6 +89,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -180,11 +187,14 @@ def ladder_matrices(N: int) -> LadderPair:
 def spin_matrices(j: float) -> SpinTriple:
     """Standard spin-j representation, dimension 2j+1.
 
-    Raises InvalidSpin unless 2j is a positive integer.
+    Raises InvalidSpin unless 2j is a positive integer below the largest
+    intp (2^63 - 1 on 64-bit platforms), the most elements numpy sizes; a
+    basis too large for memory is a MemoryError.
     """
     twoj = 2.0 * j
-    if not 0 < twoj < math.inf or abs(twoj - round(twoj)) > 1e-12:
-        raise InvalidSpin(f"j must be a positive half-integer, got {j}")
+    # numpy sizes no array of more elements than the largest intp
+    if not 0 < twoj < np.iinfo(np.intp).max or abs(twoj - round(twoj)) > 1e-12:
+        raise InvalidSpin(f"j must be a positive half-integer that numpy can size, got {j}")
     d = int(round(twoj)) + 1
     m = j - np.arange(d)  # m = j .. -j
     lz = np.diag(m).astype(complex)
@@ -228,36 +238,51 @@ def kernel_vector(M: np.ndarray) -> np.ndarray:
     return x * np.exp(-1j * np.angle(first))
 
 
-def _fock_amplitudes(alpha: complex, v: float, n: int) -> np.ndarray:
-    """Amplitudes c_0 .. c_{n-1} of D(alpha)|0; v> from the three-term
-    recurrence of the module notes, n >= 1: at v = 0 one cumulative product
-    of the coherent recurrence, otherwise a loop over complex scalars.
+def _abs2(alpha: complex) -> float:
+    """|alpha|^2 in Python arithmetic, as every amplitude run takes it;
+    DomainError for a non-finite alpha, whose run would never converge,
+    and where |alpha|^2 overflows."""
+    if not cmath.isfinite(alpha):
+        raise DomainError(f"alpha = {alpha} is not finite")
+    try:
+        return abs(alpha) ** 2
+    except OverflowError:
+        raise DomainError(f"|alpha|^2 overflows at alpha = {alpha}") from None
 
-    c_0 is exp(Re) e^{i Im} of its exponent, and both multiply c_0 by the
-    same gains in the same order, so they give the coherent amplitudes the
-    same values.  The guard |v| <= 2 is a DomainError, and so is an alpha
-    whose |alpha|^2 overflows, where c_0 underflows at any such v.
+
+def _fock_amplitudes(alpha, v: float, n: int) -> np.ndarray:
+    """Amplitudes c_0 .. c_{n-1} of D(alpha)|0; v> from the three-term
+    recurrence of the module notes, n >= 1, one row per alpha for an array
+    of them: at v = 0 one cumulative product of the coherent recurrence
+    along the rows, otherwise a loop over complex scalars per row.
+
+    At v = 0, c_0 = exp(-|alpha|^2/2) and the gains alpha / sqrt(n) are the
+    values of the general expressions below, so both give the coherent
+    amplitudes the same values.  The guard |v| <= 2 is a DomainError, and
+    so is an alpha whose |alpha|^2 overflows, where c_0 underflows at any
+    such v.
     """
     if not abs(v) <= 2.0:
         raise DomainError(f"|v| = {abs(v):.2f} exceeds the guard |v| <= 2")
-    try:
-        r2 = abs(alpha) ** 2
-    except OverflowError:
-        raise DomainError(f"|alpha|^2 overflows at alpha = {alpha}") from None
-    ch, th = np.cosh(v), np.tanh(v)
+    alpha = np.asarray(alpha, dtype=complex)
+    r2 = [_abs2(a) for a in alpha.ravel().tolist()]
     root = np.sqrt(np.arange(n))
-    gain = (alpha * ch + np.conj(alpha) * np.sinh(v)) / ch / root[1:]
-    a2 = np.conj(alpha) ** 2
-    cur = complex(np.exp(-0.5 * r2 - 0.5 * th * a2.real)
-                  * np.exp(-0.5j * th * a2.imag) / np.sqrt(ch))
     if v == 0:
-        return np.cumprod(np.append(cur, gain))
-    gain, back = gain.tolist(), (th * root[:-1] / root[1:]).tolist()
-    prev, out = 0j, [cur]
-    for g, b in zip(gain, back):
-        prev, cur = cur, g * cur - b * prev
-        out.append(cur)
-    return np.array(out)
+        first = np.exp(-0.5 * np.array(r2).reshape(alpha.shape + (1,)))
+        return np.cumprod(np.concatenate((first, alpha[..., None] / root[1:]), -1), -1)
+    ch, th = np.cosh(v), np.tanh(v)
+    back, rows = (th * root[:-1] / root[1:]).tolist(), []
+    for a, a_r2 in zip(alpha.ravel().tolist(), r2):
+        gain = ((a * ch + np.conj(a) * np.sinh(v)) / ch / root[1:]).tolist()
+        a2 = np.conj(a) ** 2
+        cur = complex(np.exp(-0.5 * a_r2 - 0.5 * th * a2.real)
+                      * np.exp(-0.5j * th * a2.imag) / np.sqrt(ch))
+        prev, out = 0j, [cur]
+        for g, b in zip(gain, back):
+            prev, cur = cur, g * cur - b * prev
+            out.append(cur)
+        rows.append(out)
+    return np.array(rows).reshape(alpha.shape + (n,))
 
 
 def wh_coherent(alpha: complex, N: int, tol: float = 1e-12) -> StateVector:
@@ -447,28 +472,38 @@ def pochhammer_coeffs(a: float, n) -> np.ndarray:
     ((a + m - 1) / m)^{1/2} up to max(n) is indexed at n; it stays within a
     few ulps of the exact rational value, where log-gamma differences lose
     up to 1e-13, and its partial products are monotone, so it overflows only
-    where the value does.  The product is built once per (a, max(n)) and
-    kept read-only in a bounded LRU cache (``_pochhammer_table``); each call
-    indexes it, so the caller receives a fresh array (a scalar for a scalar
-    n).  DomainError for a negative or non-integer n and for a non-finite
-    result.
+    where the value does.  Each call indexes one table per a, kept
+    read-only in a bounded LRU cache (``_pochhammer_table``) and extended
+    on demand, so the caller receives a fresh array (a scalar for a scalar
+    n).  DomainError for a negative or non-integer n and for a
+    non-finite result.
     """
     n = np.asarray(n)
     if n.dtype.kind not in "iu" or n.min(initial=0) < 0:
         raise DomainError(f"levels must be non-negative integers, got {n}")
-    return _pochhammer_table(float(a), int(n.max(initial=0)))[n]
+    a = float(a)
+    return _pochhammer_table(a, max(int(n.max(initial=0)), len(_LONGEST.get(a, ())) - 1))[n]
+
+
+# the last table built for each a, while the cache holds it
+_LONGEST: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @lru_cache(maxsize=32)
 def _pochhammer_table(a: float, top: int) -> np.ndarray:
     """The read-only table ((a)_m / m!)^{1/2}, m = 0 .. top, of
-    ``pochhammer_coeffs``; a non-finite table raises, and is not cached."""
-    k = np.arange(float(top))
+    ``pochhammer_coeffs``.  The last table built for a, while the cache
+    holds it, is extended by the products past its end: the cumulative
+    product runs in order, so the result is that of building it from
+    m = 0, bit for bit.  A non-finite table raises, and is not cached."""
+    head = _LONGEST.get(a, np.ones(1))[:top + 1]
+    k = np.arange(head.size - 1.0, float(top))
     with np.errstate(over="ignore", invalid="ignore"):
-        table = np.cumprod(np.append(1.0, np.sqrt((a + k) / (k + 1.0))))
+        run = np.cumprod(np.append(head[-1], np.sqrt((a + k) / (k + 1.0))))
     # a non-finite partial product stays non-finite to the end of the table
-    if not np.isfinite(table[-1]):
+    if not np.isfinite(run[-1]):
         raise DomainError(f"((a)_n / n!)^(1/2) is not finite at a = {a}")
+    _LONGEST[a] = table = np.append(head[:-1], run)
     table.setflags(write=False)
     return table
 
@@ -499,11 +534,13 @@ def su11_coherent(alpha: complex, k: float, N: int, tol: float = 1e-12) -> State
     return _tail_checked(_disc_amplitudes(alpha, k, N), tol, alpha, "discrete_series", k)
 
 
-def _disc_amplitudes(alpha: complex, k: float, n: int) -> np.ndarray:
+def _disc_amplitudes(alpha, k: float, n: int) -> np.ndarray:
     """Amplitudes c_0 .. c_{n-1} of ``su11_coherent``, each from its own
-    level: (1-|alpha|^2)^k ((2k)_m / m!)^{1/2} alpha^m."""
-    m = np.arange(n)
-    return (1.0 - abs(alpha) ** 2) ** k * pochhammer_coeffs(2.0 * k, m) * alpha**m
+    level: (1-|alpha|^2)^k ((2k)_m / m!)^{1/2} alpha^m, one row per alpha
+    for an array of them."""
+    z, m = np.asarray(alpha, dtype=complex), np.arange(n)
+    scale = np.array([(1.0 - _abs2(a)) ** k for a in z.ravel().tolist()])
+    return scale.reshape(z.shape + (1,)) * pochhammer_coeffs(2.0 * k, m) * z[..., None] ** m
 
 
 def truncation_dim(alpha: complex, family: str, param: float = 0.0,
@@ -529,11 +566,12 @@ def truncation_dim(alpha: complex, family: str, param: float = 0.0,
     return _sized_amplitudes(alpha, family, param, eps)[1]
 
 
-def _sized_amplitudes(alpha: complex, family: str, param: float,
-                      eps: float) -> tuple[np.ndarray, int]:
+def _sized_amplitudes(alpha, family: str, param: float, eps: float):
     """The amplitudes of ``truncation_dim``'s family at alpha, run to n
     levels, and the smallest N <= n - 2 whose tail mass beyond N is below
-    eps.
+    eps.  For a 1-d array of alphas (the grids of ``pullback``), each alpha
+    is one row of one amplitude array, run to the largest of their n, with
+    its own N in a list.
 
     n doubles from 32 until the last pair of terms bounds the rest
     geometrically below 1e-3 eps and at least half the unit mass has been
@@ -552,47 +590,53 @@ def _sized_amplitudes(alpha: complex, family: str, param: float,
     n is tested on the run's prefix; the run is built again, twice as long,
     only when n passes its end.  Each amplitude depends on its level alone,
     so a prefix of the run is the state its constructor builds on that many
-    levels, and the result does not depend on the run's length.  A long
-    disc run can overflow its normalizations (``pochhammer_coeffs``) where
-    c_0 underflows; the run then starts at 32 levels, so the error raised
-    is that underflow.  DomainError where 1e-3 eps is no positive double.
+    levels, and the result does not depend on the run's length.  Rows are
+    tested together, each until its own n passes, so each row's N and
+    amplitudes are those of its alpha alone, bit for bit.  A long disc run
+    can overflow its normalizations (``pochhammer_coeffs``) where c_0
+    underflows; the run then starts at 32 levels, so the error raised is
+    that underflow.  DomainError where 1e-3 eps is no positive double.
     """
     if not 1e-3 * eps > 0:
         raise DomainError(f"tail budget eps must be positive and above 1e-3 of "
                           f"the smallest double, got {eps}")
-    alpha = complex(alpha)
-    if not cmath.isfinite(alpha):
-        # the amplitude runs below would never converge
-        raise DomainError(f"alpha = {alpha} is not finite")
+    rows = np.asarray(alpha, dtype=complex).ravel()
     if family in ("fock", "squeezed_fock"):
         v = param if family == "squeezed_fock" else 0.0
         # the squeezed terms fall by tanh^2 v over two levels
-        build, limit, span = partial(_fock_amplitudes, alpha, v), np.tanh(v) ** 2, 2
+        build, span = partial(_fock_amplitudes, rows, v), 2
+        limits = [np.tanh(v) ** 2] * rows.size
     elif family == "discrete_series":
         if not param > 0:
             raise DomainError(f"need k > 0, got {param}")
-        if abs(alpha) >= 1.0:
+        build, span = partial(_disc_amplitudes, rows, param), 1
+        limits = [_abs2(a) for a in rows.tolist()]
+        if max(limits) >= 1.0:  # |alpha|^2 >= 1 exactly where |alpha| >= 1
             raise DomainError("discrete-series states require |alpha| < 1")
-        build, limit, span = partial(_disc_amplitudes, alpha, param), abs(alpha) ** 2, 1
     else:
         raise DomainError(f"unknown family {family!r}")
-    levels = span * math.log(1e-3 * eps) / math.log(limit) if 0 < limit < 1 else 0.0
+    # the largest limit asks for the longest run
+    levels = span * math.log(1e-3 * eps) / math.log(r) if 0 < (r := max(limits)) < 1 else 0.0
     try:
         c = build(32 << max(0, math.ceil(math.log2(max(levels, 1.0) / 32))))
     except DomainError:  # a long disc run overflows only where c_0 underflows
         c = build(32)
-    if not abs(c[0]) >= np.finfo(float).tiny:
-        raise DomainError(f"c_0 underflows at alpha = {alpha}, {family} {param}")
+    for a, c0 in zip(rows.tolist(), np.abs(c[:, 0]).tolist()):
+        if not c0 >= 2.0 ** -1022:  # the smallest normal double
+            raise DomainError(f"c_0 underflows at alpha = {a}, {family} {param}")
+    N = [0] * rows.size  # 0 until the row is sized
     for n in (32 << k for k in itertools.count()):
-        if n > c.size:
-            c = build(n)
-        t = np.abs(c[:n]) ** 2
-        t0, t1, t2, t3 = t[-4:].tolist()
-        last, before = t2 + t3, t0 + t1
-        ratio = last / before if last < before else np.inf
-        rest = geometric_tail(last, max(ratio, limit)) if last else 0.0
-        if rest < 1e-3 * eps and t.sum() > 0.5:
+        c = build(n) if n > c.shape[1] else c
+        t = np.abs(c[:, :n]) ** 2
+        rest = [geometric_tail(last, max(last / before if last < before else np.inf, lim))
+                if last else 0.0 for (t0, t1, t2, t3), lim in zip(t[:, -4:].tolist(), limits)
+                for before, last in [(t0 + t1, t2 + t3)]]
+        if min(rest) < 1e-3 * eps:
             # mass at levels >= N; the last is t[n-1] + rest <= 2 rest < eps,
             # since rest >= last >= t[n-1], so some N qualifies
-            tail = np.cumsum(t[::-1])[::-1] + rest
-            return c[:n], max(1, int(np.argmax(tail < eps)))
+            tail = t[:, ::-1].cumsum(axis=1)[:, ::-1] + np.array(rest)[:, None]
+            found = zip(N, rest, t.sum(axis=1).tolist(), (tail < eps).argmax(axis=1).tolist())
+            N = [size or (max(1, first) if r < 1e-3 * eps and mass > 0.5 else 0)
+                 for size, r, mass, first in found]
+        if all(N):
+            return (c[:, :n], N) if np.ndim(alpha) else (c[0, :n], N[0])

@@ -267,14 +267,15 @@ def poisson(f: Field2D, g: Field2D, P: OrbitPoint) -> float:
 def phi_map(orbit: Orbit, P: OrbitPoint) -> SutElement:
     """Orbit -> positive subgroup: (s, t) -> (a, b) as in the module docstring.
 
-    DomainError off the orbit, and where sqrt(v0/t) or sqrt(v0 t) is not a
-    finite positive double."""
+    DomainError off the orbit, and where a = sqrt(v0/t) or sqrt(v0 t) is not
+    a finite positive double or b = (u0 - s) / sqrt(v0 t) is not finite."""
     if not orbit.contains(P):
         raise DomainError("point does not lie on this orbit")
     a, root = math.sqrt(orbit.v0 / P.t), math.sqrt(orbit.v0 * P.t)
-    if not (0 < a < math.inf and 0 < root < math.inf):
+    b = (orbit.u0 - P.s) / root if 0 < root < math.inf else math.nan
+    if not (0 < a < math.inf and math.isfinite(b)):
         raise DomainError(f"phi has no finite a, b at t = {P.t} on v0 = {orbit.v0}")
-    return SutElement(a, (orbit.u0 - P.s) / root)
+    return SutElement(a, b)
 
 
 def phi_inv(orbit: Orbit, g: SutElement) -> OrbitPoint:

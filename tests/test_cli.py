@@ -294,7 +294,8 @@ def test_report_all_truncation_check_raises(monkeypatch, capsys, request):
     pullback._pullback_matrix.cache_clear()
     request.addfinalizer(pullback._pullback_matrix.cache_clear)
     sized = pullback._sized_amplitudes
-    monkeypatch.setattr(pullback, "_sized_amplitudes", lambda *a: (sized(*a)[0], 4))
+    monkeypatch.setattr(pullback, "_sized_amplitudes",
+                        lambda *a: (sized(*a)[0], [4] * len(a[0])))
     assert main(["report-all"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cohgeom: TruncationError: tail mass ")
@@ -530,6 +531,17 @@ def test_pullback_nan_squeeze_raises_domain_error(capsys):
      "cohgeom: DomainError: |alpha|^2 overflows at alpha = 1e+308j"),
     (["sut", "charts", "--v0", "1e308"],
      "cohgeom: DomainError: phi has no finite a, b at t = 0.5 on v0 = 1e+308"),
+    # a finite 2j whose basis numpy cannot size, b = (u0 - s) / sqrt(v0 t) of
+    # the chart phi, and a range whose span hi - lo overflows
+    (["uncertainty", "--family", "su2", "--j", "1e200"],
+     "cohgeom: InvalidSpin: j must be a positive half-integer that numpy can size"),
+    (["pullback", "--family", "su2", "--param", "1e200"],
+     "cohgeom: InvalidSpin: j must be a positive half-integer that numpy can size"),
+    (["sut", "charts", "--u0", "1e300", "--grid", "t:1e-300..1e-300:1", "s:0..0:1"],
+     "cohgeom: DomainError: phi has no finite a, b at t = 1e-300 on v0 = 1.0"),
+    (["sut", "kks", "--grid", "t:-1e308..1e308:3", "s:0..1:1"],
+     "bad range spec 't:-1e308..1e308:3': expected t:lo..hi:count or s:lo..hi:count "
+     "with a finite hi - lo"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_error_exit_two_one_line(argv, message, capsys):

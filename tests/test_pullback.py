@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohgeom import (
+    CohgeomError,
     DomainError,
     StateFamily,
     StateVector,
@@ -362,13 +363,13 @@ def test_verdict_without_base_points_rejected():
 def test_verdict_with_a_nan_form_is_neither(monkeypatch):
     # a NaN form at the second base point fails both gates, whatever the
     # other points read
-    real = pullback_module.pullback_matrix
+    real = pullback_module.pullback_matrices
 
-    def nan_at_second(fam, base):
-        G = real(fam, base)
-        return G * np.nan if base == 0.3 + 0.1j else G
+    def nan_at_second(fam, bases):
+        G, ref = real(fam, bases)
+        return np.where(np.equal(bases, 0.3 + 0.1j)[:, None, None], np.nan, G), ref
 
-    monkeypatch.setattr(pullback_module, "pullback_matrix", nan_at_second)
+    monkeypatch.setattr(pullback_module, "pullback_matrices", nan_at_second)
     verdict = kahler_verdict(WH, bases=[0j, 0.3 + 0.1j, -0.2 + 0.4j])
     assert not verdict.is_kahler and not verdict.is_symplectic
     assert np.isnan(verdict.max_dev) and np.isnan(verdict.symplectic_dev)
@@ -525,8 +526,8 @@ def test_pullback_matrix_is_cached_and_read_only(monkeypatch):
     pullback_module._pullback_matrix.cache_clear()
     fam = StateFamily("wh", v=0.5)
     calls = []
-    real = pullback_module._frame
-    monkeypatch.setattr(pullback_module, "_frame",
+    real = pullback_module._frames
+    monkeypatch.setattr(pullback_module, "_frames",
                         lambda *a: calls.append(a) or real(*a))
     base = 0.3 - 0.2j
     G = pullback_matrix(fam, base)
@@ -629,3 +630,70 @@ def test_non_finite_input_rejected_before_caching():
                 analytic_tangent(fam, TangentSpec(bad, 1))
     after = pullback_module._pullback_matrix.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+# ---------------------------------------------------------------------------
+# the grid kernel: every row is its base point's one-point form
+
+# a row's zeros past its own levels change only the order of BLAS sums: the
+# largest relative gap |G_row - G_point| / max |G_point| over a sweep of
+# 3,000 grids (1-30 bases, the families below) was 7.6 ulps; the bound is
+# twice that, rounded up
+GRID_ROUNDOFF = 16 * np.finfo(float).eps
+
+
+@st.composite
+def _grids(draw):
+    size = draw(st.integers(1, 30))
+    family = draw(st.sampled_from(["wh", "su11", "su2"]))
+    # near and far radii in one grid, so that the rows run to different N
+    small, large = {"wh": (0.5, 8.0), "su11": (0.2, 0.95), "su2": (0.5, 3.0)}[family]
+    radii = draw(st.lists(st.one_of(st.floats(0, small), st.floats(0, large)),
+                          min_size=size, max_size=size))
+    phases = draw(st.lists(st.floats(0, 1), min_size=size, max_size=size))
+    if family == "wh":
+        fam = StateFamily("wh")
+    elif family == "su11":
+        fam = StateFamily("su11", param=draw(st.floats(0.6, 3.0)))
+    else:
+        fam = StateFamily("su2", param=draw(st.integers(1, 12)) / 2)
+    return fam, [r * np.exp(2j * np.pi * p) for r, p in zip(radii, phases)]
+
+
+def _error(fn):
+    try:
+        fn()
+    except CohgeomError as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grids(), st.sampled_from(["nan", "inf", "disc", "tail"]), st.floats(0, 1))
+def test_grid_rows_match_single_base(grid, bad, where):
+    fam, bases = grid
+    G, ref = pullback_module.pullback_matrices(fam, bases)
+    assert G.shape == (len(bases), 2, 2) and not G.flags.writeable
+    for row, base in zip(G, bases):
+        one = pullback_matrix(fam, base)
+        assert np.max(np.abs(row - one)) <= GRID_ROUNDOFF * np.max(np.abs(one))
+    if ref is None:  # spin, claimed at the origin only
+        assert fam.family == "su2" and any(base != 0 for base in bases)
+    else:
+        assert not ref.flags.writeable
+        for row, base in zip(ref, bases):
+            assert np.array_equal(row, reference_matrix(fam, base))
+    # one bad base point raises what that point raises alone: a non-finite
+    # alpha, |alpha| >= 1 on the disc, or a tail over the budget of a basis
+    # of fixed size
+    if bad == "disc" and fam.family != "su11":
+        bad = "nan"
+    if bad == "tail":
+        fam, bases = StateFamily("wh", trunc=24), [base / 8 for base in bases]
+    point = {"nan": complex(np.nan, 1.0), "inf": complex(0.0, np.inf),
+             "disc": 1.0 + 0.5j, "tail": 6.0 + 0j}[bad]
+    bad_grid = list(bases)
+    bad_grid.insert(int(where * len(bad_grid)), point)
+    alone = _error(lambda: pullback_matrix(fam, point))
+    assert alone is not None
+    assert _error(lambda: pullback_module.pullback_matrices(fam, bad_grid)) is alone

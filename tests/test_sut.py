@@ -362,6 +362,21 @@ def test_phi_map_rejects_a_chart_with_no_finite_positive_double(v0, t):
         phi_map(orbit, P)
 
 
+@pytest.mark.parametrize("u0, s, t", [
+    (1e300, 0.0, 1e-300),    # (u0 - s) / sqrt(v0 t) overflows
+    (1e308, -1e308, 1.0),    # u0 - s overflows
+    (-1e300, 1e10, 1e-300),
+])
+@pytest.mark.filterwarnings("error")
+def test_phi_map_rejects_a_chart_whose_b_is_not_finite(u0, s, t):
+    # a = sqrt(v0/t) is finite, but b = (u0 - s) / sqrt(v0 t) is not: phi,
+    # not the round trip through phi_inv, names the point
+    orbit, P = Orbit(u0, 1.0), OrbitPoint(s, t)
+    assert orbit.contains(P)
+    with pytest.raises(DomainError, match="phi has no finite a, b"):
+        phi_map(orbit, P)
+
+
 def test_chi_pullback_is_twice_area_form(rng):
     # 2 sign(v0) da ^ db, since chi's lam carries the orbit's sign
     for v0 in (1.0, 2.0, -2.0):
