@@ -29,13 +29,10 @@ from .statespace import (
     BasisTag,
     PullbackReport,
     StateVector,
-    basis_state,
     disc_tag,
     fock_tag,
-    fs_distance,
     inner,
     project_orthogonal,
-    pullback_hermitian,
     spin_tag,
 )
 from .states import (

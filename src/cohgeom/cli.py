@@ -36,7 +36,7 @@ import numpy as np
 from . import berezin as bz
 from . import prequant as pq
 from . import sut
-from .errors import CohgeomError, DomainError, worst
+from .errors import CohgeomError, DomainError, UnsupportedBasePoint, worst
 from .pullback import (
     StateFamily,
     TangentSpec,
@@ -254,8 +254,10 @@ def pullback_dev(fam: StateFamily, bases, relative: bool = False) -> float:
     form over the grid ``bases``, taken by ``pullback_matrices`` at once;
     ``relative`` takes the (1, i) entry relative to its reference instead.
     Every base point must carry a closed form (a squeezed family's origin
-    alone)."""
+    alone): UnsupportedBasePoint otherwise."""
     G, R = pullback_matrices(fam, bases)
+    if R is None:
+        raise UnsupportedBasePoint("squeezed reference available at 0 only")
     return worst(np.abs(G[:, 0, 1] - R[:, 0, 1]) / np.abs(R[:, 0, 1]) if relative
                  else form_dev(G, R))
 

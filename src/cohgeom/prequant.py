@@ -31,12 +31,15 @@ carries analytic partials through second order for the commutator check.
 Every entry point that takes hbar raises DomainError unless it is finite and
 positive.
 
-The point evaluators ``prequantum_apply``, ``flow_apply`` and
-``flow_generator_residual`` check their arguments once per call and then
-run the unchecked cores ``_apply`` and ``_flow`` on Python scalars, so the
-residual's two flows and one operator share one set of checks.  On such
-scalars the bundled fields take ``math``/``cmath`` exponentials, with no
-numpy call; they still accept arrays, evaluated by ``np.exp``, which
+The point evaluators ``prequantum_apply``, ``flow_apply``,
+``flow_generator_residual`` and ``commutator_apply`` check their arguments
+once per call (``_checked``) and then evaluate on Python scalars.  The
+residual, which is called once per point, field and flow, evaluates F(+h),
+F(-h) and Q_i psi in one frame, with the flows of ``flow_apply`` written out,
+so that it makes no evaluator call per value; a test pins its bits to the
+same difference taken through ``flow_apply`` and ``prequantum_apply``.  On
+such scalars the bundled fields take ``math``/``cmath`` exponentials, with
+no numpy call; they still accept arrays, evaluated by ``np.exp``, which
 ``dirac_residual`` passes over its whole mesh.
 """
 
@@ -133,12 +136,6 @@ def standard_fields() -> Mapping[str, PrequantField]:
                              f"e^(i{KAPPA}s)": osc, f"e^({SIGMA}a)": grow})
 
 
-def _coords(P: OrbitPoint) -> tuple[float, float]:
-    if not P.t > 0:
-        raise DomainError("prequantization chart requires t > 0")
-    return math.log(P.t), P.s
-
-
 def _q1(v, d_s, a, t, hbar):
     # Q1 on a field of value v and s-partial d_s, at points or over a mesh
     # of (a, s) with t = e^a
@@ -159,36 +156,18 @@ def _checked(i: int, P: OrbitPoint, hbar: float, variant: str = "stated"):
     if variant not in ("stated", "generator"):
         raise DomainError(f"unknown flow variant {variant!r}")
     check_hbar(hbar)
-    return _coords(P)
-
-
-def _apply(i: int, psi: PrequantField, a, s, t, hbar) -> complex:
-    # Q_i psi at one point, arguments already checked
-    if i == 1:
-        return complex(_q1(psi.value(a, s), psi.d_s(a, s), a, t, hbar))
-    return complex(_q2(psi.value(a, s), psi.d_a(a, s), s, hbar))
-
-
-def _flow(i: int, tau: float, psi: PrequantField, a, s, t, hbar,
-          variant: str) -> complex:
-    # the flow of J_i on psi at one point, arguments already checked
-    if i == 1:
-        exponent, point = tau * t * (a + 1.0), (a, s - 1j * hbar * t * tau)
-    else:
-        exponent = (2.0 * s if variant == "generator" else s) * tau
-        point = (a + 2j * hbar * tau, s)
-    try:
-        growth = math.exp(exponent)
-    except OverflowError:  # a multiplier past the double range reads inf
-        growth = math.inf
-    return complex(growth * psi.value(*point))
+    if not P.t > 0:
+        raise DomainError("prequantization chart requires t > 0")
+    return math.log(P.t), P.s
 
 
 def prequantum_apply(i: int, psi: PrequantField, P: OrbitPoint,
                      hbar: float = 1.0) -> complex:
     """Evaluate Q_i psi at P (t > 0)."""
     a, s = _checked(i, P, hbar)
-    return _apply(i, psi, a, s, P.t, hbar)
+    if i == 1:
+        return complex(_q1(psi.value(a, s), psi.d_s(a, s), a, P.t, hbar))
+    return complex(_q2(psi.value(a, s), psi.d_a(a, s), s, hbar))
 
 
 def flow_apply(i: int, tau: float, psi: PrequantField, P: OrbitPoint,
@@ -201,7 +180,17 @@ def flow_apply(i: int, tau: float, psi: PrequantField, P: OrbitPoint,
     other than 1 or 2, or another variant, is a DomainError.
     """
     a, s = _checked(i, P, hbar, variant)
-    return _flow(i, tau, psi, a, s, P.t, hbar, variant)
+    t = P.t
+    if i == 1:
+        exponent, point = tau * t * (a + 1.0), (a, s - 1j * hbar * t * tau)
+    else:
+        exponent = (2.0 * s if variant == "generator" else s) * tau
+        point = (a + 2j * hbar * tau, s)
+    try:
+        growth = math.exp(exponent)
+    except OverflowError:  # a multiplier past the double range reads inf
+        growth = math.inf
+    return complex(growth * psi.value(*point))
 
 
 def flow_generator_residual(i: int, psi: PrequantField, P: OrbitPoint,
@@ -211,15 +200,29 @@ def flow_generator_residual(i: int, psi: PrequantField, P: OrbitPoint,
 
     Vanishes to O(FD_STEP^2) for i = 1; for i = 2 with the stated flow it
     equals |s psi(P)|, exposing the factor-2 gap on the multiplication term.
-    The arguments are checked once, as by ``flow_apply``; the value has the
-    bits of the same difference taken through ``flow_apply`` and
-    ``prequantum_apply``.
+    The arguments are checked once, as by ``flow_apply``, and the two flows
+    and Q_i psi are evaluated in this one frame: the flows with the
+    expressions of ``flow_apply`` written out, Q_i psi by the ``_q1`` or
+    ``_q2`` of ``prequantum_apply``.  The value has the bits of the same
+    difference taken through those two.
     """
     a, s = _checked(i, P, hbar, variant)
-    t = P.t
-    num = (_flow(i, FD_STEP, psi, a, s, t, hbar, variant)
-           - _flow(i, -FD_STEP, psi, a, s, t, hbar, variant)) / (2.0 * FD_STEP)
-    return abs(num - _apply(i, psi, a, s, t, hbar))
+    t, h, f = P.t, FD_STEP, psi.value
+    if i == 1:
+        rate = h * t * (a + 1.0)
+        up, down = f(a, s - 1j * hbar * t * h), f(a, s - 1j * hbar * t * -h)
+        q = _q1(f(a, s), psi.d_s(a, s), a, t, hbar)
+    else:
+        rate = (2.0 * s if variant == "generator" else s) * h
+        up, down = f(a + 2j * hbar * h, s), f(a + 2j * hbar * -h, s)
+        q = _q2(f(a, s), psi.d_a(a, s), s, hbar)
+    try:  # the flows' multipliers e^{+-rate}, read inf past the double range
+        grow, shrink = math.exp(rate), math.exp(-rate)
+    except OverflowError:
+        grow, shrink = ((math.inf, math.exp(-rate)) if rate > 0
+                        else (math.exp(rate), math.inf))
+    num = (complex(grow * up) - complex(shrink * down)) / (2.0 * h)
+    return abs(num - complex(q))
 
 
 def _j1_jet(psi: PrequantField, a, s, hbar):
@@ -251,8 +254,7 @@ def commutator_apply(psi: PrequantField, P: OrbitPoint, hbar: float = 1.0) -> co
     """[Q1, Q2] psi at P, assembled mechanically from the field's jet."""
     if not psi.has_second_partials():
         raise DomainError("commutator needs a field with second partials")
-    check_hbar(hbar)
-    a, s = _coords(P)
+    a, s = _checked(1, P, hbar)
     return complex(_commutator(psi, a, s, P.t, hbar))
 
 

@@ -265,9 +265,17 @@ def reference_matrix(fam: StateFamily, base: complex) -> np.ndarray:
     return _references(fam, np.array([_base_point(base)]))[0]
 
 
+@lru_cache(maxsize=32)
+def _bracket(v: float) -> np.ndarray:
+    # [[e^{2v}, i], [-i, e^{-2v}]], the closed forms' common factor (read-only)
+    B = np.array([[np.exp(2 * v), 1j], [-1j, np.exp(-2 * v)]])
+    B.setflags(write=False)
+    return B
+
+
 def _references(fam: StateFamily, bases: np.ndarray) -> np.ndarray:
     # reference_matrix at each of the checked base points, as one array
-    B = np.array([[np.exp(2 * fam.v), 1j], [-1j, np.exp(-2 * fam.v)]])
+    B = _bracket(fam.v)
     if fam.family == "su11":
         r = [abs(z) for z in bases.tolist()]
         if max(r) >= 1.0:

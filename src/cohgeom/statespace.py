@@ -2,13 +2,13 @@
 
 State vectors are truncated amplitude sequences over a labelled orthonormal
 basis (number basis, spin-j basis, or a discrete-series basis).  This module
-provides the Hermitian inner product, the geodesic distance between rays,
-orthogonal projection, and the projected Hermitian form
+provides the Hermitian inner product, orthogonal projection, and the report
+of the projected Hermitian form
 
     (a, b) -> <a|b> - <a|psi><psi|b>,
 
 whose real part is the metric and whose imaginary part is the symplectic form
-induced on any family of rays.
+induced on any family of rays (``pullback`` evaluates it).
 
 Everything here is a pure function of immutable inputs; ``StateVector``
 instances are safe to share between threads.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch, DomainError, NormalizationError, check_levels
+from .errors import BasisMismatch, DomainError, NormalizationError
 
 
 @dataclass(frozen=True)
@@ -103,36 +103,10 @@ def _require_normalized(psi: StateVector, who: str):
         )
 
 
-def basis_state(dim: int, index: int, basis: BasisTag) -> StateVector:
-    """Return the basis vector e_index of the given space; DomainError unless
-    dim is a whole number."""
-    amps = np.zeros(check_levels(dim), dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps, basis)
-
-
 def inner(u: StateVector, v: StateVector) -> complex:
     """Hermitian inner product <u|v>, conjugate-linear in the first slot."""
     _require_same_basis(u, v)
     return complex(np.vdot(u.amps, v.amps))
-
-
-def fs_distance(psi: StateVector, phi: StateVector) -> float:
-    """Geodesic distance between the rays of two normalized states.
-
-    Returns delta in [0, pi] with |<psi|phi>| = cos(delta/2).  Orthogonal
-    rays are at distance pi; equal rays at distance 0.  It is taken as
-    4 arcsin(|u - w| / 2) for the unit vectors u, w of the two rays with
-    <u|w> >= 0, which resolves small distances that 2 arccos |<psi|phi>|
-    loses below about 3e-8.
-    """
-    _require_same_basis(psi, phi)
-    _require_normalized(psi, "fs_distance")
-    _require_normalized(phi, "fs_distance")
-    overlap = inner(psi, phi)
-    phase = np.conj(overlap) / abs(overlap) if overlap else 1.0
-    chord = psi.amps / psi.norm - phase * phi.amps / phi.norm
-    return 4.0 * float(np.arcsin(0.5 * np.linalg.norm(chord)))
 
 
 def project_orthogonal(psi: StateVector, b: StateVector) -> StateVector:
@@ -141,18 +115,6 @@ def project_orthogonal(psi: StateVector, b: StateVector) -> StateVector:
     _require_normalized(psi, "project_orthogonal")
     amps = b.amps - inner(psi, b) * psi.amps
     return StateVector(amps, b.basis, b.tol)
-
-
-def pullback_hermitian(psi: StateVector, a: StateVector, b: StateVector) -> complex:
-    """Projected Hermitian form <a|b> - <a|psi><psi|b> at the ray of psi.
-
-    Hermitian in (a, b): swapping the arguments conjugates the result.  The
-    value is unchanged if psi is replaced by a unit-phase multiple.
-    """
-    _require_same_basis(psi, a)
-    _require_same_basis(psi, b)
-    _require_normalized(psi, "pullback_hermitian")
-    return inner(a, b) - inner(a, psi) * inner(psi, b)
 
 
 @dataclass(frozen=True)

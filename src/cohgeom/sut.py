@@ -297,11 +297,16 @@ def psi_map(orbit: Orbit, P: OrbitPoint) -> tuple[float, float]:
     return (orbit.u0 - P.s) / orbit.v0, P.t / orbit.v0
 
 
+def _chi(sign: float, a: float, b: float) -> tuple[float, float]:
+    # chi at (a, b), a > 0, on an orbit with sign(v0) = sign
+    return sign * b / a, 1.0 / a**2
+
+
 def chi_map(orbit: Orbit, g: SutElement) -> tuple[float, float]:
     """Positive subgroup -> half plane, psi o phi^{-1}: (sign(v0) b/a, 1/a^2)."""
     if not g.is_positive:
         raise DomainError("chart requires a positive diagonal")
-    return math.copysign(1.0, orbit.v0) * g.g2 / g.g1, 1.0 / g.g1**2
+    return _chi(math.copysign(1.0, orbit.v0), g.g1, g.g2)
 
 
 def chi_pullback_coefficient(orbit: Orbit, g: SutElement) -> float:
@@ -310,20 +315,19 @@ def chi_pullback_coefficient(orbit: Orbit, g: SutElement) -> float:
 
     mu = 1/a^2 varies on the scale a, so an absolute step would swamp the
     difference, or leave the positive subgroup, once a is small (large t).
-    The central differences are kept undivided and the Jacobian is divided
-    by (2 h mu)^2 once, so no intermediate exceeds a few times
-    t CHART_FD_STEP.  Analytically equal to 2 sign(v0) everywhere on the
-    positive subgroup.
+    chi is evaluated on floats, by the ``_chi`` of ``chi_map``, with no
+    ``SutElement`` built: ``chi_map`` checks g's diagonal once (DomainError
+    unless it is positive), and a > 0 makes every shifted
+    a = (1 +- CHART_FD_STEP) a positive too.  The central
+    differences are kept undivided and the Jacobian is divided by
+    (2 h mu)^2 once, so no intermediate exceeds a few times t CHART_FD_STEP.
+    Analytically equal to 2 sign(v0) everywhere on the positive subgroup.
     """
-    a, b = g.g1, g.g2
-    h = CHART_FD_STEP * a
-
-    def central(plus, minus):
-        (lam_p, mu_p), (lam_m, mu_m) = (chi_map(orbit, SutElement(*x))
-                                        for x in (plus, minus))
-        return lam_p - lam_m, mu_p - mu_m  # 2h times the partials
-
-    lam_a, mu_a = central((a + h, b), (a - h, b))
-    lam_b, mu_b = central((a, b + h), (a, b - h))
     _, mu = chi_map(orbit, g)
+    sign, a, b = math.copysign(1.0, orbit.v0), g.g1, g.g2
+    h = CHART_FD_STEP * a
+    (lam_p, mu_p), (lam_m, mu_m) = _chi(sign, a + h, b), _chi(sign, a - h, b)
+    lam_a, mu_a = lam_p - lam_m, mu_p - mu_m  # 2h times the a-partials
+    (lam_p, mu_p), (lam_m, mu_m) = _chi(sign, a, b + h), _chi(sign, a, b - h)
+    lam_b, mu_b = lam_p - lam_m, mu_p - mu_m
     return float((lam_a * mu_b - mu_a * lam_b) / (2 * h * mu) ** 2)

@@ -24,6 +24,53 @@ def random_state(rng, dim, basis, tol=1e-12):
     return StateVector(amps / np.linalg.norm(amps), basis, tol)
 
 
+def basis_state(dim, index, basis):
+    """The basis vector e_index of the given space; DomainError unless dim is
+    a whole number."""
+    from cohgeom import StateVector
+    from cohgeom.errors import check_levels
+
+    amps = np.zeros(check_levels(dim), dtype=complex)
+    amps[index] = 1.0
+    return StateVector(amps, basis)
+
+
+def fs_distance(psi, phi):
+    """Geodesic distance between the rays of two normalized states: the
+    tests' oracle of ray equality.
+
+    Returns delta in [0, pi] with |<psi|phi>| = cos(delta/2).  Orthogonal
+    rays are at distance pi; equal rays at distance 0.  It is taken as
+    4 arcsin(|u - w| / 2) for the unit vectors u, w of the two rays with
+    <u|w> >= 0, which resolves small distances that 2 arccos |<psi|phi>|
+    loses below about 3e-8.
+    """
+    from cohgeom.statespace import _require_normalized, _require_same_basis, inner
+
+    _require_same_basis(psi, phi)
+    _require_normalized(psi, "fs_distance")
+    _require_normalized(phi, "fs_distance")
+    overlap = inner(psi, phi)
+    phase = np.conj(overlap) / abs(overlap) if overlap else 1.0
+    chord = psi.amps / psi.norm - phase * phi.amps / phi.norm
+    return 4.0 * float(np.arcsin(0.5 * np.linalg.norm(chord)))
+
+
+def pullback_hermitian(psi, a, b):
+    """Projected Hermitian form <a|b> - <a|psi><psi|b> at the ray of psi,
+    from inner products alone: the tests' oracle of the pulled-back form.
+
+    Hermitian in (a, b): swapping the arguments conjugates the result.  The
+    value is unchanged if psi is replaced by a unit-phase multiple.
+    """
+    from cohgeom.statespace import _require_normalized, _require_same_basis, inner
+
+    _require_same_basis(psi, a)
+    _require_same_basis(psi, b)
+    _require_normalized(psi, "pullback_hermitian")
+    return inner(a, b) - inner(a, psi) * inner(psi, b)
+
+
 class Poly2:
     """Exact bivariate polynomial in (s, t): {(i, j): coeff}.
 

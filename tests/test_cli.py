@@ -429,6 +429,15 @@ def test_pullback_nan_squeeze_raises_domain_error(capsys):
         "not a finite number: 'nan'\n")
 
 
+def test_pullback_dev_off_the_squeezed_origin_is_unsupported():
+    # a squeezed family carries a closed form at the origin alone: a grid
+    # with any other point is refused with a typed error, not a TypeError
+    fam = cohgeom.StateFamily("wh", v=0.5)
+    with pytest.raises(cohgeom.UnsupportedBasePoint, match="at 0 only"):
+        cli.pullback_dev(fam, [0j, 0.3])
+    assert cli.pullback_dev(fam, [0j]) < 1e-8
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sut", "charts", "--v0", "0"], "cohgeom: DegenerateOrbit: "),
     (["uncertainty", "--family", "su2", "--j", "0.7"], "cohgeom: InvalidSpin: "),

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cohgeom.errors import DomainError
 from cohgeom.prequant import (
     FD_STEP,
+    KAPPA,
     SIGN_PAIRS,
     PrequantField,
     commutator_apply,
@@ -111,6 +116,28 @@ def test_flow_residual_is_the_difference_of_its_public_parts(i, variant):
                            / (2.0 * FD_STEP) - prequantum_apply(i, psi, P))
                 got = flow_generator_residual(i, psi, P, variant=variant)
             assert got == want or (np.isnan(got) and np.isnan(want)), (name, P)
+
+
+@settings(max_examples=400, deadline=None)
+@given(s=st.floats(-50, 50), t=st.floats(-8, 8).map(math.exp) | st.just(1e8),
+       hbar=st.floats(0.1, 10), name=st.sampled_from(sorted(FIELDS)),
+       flow=st.sampled_from([(1, "stated"), (2, "stated"), (2, "generator")]))
+@example(s=0.5, t=1e8, hbar=1.0, name="1", flow=(1, "stated"))
+@example(s=-50.0, t=1e8, hbar=10.0, name=f"e^(i{KAPPA}s)", flow=(1, "stated"))
+@example(s=-1e8, t=1.0, hbar=1.0, name="s", flow=(2, "stated"))  # e^{-rate} overflows
+def test_flow_residual_is_the_difference_of_its_public_parts_everywhere(
+        s, t, hbar, name, flow):
+    # the residual's written-out flows and Q_i keep the bits of flow_apply
+    # and prequantum_apply over the whole sweep; at t = 1e8 the first flow's
+    # multiplier e^{FD_STEP t (log t + 1)} overflows and reads inf, and at
+    # s = -1e8 the second flow's e^{-FD_STEP s} does
+    (i, variant), psi, P = flow, FIELDS[name], OrbitPoint(s, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = abs((flow_apply(i, FD_STEP, psi, P, hbar, variant)
+                    - flow_apply(i, -FD_STEP, psi, P, hbar, variant))
+                   / (2.0 * FD_STEP) - prequantum_apply(i, psi, P, hbar))
+        got = flow_generator_residual(i, psi, P, hbar, variant)
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 def test_field_callables_agree_on_scalars_and_arrays():

@@ -19,7 +19,6 @@ from cohgeom import (
     numeric_tangent,
     project_orthogonal,
     pullback_form,
-    pullback_hermitian,
     pullback_matrix,
     reference_matrix,
     spin_matrices,
@@ -31,6 +30,7 @@ from cohgeom import (
 from cohgeom import cli
 from cohgeom import pullback as pullback_module
 from cohgeom.pullback import PAIR_ENTRIES
+from conftest import pullback_hermitian
 
 PAIRS = ((1 + 0j, 1 + 0j), (1 + 0j, 1j), (1j, 1j))
 

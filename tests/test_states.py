@@ -12,10 +12,7 @@ from cohgeom import (
     TangentSpec,
     TruncationError,
     analytic_tangent,
-    basis_state,
     family_state,
-    fock_tag,
-    fs_distance,
     inner,
     ladder_matrices,
     spin_matrices,
@@ -38,7 +35,7 @@ from cohgeom.states import (
     kernel_vector,
     pochhammer_coeffs,
 )
-from conftest import doubling_sized_amplitudes, su2_tilde_minus
+from conftest import doubling_sized_amplitudes, fs_distance, su2_tilde_minus
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +301,8 @@ def test_kernel_vector_gap_detection():
     lambda N: wh_coherent(0.5, N),
     lambda N: squeezed_vacuum(0.3, N),
     lambda N: wh_squeezed(0.1, 0.2, N),
-    lambda N: basis_state(N, 0, fock_tag()),
     lambda N: su11_coherent(0.1, 1.0, N),
-], ids=["wh_coherent", "squeezed_vacuum", "wh_squeezed", "basis_state",
-        "su11_coherent"])
+], ids=["wh_coherent", "squeezed_vacuum", "wh_squeezed", "su11_coherent"])
 def test_level_count_must_be_whole(build):
     for N in (10.5, 30.5, np.nan, np.inf):
         with pytest.raises(DomainError, match="whole number of levels"):

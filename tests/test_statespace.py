@@ -7,15 +7,12 @@ from cohgeom import (
     NormalizationError,
     PullbackReport,
     StateVector,
-    basis_state,
     fock_tag,
-    fs_distance,
     inner,
     project_orthogonal,
-    pullback_hermitian,
     spin_tag,
 )
-from conftest import random_state
+from conftest import basis_state, fs_distance, pullback_hermitian, random_state
 
 FOCK = fock_tag()
 

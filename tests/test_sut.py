@@ -387,6 +387,40 @@ def test_chi_pullback_is_twice_area_form(rng):
             assert coeff == pytest.approx(math.copysign(2.0, v0), abs=1e-6)
 
 
+def _chi_coefficient_through_elements(orbit, g):
+    # chi_pullback_coefficient's formula with every chi value taken through
+    # chi_map of a SutElement
+    a, b = g.g1, g.g2
+    h = sut.CHART_FD_STEP * a
+
+    def central(plus, minus):
+        (lam_p, mu_p), (lam_m, mu_m) = (chi_map(orbit, SutElement(*x))
+                                        for x in (plus, minus))
+        return lam_p - lam_m, mu_p - mu_m
+
+    lam_a, mu_a = central((a + h, b), (a - h, b))
+    lam_b, mu_b = central((a, b + h), (a, b - h))
+    _, mu = chi_map(orbit, g)
+    return float((lam_a * mu_b - mu_a * lam_b) / (2 * h * mu) ** 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-300, 300), st.floats(-1e6, 1e6), st.floats(-50, 50),
+       st.floats(1e-3, 1e3), st.sampled_from([1.0, -1.0]))
+def test_chi_pullback_on_floats_matches_the_element_route(log_a, b, u0, v_abs, sign):
+    # chi on floats gives the bits of chi through SutElements, on both orbits
+    # and over a from e^-300 to e^300
+    orbit, g = Orbit(u0, sign * v_abs), SutElement(math.exp(log_a), b)
+    assert chi_pullback_coefficient(orbit, g) == _chi_coefficient_through_elements(orbit, g)
+
+
+@pytest.mark.parametrize("g1", [-1.0, -1e-3, -1e300, math.nan])
+def test_chi_pullback_needs_a_positive_diagonal(g1):
+    for v0 in (1.0, -1.0):
+        with pytest.raises(DomainError, match="positive diagonal"):
+            chi_pullback_coefficient(Orbit(0.0, v0), SutElement(g1, 0.5))
+
+
 def test_psi_chart_pullback_coefficient(rng):
     # psi sends dlam ^ dmu / mu^2 to (1/t^2) dt ^ ds: check by FD Jacobian
     orbit = Orbit(0.7, 2.0)

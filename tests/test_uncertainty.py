@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,6 @@ from cohgeom import (
     NonHermitian,
     NormalizationError,
     StateVector,
-    basis_state,
     fock_tag,
     ladder_matrices,
     min_uncertainty_residual,
@@ -26,7 +26,7 @@ from cohgeom import (
 )
 from cohgeom import uncertainty
 from cohgeom.uncertainty import SLACK_TOL
-from conftest import random_state
+from conftest import basis_state, random_state
 
 FOCK = fock_tag()
 
@@ -389,6 +389,7 @@ def _full_checks(monkeypatch):
 
     monkeypatch.setattr(uncertainty, "_full_check", counted)
     monkeypatch.setattr(uncertainty, "_PASSED", type(uncertainty._PASSED)())
+    monkeypatch.setattr(uncertainty, "_LAST_CENTRED", None)
     return seen
 
 
@@ -467,6 +468,99 @@ def test_pass_is_trusted_only_for_the_same_array(monkeypatch):
     B.dtype = np.dtype(">c16")
     with pytest.raises(NonHermitian):
         moments(q, B, psi)
+
+
+def _counted_pair(N):
+    # read-only views of the cached quadrature pair that count their products
+    q, p = quadrature_pair(N)
+    A, B = q.view(_CountedOperator), p.view(_CountedOperator)
+    A.names, B.names = frozenset("A"), frozenset("B")
+    A.products = B.products = Counter()
+    return A, B
+
+
+def _three_calls(A, B, psi):
+    return (moments(A, B, psi), rs_report(A, B, psi),
+            min_uncertainty_residual(A, B, 1.3, psi),
+            min_uncertainty_residual(A, B, 0.7, psi))
+
+
+def test_one_state_is_centred_once_across_the_calls():
+    # moments, rs_report and two residuals on one state apply each immutable
+    # operator once in all, and give the bits of operators that are never
+    # kept (writeable copies)
+    A, B = _counted_pair(24)
+    psi = wh_squeezed(0.4 - 0.2j, 0.3, 24)
+    got = _three_calls(A, B, psi)
+    assert A.products == {"A": 1, "B": 1}
+    q, p = quadrature_pair(24)
+    assert got == _three_calls(q.copy(), p.copy(), psi)
+    # a new StateVector with the same amplitudes and tol is the same state
+    _three_calls(A, B, StateVector(psi.amps, psi.basis, psi.tol))
+    assert A.products == {"A": 1, "B": 1}
+    # the centred vectors handed out are read-only
+    for v in uncertainty._centred(A, B, psi)[2:]:
+        assert not v.flags.writeable
+
+
+def test_writeable_operator_is_never_kept():
+    # a change made in place between calls is seen: doubling A quadruples
+    # its variance exactly
+    q, p = quadrature_pair(32)
+    psi = wh_squeezed(0.2 + 0.1j, -0.4, 32)
+    A = q.copy()
+    before = moments(A, p, psi)
+    A *= 2.0
+    after = moments(A, p, psi)
+    assert after.alpha == 4.0 * before.alpha and after.a == 2.0 * before.a
+    products = Counter()
+    C = q.copy().view(_CountedOperator)
+    C.names, C.products = frozenset("A"), products
+    for _ in range(2):
+        moments(C, p, psi)
+    assert products == {"A": 2}
+
+
+def test_another_tol_runs_the_normalization_gate_again():
+    q, p = quadrature_pair(8)
+    amps = wh_coherent(0.2, 8).amps * (1 + 1e-6)
+    loose = StateVector(amps, fock_tag(), tol=1e-3)
+    moments(q, p, loose)
+    for call in (moments, rs_report,
+                 lambda A, B, psi: min_uncertainty_residual(A, B, 1.0, psi)):
+        with pytest.raises(NormalizationError):
+            call(q, p, StateVector(amps, fock_tag(), tol=1e-12))
+    assert moments(q, p, loose) == moments(q.copy(), p, loose)
+
+
+def test_failed_checks_raise_on_every_call():
+    q, p = quadrature_pair(8)
+    psi = wh_coherent(0.2, 8)
+    bad = _bytes_backed(q + 1e-9j * np.eye(8))
+    off = StateVector(psi.amps * 1.01, psi.basis)
+    for _ in range(2):
+        for call in (moments, rs_report,
+                     lambda A, B, psi: min_uncertainty_residual(A, B, 1.0, psi)):
+            with pytest.raises(NonHermitian):
+                call(bad, p, psi)
+            with pytest.raises(NonHermitian):
+                call(q, bad, psi)
+            with pytest.raises(NormalizationError):
+                call(q, p, off)
+
+
+def test_kept_centring_holds_no_live_reference():
+    # the memo refers to its operators weakly: deleting them frees them,
+    # and an array that takes the dead one's place is not trusted
+    q, p = quadrature_pair(8)
+    psi = wh_coherent(0.2, 8)
+    A, B = _bytes_backed(q), _bytes_backed(p)
+    refs = weakref.ref(A), weakref.ref(B)
+    moments(A, B, psi)
+    assert uncertainty._LAST_CENTRED is not None
+    del A, B
+    assert [r() for r in refs] == [None, None]
+    assert moments(_bytes_backed(q), _bytes_backed(p), psi) == moments(q, p, psi)
 
 
 @pytest.mark.parametrize("hbar", [0.0, -1.0, -0.0, np.nan, np.inf, -np.inf])
