@@ -35,17 +35,18 @@ versions must agree entry by entry to QUAD_TOL.  The grid is sized from the
 space's cutoff L: the radial count starts at the smallest n = N_RADIAL 2^k
 with 2n - 1 >= L + 2, so the n-node rule already integrates every basis
 product times z^a conj(z)^b, a, b <= 3, exactly (a polynomial of degree at
-most L + 2 in u); the angular count starts at N_ANGULAR.  On a miss the
-radial count doubles at most twice more, and QuadratureError names the last
-pair tried; below L = 30 that last pair is 64x256 against 128x512.  The
-angular count is not sized from
-L: a band-limited multiplier such as z^64 aliases the same way on 32 and on
-64 angles, so a doubling of short trapezoid rules would not show it, while
-a too-short Gauss rule does show in the doubling.  A space is
-``BerezinSpace(h, cutoff)``; the base node counts N_RADIAL x N_ANGULAR,
-QUAD_TOL and the kernel's tail budget TAIL_TOL are module constants.  A
-matrix is assembled in one pass from the angular Fourier modes of its
-multiplier, one block of rings at a time,
+most L + 2 in u); the angular count starts at N_ANGULAR.  N_RADIAL is one
+RING_BLOCK, 8 nodes, which suffice up to L = 13.  On a miss the radial count
+doubles until the coarse rule has max(N_RADIAL_LAST, 4n) nodes, and
+QuadratureError names the last pair tried: 64x256 against 128x512 below
+L = 30, and 4n x 256 against 8n x 512 from there on.  The angular count is
+not sized from L: a band-limited multiplier such as z^64 aliases the same
+way on 32 and on 64 angles, so a doubling of short trapezoid rules would not
+show it, while a too-short Gauss rule does show in the doubling.  A space is
+``BerezinSpace(h, cutoff)``; the base node counts N_RADIAL x N_ANGULAR, the
+ladder's floor N_RADIAL_LAST, QUAD_TOL and the kernel's tail budget TAIL_TOL
+are module constants.  A matrix is assembled in one pass from the angular
+Fourier modes of its multiplier, one block of rings at a time,
 
     T[l, m] = (1/h - 1) c_l c_m sum_r w_r r^{l+m} ghat_{m-l}(r),
     ghat_k(r) = mean_theta g(r e^{i theta}) e^{i k theta},
@@ -94,7 +95,9 @@ FD_STEP = 1e-5  # central-difference step of the Wirtinger derivatives
 # doubled grid (64 KiB) stays below glibc's 128 KiB mmap threshold, so its
 # temporaries reuse the heap instead of faulting in fresh pages
 RING_BLOCK = 8
-N_RADIAL, N_ANGULAR = 16, 256  # smallest base grid; the gate sizes and doubles it
+# smallest base grid, one RING_BLOCK of rings; the gate sizes and doubles it
+N_RADIAL, N_ANGULAR = 8, 256
+N_RADIAL_LAST = 64  # the gate doubles until its coarse rule has max(this, 4 base) nodes
 QUAD_TOL = 1e-8  # largest entry change the doubling may make
 TAIL_TOL = 1e-10  # largest kernel tail bound ``kernel`` accepts
 
@@ -279,21 +282,25 @@ def _gated(level: Callable, cutoff: int):
 
     The grid (n, N_ANGULAR) starts at the smallest n = N_RADIAL 2^k with
     2n - 1 >= cutoff + 2 and is compared with (2n, 2 N_ANGULAR); on a miss
-    n doubles at most twice more.  Returns the refined value of the first
-    pair that agrees to QUAD_TOL in every entry, and raises QuadratureError,
-    naming the last pair, otherwise.
+    n doubles up to max(N_RADIAL_LAST, 4 base), so every cutoff below 30
+    ends at 64 nodes whatever its base.  Returns the refined value of the
+    first pair that agrees to QUAD_TOL in every entry, and raises
+    QuadratureError, naming the last pair, otherwise.
     """
     n = N_RADIAL
     while 2 * n - 1 < cutoff + 2:
         n *= 2
-    for n in (n, 2 * n, 4 * n):
+    last = max(N_RADIAL_LAST, 4 * n)
+    while True:
         coarse, fine = level(n, N_ANGULAR), level(2 * n, 2 * N_ANGULAR)
         delta = float(np.max(np.abs(fine - coarse)))
         if delta <= QUAD_TOL:
             return fine
-    raise QuadratureError(
-        f"refinement changed the integral by {delta:.3e} (> {QUAD_TOL:.1e}) "
-        f"between {n}x{N_ANGULAR} and {2 * n}x{2 * N_ANGULAR} nodes")
+        if n >= last:
+            raise QuadratureError(
+                f"refinement changed the integral by {delta:.3e} (> {QUAD_TOL:.1e}) "
+                f"between {n}x{N_ANGULAR} and {2 * n}x{2 * N_ANGULAR} nodes")
+        n *= 2
 
 
 def disc_inner(phi: Callable, psi: Callable, space: BerezinSpace) -> complex:

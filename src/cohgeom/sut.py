@@ -51,7 +51,7 @@ from .errors import DegenerateOrbit, DomainError, VerificationError
 
 E1 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E2 = np.array([[1.0, 0.0], [0.0, -1.0]])
-CHART_FD_STEP = 1e-6  # chart FD step, relative to the point's a
+CHART_FD_STEP = 1e-6  # chart FD steps, relative to the point's a and max(a, |b|)
 
 
 @dataclass(frozen=True)
@@ -311,23 +311,26 @@ def chi_map(orbit: Orbit, g: SutElement) -> tuple[float, float]:
 
 def chi_pullback_coefficient(orbit: Orbit, g: SutElement) -> float:
     """Coefficient of da ^ db in chi*(dlam ^ dmu / mu^2), by FD Jacobians
-    with the step h = CHART_FD_STEP a, relative to the point's a = g1.
+    with the steps h = CHART_FD_STEP a in a and k = CHART_FD_STEP max(a, |b|)
+    in b, each relative to the scale of the point (a, b) = (g1, g2).
 
     mu = 1/a^2 varies on the scale a, so an absolute step would swamp the
-    difference, or leave the positive subgroup, once a is small (large t).
-    chi is evaluated on floats, by the ``_chi`` of ``chi_map``, with no
-    ``SutElement`` built: ``chi_map`` checks g's diagonal once (DomainError
-    unless it is positive), and a > 0 makes every shifted
-    a = (1 +- CHART_FD_STEP) a positive too.  The central
-    differences are kept undivided and the Jacobian is divided by
-    (2 h mu)^2 once, so no intermediate exceeds a few times t CHART_FD_STEP.
+    difference, or leave the positive subgroup, once a is small (large t);
+    b +- h would keep only h / ulp(b) of its digits once |b| >> a, so b
+    takes its own step k.  chi is evaluated on floats, by the ``_chi`` of
+    ``chi_map``, with no ``SutElement`` built: ``chi_map`` checks g's
+    diagonal once (DomainError unless it is positive), and a > 0 makes every
+    shifted a = (1 +- CHART_FD_STEP) a positive too.  Each central
+    difference is divided by its 2h mu or 2k mu before the Jacobian is
+    formed, so every intermediate stays near 2, |b|, a or 1/a.
     Analytically equal to 2 sign(v0) everywhere on the positive subgroup.
     """
     _, mu = chi_map(orbit, g)
     sign, a, b = math.copysign(1.0, orbit.v0), g.g1, g.g2
-    h = CHART_FD_STEP * a
+    h, k = CHART_FD_STEP * a, CHART_FD_STEP * max(a, abs(b))
     (lam_p, mu_p), (lam_m, mu_m) = _chi(sign, a + h, b), _chi(sign, a - h, b)
     lam_a, mu_a = lam_p - lam_m, mu_p - mu_m  # 2h times the a-partials
-    (lam_p, mu_p), (lam_m, mu_m) = _chi(sign, a, b + h), _chi(sign, a, b - h)
-    lam_b, mu_b = lam_p - lam_m, mu_p - mu_m
-    return float((lam_a * mu_b - mu_a * lam_b) / (2 * h * mu) ** 2)
+    (lam_p, mu_p), (lam_m, mu_m) = _chi(sign, a, b + k), _chi(sign, a, b - k)
+    lam_b, mu_b = lam_p - lam_m, mu_p - mu_m  # 2k times the b-partials
+    da, db = 2 * h * mu, 2 * k * mu
+    return float((lam_a / da) * (mu_b / db) - (mu_a / da) * (lam_b / db))

@@ -167,6 +167,62 @@ def test_gate_error_names_the_last_pair_of_rules():
         bz.toeplitz_operator(lambda z: np.exp(30.0 * np.abs(z) ** 2) + 0j, space)
 
 
+@pytest.mark.parametrize("L, base, last", [
+    (1, 8, 64), (8, 8, 64), (13, 8, 64),  # 2n - 1 >= L + 2 from 8 nodes
+    (14, 16, 64), (29, 16, 64),
+    (30, 32, 128), (40, 32, 128), (125, 64, 256),  # 4 base beyond L = 29
+])
+def test_gate_ladder_from_the_cutoff(L, base, last):
+    # the coarse radial count starts at the smallest 8 2^k with
+    # 2n - 1 >= L + 2 and doubles up to max(64, 4 base), every coarse rule
+    # on N_ANGULAR angles against the doubled grid
+    tried = []
+
+    def level(n_radial, n_angular):
+        tried.append((n_radial, n_angular))
+        return np.array([float(n_radial)])  # every doubling changes it by >= 16
+
+    with pytest.raises(QuadratureError, match=rf"between {last}x256 and "
+                       rf"{2 * last}x512 nodes$"):
+        bz._gated(level, L)
+    ns = [base]
+    while ns[-1] < last:
+        ns.append(2 * ns[-1])
+    assert tried == [pair for n in ns for pair in ((n, 256), (2 * n, 512))]
+
+
+def test_report_all_berezin_checks_settle_on_the_first_pair(monkeypatch):
+    # at cutoffs 8 and 12 every gated integral of report-all's Berezin
+    # checks passes its first pair, 8x256 against 16x512: only the 8- and
+    # 16-node rules are built, once per h
+    built, gates, gated = [], [], bz._gated
+
+    def counting(n, alpha):
+        built.append((n, alpha))
+        return roots_jacobi(n, alpha, 0.0)
+
+    def recording(level, cutoff):
+        tried = []
+        gates.append(tried)
+
+        def traced(n_radial, n_angular):
+            tried.append((n_radial, n_angular))
+            return level(n_radial, n_angular)
+
+        return gated(traced, cutoff)
+
+    bz._radial_rule.cache_clear()
+    bz._halfplane_grid.cache_clear()
+    monkeypatch.setattr(bz, "roots_jacobi", counting)
+    monkeypatch.setattr(bz, "_gated", recording)
+    for name, run in cli.CHECKS:
+        if name.startswith("berezin-"):
+            assert run().passed, name
+    assert sorted(built) == sorted((n, 1.0 / h - 2.0)
+                                   for h in (0.45, 0.25, 0.2, 0.1, 0.05) for n in (8, 16))
+    assert gates and all(tried == [(8, 256), (16, 512)] for tried in gates)
+
+
 @pytest.mark.parametrize("h", [0.45, 0.1])
 def test_matrix_assembly_matches_entrywise_inner_products(h):
     # oracle: one gated disc_inner per entry, as (psi_l, g psi_m)_D
@@ -360,6 +416,8 @@ def test_coherent_state_fn_matches_polyval(h, cutoff, p, ws):
 @pytest.mark.parametrize("h, n_r, n_a", [
     (0.25, bz.N_RADIAL, bz.N_ANGULAR),  # the first pair tried from the base
     (0.25, 2 * bz.N_RADIAL, 2 * bz.N_ANGULAR),
+    (0.25, 16, 256),  # the first pair at cutoffs 14 to 29
+    (0.25, 32, 512),
     (0.25, 64, 256),  # and the last
     (0.25, 128, 512),
     (0.2, 48, 6),
@@ -378,11 +436,14 @@ def test_rings_are_the_tensor_grid_in_blocks(h, n_r, n_a):
 def test_quadrature_keeps_no_grid_sized_array():
     # at a fresh h, a Gram matrix and a half-plane inner product keep no
     # more than the rules and the half-plane image, and no call holds more
-    # than 1.5 fine grids at once beyond the image it builds
-    coarse = bz.N_RADIAL * bz.N_ANGULAR * np.dtype(complex).itemsize
+    # than 1.5 fine grids at once beyond the image it builds; at cutoff 16
+    # the gate's first pair, 16x256 against 32x512, spans several ring
+    # blocks, so a whole grid would show
+    n_radial = 16
+    coarse = n_radial * bz.N_ANGULAR * np.dtype(complex).itemsize
     fine = 4 * coarse
     h = 0.3
-    space = bz.BerezinSpace(h=h, cutoff=8)
+    space = bz.BerezinSpace(h=h, cutoff=16)
     tau = bz.coherent_state_fn(1j, space)
     bz._radial_rule.cache_clear()
     bz._halfplane_grid.cache_clear()
@@ -395,7 +456,7 @@ def test_quadrature_keeps_no_grid_sized_array():
             call()
             after, peak = tracemalloc.get_traced_memory()
             built = image * sum(w.nbytes for n in (1, 2) for w in bz._halfplane_grid(
-                h, n * bz.N_RADIAL, n * bz.N_ANGULAR))
+                h, n * n_radial, n * bz.N_ANGULAR))
             assert after - before - built < coarse
             assert peak - before - built < 1.5 * fine
     finally:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohgeom.errors import DegenerateOrbit, DomainError, VerificationError
-from cohgeom import sut
+from cohgeom import cli, sut
 from cohgeom.sut import (
     Orbit,
     OrbitPoint,
@@ -391,7 +391,7 @@ def _chi_coefficient_through_elements(orbit, g):
     # chi_pullback_coefficient's formula with every chi value taken through
     # chi_map of a SutElement
     a, b = g.g1, g.g2
-    h = sut.CHART_FD_STEP * a
+    h, k = sut.CHART_FD_STEP * a, sut.CHART_FD_STEP * max(a, abs(b))
 
     def central(plus, minus):
         (lam_p, mu_p), (lam_m, mu_m) = (chi_map(orbit, SutElement(*x))
@@ -399,9 +399,10 @@ def _chi_coefficient_through_elements(orbit, g):
         return lam_p - lam_m, mu_p - mu_m
 
     lam_a, mu_a = central((a + h, b), (a - h, b))
-    lam_b, mu_b = central((a, b + h), (a, b - h))
+    lam_b, mu_b = central((a, b + k), (a, b - k))
     _, mu = chi_map(orbit, g)
-    return float((lam_a * mu_b - mu_a * lam_b) / (2 * h * mu) ** 2)
+    da, db = 2 * h * mu, 2 * k * mu
+    return float((lam_a / da) * (mu_b / db) - (mu_a / da) * (lam_b / db))
 
 
 @settings(max_examples=300, deadline=None)
@@ -412,6 +413,19 @@ def test_chi_pullback_on_floats_matches_the_element_route(log_a, b, u0, v_abs, s
     # and over a from e^-300 to e^300
     orbit, g = Orbit(u0, sign * v_abs), SutElement(math.exp(log_a), b)
     assert chi_pullback_coefficient(orbit, g) == _chi_coefficient_through_elements(orbit, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-3, 12), st.sampled_from([1.0, -1.0]), st.floats(-50, 50),
+       st.floats(-3, 3), st.floats(-6, 6), st.sampled_from([1.0, -1.0]))
+def test_chi_pullback_holds_far_from_the_orbit_base(log_d, d_sign, u0, log_v, log_t, sign):
+    # b = (u0 - s) / sqrt(v0 t) takes its own step, so the coefficient
+    # stays within CHART_TOL of 2 sign(v0) on both orbits where |b| >> a,
+    # with |u0 - s| up to 1e12
+    orbit = Orbit(u0, sign * 10.0**log_v)
+    g = phi_map(orbit, OrbitPoint(u0 - d_sign * 10.0**log_d, sign * 10.0**log_t))
+    coeff = chi_pullback_coefficient(orbit, g)
+    assert abs(coeff - 2.0 * sign) <= cli.CHART_TOL
 
 
 @pytest.mark.parametrize("g1", [-1.0, -1e-3, -1e300, math.nan])
