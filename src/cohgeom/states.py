@@ -87,11 +87,10 @@ cached results are shared safely.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -157,14 +156,20 @@ class SpinTriple:
     def dim(self) -> int:
         return int(round(2 * self.j)) + 1
 
-    @property
+    @cached_property
     def lplus(self) -> np.ndarray:
-        """(Lx + i Ly)/sqrt(2); with lminus satisfies [L+, L-] = Lz."""
-        return (self.lx + 1j * self.ly) / np.sqrt(2.0)
+        """(Lx + i Ly)/sqrt(2); with lminus satisfies [L+, L-] = Lz.  Built
+        once per triple, read-only, as lminus is."""
+        return _read_only((self.lx + 1j * self.ly) / np.sqrt(2.0))
 
-    @property
+    @cached_property
     def lminus(self) -> np.ndarray:
-        return (self.lx - 1j * self.ly) / np.sqrt(2.0)
+        return _read_only((self.lx - 1j * self.ly) / np.sqrt(2.0))
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
 
 
 @lru_cache(maxsize=32)
@@ -250,6 +255,13 @@ def _abs2(alpha: complex) -> float:
         raise DomainError(f"|alpha|^2 overflows at alpha = {alpha}") from None
 
 
+@lru_cache(maxsize=32)
+def _root_levels(n: int) -> np.ndarray:
+    """sqrt(m) for the levels m = 0 .. n - 1, read-only (cached): the
+    oscillator recurrence's divisors and the matrix elements of a+."""
+    return _read_only(np.sqrt(np.arange(n)))
+
+
 def _fock_amplitudes(alpha, v: float, n: int) -> np.ndarray:
     """Amplitudes c_0 .. c_{n-1} of D(alpha)|0; v> from the three-term
     recurrence of the module notes, n >= 1, one row per alpha for an array
@@ -266,7 +278,7 @@ def _fock_amplitudes(alpha, v: float, n: int) -> np.ndarray:
         raise DomainError(f"|v| = {abs(v):.2f} exceeds the guard |v| <= 2")
     alpha = np.asarray(alpha, dtype=complex)
     r2 = [_abs2(a) for a in alpha.ravel().tolist()]
-    root = np.sqrt(np.arange(n))
+    root = _root_levels(n)
     if v == 0:
         first = np.exp(-0.5 * np.array(r2).reshape(alpha.shape + (1,)))
         return np.cumprod(np.concatenate((first, alpha[..., None] / root[1:]), -1), -1)
@@ -282,7 +294,7 @@ def _fock_amplitudes(alpha, v: float, n: int) -> np.ndarray:
             prev, cur = cur, g * cur - b * prev
             out.append(cur)
         rows.append(out)
-    return np.array(rows).reshape(alpha.shape + (n,))
+    return np.array(rows, dtype=complex).reshape(alpha.shape + (n,))
 
 
 def wh_coherent(alpha: complex, N: int, tol: float = 1e-12) -> StateVector:
@@ -357,6 +369,8 @@ def _exp_spectral(lam: np.ndarray, V: np.ndarray, psi: np.ndarray,
     """
     c = V.conj().T @ psi
     value = (V * np.exp(1j * lam)) @ c
+    if not directions:
+        return value, []
     phi = (np.exp(0.5j * np.add.outer(lam, lam))
            * np.sinc(np.subtract.outer(lam, lam) / (2.0 * np.pi)))
     return value, [V @ ((phi * (V.conj().T @ E @ V)) @ c) for E in directions]
@@ -380,10 +394,12 @@ def wh_displacement(alpha: complex, N: int) -> np.ndarray:
     return _exp_spectral(lam, V, np.eye(N))[0]
 
 
+@lru_cache(maxsize=64)
 def _generator(j: float, alpha: complex) -> np.ndarray:
-    """The spin displacement generator X(alpha) = conj(alpha) L- - alpha L+."""
+    """The spin displacement generator X(alpha) = conj(alpha) L- - alpha L+,
+    read-only (cached: the tangent directions recur)."""
     spin = spin_matrices(j)
-    return np.conj(alpha) * spin.lminus - alpha * spin.lplus
+    return _read_only(np.conj(alpha) * spin.lminus - alpha * spin.lplus)
 
 
 @lru_cache(maxsize=32)
@@ -441,9 +457,9 @@ def su2_squeezed_vacuum(v: float, j: float) -> StateVector:
         raise KernelError(f"no kernel at half-integer j = {j} with v = {v} != 0")
     m = np.arange(0, spin.dim - 2, 2) - j  # the chain's m below its top
     c = np.zeros(spin.dim)  # basis order m = j .. -j, so -j is c[-1]
-    c[::-2] = np.cumprod(np.append(1.0, -np.tanh(v) * np.sqrt(
-        (j - m) * (j + m + 1) / ((j + m + 2) * (j - m - 1)))))
-    c *= np.sign(c[np.abs(c) > 1e-10 * np.abs(c).max()][0]) / np.linalg.norm(c)
+    c[::-2] = np.cumprod(np.concatenate(([1.0], -np.tanh(v) * np.sqrt(
+        (j - m) * (j + m + 1) / ((j + m + 2) * (j - m - 1))))))
+    c *= np.sign(c[np.abs(c) > 1e-10 * np.abs(c).max()][0]) / math.sqrt(c.dot(c))
     return StateVector(c, spin_tag(j))
 
 
@@ -481,8 +497,13 @@ def pochhammer_coeffs(a: float, n) -> np.ndarray:
     n = np.asarray(n)
     if n.dtype.kind not in "iu" or n.min(initial=0) < 0:
         raise DomainError(f"levels must be non-negative integers, got {n}")
-    a = float(a)
-    return _pochhammer_table(a, max(int(n.max(initial=0)), len(_LONGEST.get(a, ())) - 1))[n]
+    return _pochhammer_prefix(float(a), int(n.max(initial=0)) + 1)[n]
+
+
+def _pochhammer_prefix(a: float, n: int) -> np.ndarray:
+    """The first n entries of ``pochhammer_coeffs``' read-only table for a:
+    the values at m = 0 .. n - 1, with no index array."""
+    return _pochhammer_table(a, max(n - 1, len(_LONGEST.get(a, ())) - 1))[:n]
 
 
 # the last table built for each a, while the cache holds it
@@ -499,11 +520,11 @@ def _pochhammer_table(a: float, top: int) -> np.ndarray:
     head = _LONGEST.get(a, np.ones(1))[:top + 1]
     k = np.arange(head.size - 1.0, float(top))
     with np.errstate(over="ignore", invalid="ignore"):
-        run = np.cumprod(np.append(head[-1], np.sqrt((a + k) / (k + 1.0))))
+        run = np.cumprod(np.concatenate((head[-1:], np.sqrt((a + k) / (k + 1.0)))))
     # a non-finite partial product stays non-finite to the end of the table
     if not np.isfinite(run[-1]):
         raise DomainError(f"((a)_n / n!)^(1/2) is not finite at a = {a}")
-    _LONGEST[a] = table = np.append(head[:-1], run)
+    _LONGEST[a] = table = np.concatenate((head[:-1], run))
     table.setflags(write=False)
     return table
 
@@ -538,9 +559,10 @@ def _disc_amplitudes(alpha, k: float, n: int) -> np.ndarray:
     """Amplitudes c_0 .. c_{n-1} of ``su11_coherent``, each from its own
     level: (1-|alpha|^2)^k ((2k)_m / m!)^{1/2} alpha^m, one row per alpha
     for an array of them."""
-    z, m = np.asarray(alpha, dtype=complex), np.arange(n)
+    z = np.asarray(alpha, dtype=complex)
     scale = np.array([(1.0 - _abs2(a)) ** k for a in z.ravel().tolist()])
-    return scale.reshape(z.shape + (1,)) * pochhammer_coeffs(2.0 * k, m) * z[..., None] ** m
+    return (scale.reshape(z.shape + (1,)) * _pochhammer_prefix(2.0 * k, n)
+            * z[..., None] ** np.arange(n))
 
 
 def truncation_dim(alpha: complex, family: str, param: float = 0.0,
@@ -566,6 +588,19 @@ def truncation_dim(alpha: complex, family: str, param: float = 0.0,
     return _sized_amplitudes(alpha, family, param, eps)[1]
 
 
+def _first_level(terms: list, rest: float, eps: float) -> int:
+    """The smallest N whose mass sum(terms[N:]) + rest is below eps, the
+    suffix sums taken from the last term down, as a cumulative sum of the
+    reversed terms takes them.  They grow as N falls, so the scan stops at
+    the first N that fails; at 0 when every N qualifies."""
+    mass = 0.0
+    for level in range(len(terms) - 1, -1, -1):
+        mass += terms[level]
+        if not mass + rest < eps:
+            return level + 1
+    return 0
+
+
 def _sized_amplitudes(alpha, family: str, param: float, eps: float):
     """The amplitudes of ``truncation_dim``'s family at alpha, run to n
     levels, and the smallest N <= n - 2 whose tail mass beyond N is below
@@ -588,7 +623,13 @@ def _sized_amplitudes(alpha, family: str, param: float, eps: float):
     such length not below log(1e-3 eps) / log(r) (32 where r = 0), twice
     that for the oscillator, whose pair ratio spans two levels, and each
     n is tested on the run's prefix; the run is built again, twice as long,
-    only when n passes its end.  Each amplitude depends on its level alone,
+    only when n passes its end.  The terms |c_n|^2 are squared once per
+    run, and each n reads only its last four as floats.  Once a row passes,
+    its N is found by one scan of its terms as floats from the last level
+    down (``_first_level``), which adds the suffix sums in the order of a
+    cumulative sum of the reversed terms and stops at the first N whose
+    tail fails.  For one alpha (a one-point pullback) that is one build and
+    a few array calls beyond it.  Each amplitude depends on its level alone,
     so a prefix of the run is the state its constructor builds on that many
     levels, and the result does not depend on the run's length.  Rows are
     tested together, each until its own n passes, so each row's N and
@@ -600,7 +641,8 @@ def _sized_amplitudes(alpha, family: str, param: float, eps: float):
     if not 1e-3 * eps > 0:
         raise DomainError(f"tail budget eps must be positive and above 1e-3 of "
                           f"the smallest double, got {eps}")
-    rows = np.asarray(alpha, dtype=complex).ravel()
+    alpha = np.asarray(alpha, dtype=complex)
+    rows = alpha.ravel()
     if family in ("fock", "squeezed_fock"):
         v = param if family == "squeezed_fock" else 0.0
         # the squeezed terms fall by tanh^2 v over two levels
@@ -621,22 +663,26 @@ def _sized_amplitudes(alpha, family: str, param: float, eps: float):
         c = build(32 << max(0, math.ceil(math.log2(max(levels, 1.0) / 32))))
     except DomainError:  # a long disc run overflows only where c_0 underflows
         c = build(32)
-    for a, c0 in zip(rows.tolist(), np.abs(c[:, 0]).tolist()):
+    t = np.abs(c)
+    for a, c0 in zip(rows.tolist(), t[:, 0].tolist()):
         if not c0 >= 2.0 ** -1022:  # the smallest normal double
             raise DomainError(f"c_0 underflows at alpha = {a}, {family} {param}")
-    N = [0] * rows.size  # 0 until the row is sized
-    for n in (32 << k for k in itertools.count()):
-        c = build(n) if n > c.shape[1] else c
-        t = np.abs(c[:, :n]) ** 2
-        rest = [geometric_tail(last, max(last / before if last < before else np.inf, lim))
-                if last else 0.0 for (t0, t1, t2, t3), lim in zip(t[:, -4:].tolist(), limits)
+    t *= t  # the terms |c_n|^2, once per run
+    N, n, budget = [0] * rows.size, 32, 1e-3 * eps  # N is 0 until the row is sized
+    while True:
+        if n > c.shape[1]:
+            c = build(n)
+            t = np.abs(c) ** 2
+        rest = [geometric_tail(last, max(last / before if last < before else math.inf, lim))
+                if last else 0.0 for (t0, t1, t2, t3), lim in zip(t[:, n - 4:n].tolist(), limits)
                 for before, last in [(t0 + t1, t2 + t3)]]
-        if min(rest) < 1e-3 * eps:
-            # mass at levels >= N; the last is t[n-1] + rest <= 2 rest < eps,
-            # since rest >= last >= t[n-1], so some N qualifies
-            tail = t[:, ::-1].cumsum(axis=1)[:, ::-1] + np.array(rest)[:, None]
-            found = zip(N, rest, t.sum(axis=1).tolist(), (tail < eps).argmax(axis=1).tolist())
-            N = [size or (max(1, first) if r < 1e-3 * eps and mass > 0.5 else 0)
-                 for size, r, mass, first in found]
+        if min(rest) < budget:
+            # N = n - 1 qualifies at least: t[n-1] + rest <= 2 rest < eps,
+            # since rest >= last >= t[n-1]
+            head = t[:, :n]
+            found = zip(N, rest, head.sum(axis=1).tolist(), head.tolist())
+            N = [size or (max(1, _first_level(terms, r, eps)) if r < budget and mass > 0.5
+                          else 0) for size, r, mass, terms in found]
         if all(N):
-            return (c[:, :n], N) if np.ndim(alpha) else (c[0, :n], N[0])
+            return (c[:, :n], N) if alpha.ndim else (c[0, :n], N[0])
+        n *= 2

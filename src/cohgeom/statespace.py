@@ -16,6 +16,7 @@ instances are safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,10 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        # the sum np.linalg.norm takes for a complex vector, without its
+        # dispatch
+        re, im = self.amps.real, self.amps.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
 
     def is_normalized(self) -> bool:
         return abs(self.norm**2 - 1.0) < self.tol

@@ -303,10 +303,21 @@ def _chi(sign: float, a: float, b: float) -> tuple[float, float]:
 
 
 def chi_map(orbit: Orbit, g: SutElement) -> tuple[float, float]:
-    """Positive subgroup -> half plane, psi o phi^{-1}: (sign(v0) b/a, 1/a^2)."""
+    """Positive subgroup -> half plane, psi o phi^{-1}: (sign(v0) b/a, 1/a^2).
+
+    DomainError unless g's diagonal is positive, and where lam = sign(v0) b/a
+    or mu = 1/a^2 is not a finite double (|b|/a or 1/a^2 past the double
+    range)."""
     if not g.is_positive:
         raise DomainError("chart requires a positive diagonal")
-    return _chi(math.copysign(1.0, orbit.v0), g.g1, g.g2)
+    try:
+        lam, mu = _chi(math.copysign(1.0, orbit.v0), g.g1, g.g2)
+    except ZeroDivisionError:  # a^2 underflows to 0
+        lam = mu = math.inf
+    if not (math.isfinite(lam) and math.isfinite(mu)):
+        raise DomainError(f"chi has no finite lam, mu at a = {g.g1}, b = {g.g2} "
+                          f"on v0 = {orbit.v0}")
+    return lam, mu
 
 
 def chi_pullback_coefficient(orbit: Orbit, g: SutElement) -> float:

@@ -275,6 +275,15 @@ def test_uncertainty_below_the_tail_budget_exits_2(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_chart_with_no_finite_chi_image_exits_2(capsys):
+    # a = sqrt(v0 / t) = 1e-150 and b = -1e300, so lam = b / a overflows
+    assert run_cli(["sut", "charts", "--v0", "1e-150", "--grid", "t:1e150..1e150:1",
+                    "s:1e300..1e300:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cohgeom: DomainError: chi has no finite lam, mu")
+    assert len(err.splitlines()) == 1
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cohgeom.cli", "pullback", "--family", "wh",

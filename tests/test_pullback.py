@@ -29,6 +29,7 @@ from cohgeom import (
 )
 from cohgeom import cli
 from cohgeom import pullback as pullback_module
+from cohgeom.errors import KernelError
 from cohgeom.pullback import PAIR_ENTRIES
 from conftest import pullback_hermitian
 
@@ -253,6 +254,36 @@ def test_su2_prefactor_is_minus_lz_mean():
         expected = -np.real(np.vdot(vac.amps, lz @ vac.amps))
         assert squeeze_prefactor(StateFamily("su2", v=v, param=j)) == \
             pytest.approx(expected)
+
+
+@pytest.mark.parametrize("j", [n / 2 for n in range(1, 13)])
+@pytest.mark.parametrize("v", [0.0, 0.5, -0.5, 1.0, -1.0])
+def test_cached_spin_prefactor_is_the_lz_mean_bit_for_bit(j, v):
+    # computed once per fiducial, then read from its cache, with the bits
+    # of the -<0;v| Lz |0;v> it replaces
+    fam = StateFamily("su2", v=v, param=j)
+    if v and j % 1:  # a half-integer spin has no squeezed fiducial
+        with pytest.raises(KernelError):
+            squeeze_prefactor(fam)
+        return
+    vac = su2_squeezed_vacuum(v, j)
+    expected = float(-np.real(np.vdot(vac.amps, spin_matrices(j).lz @ vac.amps)))
+    first = squeeze_prefactor(fam)
+    hits = pullback_module._spin_prefactor.cache_info().hits
+    assert squeeze_prefactor(fam).hex() == first.hex() == expected.hex()
+    assert pullback_module._spin_prefactor.cache_info().hits == hits + 1
+
+
+def test_verdict_with_a_nan_spin_form_is_neither(monkeypatch):
+    # the cached prefactor divides a NaN form into NaN deviations, which
+    # fail both gates
+    real = pullback_module.pullback_matrices
+    monkeypatch.setattr(pullback_module, "pullback_matrices",
+                        lambda fam, bases: (np.full_like(real(fam, bases)[0], np.nan), None))
+    for fam in (SU2_J1, StateFamily("su2", v=0.5, param=2.0)):
+        verdict = kahler_verdict(fam)
+        assert not verdict.is_kahler and not verdict.is_symplectic
+        assert np.isnan(verdict.max_dev) and np.isnan(verdict.symplectic_dev)
 
 
 def test_su11_closed_form_examples():
@@ -568,7 +599,7 @@ def test_reference_is_kept_beside_the_form(fam, base, monkeypatch):
     # pullback_form contracts the reference cached with G, the closed form's
     # own matrix, and claims none where the closed form raises
     pullback_module._pullback_matrix.cache_clear()
-    G, ref = pullback_module._pullback_matrix(fam, complex(base))
+    G, ref = pullback_module._pullback_matrix(fam, complex(base))[:2]
     calls = []
     real = pullback_module.reference_matrix
     monkeypatch.setattr(pullback_module, "reference_matrix",

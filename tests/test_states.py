@@ -1124,6 +1124,36 @@ def test_sized_frame_builds_one_amplitude_run(fam, base, most, monkeypatch):
     assert 1 <= len(builds) <= most
 
 
+@pytest.mark.parametrize("fam, base", [
+    (StateFamily("wh"), 1.0 - 0.5j), (StateFamily("wh", v=0.5), 0.75j),
+    (StateFamily("wh", v=-1.0), 0j), (StateFamily("su11", param=1.0), 0.6 + 0.1j),
+])
+def test_tangent_triple_sizes_its_state_once(fam, base, monkeypatch):
+    # family_state, analytic_tangent and numeric_tangent at one (family,
+    # base) share one sizing: one amplitude run at the base, then the two
+    # states of the central difference, built on the sized state's levels
+    from cohgeom import pullback
+
+    builds = []
+    for name in ("_fock_amplitudes", "_disc_amplitudes"):
+        def counted(*args, _fn=getattr(states, name)):
+            builds.append((complex(np.ravel(args[0])[0]), args[-1]))
+            return _fn(*args)
+        monkeypatch.setattr(states, name, counted)
+    pullback._state.cache_clear()
+    try:
+        spec = TangentSpec(base, np.exp(0.3j))
+        psi = pullback.family_state(fam, base)
+        pullback.analytic_tangent(fam, spec)
+        pullback.numeric_tangent(fam, spec, 1e-4)
+    finally:
+        pullback._state.cache_clear()
+    (alpha, run), *steps = builds
+    assert alpha == base and run >= psi.dim
+    u = complex(spec.direction)
+    assert steps == [(base + 1e-4 * u, psi.dim), (base - 1e-4 * u, psi.dim)]
+
+
 @st.composite
 def _sweep_inputs(draw):
     family = draw(st.sampled_from(["fock", "squeezed_fock", "discrete_series"]))

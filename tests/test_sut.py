@@ -377,6 +377,21 @@ def test_phi_map_rejects_a_chart_whose_b_is_not_finite(u0, s, t):
         phi_map(orbit, P)
 
 
+@pytest.mark.parametrize("a, b", [
+    (1e-150, -1e300),  # |b| / a past the double range: lam overflows
+    (1e-160, 0.0),     # 1 / a^2 overflows
+    (1e-170, 1.0),     # a^2 underflows to 0
+])
+@pytest.mark.filterwarnings("error")
+def test_chi_map_rejects_a_point_with_no_finite_image(a, b):
+    # chi names the point, as phi does, instead of a NaN coefficient
+    for v0 in (1.0, -1.0):
+        with pytest.raises(DomainError, match="chi has no finite lam, mu"):
+            chi_map(Orbit(0.0, v0), SutElement(a, b))
+        with pytest.raises(DomainError, match="chi has no finite lam, mu"):
+            chi_pullback_coefficient(Orbit(0.0, v0), SutElement(a, b))
+
+
 def test_chi_pullback_is_twice_area_form(rng):
     # 2 sign(v0) da ^ db, since chi's lam carries the orbit's sign
     for v0 in (1.0, 2.0, -2.0):
