@@ -9,7 +9,34 @@ half plane; every closed form is checked against an independent numerical
 oracle.
 """
 
-from .errors import (
+import os as _os
+import sys as _sys
+
+
+def _load_numpy():
+    """Load numpy, and with it OpenBLAS, with one BLAS thread.
+
+    OpenBLAS reads its thread count once, when the library loads, and its
+    default pool's worker spins on another core for a while after start-up.
+    No product in this package can use a second thread, so a process that
+    imports cohgeom before numpy, and sets none of the thread variables,
+    loads numpy with OPENBLAS_NUM_THREADS=1; the variable is removed again
+    afterwards, so that subprocesses see the caller's environment.  A count
+    the user set, or a numpy some other module loaded first, is left as it is.
+    """
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if "numpy" in _sys.modules or any(name in _os.environ for name in blas_vars):
+        return
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_load_numpy()
+
+from .errors import (  # noqa: E402  (numpy is loaded above, before any module)
     BasisMismatch,
     CohgeomError,
     DegenerateOrbit,

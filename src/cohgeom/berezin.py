@@ -55,7 +55,9 @@ which regroups the same sums over the same nodes as the L^2 separate
 integrals (psi_l, g psi_m)_D.  On the uniform angles every ghat_k(r) is one
 entry of the inverse FFT of g along its ring, so the modes take no
 exponential table and no matrix product, whose OpenBLAS zgemm would wake a
-second thread that then spins on a core.
+second thread that then spins on a core.  ``import cohgeom`` loads OpenBLAS
+with one thread, but a process that loaded numpy first, or set a thread
+count, keeps its pool, so the choice still matters there.
 
 With the cutoff L, the reproducing kernel and coherent states are
 

@@ -601,6 +601,21 @@ def _first_level(terms: list, rest: float, eps: float) -> int:
     return 0
 
 
+def _poisson_levels(x: float, budget: float) -> int:
+    """The first of 32, 64, ... levels n at which the Chernoff bound
+    exp(-x) (e x / m)^m on the mass from level m = n - 2 on, the first level
+    of the last pair a coherent state's run is tested by, is below budget,
+    for the populations |c_m|^2 = exp(-x) x^m / m! of a coherent state at
+    |alpha|^2 = x.  32 at x = 0, and where c_0 = exp(-x/2) is below the
+    smallest normal double (x > 1416), which the run's first test rejects.
+    The bound holds from m > x on, so n is at least that long."""
+    n = 32
+    if 0 < x <= 1416:
+        while not (n - 2 > x and n - 2 - x + (n - 2) * math.log(x / (n - 2)) < math.log(budget)):
+            n *= 2
+    return n
+
+
 def _sized_amplitudes(alpha, family: str, param: float, eps: float):
     """The amplitudes of ``truncation_dim``'s family at alpha, run to n
     levels, and the smallest N <= n - 2 whose tail mass beyond N is below
@@ -620,8 +635,10 @@ def _sized_amplitudes(alpha, family: str, param: float, eps: float):
     terms plus that rest, free of the cancellation in 1 - sum |c_n|^2.
 
     The amplitudes are built once, as a run of 32 2^m levels, the first
-    such length not below log(1e-3 eps) / log(r) (32 where r = 0), twice
-    that for the oscillator, whose pair ratio spans two levels, and each
+    such length not below log(1e-3 eps) / log(r), twice that for the
+    oscillator, whose pair ratio spans two levels; where r = 0, the first at
+    which a Chernoff bound on the coherent oscillator's Poisson tail is below
+    1e-3 eps (``_poisson_levels``, from |alpha|), and 32 on the disc.  Each
     n is tested on the run's prefix; the run is built again, twice as long,
     only when n passes its end.  The terms |c_n|^2 are squared once per
     run, and each n reads only its last four as floats.  Once a row passes,
@@ -658,7 +675,12 @@ def _sized_amplitudes(alpha, family: str, param: float, eps: float):
     else:
         raise DomainError(f"unknown family {family!r}")
     # the largest limit asks for the longest run
-    levels = span * math.log(1e-3 * eps) / math.log(r) if 0 < (r := max(limits)) < 1 else 0.0
+    if 0 < (r := max(limits)) < 1:
+        levels = span * math.log(1e-3 * eps) / math.log(r)
+    elif span == 2:  # the coherent oscillator, whose terms are Poisson's
+        levels = _poisson_levels(max(map(_abs2, rows.tolist())), 1e-3 * eps)
+    else:
+        levels = 0.0
     try:
         c = build(32 << max(0, math.ceil(math.log2(max(levels, 1.0) / 32))))
     except DomainError:  # a long disc run overflows only where c_0 underflows

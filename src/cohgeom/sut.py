@@ -282,11 +282,19 @@ def phi_inv(orbit: Orbit, g: SutElement) -> OrbitPoint:
     """Positive subgroup -> orbit: inverse of phi_map.
 
     b / a = (u0 - s) / |v0| on either orbit, since sqrt(v0 t) = |v0| / a,
-    so s = u0 - b |v0| / a and t = v0 / a^2."""
+    so s = u0 - b |v0| / a and t = v0 / a^2.  DomainError unless g's
+    diagonal is positive, and where s or t is not finite or t is 0: a^2
+    under- or overflows, or one of s and t leaves the double range."""
     if not g.is_positive:
         raise DomainError("chart requires a positive diagonal")
     s = orbit.u0 - g.g2 * abs(orbit.v0) / g.g1
-    t = orbit.v0 / g.g1**2
+    try:
+        t = orbit.v0 / g.g1**2
+    except (ZeroDivisionError, OverflowError):  # g1^2 leaves the double range
+        t = math.nan
+    if not (math.isfinite(s) and math.isfinite(t) and t != 0.0):
+        raise DomainError(f"phi^-1 has no finite s, nonzero t at a = {g.g1}, b = {g.g2} "
+                          f"on v0 = {orbit.v0}")
     return OrbitPoint(float(s), float(t))
 
 
@@ -298,8 +306,12 @@ def psi_map(orbit: Orbit, P: OrbitPoint) -> tuple[float, float]:
 
 
 def _chi(sign: float, a: float, b: float) -> tuple[float, float]:
-    # chi at (a, b), a > 0, on an orbit with sign(v0) = sign
-    return sign * b / a, 1.0 / a**2
+    # chi at (a, b), a > 0, on an orbit with sign(v0) = sign; (inf, inf)
+    # where a^2 leaves the double range, which leaves no positive finite mu
+    try:
+        return sign * b / a, 1.0 / a**2
+    except (ZeroDivisionError, OverflowError):
+        return math.inf, math.inf
 
 
 def chi_map(orbit: Orbit, g: SutElement) -> tuple[float, float]:
@@ -307,13 +319,10 @@ def chi_map(orbit: Orbit, g: SutElement) -> tuple[float, float]:
 
     DomainError unless g's diagonal is positive, and where lam = sign(v0) b/a
     or mu = 1/a^2 is not a finite double (|b|/a or 1/a^2 past the double
-    range)."""
+    range, or a^2 under- or overflowing)."""
     if not g.is_positive:
         raise DomainError("chart requires a positive diagonal")
-    try:
-        lam, mu = _chi(math.copysign(1.0, orbit.v0), g.g1, g.g2)
-    except ZeroDivisionError:  # a^2 underflows to 0
-        lam = mu = math.inf
+    lam, mu = _chi(math.copysign(1.0, orbit.v0), g.g1, g.g2)
     if not (math.isfinite(lam) and math.isfinite(mu)):
         raise DomainError(f"chi has no finite lam, mu at a = {g.g1}, b = {g.g2} "
                           f"on v0 = {orbit.v0}")
@@ -335,13 +344,19 @@ def chi_pullback_coefficient(orbit: Orbit, g: SutElement) -> float:
     difference is divided by its 2h mu or 2k mu before the Jacobian is
     formed, so every intermediate stays near 2, |b|, a or 1/a.
     Analytically equal to 2 sign(v0) everywhere on the positive subgroup.
+    DomainError, as from ``chi_map``, where a chi value of the difference
+    stencil or a divisor 2h mu, 2k mu is not a finite double, which would
+    read a wrong coefficient (0 where 2k mu overflows) or NaN.
     """
     _, mu = chi_map(orbit, g)
     sign, a, b = math.copysign(1.0, orbit.v0), g.g1, g.g2
     h, k = CHART_FD_STEP * a, CHART_FD_STEP * max(a, abs(b))
-    (lam_p, mu_p), (lam_m, mu_m) = _chi(sign, a + h, b), _chi(sign, a - h, b)
-    lam_a, mu_a = lam_p - lam_m, mu_p - mu_m  # 2h times the a-partials
-    (lam_p, mu_p), (lam_m, mu_m) = _chi(sign, a, b + k), _chi(sign, a, b - k)
-    lam_b, mu_b = lam_p - lam_m, mu_p - mu_m  # 2k times the b-partials
-    da, db = 2 * h * mu, 2 * k * mu
+    stencil = (*_chi(sign, a + h, b), *_chi(sign, a - h, b),
+               *_chi(sign, a, b + k), *_chi(sign, a, b - k), 2 * h * mu, 2 * k * mu)
+    if not all(map(math.isfinite, stencil)):
+        raise DomainError(f"chi's difference stencil leaves the double range at "
+                          f"a = {a}, b = {b} on v0 = {orbit.v0}")
+    lam_ap, mu_ap, lam_am, mu_am, lam_bp, mu_bp, lam_bm, mu_bm, da, db = stencil
+    lam_a, mu_a = lam_ap - lam_am, mu_ap - mu_am  # 2h times the a-partials
+    lam_b, mu_b = lam_bp - lam_bm, mu_bp - mu_bm  # 2k times the b-partials
     return float((lam_a / da) * (mu_b / db) - (mu_a / da) * (lam_b / db))

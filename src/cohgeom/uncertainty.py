@@ -32,6 +32,9 @@ operator to it once in all.  The products are taken by
 ``np.einsum``, not ``@``: from N of about 64 OpenBLAS hands a matrix-vector
 product to a second thread, which then spins on a core for the rest of the
 caller's work, doubling its CPU time for products that take microseconds.
+``import cohgeom`` loads OpenBLAS with one thread, but a process that loaded
+numpy first, or set a thread count, keeps its pool, so the choice still
+matters there.
 
 Conventions: hbar enters only through the operators handed in;
 ``quadrature_pair`` builds q = sqrt(hbar/2)(a + a+), p = i sqrt(hbar/2)(a+ - a)

@@ -284,6 +284,16 @@ def test_chart_with_no_finite_chi_image_exits_2(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_chart_whose_difference_stencil_leaves_the_range_exits_2(capsys):
+    # chi's image lam = -1.7e308 is finite, but the b-step's divisor 2k mu
+    # overflows, which read the coefficient as 0 and exited 1
+    assert run_cli(["sut", "charts", "--v0", "1e-150", "--grid", "t:1e150..1e150:1",
+                    "s:1.7e158..1.7e158:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cohgeom: DomainError: chi's difference stencil")
+    assert len(err.splitlines()) == 1
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cohgeom.cli", "pullback", "--family", "wh",
@@ -608,6 +618,7 @@ def test_report_all_imports_no_scipy():
 
 _QUIET_WORKERS = r"""
 import glob, math, os, time
+import numpy  # before cohgeom, so OpenBLAS keeps its default pool
 from cohgeom import cli, pullback, uncertainty as un
 
 def worker_ticks():
@@ -648,20 +659,58 @@ print(len(glob.glob("/proc/self/task/*")), worker_ticks() - before)
 """
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(code: str, *args: str, **env: str) -> str:
+    """stdout of ``code`` run with ``args`` in a fresh interpreter that
+    imports this cohgeom, with no BLAS thread variable set but those in
+    ``env``."""
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    src = os.path.dirname(os.path.dirname(cohgeom.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**base, "PYTHONPATH": src, **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="per-thread CPU times are read from /proc")
 def test_report_all_and_uncertainty_sweep_leave_blas_workers_idle():
     # no benchmarked product hands work to a second BLAS thread, which would
-    # then spin on a core; the BLAS library keeps its default thread count
-    src = os.path.dirname(os.path.dirname(cohgeom.__file__))
-    proc = subprocess.run([sys.executable, "-c", _QUIET_WORKERS],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    if proc.stdout == "unsettled\n":
+    # then spin on a core: numpy is loaded first, with no thread count set,
+    # so OpenBLAS starts its default pool, which must then stay idle
+    out = _fresh_python(_QUIET_WORKERS)
+    if out == "unsettled\n":
         pytest.skip("the BLAS workers did not go idle within 5 s of start-up")
-    threads, ticks = map(int, proc.stdout.split())
+    threads, ticks = map(int, out.split())
+    if len(os.sched_getaffinity(0)) > 1:
+        assert threads > 1, "no BLAS worker thread to watch"
     assert ticks == 0, f"{ticks} clock ticks on the other {threads - 1} threads"
+
+
+_THREADS_AFTER_IMPORT = r"""
+import os, sys
+if sys.argv[1:] == ["numpy-first"]:
+    import numpy
+    print(len(os.listdir("/proc/self/task")))
+import cohgeom
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="threads are counted in /proc")
+def test_import_loads_openblas_with_one_thread_unless_told_otherwise():
+    # a fresh import cohgeom loads numpy with one BLAS thread and leaves no
+    # variable behind; a count the user set, and a numpy loaded before
+    # cohgeom, keep the threads they asked for
+    pool = len(os.sched_getaffinity(0)) > 1
+    assert _fresh_python(_THREADS_AFTER_IMPORT).split() == ["1", "None"]
+    threads, var = _fresh_python(_THREADS_AFTER_IMPORT, OPENBLAS_NUM_THREADS="2").split()
+    assert var == "2" and (threads == "2" or not pool)
+    before, after, var = _fresh_python(_THREADS_AFTER_IMPORT, "numpy-first").split()
+    assert before == after and var == "None" and (int(after) > 1 or not pool)
 
 
 def test_sut_points_off_the_orbit_skipped(tmp_path):

@@ -1104,6 +1104,8 @@ def test_one_amplitude_run_sizes_as_the_doublings_do(inputs):
     # the oscillator's start length counts levels, two per pair ratio
     # tanh^2 v, so a v = +-1 origin frame's first run is long enough
     (StateFamily("wh", v=1.0), 0j, 1), (StateFamily("wh", v=-1.0), 0j, 1),
+    # the coherent oscillator's start length is read from |alpha|
+    (StateFamily("wh"), 2.0, 1), (StateFamily("wh"), 4.5j, 1),
 ])
 def test_sized_frame_builds_one_amplitude_run(fam, base, most, monkeypatch):
     # the run starts at the length the ratio limit predicts, so a disc frame
@@ -1122,6 +1124,28 @@ def test_sized_frame_builds_one_amplitude_run(fam, base, most, monkeypatch):
     finally:
         pullback._pullback_matrix.cache_clear()
     assert 1 <= len(builds) <= most
+
+
+@pytest.mark.parametrize("eps", [1e-18, 1e-15, 1e-12, 1e-9])
+def test_coherent_run_is_sized_from_alpha(eps, monkeypatch):
+    # from |alpha| = 0 to the underflow of c_0, one _fock_amplitudes call
+    # builds the coherent run, at most twice as long as the prefix the tail
+    # test stops at; a grid of those alphas is one call too
+    builds = []
+
+    def counted(*args, _fn=states._fock_amplitudes):
+        builds.append(args[-1])
+        return _fn(*args)
+
+    monkeypatch.setattr(states, "_fock_amplitudes", counted)
+    alphas = np.linspace(0.0, 37.6, 189) * np.exp(0.3j)
+    for alpha in alphas:
+        builds.clear()
+        c, _ = states._sized_amplitudes(alpha, "fock", 0.0, eps)
+        assert len(builds) == 1 and builds[0] in (c.size, 2 * c.size), (alpha, builds)
+    builds.clear()
+    states._sized_amplitudes(alphas, "fock", 0.0, eps)
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("fam, base", [

@@ -381,6 +381,7 @@ def test_phi_map_rejects_a_chart_whose_b_is_not_finite(u0, s, t):
     (1e-150, -1e300),  # |b| / a past the double range: lam overflows
     (1e-160, 0.0),     # 1 / a^2 overflows
     (1e-170, 1.0),     # a^2 underflows to 0
+    (1e200, 1.0),      # a^2 overflows, so mu would read 0
 ])
 @pytest.mark.filterwarnings("error")
 def test_chi_map_rejects_a_point_with_no_finite_image(a, b):
@@ -390,6 +391,38 @@ def test_chi_map_rejects_a_point_with_no_finite_image(a, b):
             chi_map(Orbit(0.0, v0), SutElement(a, b))
         with pytest.raises(DomainError, match="chi has no finite lam, mu"):
             chi_pullback_coefficient(Orbit(0.0, v0), SutElement(a, b))
+
+
+@pytest.mark.parametrize("a, b", [
+    (1e-150, -1.7e158),     # lam = -1.7e308 is finite, the b-divisor 2k mu is not
+    (1.0, 1.7976925e308),   # lam is finite, lam at b + k and a - h overflows
+    (7.458345e-155, 0.0),   # mu = 1.79769e308 is finite, mu at a - h overflows
+])
+@pytest.mark.filterwarnings("error")
+def test_chi_pullback_rejects_a_stencil_past_the_double_range(a, b):
+    # chi has an image at (a, b), but its difference stencil does not:
+    # a DomainError, not a coefficient of 0 or NaN
+    for v0 in (1.0, -1.0):
+        orbit, g = Orbit(0.0, v0), SutElement(a, b)
+        assert all(map(math.isfinite, chi_map(orbit, g)))
+        with pytest.raises(DomainError, match="difference stencil leaves the double range"):
+            chi_pullback_coefficient(orbit, g)
+
+
+@pytest.mark.parametrize("u0, v0, a, b", [
+    (0.0, 1.0, 1e-170, 0.0),      # a^2 underflows to 0
+    (0.0, -1.0, 1e-170, 0.0),
+    (0.0, 1.0, 1e200, 0.0),       # a^2 overflows
+    (0.0, 1e-300, 1e150, 0.0),    # v0 / a^2 underflows to t = 0
+    (0.0, 1e300, 1e-10, 0.0),     # v0 / a^2 overflows
+    (1e308, 1.0, 1.0, -1e308),    # s = u0 - b |v0| / a overflows
+])
+@pytest.mark.filterwarnings("error")
+def test_phi_inv_rejects_an_element_with_no_finite_orbit_point(u0, v0, a, b):
+    # a DomainError naming the element, not a ZeroDivisionError or a
+    # DegenerateOrbit for a t that is 0 only in doubles
+    with pytest.raises(DomainError, match="phi\\^-1 has no finite s, nonzero t"):
+        phi_inv(Orbit(u0, v0), SutElement(a, b))
 
 
 def test_chi_pullback_is_twice_area_form(rng):
