@@ -68,7 +68,7 @@ DISC_REL_TOL = 1e-6    # disc family, relative to the closed form
 SATURATION_TOL = 1e-9  # uncertainty slack and matched residual
 MISMATCH_GAP = 0.01    # floor on the residual at a mismatched lambda
 ORBIT_TOL = 1e-12      # coadjoint example, brackets, fields, chart round trip
-CHART_TOL = 1e-6       # chart pullback coefficient, by finite differences
+CHART_TOL = 1e-13      # chart pullback coefficient, by the complex step
 FLOW_TOL = 1e-6        # flow/generator residuals, by finite differences
 PREQUANT_TOL = 1e-8    # potential, Dirac defect and its grid stability
 GRAM_TOL = 1e-8

@@ -55,11 +55,11 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DomainError, check_hbar, worst
-from .sut import OrbitPoint
+from .sut import OrbitPoint, complex_step
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 KAPPA, SIGMA = 1.0, 0.7  # the test fields e^{i kappa s} and e^{sigma a}
-FD_STEP = 1e-5  # central-difference step of flows (in tau) and potentials (in t)
+FD_STEP = 1e-5  # central-difference step of the flows, in tau
 
 
 @dataclass(frozen=True)
@@ -312,18 +312,23 @@ def dirac_residual(t_values, s_values, hbar: float = 1.0) -> DiracReport:
 
 
 def potential_residual(t_values, variant: str = "log") -> float:
-    """Worst |d theta - omega| coefficient over t, by central differences
-    with step FD_STEP.
+    """Worst relative miss |t c - 1| of d theta against omega over t, with
+    c the coefficient of d theta = -(d theta_s / dt) ds ^ dt by the complex
+    step of ``sut.complex_step`` and 1/t that of omega.
 
-    theta = -log(t) ds gives d theta = (1/t) ds ^ dt = omega for all t > 0.
-    The ``variant="abs_log"`` potential -|log t| ds fails for t < 1 (residual
-    2/t there), which is why the plain logarithm is the implemented choice.
-    DomainError for a non-finite t or t <= 0, no t at all, or another variant.
+    theta = -log(t) ds gives d theta = (1/t) ds ^ dt = omega for all t > 0,
+    read to round-off at every t; a miss relative to 1/t stays round-off
+    where 1/t is large, as an absolute one would not.  The
+    ``variant="abs_log"`` potential -|log t| ds, taken on the complex
+    argument as -sign(Re log z) log z, fails for t < 1 (miss 2 there),
+    which is why the plain logarithm is the implemented choice.  DomainError
+    for a non-finite t or t <= 0, no t at all, or another variant, and as
+    from ``complex_step`` where t is below about 2e-300.
     """
     if variant == "log":
-        theta_s = lambda tt: -np.log(tt)
+        theta_s = lambda z: (-cmath.log(z),)
     elif variant == "abs_log":
-        theta_s = lambda tt: -abs(np.log(tt))
+        theta_s = lambda z: (-math.copysign(1.0, cmath.log(z).real) * cmath.log(z),)
     else:
         raise DomainError(f"unknown potential variant {variant!r}")
     if len(t_values) == 0:
@@ -331,7 +336,5 @@ def potential_residual(t_values, variant: str = "log") -> float:
     def dev(t):
         if not (math.isfinite(t) and t > 0):
             raise DomainError(f"potential defined for finite t > 0, got {t}")
-        # d theta = -(d theta_s / dt) ds ^ dt; omega coefficient is 1/t
-        coeff = -(theta_s(t + FD_STEP) - theta_s(t - FD_STEP)) / (2.0 * FD_STEP)
-        return abs(coeff - 1.0 / t)
-    return worst(dev(t) for t in t_values)
+        return abs(t * complex_step(theta_s, t)[0] + 1.0)  # c = -d theta_s / dt
+    return worst(dev(t) for t in map(float, t_values))

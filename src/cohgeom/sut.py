@@ -51,7 +51,7 @@ from .errors import DegenerateOrbit, DomainError, VerificationError
 
 E1 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E2 = np.array([[1.0, 0.0], [0.0, -1.0]])
-CHART_FD_STEP = 1e-6  # chart FD steps, relative to the point's a and max(a, |b|)
+_NORMAL = 2.0**-1022  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -261,6 +261,31 @@ def poisson(f: Field2D, g: Field2D, P: OrbitPoint) -> float:
     return kks_form(P, hamiltonian_field(f, P), hamiltonian_field(g, P))
 
 
+def complex_step(f: Callable, x: float, scale: float = 1.0) -> list[float]:
+    """Derivatives at x of f, a map real-analytic in one real variable, by
+    the complex step Im f(x + i h x) / (h x) with h = 1e-8; at x = 0 the
+    step is h itself.  Each imaginary part is divided by ``scale`` h x at
+    once, so that a caller can keep the quotient in range.
+
+    f takes the complex point and returns a tuple of values, one derivative
+    each.  No difference is taken, so nothing cancels, and h need not trade
+    truncation against round-off (Squire & Trapp 1998, SIAM Rev. 40 110):
+    the truncation error is about h^2 = 1e-16 relative, below round-off.
+    DomainError where the divisor ``scale`` h x is not a finite normal
+    double, a value is not finite, an imaginary part is subnormal, or a
+    quotient overflows; each would lose digits or read NaN.
+    """
+    step = 1e-8 * (x or 1.0)
+    divisor, derivatives = scale * step, []
+    for value in f(complex(x, step)):
+        if not (_NORMAL <= abs(divisor) < math.inf and abs(value.real) < math.inf
+                and (_NORMAL <= abs(value.imag) or value.imag == 0)
+                and abs(quotient := value.imag / divisor) < math.inf):
+            raise DomainError(f"the complex step at {x} leaves the normal double range")
+        derivatives.append(quotient)
+    return derivatives
+
+
 # ---------------------------------------------------------------------------
 # chart maps between the orbit, the positive subgroup and the half plane
 
@@ -305,58 +330,45 @@ def psi_map(orbit: Orbit, P: OrbitPoint) -> tuple[float, float]:
     return (orbit.u0 - P.s) / orbit.v0, P.t / orbit.v0
 
 
-def _chi(sign: float, a: float, b: float) -> tuple[float, float]:
-    # chi at (a, b), a > 0, on an orbit with sign(v0) = sign; (inf, inf)
-    # where a^2 leaves the double range, which leaves no positive finite mu
-    try:
-        return sign * b / a, 1.0 / a**2
-    except (ZeroDivisionError, OverflowError):
-        return math.inf, math.inf
+def _chi(sign: float, a: complex, b: complex) -> tuple[complex, complex]:
+    # chi at (a, b), a > 0, on an orbit with sign(v0) = sign, for float or
+    # complex a and b.  mu = 1/a/a has no intermediate smaller than mu or
+    # 1/a; through a^2, a complex step's 2 h a^2 would be subnormal, and lose
+    # digits, for a below about 1e-150
+    return sign * b / a, 1.0 / a / a
 
 
 def chi_map(orbit: Orbit, g: SutElement) -> tuple[float, float]:
     """Positive subgroup -> half plane, psi o phi^{-1}: (sign(v0) b/a, 1/a^2).
 
     DomainError unless g's diagonal is positive, and where lam = sign(v0) b/a
-    or mu = 1/a^2 is not a finite double (|b|/a or 1/a^2 past the double
-    range, or a^2 under- or overflowing)."""
+    is not a finite double or mu = 1/a^2 not a finite positive one (|b|/a
+    or 1/a^2 past the double range, or 1/a^2 underflowing to 0)."""
     if not g.is_positive:
         raise DomainError("chart requires a positive diagonal")
     lam, mu = _chi(math.copysign(1.0, orbit.v0), g.g1, g.g2)
-    if not (math.isfinite(lam) and math.isfinite(mu)):
+    if not (math.isfinite(lam) and 0 < mu < math.inf):
         raise DomainError(f"chi has no finite lam, mu at a = {g.g1}, b = {g.g2} "
                           f"on v0 = {orbit.v0}")
     return lam, mu
 
 
 def chi_pullback_coefficient(orbit: Orbit, g: SutElement) -> float:
-    """Coefficient of da ^ db in chi*(dlam ^ dmu / mu^2), by FD Jacobians
-    with the steps h = CHART_FD_STEP a in a and k = CHART_FD_STEP max(a, |b|)
-    in b, each relative to the scale of the point (a, b) = (g1, g2).
+    """Coefficient of da ^ db in chi*(dlam ^ dmu / mu^2) at (a, b) = (g1, g2).
 
-    mu = 1/a^2 varies on the scale a, so an absolute step would swamp the
-    difference, or leave the positive subgroup, once a is small (large t);
-    b +- h would keep only h / ulp(b) of its digits once |b| >> a, so b
-    takes its own step k.  chi is evaluated on floats, by the ``_chi`` of
-    ``chi_map``, with no ``SutElement`` built: ``chi_map`` checks g's
-    diagonal once (DomainError unless it is positive), and a > 0 makes every
-    shifted a = (1 +- CHART_FD_STEP) a positive too.  Each central
-    difference is divided by its 2h mu or 2k mu before the Jacobian is
-    formed, so every intermediate stays near 2, |b|, a or 1/a.
+    The a- and b-partials of chi come from two complex evaluations of the
+    ``_chi`` of ``chi_map`` by ``complex_step``, with the imaginary parts
+    divided by mu times the step, as one Jacobian column each, so every
+    quotient stays near 2, |b|, a or 1/a.  a takes the step h a.  chi is
+    linear in b, so its b-column is taken in z of b + z at z = 0, with the
+    step h, exact at every |b|.
     Analytically equal to 2 sign(v0) everywhere on the positive subgroup.
-    DomainError, as from ``chi_map``, where a chi value of the difference
-    stencil or a divisor 2h mu, 2k mu is not a finite double, which would
-    read a wrong coefficient (0 where 2k mu overflows) or NaN.
+    DomainError as from ``chi_map``, and as from ``complex_step`` where the
+    step would lose digits: mu below about 2e-300 (a past about 1e150), or
+    |lam| nonzero and below about 2e-300.
     """
     _, mu = chi_map(orbit, g)
     sign, a, b = math.copysign(1.0, orbit.v0), g.g1, g.g2
-    h, k = CHART_FD_STEP * a, CHART_FD_STEP * max(a, abs(b))
-    stencil = (*_chi(sign, a + h, b), *_chi(sign, a - h, b),
-               *_chi(sign, a, b + k), *_chi(sign, a, b - k), 2 * h * mu, 2 * k * mu)
-    if not all(map(math.isfinite, stencil)):
-        raise DomainError(f"chi's difference stencil leaves the double range at "
-                          f"a = {a}, b = {b} on v0 = {orbit.v0}")
-    lam_ap, mu_ap, lam_am, mu_am, lam_bp, mu_bp, lam_bm, mu_bm, da, db = stencil
-    lam_a, mu_a = lam_ap - lam_am, mu_ap - mu_am  # 2h times the a-partials
-    lam_b, mu_b = lam_bp - lam_bm, mu_bp - mu_bm  # 2k times the b-partials
-    return float((lam_a / da) * (mu_b / db) - (mu_a / da) * (lam_b / db))
+    lam_a, mu_a = complex_step(lambda z: _chi(sign, z, b), a, mu)
+    lam_b, mu_b = complex_step(lambda z: _chi(sign, a, b + z), 0.0, mu)
+    return lam_a * mu_b - mu_a * lam_b

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -336,10 +337,35 @@ def test_potential_log_variant_matches_form():
 
 
 def test_potential_abs_log_fails_below_one():
-    # -|log t| ds flips the sign of d(theta) for t < 1: residual 2/t there
+    # -|log t| ds flips the sign of d(theta) for t < 1: c = -1/t against
+    # omega's 1/t, a relative miss of 2 there
     ts = np.linspace(0.5, 0.9, 5)
     resid = potential_residual(ts, variant="abs_log")
-    assert resid == pytest.approx(2.0 / 0.5, abs=1e-6)
+    assert resid == pytest.approx(2.0, rel=1e-15)
     # above t = 1 both variants agree
     assert potential_residual(np.linspace(1.1, 4.0, 10),
                               variant="abs_log") < 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+def test_potential_rejects_a_t_whose_complex_step_is_subnormal():
+    # at t = 1e-320 the step h t underflows: a DomainError, not NaN
+    with pytest.raises(DomainError, match="complex step"):
+        potential_residual([1.0, 1e-320])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-600, 600))
+@example(-600.0)
+@example(600.0)
+@pytest.mark.filterwarnings("error")
+def test_potential_is_exact_at_every_scale(log_t):
+    # the complex step reads d theta to round-off relative to omega's 1/t,
+    # from t = e^-600 to e^600; -|log t| ds misses by 2 below t = 1
+    t, roundoff = math.exp(log_t), 4 * sys.float_info.epsilon
+    assert potential_residual([t]) <= roundoff
+    abs_log = potential_residual([t], variant="abs_log")
+    if t < 1.0:
+        assert abs_log == pytest.approx(2.0, rel=roundoff)
+    elif t > 1.0:
+        assert abs_log <= roundoff

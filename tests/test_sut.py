@@ -1,7 +1,10 @@
 import math
+import sys
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohgeom.errors import DegenerateOrbit, DomainError, VerificationError
@@ -394,19 +397,18 @@ def test_chi_map_rejects_a_point_with_no_finite_image(a, b):
 
 
 @pytest.mark.parametrize("a, b", [
-    (1e-150, -1.7e158),     # lam = -1.7e308 is finite, the b-divisor 2k mu is not
-    (1.0, 1.7976925e308),   # lam is finite, lam at b + k and a - h overflows
-    (7.458345e-155, 0.0),   # mu = 1.79769e308 is finite, mu at a - h overflows
+    (1e-150, -1.7e158),     # lam = -1.7e308 and mu = 1e300 near the double range
+    (1.0, 1.7976925e308),   # lam = b near the largest double
+    (7.458345e-155, 0.0),   # mu = 1.79769e308 near the largest double
 ])
 @pytest.mark.filterwarnings("error")
-def test_chi_pullback_rejects_a_stencil_past_the_double_range(a, b):
-    # chi has an image at (a, b), but its difference stencil does not:
-    # a DomainError, not a coefficient of 0 or NaN
+def test_chi_pullback_at_the_edge_of_the_double_range(a, b):
+    # chi's image is finite, and so is every quotient of the complex step:
+    # the coefficient is 2 sign(v0) to round-off, not 0, NaN or an error
     for v0 in (1.0, -1.0):
         orbit, g = Orbit(0.0, v0), SutElement(a, b)
         assert all(map(math.isfinite, chi_map(orbit, g)))
-        with pytest.raises(DomainError, match="difference stencil leaves the double range"):
-            chi_pullback_coefficient(orbit, g)
+        assert abs(chi_pullback_coefficient(orbit, g) - math.copysign(2.0, v0)) <= cli.CHART_TOL
 
 
 @pytest.mark.parametrize("u0, v0, a, b", [
@@ -435,41 +437,31 @@ def test_chi_pullback_is_twice_area_form(rng):
             assert coeff == pytest.approx(math.copysign(2.0, v0), abs=1e-6)
 
 
-def _chi_coefficient_through_elements(orbit, g):
-    # chi_pullback_coefficient's formula with every chi value taken through
-    # chi_map of a SutElement
-    a, b = g.g1, g.g2
-    h, k = sut.CHART_FD_STEP * a, sut.CHART_FD_STEP * max(a, abs(b))
-
-    def central(plus, minus):
-        (lam_p, mu_p), (lam_m, mu_m) = (chi_map(orbit, SutElement(*x))
-                                        for x in (plus, minus))
-        return lam_p - lam_m, mu_p - mu_m
-
-    lam_a, mu_a = central((a + h, b), (a - h, b))
-    lam_b, mu_b = central((a, b + k), (a, b - k))
-    _, mu = chi_map(orbit, g)
-    da, db = 2 * h * mu, 2 * k * mu
-    return float((lam_a / da) * (mu_b / db) - (mu_a / da) * (lam_b / db))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(-300, 300), st.floats(-1e6, 1e6), st.floats(-50, 50),
-       st.floats(1e-3, 1e3), st.sampled_from([1.0, -1.0]))
-def test_chi_pullback_on_floats_matches_the_element_route(log_a, b, u0, v_abs, sign):
-    # chi on floats gives the bits of chi through SutElements, on both orbits
-    # and over a from e^-300 to e^300
-    orbit, g = Orbit(u0, sign * v_abs), SutElement(math.exp(log_a), b)
-    assert chi_pullback_coefficient(orbit, g) == _chi_coefficient_through_elements(orbit, g)
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-160, 160), st.floats(-1.7e308, 1.7e308), st.sampled_from([1.0, -1.0]))
+@example(-154.127, 0.0, 1.0)           # a^2 subnormal: exact by 1/a/a
+@example(151.0, 1.0, -1.0)             # mu = 1e-302: its imaginary part is subnormal
+@example(0.0, 1e-305, 1.0)             # |lam| = 1e-305: its imaginary part is subnormal
+@example(10.0, 1.7e308, -1.0)          # lam_a / mu = -b near the largest double
+@pytest.mark.filterwarnings("error")
+def test_chi_pullback_is_exact_or_rejected_over_the_double_range(log_a, b, sign):
+    # over the whole positive subgroup, on both orbits, the coefficient is
+    # 2 sign(v0) to round-off or a DomainError, never NaN or another value
+    orbit, g = Orbit(0.0, sign), SutElement(10.0**log_a, b)
+    try:
+        coeff = chi_pullback_coefficient(orbit, g)
+    except DomainError:
+        return
+    assert abs(coeff - 2.0 * sign) <= cli.CHART_TOL
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.floats(-3, 12), st.sampled_from([1.0, -1.0]), st.floats(-50, 50),
        st.floats(-3, 3), st.floats(-6, 6), st.sampled_from([1.0, -1.0]))
 def test_chi_pullback_holds_far_from_the_orbit_base(log_d, d_sign, u0, log_v, log_t, sign):
-    # b = (u0 - s) / sqrt(v0 t) takes its own step, so the coefficient
-    # stays within CHART_TOL of 2 sign(v0) on both orbits where |b| >> a,
-    # with |u0 - s| up to 1e12
+    # b = (u0 - s) / sqrt(v0 t) enters chi linearly, so its complex step
+    # is exact at any |b|: the coefficient stays within CHART_TOL of
+    # 2 sign(v0) on both orbits where |b| >> a, with |u0 - s| up to 1e12
     orbit = Orbit(u0, sign * 10.0**log_v)
     g = phi_map(orbit, OrbitPoint(u0 - d_sign * 10.0**log_d, sign * 10.0**log_t))
     coeff = chi_pullback_coefficient(orbit, g)
@@ -483,20 +475,27 @@ def test_chi_pullback_needs_a_positive_diagonal(g1):
             chi_pullback_coefficient(Orbit(0.0, v0), SutElement(g1, 0.5))
 
 
+class _ComplexOrbit(Orbit):
+    # admits a complex point, so that psi_map's own rational formula takes
+    # the complex step
+    def contains(self, P):
+        return True
+
+
 def test_psi_chart_pullback_coefficient(rng):
-    # psi sends dlam ^ dmu / mu^2 to (1/t^2) dt ^ ds: check by FD Jacobian
-    orbit = Orbit(0.7, 2.0)
-    h = 1e-6
+    # psi sends dlam ^ dmu / mu^2 to (1/t^2) dt ^ ds: check by the complex
+    # step's Jacobian, exact to round-off as psi is rational
+    orbit = _ComplexOrbit(0.7, 2.0)
+    psi = lambda s, t: psi_map(orbit, SimpleNamespace(s=s, t=t))
     for _ in range(20):
         s = float(rng.normal())
         t = float(rng.uniform(0.3, 4.0))
-        f = lambda ss, tt: np.array(psi_map(orbit, orbit.point(ss, tt)))
-        d_ds = (f(s + h, t) - f(s - h, t)) / (2 * h)
-        d_dt = (f(s, t + h) - f(s, t - h)) / (2 * h)
-        _, mu = psi_map(orbit, orbit.point(s, t))
+        d_ds = sut.complex_step(lambda z: psi(z, t), s)
+        d_dt = sut.complex_step(lambda z: psi(s, z), t)
+        _, mu = psi(s, t)
         coeff = (d_ds[0] * d_dt[1] - d_ds[1] * d_dt[0]) / mu**2
         # ds ^ dt coefficient is -1/t^2, i.e. + (1/t^2) dt ^ ds
-        assert coeff == pytest.approx(-1.0 / t**2, abs=1e-6)
+        assert coeff == pytest.approx(-1.0 / t**2, rel=4 * sys.float_info.epsilon)
 
 
 # ---------------------------------------------------------------------------
