@@ -358,12 +358,13 @@ def flow_check(P, hbar: float = 1.0):
 
 def dirac_refined(t_vals, s_vals, hbar: float = 1.0):
     """Bracket-correspondence residuals on the grid and on the grid with
-    twice the points per axis, and the largest change between them."""
+    twice the points per axis, and the largest change between them,
+    relative to the larger of the two residuals it compares."""
     rep = pq.dirac_residual(t_vals, s_vals, hbar)
     fine = pq.dirac_residual(*(np.linspace(x[0], x[-1], 2 * len(x))
                                for x in (t_vals, s_vals)), hbar)
-    return rep, fine, worst(abs(r - fine.residuals[key])
-                            for key, r in rep.residuals.items())
+    pairs = [(r, fine.residuals[key]) for key, r in rep.residuals.items()]
+    return rep, fine, worst(abs(r - f) / (max(r, f) or 1.0) for r, f in pairs)
 
 
 def gram_dev(space: bz.BerezinSpace) -> float:

@@ -266,8 +266,11 @@ class DiracReport:
     Hamiltonian-field convention iota_X omega = eps_field df, which rescales
     {J1, J2} = -2 eps_field J1 and hence the target operator.
     ``defect_dev`` is the worst deviation of the best pair's residual field
-    from the identified closed-form defect 2 i hbar {J1, J2} psi; a value
-    near zero certifies the defect as stable and proportional to the bracket.
+    from the identified closed-form defect 2 i hbar {J1, J2} psi, each
+    point's miss divided by |[Q1, Q2] psi| + |2 hbar Q1 psi| +
+    |4 hbar t psi|, the size of the terms that cancel; a value at round-off
+    certifies the defect as stable and proportional to the bracket at every
+    t, where an absolute miss grows with the terms.
     """
 
     residuals: dict
@@ -302,10 +305,11 @@ def dirac_residual(t_values, s_values, hbar: float = 1.0) -> DiracReport:
             target = ed * 1j * hbar * (-2.0 * ef) * q1
             per_field[(ef, ed)].append(float(np.max(np.abs(comm - target))))
         # identified defect of the eps_f * eps_d = +1 conventions, against
-        # 2 i hbar {J1, J2} psi with {J1, J2} = -2t
-        defect = comm - (-2j * hbar * q1)
-        defects.append(float(np.max(
-            np.abs(defect - 2j * hbar * (-2.0 * t) * psi.value(a, s)))))
+        # 2 i hbar {J1, J2} psi with {J1, J2} = -2t, relative to the size of
+        # the three terms that cancel
+        bracket = 2j * hbar * (-2.0 * t) * psi.value(a, s)
+        size = np.abs(comm) + np.abs(2.0 * hbar * q1) + np.abs(bracket)
+        defects.append(float(np.max(np.abs(comm + 2j * hbar * q1 - bracket) / size)))
     residuals = {pair: worst(r) for pair, r in per_field.items()}
     best_pair = min(residuals, key=residuals.get)
     return DiracReport(residuals, best_pair, residuals[best_pair], worst(defects))

@@ -11,9 +11,11 @@ its imaginary part.  Tangents are R-linear in u, so H is fixed at each base
 point by the 2x2 matrix H(e_a, e_b) over the directions e = (1, i).
 ``pullback_matrices`` computes it for a whole grid of base points as one
 read-only (B, 2, 2) array, with the closed form's ``reference_matrix`` at
-the same points beside it: the grid's states are the rows of one amplitude
-array, each zero past its own levels, and the tangents, projections and
-Gram matrices are one array operation each (``_frames``).
+the same points beside it.  Every family state comes from one builder,
+``_states``: the grid's states are the rows of one amplitude array, each
+zero past its own levels.  Every tangent comes from one builder,
+``_tangents``, as one (bases, directions, levels) array, and the
+projections and Gram matrices are one array operation each.
 ``pullback_matrix`` is the one-point call of the same kernel, cached per
 (family, base) with the form and its reference also kept as Python scalars,
 so ``pullback_form`` contracts them with no array call; ``kahler_verdict``
@@ -24,17 +26,21 @@ rows, and the tables it reads (raising elements, level roots,
 normalizations, the closed forms' scaled bracket, the spin prefactor and
 generators) each built once and cached read-only.  ``family_state``,
 ``analytic_tangent`` and ``numeric_tangent`` at one point share one sizing
-through ``_state``, which keeps the last one; the central difference builds
-its two states on that state's levels.  Every oscillator family, coherent or
-squeezed, takes its state D(base)|0;v> from the amplitude runs of ``states``
-(one cumulative product per grid for the coherent state) and its tangents
-from those amplitudes shifted by one level and the state itself, with no
-matrix exponential; the disc family differentiates its amplitude series.
-Only the spin family displaces its kernel state through the cached spectrum
-of the generator (the Daleckii-Krein Frechet derivative, see ``states``),
-one base point at a time.  Tangents stay amplitude arrays: they are
-projected orthogonally to the state on their arrays, and only
-``analytic_tangent`` wraps one in a ``StateVector``.
+through ``_state``, the one-point ``_states``, which keeps the last one;
+the central difference builds its two states on that state's levels.
+Every oscillator family, coherent or squeezed, takes its state
+D(base)|0;v> from the amplitude runs of ``states`` (one cumulative product
+per grid for the coherent state) and its tangents from those amplitudes
+shifted by one level and the state itself, with no matrix exponential; the
+disc family differentiates its amplitude series.  Only the spin family
+displaces its kernel state through the cached spectrum of the generator
+(the Daleckii-Krein Frechet derivative, see ``states``), one base point at
+a time.  Off the origin its tangents take e^X |0;v> again beside the
+derivatives, as ``_states`` took it; no check builds such a grid, since
+spin is claimed at the origin only, where the displacement returns at
+once.  Tangents stay amplitude arrays: they are projected orthogonally to
+the state on their arrays, and only ``analytic_tangent`` wraps one in a
+``StateVector``.
 
 Slot convention (fixed once, used everywhere): the FIRST tangent argument u
 sits in the conjugated slot.  The closed form is one matrix in the basis of
@@ -149,7 +155,7 @@ def _base_point(base) -> complex:
 
 def family_state(fam: StateFamily, base: complex) -> StateVector:
     """The family member at the given base point."""
-    return _frame(fam, _base_point(base), ())[0]
+    return StateVector(_state(fam, _base_point(base))[0][0], *_basis(fam))
 
 
 def _basis(fam: StateFamily) -> tuple:
@@ -167,40 +173,6 @@ def _state(fam: StateFamily, base: complex) -> tuple:
     sizing."""
     psi, size = _states(fam, np.array([base]))
     return _read_only(psi), size
-
-
-def _frame(fam: StateFamily, base: complex, directions) -> tuple[StateVector, list]:
-    """The state at ``base`` and the amplitudes of its un-projected tangents
-    along ``directions``, on the state's basis: the one-point ``_frames``,
-    whose state comes from ``_state``."""
-    psi, size = _state(fam, base)
-    if not directions:
-        tangents = []
-    elif fam.family == "su2":
-        vac = su2_squeezed_vacuum(fam.v, fam.param)
-        tangents = _displace(fam.param, base, vac.amps, directions)[1]
-    else:
-        tangents = list(_tangents(fam, np.array([base]), psi, size, directions)[0])
-    return StateVector(psi[0], *_basis(fam)), tangents
-
-
-def _frames(fam: StateFamily, bases: np.ndarray, directions) -> tuple[np.ndarray, ...]:
-    """The states at ``bases`` as the rows of one amplitude array, and their
-    un-projected tangents along ``directions`` as one array of shape
-    (bases, directions, levels); both are zero past each row's own levels.
-
-    Spin families differentiate D(base)|0;v> = e^X |0;v>; the state and
-    every tangent L(X, Xdot_u)|0;v> come from the cached spectrum of the
-    generator (``states._displace``), one base point at a time.  The other
-    families take their states from ``_states`` and their tangents from
-    ``_tangents``.
-    """
-    if fam.family == "su2":
-        vac = su2_squeezed_vacuum(fam.v, fam.param)
-        return tuple(map(np.array, zip(*(_displace(fam.param, base, vac.amps, directions)
-                                          for base in bases))))
-    psi, size = _states(fam, bases)
-    return psi, _tangents(fam, bases, psi, size, directions)
 
 
 def _states(fam: StateFamily, bases: np.ndarray) -> tuple[np.ndarray, list]:
@@ -253,21 +225,25 @@ def _raising(family: str, param: float, n: int) -> np.ndarray:
 
 def _tangents(fam: StateFamily, bases: np.ndarray, psi: np.ndarray, size: list,
               directions) -> np.ndarray:
-    """The un-projected tangents along ``directions`` of the oscillator or
-    disc states ``psi`` at ``bases``, zero past each row's ``size``: one
-    array of shape (bases, directions, levels).
+    """The un-projected tangents along ``directions`` of the states ``psi``
+    at ``bases`` (the rows of ``_states``), zero past each row's ``size``:
+    one array of shape (bases, directions, levels).
 
-    They are banded: each is A_u R psi - b_u psi for the raising operator R
-    (a+, or K+ on the disc) and scalars A_u, b_u, taken in complex scalars
-    as at one point.  The disc family differentiates its amplitude series
-    term by term.  The oscillator tangent along u is
-    (u a+ - conj(u) a) psi - i Im(u conj(base)) psi, the derivative of
-    D(base + s u) = e^{-i s Im(u conj(base))} D(s u) D(base) at s = 0;
-    a psi = (beta psi - sinh v a+ psi) / cosh v, since psi is the
+    Spin tangents are the Frechet derivatives L(X, Xdot_u)|0;v> of
+    D(base)|0;v> = e^X |0;v>, from the cached spectrum of the generator
+    (``states._displace``), one base point at a time; ``psi`` is not read,
+    and off the origin e^X |0;v> is taken again beside them.  The others are banded: each is A_u R psi - b_u psi for
+    the raising operator R (a+, or K+ on the disc) and scalars A_u, b_u,
+    taken in complex scalars as at one point.  The disc family
+    differentiates its amplitude series term by term.  The oscillator
+    tangent along u is (u a+ - conj(u) a) psi - i Im(u conj(base)) psi, the
+    derivative of D(base + s u) = e^{-i s Im(u conj(base))} D(s u) D(base)
+    at s = 0; a psi = (beta psi - sinh v a+ psi) / cosh v, since psi is the
     eigenvector of a_v with eigenvalue beta (see ``states``).
     """
-    if not directions:
-        return np.empty((len(bases), 0, psi.shape[1]))
+    if fam.family == "su2":
+        vac = su2_squeezed_vacuum(fam.v, fam.param)
+        return np.array([_displace(fam.param, base, vac.amps, directions)[1] for base in bases])
     if fam.family == "wh":
         th = float(np.tanh(fam.v))
         a = [u + u.conjugate() * th for u in directions]
@@ -296,10 +272,11 @@ def analytic_tangent(fam: StateFamily, t: TangentSpec) -> StateVector:
 
     Oscillator and disc tangents are banded in the amplitudes; spin tangents
     are the Frechet derivative of the displacement acting on the fiducial
-    state (see ``_frames``).
+    state (see ``_tangents``).
     """
-    psi, (tangent,) = _frame(fam, _base_point(t.base), (complex(t.direction),))
-    return StateVector(tangent, psi.basis, psi.tol)
+    base = _base_point(t.base)
+    tangent = _tangents(fam, np.array([base]), *_state(fam, base), (complex(t.direction),))
+    return StateVector(tangent[0, 0], *_basis(fam))
 
 
 def numeric_tangent(fam: StateFamily, t: TangentSpec, h: float) -> StateVector:
@@ -417,8 +394,8 @@ def pullback_matrices(fam: StateFamily, bases) -> tuple[np.ndarray, np.ndarray |
     orthogonally to the normalized state, which removes the norm and phase
     derivative terms.  Tangents are R-linear in the direction, so
     H(u, w) = [u1, u2] G [w1, w2]^T for u = u1 + i u2 and w = w1 + i w2.
-    ``_frames`` builds the grid's states and tangents as the rows of one
-    array, and the norms, projections and Gram matrices are one array
+    ``_states`` and ``_tangents`` build the grid's states and tangents as
+    the rows of one array each, and the norms, projections and Gram matrices are one array
     operation each.  Their sums along a row are BLAS dot products
     (``np.vecdot``), those of ``np.linalg.norm`` and ``np.vdot``, so a
     one-point grid gives the bits of ``StateVector.normalized`` and
@@ -437,7 +414,8 @@ def pullback_matrices(fam: StateFamily, bases) -> tuple[np.ndarray, np.ndarray |
 
 def _pullback_rows(fam: StateFamily, bases: np.ndarray):
     # the kernel of pullback_matrices, on checked base points
-    psi, tangents = _frames(fam, bases, (1, 1j))
+    psi, size = _states(fam, bases)
+    tangents = _tangents(fam, bases, psi, size, (1, 1j))
     norm = np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))
     x = (psi / norm[:, None])[:, None]
     P = tangents - np.vecdot(x, tangents)[..., None] * x

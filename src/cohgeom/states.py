@@ -39,8 +39,9 @@ level whose exact suffix sum of |c_n|^2 plus that rest is below the budget.
 Each amplitude depends on its level alone (the recurrence runs up from c_0,
 the disc amplitudes are elementwise), so a prefix of a run is bit for bit
 the state its constructor builds on that many levels.  The amplitudes are
-therefore built once, as one run as long as the tail's ratio limit
-predicts, and every doubling is tested on a prefix of it; a family sized by
+therefore built once, as one run as long as the tail's ratio limit (disc)
+or the amplitudes' asymptotics (oscillator) predict, and every doubling is
+tested on a prefix of it; a family sized by
 the rule takes its state from the run (``pullback``).  A grid of alphas is
 one array of runs, one row each (one cumulative product along the rows for
 the coherent state, the elementwise series on the disc, the scalar
@@ -611,8 +612,41 @@ def _poisson_levels(x: float, budget: float) -> int:
     The bound holds from m > x on, so n is at least that long."""
     n = 32
     if 0 < x <= 1416:
-        while not (n - 2 > x and n - 2 - x + (n - 2) * math.log(x / (n - 2)) < math.log(budget)):
+        while not (n - 2 > x and n - 2 - x + (n - 2) * (math.log(x) - math.log(n - 2))
+                   < math.log(budget)):
             n *= 2
+    return n
+
+
+def _fock_levels(alpha: complex, v: float, budget: float) -> int:
+    """The first of 32, 64, ... levels n at which the terms t_m = |c_m|^2 of
+    D(alpha)|0; v> are predicted to pass the run's test: the pair
+    t_{n-2} + t_{n-1}, over 1 - tanh^2 v, below budget.
+
+    The recurrence's generating function is c_0 exp(mu z - tanh v z^2 / 2)
+    with mu = alpha + conj(alpha) tanh v, so c_m = c_0 (tanh v / 2)^{m/2}
+    H_m(x) / sqrt(m!) with x^2 = mu^2 / (2 tanh v).  For m >> |x|^2 the
+    Hermite asymptotics (Szego, Orthogonal Polynomials, 8.22.8) put the
+    pair t_m + t_{m+1} at about |c_0|^2 |e^{x^2}| |tanh v|^m (1 + |tanh v|)
+    cosh(2 |Im x| sqrt(2m + 1)) / sqrt(2 pi m): the ratio limit tanh^2 v
+    alone misses the growing cosh, the anti-squeezed part of alpha.  They
+    serve where |x|^2 is below the coherent state's run at |alpha|^2
+    (``_poisson_levels``), which serves v = 0 and the other alphas.
+    """
+    n = _poisson_levels(_abs2(alpha), budget)
+    th = math.tanh(v)
+    if not (0 < abs(v) <= 2 and abs(x2 := (alpha + alpha.conjugate() * th) ** 2 / (2 * th)) < n):
+        return n
+    y = 2 * abs(cmath.sqrt(x2).imag)
+    # log of the pair's factors that do not depend on m, over the budget
+    head = (x2.real - _abs2(alpha) - th * (alpha.conjugate() ** 2).real - math.log(math.cosh(v))
+            + math.log1p(abs(th)) - math.log(2 * budget * (1 - th * th)))
+    n = 32
+    # log cosh z = z + log1p(e^{-2z}) - log 2, which cannot overflow (the
+    # log 2 is the 2 in head)
+    while (head + (n - 2) * math.log(abs(th)) - 0.5 * math.log(2 * math.pi * (n - 2))
+           + (z := y * math.sqrt(2 * n - 3)) + math.log1p(math.exp(-2 * z)) >= 0):
+        n *= 2
     return n
 
 
@@ -634,11 +668,11 @@ def _sized_amplitudes(alpha, family: str, param: float, eps: float):
     bounds the rest.  The tail beyond each N is then a suffix sum of exact
     terms plus that rest, free of the cancellation in 1 - sum |c_n|^2.
 
-    The amplitudes are built once, as a run of 32 2^m levels, the first
-    such length not below log(1e-3 eps) / log(r), twice that for the
-    oscillator, whose pair ratio spans two levels; where r = 0, the first at
-    which a Chernoff bound on the coherent oscillator's Poisson tail is below
-    1e-3 eps (``_poisson_levels``, from |alpha|), and 32 on the disc.  Each
+    The amplitudes are built once, as a run of 32 2^m levels: on the disc
+    the first such length not below log(1e-3 eps) / log(r), or 32 where
+    r = 0; for the oscillator the longest of its rows' ``_fock_levels``, the
+    length at which the terms' asymptotics (a displaced squeezed state) or a
+    Chernoff bound on their Poisson tail (a coherent one) pass.  Each
     n is tested on the run's prefix; the run is built again, twice as long,
     only when n passes its end.  The terms |c_n|^2 are squared once per
     run, and each n reads only its last four as floats.  Once a row passes,
@@ -659,28 +693,24 @@ def _sized_amplitudes(alpha, family: str, param: float, eps: float):
         raise DomainError(f"tail budget eps must be positive and above 1e-3 of "
                           f"the smallest double, got {eps}")
     alpha = np.asarray(alpha, dtype=complex)
-    rows = alpha.ravel()
+    rows, budget = alpha.ravel(), 1e-3 * eps
     if family in ("fock", "squeezed_fock"):
         v = param if family == "squeezed_fock" else 0.0
         # the squeezed terms fall by tanh^2 v over two levels
-        build, span = partial(_fock_amplitudes, rows, v), 2
+        build = partial(_fock_amplitudes, rows, v)
         limits = [np.tanh(v) ** 2] * rows.size
+        levels = max(_fock_levels(a, v, budget) for a in rows.tolist())
     elif family == "discrete_series":
         if not param > 0:
             raise DomainError(f"need k > 0, got {param}")
-        build, span = partial(_disc_amplitudes, rows, param), 1
+        build = partial(_disc_amplitudes, rows, param)
         limits = [_abs2(a) for a in rows.tolist()]
         if max(limits) >= 1.0:  # |alpha|^2 >= 1 exactly where |alpha| >= 1
             raise DomainError("discrete-series states require |alpha| < 1")
+        # the largest limit asks for the longest run
+        levels = math.log(budget) / math.log(r) if (r := max(limits)) > 0 else 0.0
     else:
         raise DomainError(f"unknown family {family!r}")
-    # the largest limit asks for the longest run
-    if 0 < (r := max(limits)) < 1:
-        levels = span * math.log(1e-3 * eps) / math.log(r)
-    elif span == 2:  # the coherent oscillator, whose terms are Poisson's
-        levels = _poisson_levels(max(map(_abs2, rows.tolist())), 1e-3 * eps)
-    else:
-        levels = 0.0
     try:
         c = build(32 << max(0, math.ceil(math.log2(max(levels, 1.0) / 32))))
     except DomainError:  # a long disc run overflows only where c_0 underflows
@@ -690,7 +720,7 @@ def _sized_amplitudes(alpha, family: str, param: float, eps: float):
         if not c0 >= 2.0 ** -1022:  # the smallest normal double
             raise DomainError(f"c_0 underflows at alpha = {a}, {family} {param}")
     t *= t  # the terms |c_n|^2, once per run
-    N, n, budget = [0] * rows.size, 32, 1e-3 * eps  # N is 0 until the row is sized
+    N, n = [0] * rows.size, 32  # N is 0 until the row is sized
     while True:
         if n > c.shape[1]:
             c = build(n)

@@ -147,16 +147,28 @@ def test_sut_flow_summary_is_the_worst_gated_residual(tmp_path):
 
 
 def test_sut_dirac_summary_is_the_worst_gated_residual(tmp_path):
-    # at t ~ 1e-9 the absolute Dirac defect reads about 1e-21, below the
-    # potential's round-off relative miss, so the summary must take the latter
+    # on this grid the residual of a convention peaks between the grid's
+    # points, so the doubled grid moves it by about 5e-4 while the defect
+    # reads round-off: the summary must take the grid stability, and fail
     out = tmp_path / "d.json"
-    assert run_cli(["sut", "dirac", "--grid", "t:1e-9..3e-9:3", "s:-2..2:3",
-                    "--format", "json", "--out", str(out)]) == 0
+    assert run_cli(["sut", "dirac", "--grid", "t:0.01..0.1:3", "s:-7..10:7",
+                    "--format", "json", "--out", str(out)]) == 1
     summary = json.loads(out.read_text())["summary"]
     assert summary["max_dev"] == max(summary["defect_dev"],
                                      summary["grid_stability"],
                                      summary["potential_residual_log"])
     assert summary["max_dev"] > summary["defect_dev"]
+
+
+def test_sut_dirac_reads_the_defect_relative_to_t_1e4(capsys):
+    # the Dirac defect and its grid stability are read relative to the terms
+    # they compare, so a grid up to t = 1e4, where the absolute defect read
+    # 6.5e-6, holds the gate with round-off
+    assert main(["sut", "dirac", "--grid", "t:0.5..1e4:9", "s:-2..2:5",
+                 "--format", "json"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["best_residual"] == pytest.approx(4e8, rel=1e-12)
+    assert summary["max_dev"] < 1e-14
 
 
 def _readme_commands() -> list[list[str]]:

@@ -557,12 +557,12 @@ def test_pullback_matrix_is_cached_and_read_only(monkeypatch):
     pullback_module._pullback_matrix.cache_clear()
     fam = StateFamily("wh", v=0.5)
     calls = []
-    real = pullback_module._frames
-    monkeypatch.setattr(pullback_module, "_frames",
+    real = pullback_module._states
+    monkeypatch.setattr(pullback_module, "_states",
                         lambda *a: calls.append(a) or real(*a))
     base = 0.3 - 0.2j
     G = pullback_matrix(fam, base)
-    # one frame (state and both tangents) per family and base point
+    # one state build (for the state and both tangents) per family and base point
     assert len(calls) == 1
     for (u, w) in PAIRS:
         pullback_form(fam, base, u, w)
@@ -587,10 +587,12 @@ def test_pullback_matrix_is_the_state_vector_route_bit_for_bit(fam, base):
     # projecting the tangents on their arrays gives the bits of
     # StateVector.normalized and project_orthogonal
     pullback_module._pullback_matrix.cache_clear()
-    psi, tangents = pullback_module._frame(fam, base, (1, 1j))
+    bases = np.array([base], dtype=complex)
+    amps, size = pullback_module._states(fam, bases)
+    psi = StateVector(amps[0], *pullback_module._basis(fam))
     x = psi.normalized()
     P = np.array([project_orthogonal(x, StateVector(t, psi.basis, psi.tol)).amps
-                  for t in tangents])
+                  for t in pullback_module._tangents(fam, bases, amps, size, (1, 1j))[0]])
     assert np.array_equal(pullback_matrix(fam, base), P.conj() @ P.T)
 
 

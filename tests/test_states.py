@@ -1084,6 +1084,7 @@ def _sizer_inputs(draw):
 @example((0.999, "discrete_series", 500.0, 1e-19))
 @example((0.99, "discrete_series", 120.0, 1e-8))
 @example((0.5, "discrete_series", 0.11, 3e-17))  # the run is longer than n
+@example((2.2248650050829186e-162 + 0j, "fock", 0.0, 1e-8))  # |alpha|^2 subnormal
 def test_one_amplitude_run_sizes_as_the_doublings_do(inputs):
     # every doubling is tested on a prefix of one run; the amplitudes, N and
     # the run's length are those of rebuilding each doubling from level 0,
@@ -1101,15 +1102,16 @@ def test_one_amplitude_run_sizes_as_the_doublings_do(inputs):
     (StateFamily("su11", param=1.0), 0.8, 1), (StateFamily("su11", param=1.0), 0.8j, 1),
     (StateFamily("wh", v=1.0), 0j, 2), (StateFamily("wh", v=-1.0), 0j, 2),
     (StateFamily("wh", v=1.0), 0.5 - 0.5j, 2),
-    # the oscillator's start length counts levels, two per pair ratio
-    # tanh^2 v, so a v = +-1 origin frame's first run is long enough
+    # a v = +-1 origin frame's first run is long enough
     (StateFamily("wh", v=1.0), 0j, 1), (StateFamily("wh", v=-1.0), 0j, 1),
     # the coherent oscillator's start length is read from |alpha|
     (StateFamily("wh"), 2.0, 1), (StateFamily("wh"), 4.5j, 1),
+    # and a displaced squeezed oscillator's from |alpha| and v
+    (StateFamily("wh", v=1.0), 0.5 - 0.5j, 1), (StateFamily("wh", v=-0.5), 1.0, 1),
 ])
 def test_sized_frame_builds_one_amplitude_run(fam, base, most, monkeypatch):
-    # the run starts at the length the ratio limit predicts, so a disc frame
-    # builds its amplitudes once and a squeezed one at most twice
+    # the run starts at the length the ratio limit (disc) or the terms'
+    # asymptotics (oscillator) predict, so a frame builds its amplitudes once
     from cohgeom import pullback
 
     builds = []
@@ -1146,6 +1148,29 @@ def test_coherent_run_is_sized_from_alpha(eps, monkeypatch):
     builds.clear()
     states._sized_amplitudes(alphas, "fock", 0.0, eps)
     assert len(builds) == 1
+
+
+def test_displaced_squeezed_run_is_sized_from_alpha_and_v(monkeypatch):
+    # over v = +-0.25 .. +-1, |alpha| = 0.25 .. 2 and eight phases, at the
+    # pullback's sizing budget (1e-3 of the default eps 1e-12), each frame
+    # builds one run, of the first length whose prefix passes the tail test,
+    # and a grid of one v's frames is one run too
+    builds = []
+
+    def counted(*args, _fn=states._fock_amplitudes):
+        builds.append(args[-1])
+        return _fn(*args)
+
+    monkeypatch.setattr(states, "_fock_amplitudes", counted)
+    alphas = np.outer([0.25, 0.5, 1.0, 1.5, 2.0], np.exp(0.25j * np.pi * np.arange(8))).ravel()
+    for v in (0.25, 0.5, 0.75, 1.0, -0.25, -0.5, -0.75, -1.0):
+        for alpha in alphas:
+            builds.clear()
+            c, _ = states._sized_amplitudes(alpha, "squeezed_fock", v, 1e-15)
+            assert builds == [c.size], (v, alpha, builds)
+        builds.clear()
+        states._sized_amplitudes(alphas, "squeezed_fock", v, 1e-15)
+        assert len(builds) == 1
 
 
 @pytest.mark.parametrize("fam, base", [
