@@ -232,13 +232,14 @@ def _tangents(fam: StateFamily, bases: np.ndarray, psi: np.ndarray, size: list,
     Spin tangents are the Frechet derivatives L(X, Xdot_u)|0;v> of
     D(base)|0;v> = e^X |0;v>, from the cached spectrum of the generator
     (``states._displace``), one base point at a time; ``psi`` is not read,
-    and off the origin e^X |0;v> is taken again beside them.  The others are banded: each is A_u R psi - b_u psi for
-    the raising operator R (a+, or K+ on the disc) and scalars A_u, b_u,
-    taken in complex scalars as at one point.  The disc family
-    differentiates its amplitude series term by term.  The oscillator
-    tangent along u is (u a+ - conj(u) a) psi - i Im(u conj(base)) psi, the
-    derivative of D(base + s u) = e^{-i s Im(u conj(base))} D(s u) D(base)
-    at s = 0; a psi = (beta psi - sinh v a+ psi) / cosh v, since psi is the
+    and off the origin e^X |0;v> is taken again beside them.  The others
+    are banded: each is A_u R psi - b_u psi for the raising operator R (a+,
+    or K+ on the disc) and scalars A_u, b_u, taken in complex scalars as at
+    one point.  The disc family differentiates its amplitude series term by
+    term.  The oscillator tangent along u is
+    (u a+ - conj(u) a) psi - i Im(u conj(base)) psi, the derivative of
+    D(base + s u) = e^{-i s Im(u conj(base))} D(s u) D(base) at s = 0;
+    a psi = (beta psi - sinh v a+ psi) / cosh v, since psi is the
     eigenvector of a_v with eigenvalue beta (see ``states``).
     """
     if fam.family == "su2":
@@ -395,8 +396,8 @@ def pullback_matrices(fam: StateFamily, bases) -> tuple[np.ndarray, np.ndarray |
     derivative terms.  Tangents are R-linear in the direction, so
     H(u, w) = [u1, u2] G [w1, w2]^T for u = u1 + i u2 and w = w1 + i w2.
     ``_states`` and ``_tangents`` build the grid's states and tangents as
-    the rows of one array each, and the norms, projections and Gram matrices are one array
-    operation each.  Their sums along a row are BLAS dot products
+    the rows of one array each, and the norms, projections and Gram
+    matrices are one array operation each.  Their sums along a row are BLAS dot products
     (``np.vecdot``), those of ``np.linalg.norm`` and ``np.vdot``, so a
     one-point grid gives the bits of ``StateVector.normalized`` and
     ``project_orthogonal``; in a larger grid a row's zeros past its own
